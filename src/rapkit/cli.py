@@ -14,6 +14,7 @@ never changes any output, only wall-clock time.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import json
 import os
@@ -386,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="oracle recursion-node budget")
     sp.add_argument("--samples", type=_positive_int, help="add a Monte Carlo check with this many samples")
     sp.add_argument("--seed", type=_seed_int, help="seed for the Monte Carlo check")
-    sp.add_argument("--threads", type=_positive_int, default=_default_threads(),
+    sp.add_argument("--threads", type=_positive_int,
                     help="worker threads for sampling (default RAP_THREADS or 1)")
 
     sp = sub.add_parser("parisi", parents=[common], help="zero-free k-by-k expected cost")
@@ -415,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--row", type=int, help="row index for --what row")
     sp.add_argument("--pos", type=int, nargs=2, metavar=("R", "C"), help="position for --what entry")
     sp.add_argument("--csv", help="write per-sample statistics to this CSV file")
-    sp.add_argument("--threads", type=_positive_int, default=_default_threads(),
+    sp.add_argument("--threads", type=_positive_int,
                     help="worker threads for sampling (default RAP_THREADS or 1)")
 
     sp = sub.add_parser("oracle", parents=[common], help="exact value by symbolic conditioning")
@@ -430,8 +431,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the process.
+
+    Its defaults read no environment, so reuse is safe: ``--threads``
+    defaults to None and ``main`` reads RAP_THREADS at each call.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     code = EXIT_OK
     try:
@@ -448,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
                 budget=args.budget,
                 samples=args.samples,
                 seed=args.seed,
-                threads=args.threads,
+                threads=args.threads or _default_threads(),
             )
         elif args.command == "parisi":
             result = cmd_parisi(args.k)
@@ -467,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
                 what=args.what,
                 row=args.row,
                 pos=pos,
-                threads=args.threads,
+                threads=args.threads or _default_threads(),
                 csv_path=args.csv,
             )
         elif args.command == "oracle":

@@ -282,22 +282,3 @@ def forced_cover_lines(z: ZeroPattern, size: int) -> tuple[frozenset[int], froze
     )
     return rows, cols
 
-
-# ---------------------------------------------------------------------------
-# Brute-force reference for tests
-# ---------------------------------------------------------------------------
-
-
-def brute_force_min_cover_size(z: ZeroPattern) -> int:
-    """Smallest covering line set found by enumerating subsets in size order."""
-    zeros = z.zeros
-    if not zeros:
-        return 0
-    lines = [("r", r) for r in range(z.m)] + [("c", c) for c in range(z.n)]
-    for size in range(len(lines) + 1):
-        for subset in combinations(lines, size):
-            rows = {x for kind, x in subset if kind == "r"}
-            cols = {x for kind, x in subset if kind == "c"}
-            if all(r in rows or c in cols for r, c in zeros):
-                return size
-    raise AssertionError("unreachable: full line set always covers")

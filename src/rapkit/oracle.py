@@ -35,14 +35,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import IO, Iterable, Mapping
 
 from .covers import LineCover, forced_cover_lines, max_independent_zeros, row_maximal_cover
 from .model import BudgetExceededError, Position, RapInstance, ZeroPattern
 
 DEFAULT_NODE_BUDGET = 10**6
-_CANONICAL_CANDIDATE_CAP = 4000
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,9 @@ class LinearEntry:
     terms: tuple[tuple[int, Fraction], ...] = ()
 
     def __post_init__(self) -> None:
-        normalized = tuple(sorted((v, Fraction(c)) for v, c in self.terms))
+        normalized = tuple(
+            sorted((v, c if isinstance(c, Fraction) else Fraction(c)) for v, c in self.terms)
+        )
         object.__setattr__(self, "terms", normalized)
         for _, c in normalized:
             if c <= 0:
@@ -90,7 +91,7 @@ class LinearEntry:
         for v, c in self.terms:
             if v == vid:
                 return c
-        return Fraction(0)
+        return _ZERO
 
     def variables(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.terms)
@@ -98,7 +99,7 @@ class LinearEntry:
     def le(self, other: "LinearEntry") -> bool:
         """Componentwise comparison: every coefficient at most the other's."""
         theirs = dict(other.terms)
-        return all(c <= theirs.get(v, Fraction(0)) for v, c in self.terms)
+        return all(c <= theirs.get(v, _ZERO) for v, c in self.terms)
 
     def incomparable(self, other: "LinearEntry") -> bool:
         return not self.le(other) and not other.le(self)
@@ -283,9 +284,15 @@ def classify_entries(s: ExpRapState) -> EntryClassification:
     return EntryClassification(labels, cover, ncn, pm, minimal, pair)
 
 
-def induction_measure(s: ExpRapState) -> tuple[int, int, int, int, int]:
-    """The 5-part lexicographic termination measure, smaller is simpler."""
-    cls = classify_entries(s)
+def induction_measure(
+    s: ExpRapState, cls: EntryClassification | None = None
+) -> tuple[int, int, int, int, int]:
+    """The 5-part lexicographic termination measure, smaller is simpler.
+
+    `cls` may pass in the state's classification when the caller has it.
+    """
+    if cls is None:
+        cls = classify_entries(s)
     disagreements = 0
     if cls.first_incomparable_pair is not None:
         (r1, c1), (r2, c2) = cls.first_incomparable_pair
@@ -312,22 +319,32 @@ def _fresh_ids(s: ExpRapState, count: int) -> list[int]:
 def _substitute(
     entries: tuple[tuple[LinearEntry, ...], ...],
     rules: Mapping[int, tuple[tuple[int, Fraction], ...]],
+    y_id: int | None = None,
+    shift: Mapping[Position, int] | None = None,
 ) -> tuple[tuple[LinearEntry, ...], ...]:
-    """Replace each variable in `rules` by a nonnegative combination."""
+    """Replace each variable in `rules` by a nonnegative combination, then
+    add `shift[(r, c)]` times variable `y_id` to entry (r, c)."""
+    shift = shift or {}
 
-    def rewrite(e: LinearEntry) -> LinearEntry:
-        if not any(v in rules for v, _ in e.terms):
+    def rewrite(e: LinearEntry, delta: int) -> LinearEntry:
+        if not delta and not any(v in rules for v, _ in e.terms):
             return e
         acc: dict[int, Fraction] = {}
         for v, c in e.terms:
             if v in rules:
                 for w, d in rules[v]:
-                    acc[w] = acc.get(w, Fraction(0)) + c * d
+                    acc[w] = acc.get(w, _ZERO) + c * d
             else:
-                acc[v] = acc.get(v, Fraction(0)) + c
+                acc[v] = acc.get(v, _ZERO) + c
+        if delta:
+            acc[y_id] = acc.get(y_id, _ZERO) + delta
+            assert acc[y_id] >= 0, "every non-covered entry must contain the minimum"
         return LinearEntry.of(acc)
 
-    return tuple(tuple(rewrite(e) for e in row) for row in entries)
+    return tuple(
+        tuple(rewrite(e, shift.get((r, c), 0)) for c, e in enumerate(row))
+        for r, row in enumerate(entries)
+    )
 
 
 def condition_pair(
@@ -383,7 +400,7 @@ def condition_pair(
 
 
 def condition_minimum(
-    s: ExpRapState,
+    s: ExpRapState, cls: EntryClassification | None = None
 ) -> tuple[Fraction, list[tuple[Fraction, ExpRapState]]]:
     """Condition on the minimum of the candidate set S; extract expected cost.
 
@@ -394,9 +411,11 @@ def condition_minimum(
     extracted.  Each child conditions on a member being the minimum,
     replaces the conditioned variables through Y and fresh residuals,
     subtracts Y from all non-covered entries, and adds Y to all doubly
-    covered ones.  Weights sum to 1.
+    covered ones.  Weights sum to 1.  `cls` may pass in the state's
+    classification when the caller has it.
     """
-    cls = classify_entries(s)
+    if cls is None:
+        cls = classify_entries(s)
     cover = cls.cover
     size = len(cover)
     assert size < s.k, "caller must reduce the state first"
@@ -425,24 +444,24 @@ def condition_minimum(
     total = sum(member_intensities, Fraction(0))
     extracted = Fraction(s.k - size, 1) / total
 
-    non_covered = [
-        (r, c)
+    # the minimum Y leaves every non-covered entry and joins every doubly covered one
+    shift = {
+        (r, c): -1
         for r in range(s.m)
         if r not in cover.rows
         for c in range(s.n)
         if c not in cover.cols
-    ]
-    doubly = [(r, c) for r in cover.rows for c in cover.cols]
+    } | {(r, c): 1 for r in cover.rows for c in cover.cols}
 
     members: list[tuple[str, int]] = []
     if term is not None:
         members.append(("term", term[0]))
     members.extend(("std", v) for v in std_vars)
 
+    fresh = _fresh_ids(s, len(members))
     children: list[tuple[Fraction, ExpRapState]] = []
     for idx, (kind, vid) in enumerate(members):
         weight = member_intensities[idx] / total
-        fresh = _fresh_ids(s, len(members))
         y_id = fresh[0]
         new_vars: list[ExpVariable] = [ExpVariable(y_id, total)]
         rules: dict[int, tuple[tuple[int, Fraction], ...]] = {}
@@ -463,22 +482,7 @@ def condition_minimum(
                 else:
                     rules[ovid] = ((y_id, Fraction(1)), (z_id, Fraction(1)))
                     new_vars.append(ExpVariable(z_id, Fraction(1)))
-        entries = _substitute(s.entries, rules)
-
-        matrix = [list(row) for row in entries]
-        for r, c in non_covered:
-            e = matrix[r][c]
-            cy = e.coeff(y_id)
-            assert cy >= 1, "every non-covered entry must contain the minimum"
-            acc = {v: x for v, x in e.terms}
-            acc[y_id] = cy - 1
-            matrix[r][c] = LinearEntry.of(acc)
-        for r, c in doubly:
-            e = matrix[r][c]
-            acc = {v: x for v, x in e.terms}
-            acc[y_id] = e.coeff(y_id) + 1
-            matrix[r][c] = LinearEntry.of(acc)
-        new_entries = tuple(tuple(row) for row in matrix)
+        new_entries = _substitute(s.entries, rules, y_id, shift)
         variables = tuple(v for v in s.variables if v.id not in rules) + tuple(new_vars)
         children.append(
             (
@@ -501,85 +505,36 @@ def canonical_key(s: ExpRapState):
     """A hashable key equal for states identical up to row/column permutation
     and variable renaming; accumulated cost is excluded.
 
-    Rows and columns are ordered by content signatures that ignore
-    variable identity; signature ties are broken by trying every
-    permutation of the tied blocks and keeping the lexicographically
-    smallest encoding.  Equal keys imply identical value distributions;
-    distinct keys for isomorphic states merely cost a cache miss.
+    One encoding pass: rows and columns are ordered by content signatures
+    that ignore variable identity (the sorted (coefficient, intensity)
+    terms of each entry, sorted over the line), with signature ties broken
+    by index.  The matrix is then read in that order, renaming variables in
+    order of first appearance, and the key holds the encoded cells plus the
+    intensity of each renamed variable.
+
+    The key is sound: it describes the state completely up to that row and
+    column order and that renaming, so equal keys imply identical value
+    distributions.  It is not complete: isomorphic states whose tied lines
+    fall in different index orders get distinct keys, which merely costs a
+    cache miss.
     """
     intensity = {v.id: v.intensity for v in s.variables}
+    sig = [[tuple(sorted((c, intensity[v]) for v, c in e.terms)) for e in row] for row in s.entries]
+    row_order = sorted(range(s.m), key=lambda r: sorted(sig[r]))
+    col_order = sorted(range(s.n), key=lambda c: sorted(row[c] for row in sig))
 
-    def entry_sig(e: LinearEntry):
-        return tuple(sorted((c, intensity[v]) for v, c in e.terms))
-
-    sig = [[entry_sig(e) for e in row] for row in s.entries]
-    row_keys = [tuple(sorted(row)) for row in sig]
-    col_keys = [tuple(sorted(sig[r][c] for r in range(s.m))) for c in range(s.n)]
-
-    def orders(keys):
-        order = sorted(range(len(keys)), key=lambda i: keys[i])
-        blocks: list[list[int]] = []
-        for i in order:
-            if blocks and keys[blocks[-1][0]] == keys[i]:
-                blocks[-1].append(i)
-            else:
-                blocks.append([i])
-        perms_count = 1
-        for b in blocks:
-            for x in range(2, len(b) + 1):
-                perms_count *= x
-        return blocks, perms_count
-
-    row_blocks, nrow = orders(row_keys)
-    col_blocks, ncol = orders(col_keys)
-
-    def block_orders(blocks, cap_each):
-        if cap_each:
-            yield [i for b in blocks for i in b]
-            return
-        def rec(prefix, rest):
-            if not rest:
-                yield prefix
-                return
-            for perm in permutations(rest[0]):
-                yield from rec(prefix + list(perm), rest[1:])
-        yield from rec([], blocks)
-
-    capped = nrow * ncol > _CANONICAL_CANDIDATE_CAP
-    best = None
-    for row_order in block_orders(row_blocks, capped):
-        for col_order in block_orders(col_blocks, capped):
-            rename: dict[int, int] = {}
-            encoded = []
-            ok = True
-            for r in row_order:
-                for c in col_order:
-                    e = s.entries[r][c]
-                    assigned = sorted(
-                        (rename[v], c_) for v, c_ in e.terms if v in rename
-                    )
-                    fresh = sorted(
-                        (c_, intensity[v], v) for v, c_ in e.terms if v not in rename
-                    )
-                    for c_, _, v in fresh:
-                        rename[v] = len(rename)
-                    cell = tuple(
-                        sorted(assigned + [(rename[v], c_) for c_, _, v in fresh])
-                    )
-                    encoded.append(cell)
-                    if best is not None and tuple(encoded) > best[0][: len(encoded)]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            inv = sorted(rename, key=rename.get)
-            candidate = (tuple(encoded), tuple(intensity[v] for v in inv))
-            if best is None or candidate < best:
-                best = candidate
-    assert best is not None
-    return (s.k, s.m, s.n) + best
+    rename: dict[int, int] = {}
+    encoded = []
+    for r in row_order:
+        row = s.entries[r]
+        for c in col_order:
+            terms = row[c].terms
+            fresh = sorted((c_, intensity[v], v) for v, c_ in terms if v not in rename)
+            for _, _, v in fresh:
+                rename[v] = len(rename)
+            encoded.append(tuple(sorted((rename[v], c_) for v, c_ in terms)))
+    inv = sorted(rename, key=rename.get)
+    return (s.k, s.m, s.n, tuple(encoded), tuple(intensity[v] for v in inv))
 
 
 # ---------------------------------------------------------------------------
@@ -593,13 +548,24 @@ class _OracleRun:
         self.cache = {} if cache is None else cache
         self.trace = trace
         self.nodes = 0
+        self.state_ids: dict = {}
 
-    def emit(self, key, rule: str, weights: list[Fraction], extracted: Fraction) -> None:
+    def emit(
+        self,
+        key,
+        parent: int | None,
+        depth: int,
+        rule: str,
+        weights: list[Fraction],
+        extracted: Fraction,
+    ) -> None:
         if self.trace is None:
             return
         line = {
             "node": self.nodes,
-            "state": abs(hash(key)),
+            "parent": parent,
+            "depth": depth,
+            "state": self.state_ids.setdefault(key, len(self.state_ids)),
             "rule": rule,
             "weights": [str(w) for w in weights],
             "extracted": str(extracted),
@@ -607,9 +573,21 @@ class _OracleRun:
         self.trace.write(json.dumps(line) + "\n")
 
 
-def _evaluate(s: ExpRapState, run: _OracleRun) -> Fraction:
-    """Expected remaining cost of the state (ignores accumulated)."""
-    s = reduce_state(s)
+def _evaluate(
+    s: ExpRapState,
+    run: _OracleRun,
+    parent: int | None = None,
+    depth: int = 0,
+    cls: EntryClassification | None = None,
+) -> Fraction:
+    """Expected remaining cost of the state (ignores accumulated).
+
+    `cls` is the classification of `s` when the caller already has it;
+    it is reused only if reduction leaves the state unchanged.
+    """
+    reduced = reduce_state(s)
+    if reduced is not s:
+        s, cls = reduced, None
     if is_terminal(s):
         return Fraction(0)
     key = canonical_key(s)
@@ -621,21 +599,24 @@ def _evaluate(s: ExpRapState, run: _OracleRun) -> Fraction:
         raise BudgetExceededError(
             f"oracle budget of {run.budget} recursion nodes exhausted", nodes=run.nodes
         )
-    parent_measure = induction_measure(s)
-    cls = classify_entries(s)
+    node = run.nodes
+    if cls is None:
+        cls = classify_entries(s)
+    parent_measure = induction_measure(s, cls)
     if cls.non_covered_nonstandard and cls.minimal is None:
         assert cls.first_incomparable_pair is not None
         branches = list(condition_pair(s, *cls.first_incomparable_pair))
         extracted = Fraction(0)
         rule = "pair"
     else:
-        extracted, branches = condition_minimum(s)
+        extracted, branches = condition_minimum(s, cls)
         rule = "minimum"
-    run.emit(key, rule, [w for w, _ in branches], extracted)
+    run.emit(key, parent, depth, rule, [w for w, _ in branches], extracted)
     value = extracted
     for weight, child in branches:
-        assert induction_measure(child) < parent_measure, "termination measure must drop"
-        value += weight * _evaluate(child, run)
+        child_cls = classify_entries(child)
+        assert induction_measure(child, child_cls) < parent_measure, "termination measure must drop"
+        value += weight * _evaluate(child, run, node, depth + 1, child_cls)
     run.cache[key] = value
     return value
 
@@ -652,10 +633,7 @@ def oracle_expected_value(
     `cache` may be shared across calls to reuse canonical subproblems;
     `trace` receives one JSON line per branching node.
     """
-    if not isinstance(budget, int) or budget < 1:
-        raise ValueError(f"budget must be a positive integer, got {budget!r}")
-    run = _OracleRun(budget, cache, trace)
-    return _evaluate(make_initial_state(p), run)
+    return oracle_node_count(p, budget, cache, trace)[0]
 
 
 def oracle_node_count(

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from rapkit.model import RapInstance, ZeroPattern, instance
+from rapkit.model import Position, RapInstance, ZeroPattern, instance
 
 
 def random_instance(
@@ -57,6 +57,26 @@ def all_patterns(m: int, n: int):
     cells = [(r, c) for r in range(m) for c in range(n)]
     for bits in range(1 << (m * n)):
         yield ZeroPattern(m, n, tuple(cells[i] for i in range(m * n) if bits >> i & 1))
+
+
+def pattern_classes(m: int, n: int) -> list[tuple[Position, ...]]:
+    """One zero set per m x n zero pattern up to row and column permutation.
+
+    A pattern is a multiset of row bitmasks; its class representative is
+    the smallest sorted row tuple over all column permutations.
+    """
+    moved = [
+        [sum(1 << perm[c] for c in range(n) if mask >> c & 1) for mask in range(1 << n)]
+        for perm in itertools.permutations(range(n))
+    ]
+    classes = {
+        min(tuple(sorted(table[mask] for mask in rows)) for table in moved)
+        for rows in itertools.combinations_with_replacement(range(1 << n), m)
+    }
+    return sorted(
+        tuple((r, c) for r, mask in enumerate(rows) for c in range(n) if mask >> c & 1)
+        for rows in classes
+    )
 
 
 @st.composite

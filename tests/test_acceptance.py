@@ -46,6 +46,7 @@ from rapkit.solver import (
 from conftest import (
     all_patterns,
     brute_force_min_cover_size,
+    pattern_classes,
     random_fraction_matrix,
     random_instance,
 )
@@ -111,10 +112,17 @@ def test_criterion_03_oracle_equals_cover_formula_exhaustively(report):
             checked += 1
             if oracle_expected_value(p, budget=10**6, cache=cache) != cover_formula_value(p):
                 mismatches += 1
+    for zeros in pattern_classes(4, 4):
+        for k in (2, 3, 4):
+            p = instance(4, 4, k, zeros)
+            checked += 1
+            if oracle_expected_value(p, budget=10**6, cache=cache) != cover_formula_value(p):
+                mismatches += 1
     elapsed = time.time() - t0
     report(3, mismatches == 0,
             f"symbolic oracle equals cover formula on {checked} instances "
-            f"(3x3 all patterns, k=1..3; 2x2 all patterns, k=1..2), "
+            f"(3x3 all patterns, k=1..3; 2x2 all patterns, k=1..2; "
+            f"4x4 one pattern per row/column-permutation class, k=2..4), "
             f"{mismatches} mismatches ({elapsed:.2f}s)")
 
 

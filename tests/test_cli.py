@@ -109,7 +109,17 @@ class TestOracleCommand:
         code, _ = run(capsys, ["oracle", inst_dir["rect32"], "--trace", str(trace)])
         assert code == EXIT_OK
         lines = [json.loads(line) for line in trace.read_text().splitlines()]
-        assert lines and all({"node", "rule", "weights"} <= set(l) for l in lines)
+        assert lines and all(
+            {"node", "parent", "depth", "state", "rule", "weights"} <= set(l) for l in lines
+        )
+        depth = {}
+        for line in lines:
+            if line["parent"] is None:
+                assert line["depth"] == 0
+            else:
+                assert line["parent"] in depth  # names an earlier node
+                assert line["depth"] == depth[line["parent"]] + 1
+            depth[line["node"]] = line["depth"]
 
 
 class TestVerifyCommand:
@@ -218,6 +228,23 @@ class TestThreads:
                                "--seed", "5"])
         assert code == EXIT_OK
         assert a["outputs"] == b["outputs"]
+
+    def test_env_is_read_at_each_call(self, capsys, inst_dir, monkeypatch):
+        seen = []
+        estimate_value = cli.estimate_value
+
+        def spy(*args, threads, **kwargs):
+            seen.append(threads)
+            return estimate_value(*args, threads=threads, **kwargs)
+
+        monkeypatch.setattr(cli, "estimate_value", spy)
+        argv = ["simulate", inst_dir["two"], "--samples", "64", "--seed", "5"]
+        monkeypatch.setenv("RAP_THREADS", "2")
+        assert run(capsys, argv)[0] == EXIT_OK
+        monkeypatch.setenv("RAP_THREADS", "3")
+        assert run(capsys, argv)[0] == EXIT_OK
+        assert run(capsys, argv + ["--threads", "1"])[0] == EXIT_OK
+        assert seen == [2, 3, 1]
 
 
 class TestUsageErrors:

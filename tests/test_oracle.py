@@ -245,11 +245,19 @@ class TestBudgetAndTrace:
         oracle_expected_value(instance(3, 3, 2, [(0, 0)]), trace=buffer)
         lines = [json.loads(line) for line in buffer.getvalue().splitlines()]
         assert lines
+        depth = {}
         for line in lines:
             assert line["rule"] in ("pair", "minimum")
             weights = [Fraction(w) for w in line["weights"]]
             assert sum(weights) == 1 and all(w > 0 for w in weights)
             assert Fraction(line["extracted"]) >= 0
+            if line["parent"] is None:
+                assert line["depth"] == 0
+            else:
+                assert line["parent"] in depth  # names an earlier node
+                assert line["depth"] == depth[line["parent"]] + 1
+            depth[line["node"]] = line["depth"]
+        assert [line["parent"] for line in lines].count(None) == 1
 
     def test_cache_reuse_across_calls(self):
         cache: dict = {}
