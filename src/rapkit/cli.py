@@ -6,9 +6,10 @@ Every subcommand prints one JSON envelope on stdout:
 
 or, with ``--pretty``, a small human-readable table.  Exit codes:
 0 success, 1 usage or parse error, 2 verification mismatch, 3 oracle
-budget exhausted.  Randomized subcommands require an explicit ``--seed``;
-``--threads`` falls back to the RAP_THREADS environment variable and
-never changes any output, only wall-clock time.
+node budget or cover-profile subset budget exhausted.  Randomized
+subcommands require an explicit ``--seed``; ``--threads`` falls back to
+the RAP_THREADS environment variable and never changes any output, only
+wall-clock time.
 """
 
 from __future__ import annotations
@@ -487,6 +488,9 @@ def main(argv: list[str] | None = None) -> int:
             result = cmd_integral(args.alpha, args.beta)
         else:  # pragma: no cover - argparse enforces the choices
             parser.error(f"unknown command {args.command!r}")
+    except BudgetExceededError as exc:  # the oracle's is reported in its envelope
+        print(f"rapkit: error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except (RapError, ValueError, IndexError, ArithmeticError, OSError) as exc:
         print(f"rapkit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,17 +7,23 @@ cover size equals the maximum number of independent zeros.  A *partial
 the cover coefficient d_{i,j} counts partial (k-1)-covers with exactly
 i rows and j columns.
 
-Everything here is exact integer work on desk-scale patterns; counting
-is done by direct subset enumeration with a memoized matching test.
+Everything here is exact integer work on desk-scale patterns.  The
+coefficients are counted over the connected components of the bipartite
+zero graph: lines touching no zero contribute binomial factors, the
+residual matching number is a sum over components, so d_{i,j} is a
+convolution of small per-component tables, each found by a pruned
+depth-first enumeration of that component's lines.  A component that
+spans every line is still exponential in its size, so the enumeration
+is charged against a subset budget (BudgetExceededError when exceeded).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable
+from math import comb
+from typing import Collection, Container, Iterable
 
-from .model import Position, RapInstance, ZeroPattern
+from .model import BudgetExceededError, Position, RapInstance, ZeroPattern
 
 
 @dataclass(frozen=True)
@@ -169,20 +175,13 @@ def column_maximal_cover(z: ZeroPattern) -> LineCover:
 # ---------------------------------------------------------------------------
 
 
-class _ResidualMatcher:
-    """Matching sizes of residual zero sets, cached by the residual itself."""
+DEFAULT_SUBSET_BUDGET = 1 << 23
+"""Default cap on the component line subsets one profile call may enumerate.
 
-    def __init__(self, zeros: tuple[Position, ...]):
-        self.zeros = zeros
-        self._cache: dict[frozenset[Position], int] = {}
-
-    def residual_matching(self, rows: frozenset[int], cols: frozenset[int]) -> int:
-        residual = frozenset(p for p in self.zeros if p[0] not in rows and p[1] not in cols)
-        hit = self._cache.get(residual)
-        if hit is None:
-            hit = len(_max_matching(residual))
-            self._cache[residual] = hit
-        return hit
+It exceeds the sum of C(24, s) over s < 12 (about 7.0M), the count for a
+single component spanning every line of a 12x12 instance, so no instance
+up to 12x12 is refused.
+"""
 
 
 def is_partial_cover(p: RapInstance, rows: Iterable[int], cols: Iterable[int]) -> bool:
@@ -202,47 +201,214 @@ def is_partial_cover(p: RapInstance, rows: Iterable[int], cols: Iterable[int]) -
     slack = (p.k - 1) - len(rset) - len(cset)
     if slack < 0:
         return False
-    matcher = _ResidualMatcher(p.zeros)
-    return matcher.residual_matching(rset, cset) <= slack
+    residual = [z for z in p.zeros if z[0] not in rset and z[1] not in cset]
+    return len(_max_matching(residual)) <= slack
 
 
-def cover_profile(p: RapInstance) -> CoverProfile:
-    """Count partial (k-1)-covers by exact subset enumeration.
+def _components(zeros: tuple[Position, ...]) -> list[list[Position]]:
+    """The zeros of each connected component of the bipartite zero graph."""
+    group: dict[int, list[Position]] = {}  # row r or column ~c -> its component's zeros
+    for z in zeros:
+        r, c = z
+        g, h = group.get(r), group.get(~c)
+        if g is None or h is None or g is h:
+            g = g or h or []
+            g.append(z)
+            group[r] = group[~c] = g
+            continue
+        if len(g) < len(h):
+            g, h = h, g
+        g.extend(h)
+        g.append(z)
+        for r2, c2 in h:
+            group[r2] = group[~c2] = g
+        group[r] = group[~c] = g
+    return list({id(g): g for g in group.values()}.values())
 
-    d_{i,j} enumerates i-row-subsets x j-column-subsets, testing each with
-    one residual maximum-matching computation.  Residual results are shared
-    through a per-call cache keyed by the residual zero set.
+
+def _component_table(
+    zeros: list[Position], rows: Container[int], cols: Container[int], limit: int
+) -> dict[tuple[int, int, int], int]:
+    """Line-subset counts of one component of the zero graph.
+
+    T[(a, b, nu)] counts the choices of a of its rows in ``rows`` and b of
+    its columns in ``cols`` that leave a maximum matching of nu of its
+    zeros; only entries with a + b + nu <= limit are kept.
+
+    Subsets are visited depth-first, one line added at a time.  Adding a
+    line lowers the matching by at most one, so a + b + nu never falls
+    and a subset over the limit cuts off all of its supersets.  Each child
+    reuses its parent's maximum matching: deleting an unmatched line
+    keeps it maximum, and deleting a matched line frees its partner, from
+    which one alternating-path search restores the size or shows it fell
+    by one.  Once no zero is left, or only rows are chosen and every live
+    row is matched, each remaining line lowers the matching by a known
+    amount (zero or one), so the subtree adds binomial counts.
     """
-    matcher = _ResidualMatcher(p.zeros)
-    coeffs: list[tuple[int, int, int]] = []
-    for i in range(min(p.m, p.k - 1) + 1):
-        for j in range(min(p.n, p.k - 1 - i) + 1):
-            slack = (p.k - 1) - i - j
-            count = 0
-            for rows in combinations(range(p.m), i):
-                rset = frozenset(rows)
-                for cols in combinations(range(p.n), j):
-                    if matcher.residual_matching(rset, frozenset(cols)) <= slack:
-                        count += 1
-            coeffs.append((i, j, count))
-    return CoverProfile(p.k, tuple(coeffs))
+    row_adj: dict[int, int] = {}  # row -> bitmask of its zeros' columns
+    col_adj: dict[int, int] = {}  # column -> bitmask of its zeros' rows
+    for r, c in zeros:
+        row_adj[r] = row_adj.get(r, 0) | 1 << c
+        col_adj[c] = col_adj.get(c, 0) | 1 << r
+    lines = [(True, r) for r in row_adj if r in rows]
+    n_row_lines = len(lines)  # rows come first
+    lines += [(False, c) for c in col_adj if c in cols]
+    rows_only = n_row_lines == len(lines)
+
+    def path(x: int, adj: dict[int, int], live: int, mine: list[int], theirs: list[int], seen: list[int]) -> bool:
+        """Augment along an alternating path from the free vertex x of one side."""
+        free = adj[x] & live & ~seen[0]
+        while free:
+            bit = free & -free
+            free ^= bit
+            if seen[0] & bit:
+                continue
+            seen[0] |= bit
+            y = bit.bit_length() - 1
+            if theirs[y] < 0 or path(theirs[y], adj, live, mine, theirs, seen):
+                theirs[y] = x
+                mine[x] = y
+                return True
+        return False
+
+    table: dict[tuple[int, int, int], int] = {}
+
+    def visit(start: int, live_r: int, live_c: int, a: int, b: int, nu: int,
+              match_r: list[int], match_c: list[int]) -> None:
+        if nu == 0 or (rows_only and live_r.bit_count() == nu):
+            n_rows = max(n_row_lines - start, 0)
+            n_cols = len(lines) - start - n_rows
+            for da in range(n_rows + 1):
+                left = nu - da if nu else 0  # a removed row was matched, or held no zero
+                for db in range(n_cols + 1):
+                    if a + da + b + db + left <= limit:
+                        key = (a + da, b + db, left)
+                        table[key] = table.get(key, 0) + comb(n_rows, da) * comb(n_cols, db)
+            return
+        key = (a, b, nu)
+        table[key] = table.get(key, 0) + 1
+        for t in range(start, len(lines)):
+            is_row, x = lines[t]
+            bit = 1 << x
+            if is_row:
+                child_r, child_c, child_a, child_b = live_r & ~bit, live_c, a + 1, b
+                partner = match_r[x]
+            else:
+                child_r, child_c, child_a, child_b = live_r, live_c & ~bit, a, b + 1
+                partner = match_c[x]
+            if partner < 0:
+                if child_a + child_b + nu <= limit:
+                    visit(t + 1, child_r, child_c, child_a, child_b, nu, match_r, match_c)
+                continue
+            mr, mc = match_r.copy(), match_c.copy()
+            if is_row:
+                mr[x] = mc[partner] = -1
+                kept = path(partner, col_adj, child_r, mc, mr, [0])
+            else:
+                mc[x] = mr[partner] = -1
+                kept = path(partner, row_adj, child_c, mr, mc, [0])
+            child_nu = nu if kept else nu - 1
+            if child_a + child_b + child_nu <= limit:
+                visit(t + 1, child_r, child_c, child_a, child_b, child_nu, mr, mc)
+
+    match_r = [-1] * (max(row_adj) + 1)
+    match_c = [-1] * (max(col_adj) + 1)
+    live_r = sum(1 << r for r in row_adj)
+    live_c = sum(1 << c for c in col_adj)
+    nu = sum(path(r, row_adj, live_c, match_r, match_c, [0]) for r in row_adj)
+    if nu <= limit:
+        visit(0, live_r, live_c, 0, 0, nu, match_r, match_c)
+    return table
 
 
-def row_excluded_profile(p: RapInstance, r: int) -> tuple[int, ...]:
-    """For each i, the number of partial (k-1)-covers of i rows avoiding row r."""
+def _partial_cover_counts(
+    zeros: tuple[Position, ...], rows: Collection[int], cols: Collection[int], limit: int, budget: int
+) -> dict[tuple[int, int], int]:
+    """(i, j) -> the choices of i lines of ``rows`` and j of ``cols`` that
+    are partial covers: i + j plus the matching they leave is <= limit.
+
+    The residual matching is a sum over the components of the zero graph,
+    and a chosen line touching no zero only adds to i or j.  So the table
+    T[(a, b, nu)] of the whole choice is the binomial table of the zero-free
+    rows and columns convolved with one table per component
+    (:func:`_component_table`), pruned to a + b + nu <= limit; the counts
+    are T summed over nu.  Raises BudgetExceededError before enumerating
+    anything when the components' subset counts (for each, the sum of
+    C(lines, s) over s <= limit, counting its lines in ``rows`` and
+    ``cols``) exceed ``budget``.
+    """
+    if not isinstance(budget, int) or budget < 1:
+        raise ValueError(f"budget must be a positive integer, got {budget!r}")
+    parts = _components(zeros)
+    needed = 0
+    for part in parts:
+        lines = len({r for r, _ in part if r in rows}) + len({c for _, c in part if c in cols})
+        needed += sum(comb(lines, s) for s in range(limit + 1))
+    if needed > budget:
+        raise BudgetExceededError(
+            f"cover profile needs up to {needed} line-subset tests, over the budget of {budget}"
+        )
+    if len(parts) > limit:  # each component adds a chosen line or a left zero
+        return {}
+    zero_rows = {r for r, _ in zeros}
+    zero_cols = {c for _, c in zeros}
+    m0 = sum(r not in zero_rows for r in rows)
+    n0 = sum(c not in zero_cols for c in cols)
+    total = {  # the zero-free lines alone leave nothing to match
+        (a, b, 0): comb(m0, a) * comb(n0, b)
+        for a in range(min(m0, limit) + 1)
+        for b in range(min(n0, limit - a) + 1)
+    }
+    for part in parts:
+        table = _component_table(part, rows, cols, limit)
+        if not table:  # this component alone leaves no partial cover
+            return {}
+        merged: dict[tuple[int, int, int], int] = {}
+        for (a1, b1, nu1), x1 in total.items():
+            room = limit - a1 - b1 - nu1
+            for (a2, b2, nu2), x2 in table.items():
+                if a2 + b2 + nu2 <= room:
+                    key = (a1 + a2, b1 + b2, nu1 + nu2)
+                    merged[key] = merged.get(key, 0) + x1 * x2
+        total = merged
+    counts: dict[tuple[int, int], int] = {}
+    for (i, j, _), x in total.items():
+        counts[i, j] = counts.get((i, j), 0) + x
+    return counts
+
+
+def cover_profile(p: RapInstance, *, budget: int = DEFAULT_SUBSET_BUDGET) -> CoverProfile:
+    """Count partial (k-1)-covers, factored over the components of the zero graph.
+
+    (R, C) is a partial (k-1)-cover iff |R| + |C| plus the maximum matching
+    of the zeros it leaves uncovered is at most k - 1.  That matching is
+    the sum of the components' residual matchings, and lines touching no
+    zero change nothing but |R| + |C|, so the count is a convolution of
+    small per-component tables with binomials (see _partial_cover_counts).
+    Only the lines of each component are enumerated; ``budget`` bounds the
+    number of their subsets (see DEFAULT_SUBSET_BUDGET).
+    """
+    limit = p.k - 1
+    counts = _partial_cover_counts(p.zeros, range(p.m), range(p.n), limit, budget)
+    return CoverProfile(p.k, tuple(
+        (i, j, counts.get((i, j), 0))
+        for i in range(min(p.m, limit) + 1)
+        for j in range(min(p.n, limit - i) + 1)
+    ))
+
+
+def row_excluded_profile(
+    p: RapInstance, r: int, *, budget: int = DEFAULT_SUBSET_BUDGET
+) -> tuple[int, ...]:
+    """For each i, the number of partial (k-1)-covers of i rows avoiding row r.
+
+    Counted like :func:`cover_profile` from row choices only, with row r
+    never chosen (its zeros stay in the residual).
+    """
     if not 0 <= r < p.m:
         raise IndexError(f"row index {r} out of range for m={p.m}")
-    matcher = _ResidualMatcher(p.zeros)
-    other_rows = [x for x in range(p.m) if x != r]
-    counts = []
-    for i in range(p.k):
-        slack = (p.k - 1) - i
-        count = 0
-        for rows in combinations(other_rows, i):
-            if matcher.residual_matching(frozenset(rows), frozenset()) <= slack:
-                count += 1
-        counts.append(count)
-    return tuple(counts)
+    counts = _partial_cover_counts(p.zeros, set(range(p.m)) - {r}, (), p.k - 1, budget)
+    return tuple(counts.get((i, 0), 0) for i in range(p.k))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Shared helpers: random instance generation and brute-force cover oracles."""
+"""Shared helpers: random instance generation and brute-force cover references."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from rapkit.covers import CoverProfile, max_independent_zeros
 from rapkit.model import Position, RapInstance, ZeroPattern, instance
 
 
@@ -51,6 +52,48 @@ def brute_force_min_cover_size(z: ZeroPattern) -> int:
         if best is None or size < best:
             best = size
     return best
+
+
+def _residual_matcher(zeros):
+    """Matching size of the zeros a line choice leaves, cached by the residual."""
+    cache: dict[frozenset, int] = {}
+
+    def residual_matching(rows, cols) -> int:
+        residual = frozenset(p for p in zeros if p[0] not in rows and p[1] not in cols)
+        if residual not in cache:
+            cache[residual] = max_independent_zeros(residual)
+        return cache[residual]
+
+    return residual_matching
+
+
+def brute_force_cover_profile(p: RapInstance) -> CoverProfile:
+    """d_{i,j} by testing every i-row, j-column subset with a residual matching."""
+    residual_matching = _residual_matcher(p.zeros)
+    coeffs = []
+    for i in range(min(p.m, p.k - 1) + 1):
+        for j in range(min(p.n, p.k - 1 - i) + 1):
+            slack = (p.k - 1) - i - j
+            count = sum(
+                residual_matching(set(rows), set(cols)) <= slack
+                for rows in itertools.combinations(range(p.m), i)
+                for cols in itertools.combinations(range(p.n), j)
+            )
+            coeffs.append((i, j, count))
+    return CoverProfile(p.k, tuple(coeffs))
+
+
+def brute_force_row_excluded_profile(p: RapInstance, r: int) -> tuple[int, ...]:
+    """Per i, the i-row partial (k-1)-covers avoiding row r, by subset enumeration."""
+    residual_matching = _residual_matcher(p.zeros)
+    other_rows = [x for x in range(p.m) if x != r]
+    return tuple(
+        sum(
+            residual_matching(set(rows), ()) <= (p.k - 1) - i
+            for rows in itertools.combinations(other_rows, i)
+        )
+        for i in range(p.k)
+    )
 
 
 def all_patterns(m: int, n: int):

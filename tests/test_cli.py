@@ -1,6 +1,7 @@
 """Command-line interface: envelopes, schemas, golden values, exit codes."""
 
 import json
+import time
 
 import jsonschema
 import pytest
@@ -163,6 +164,32 @@ class TestVerifyCommand:
         code, env = run(capsys, ["verify", inst_dir["full3"], "--budget", "1"])
         assert code == EXIT_BUDGET
         assert env["outputs"]["status"] == "budget-exhausted"
+
+
+class TestCoverBudget:
+    """A cover profile over its subset budget exits 3 before any work."""
+
+    @pytest.mark.parametrize("argv", [
+        ["value", "band16"],
+        ["profile", "band16"],
+        ["verify", "band16"],
+        ["simulate", "band16", "--samples", "10", "--seed", "1"],
+        ["rowprob", "band26", "--row", "25"],
+    ])
+    def test_exit_code(self, capsys, tmp_path, argv):
+        # staircase zeros (i, i), (i, i+1): one component over every line of
+        # band16, and over rows 0..24 of band26, whose row 25 is zero-free
+        for name, m, rows in (("band16", 16, 16), ("band26", 26, 25)):
+            zeros = [[i, j] for i in range(rows) for j in (i, i + 1) if j < m]
+            doc = {"m": m, "n": m, "k": m, "zeros": zeros}
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        code = cli.main([argv[0], str(tmp_path / f"{argv[1]}.json"), *argv[2:]])
+        elapsed = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert code == EXIT_BUDGET and captured.out == ""
+        assert "budget" in captured.err
+        assert elapsed < 1.0
 
 
 class TestSimulateCommand:

@@ -3,11 +3,14 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rapkit.covers import (
+    DEFAULT_SUBSET_BUDGET,
     column_maximal_cover,
     cover_profile,
     forced_cover_lines,
@@ -17,9 +20,25 @@ from rapkit.covers import (
     row_excluded_profile,
     row_maximal_cover,
 )
-from rapkit.model import ZeroPattern, delete_column, insert_zero, instance, transpose_instance
+from rapkit.formulas import cover_formula_value
+from rapkit.model import (
+    BudgetExceededError,
+    ZeroPattern,
+    delete_column,
+    insert_zero,
+    instance,
+    transpose_instance,
+)
 
-from conftest import all_patterns, brute_force_min_cover_size, instances, random_instance
+from conftest import (
+    all_patterns,
+    brute_force_cover_profile,
+    brute_force_min_cover_size,
+    brute_force_row_excluded_profile,
+    instances,
+    pattern_classes,
+    random_instance,
+)
 
 
 def _covers(cover, z: ZeroPattern) -> bool:
@@ -194,6 +213,82 @@ class TestRowExcludedProfile:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             row_excluded_profile(instance(2, 2, 2), 2)
+
+
+def staircase_band(size: int) -> list[tuple[int, int]]:
+    """Zeros (i, i) and (i, i+1): one component over all 2*size lines."""
+    return [(i, i) for i in range(size)] + [(i, i + 1) for i in range(size - 1)]
+
+
+class TestFactoredProfileAgainstBruteForce:
+    """The component-factored counts equal the subset enumeration they replaced."""
+
+    def test_every_pattern_up_to_3x3(self):
+        for m in range(1, 4):
+            for n in range(1, 4):
+                for z in all_patterns(m, n):
+                    for k in range(1, min(m, n) + 1):
+                        p = instance(m, n, k, z.zeros)
+                        assert cover_profile(p) == brute_force_cover_profile(p)
+                        for r in range(m):
+                            assert row_excluded_profile(p, r) == brute_force_row_excluded_profile(p, r)
+
+    def test_every_4x4_class(self):
+        for zeros in pattern_classes(4, 4):
+            for k in range(1, 5):
+                p = instance(4, 4, k, zeros)
+                assert cover_profile(p) == brute_force_cover_profile(p)
+                for r in range(4):
+                    assert row_excluded_profile(p, r) == brute_force_row_excluded_profile(p, r)
+
+    @given(instances(max_m=5, max_n=5), st.integers(0, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_random_up_to_5x5(self, p, r):
+        assert cover_profile(p) == brute_force_cover_profile(p)
+        r %= p.m
+        assert row_excluded_profile(p, r) == brute_force_row_excluded_profile(p, r)
+
+    def test_sparse_12x12_invariant_under_relabelling_and_transposition(self):
+        rng = random.Random(12)
+        zeros = [(r, c) for r in range(12) for c in range(12) if rng.random() < 0.15]
+        p = instance(12, 12, 12, zeros)
+        assert max_independent_zeros(p.pattern) < p.k  # a nonzero profile
+        profile = cover_profile(p)
+        rows, cols = rng.sample(range(12), 12), rng.sample(range(12), 12)
+        relabelled = instance(12, 12, 12, [(rows[r], cols[c]) for r, c in zeros])
+        assert cover_profile(relabelled) == profile
+        theirs = cover_profile(transpose_instance(p)).as_dict()
+        assert profile.as_dict() == {(j, i): count for (i, j), count in theirs.items()}
+
+
+class TestSubsetBudget:
+    def test_default_admits_every_12x12_component(self):
+        assert DEFAULT_SUBSET_BUDGET >= sum(math.comb(24, s) for s in range(12))
+
+    def test_one_component_over_32_lines_raises_at_once(self):
+        p = instance(16, 16, 16, staircase_band(16))
+        for compute in (cover_profile, cover_formula_value):
+            t0 = time.perf_counter()
+            with pytest.raises(BudgetExceededError):
+                compute(p)
+            assert time.perf_counter() - t0 < 1.0
+
+    def test_budget_keyword(self):
+        p = instance(4, 4, 3, staircase_band(4))  # 8 lines, sum of C(8, s) for s <= 2 is 37
+        assert cover_profile(p, budget=37) == brute_force_cover_profile(p)
+        with pytest.raises(BudgetExceededError):
+            cover_profile(p, budget=36)
+        with pytest.raises(BudgetExceededError):
+            cover_formula_value(p, budget=36)
+        # row 0 is never chosen: 3 rows, sum of C(3, s) for s <= 2 is 7
+        assert row_excluded_profile(p, 0, budget=7) == brute_force_row_excluded_profile(p, 0)
+        with pytest.raises(BudgetExceededError):
+            row_excluded_profile(p, 0, budget=6)
+        with pytest.raises(ValueError):
+            cover_profile(p, budget=0)
+
+    def test_zero_free_lines_cost_nothing(self):
+        assert cover_profile(instance(30, 30, 30), budget=1)[(29, 0)] == 30
 
 
 class TestForcedCoverLines:

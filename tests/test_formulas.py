@@ -74,10 +74,13 @@ class TestGcdGroupSum:
 
 class TestCoverFormula:
     def test_no_zeros_equals_cs(self):
-        for m in range(1, 8):
-            for n in range(m, 8):
-                for k in range(1, m + 1):
-                    assert cover_formula_value(instance(m, n, k)) == cs_value(k, m, n)
+        for m in range(1, 13):
+            for n in range(1, 13):
+                for k in range(1, min(m, n) + 1):
+                    value = cover_formula_value(instance(m, n, k))
+                    assert value == cs_value(k, m, n)
+                    if k == m == n:
+                        assert value == parisi_value(k)
 
     def test_2x2_single_zero(self):
         assert cover_formula_value(instance(2, 2, 2, [(0, 0)])) == Fraction(3, 4)
@@ -126,11 +129,12 @@ class TestCoverFormula:
 
 class TestRowInclusion:
     def test_no_zeros_k_over_m(self):
-        for m in range(1, 6):
-            for k in range(1, m + 1):
-                p = instance(m, m + 1, k)
-                for r in range(m):
-                    assert row_inclusion_probability(p, r) == Fraction(k, m)
+        for m in range(1, 13):
+            for n in range(1, 13):
+                for k in range(1, min(m, n) + 1):
+                    p = instance(m, n, k)
+                    for r in range(m):
+                        assert row_inclusion_probability(p, r) == Fraction(k, m)
 
     def test_k_equals_m_forces_usage(self):
         assert row_inclusion_probability(instance(3, 4, 3), 1) == 1
@@ -197,3 +201,8 @@ class TestFormulaReport:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             FormulaReport("guesswork", 1, 1, 1, Fraction(1))
+
+    def test_retired_methods_rejected(self):
+        for method in ("gcd-group", "triangle-integral", "oracle"):
+            with pytest.raises(ValueError):
+                FormulaReport(method, 1, 1, 1, Fraction(1))

@@ -1,12 +1,15 @@
 """Symbolic conditioning oracle: state machinery, rules, and exact values."""
 
+import ast
 import io
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import rapkit.oracle
 from rapkit.formulas import cover_formula_value
 from rapkit.model import BudgetExceededError, instance
 from rapkit.oracle import (
@@ -282,3 +285,21 @@ class TestCanonicalKey:
         s = make_initial_state(instance(2, 2, 2))
         shifted = ExpRapState(s.k, s.entries, s.variables, Fraction(7, 2))
         assert canonical_key(s) == canonical_key(shifted)
+
+
+class TestRouteIndependence:
+    def test_oracle_never_imports_the_cover_formula(self):
+        """The formula-vs-oracle checks mean something only while the oracle
+        computes its value without the cover-counting route."""
+        tree = ast.parse(Path(rapkit.oracle.__file__).read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = "." * node.level + (node.module or "")
+                imported += [module] + [f"{module}:{alias.name}" for alias in node.names]
+        assert imported  # the walk saw the module's imports
+        for name in imported:
+            assert "formulas" not in name, name
+            assert not name.endswith((":cover_profile", ":row_excluded_profile")), name
