@@ -15,6 +15,8 @@ convolution of small per-component tables, each found by a pruned
 depth-first enumeration of that component's lines.  A component that
 spans every line is still exponential in its size, so the enumeration
 is charged against a subset budget (BudgetExceededError when exceeded).
+Row-only counts need no enumeration at all when a maximum matching
+covers every row holding a zero.
 """
 
 from __future__ import annotations
@@ -79,20 +81,45 @@ def _max_matching(zeros: Iterable[Position]) -> dict[int, int]:
     for r, c in sorted(zeros):
         adj.setdefault(r, []).append(c)
     match_col: dict[int, int] = {}
-
-    def try_row(r: int, seen: set[int]) -> bool:
-        for c in adj[r]:
-            if c in seen:
-                continue
-            seen.add(c)
-            if c not in match_col or try_row(match_col[c], seen):
-                match_col[c] = r
-                return True
-        return False
-
-    for r in adj:
-        try_row(r, set())
+    for root in adj:
+        for c in adj[root]:  # a free column ends the path at once
+            if c not in match_col:
+                match_col[c] = root
+                break
+        else:
+            _augment(root, adj, match_col)
     return match_col
+
+
+def _augment(root: int, adj: dict[int, list[int]], match_col: dict[int, int]) -> None:
+    """Augment ``match_col`` along an alternating path from the free row ``root``, if any.
+
+    The depth-first search keeps its own stack, so a path through every
+    row of a long staircase needs no deep recursion.
+    """
+    seen: set[int] = set()
+    # path[t] is a row on the search path, untried[t] its unexplored
+    # columns; via[t] is the matched column leading from path[t] on.
+    path, untried, via = [root], [iter(adj[root])], []
+    while path:
+        for c in untried[-1]:
+            if c not in seen:
+                break
+        else:  # dead end: back up one row
+            path.pop()
+            untried.pop()
+            if via:
+                via.pop()
+            continue
+        seen.add(c)
+        via.append(c)
+        if c in match_col:
+            path.append(match_col[c])
+            untried.append(iter(adj[match_col[c]]))
+            continue
+        for r, c in zip(path, via):  # c is free: each row on the path moves one column on
+            match_col[c] = r
+        return
 
 
 def max_independent_zeros(z: ZeroPattern | Iterable[Position]) -> int:
@@ -175,8 +202,8 @@ def column_maximal_cover(z: ZeroPattern) -> LineCover:
 # ---------------------------------------------------------------------------
 
 
-DEFAULT_SUBSET_BUDGET = 1 << 23
-"""Default cap on the component line subsets one profile call may enumerate.
+SUBSET_BUDGET = 1 << 23
+"""Cap on the component line subsets one profile call may enumerate.
 
 It exceeds the sum of C(24, s) over s < 12 (about 7.0M), the count for a
 single component spanning every line of a 12x12 instance, so no instance
@@ -235,94 +262,31 @@ def _component_table(
     its columns in ``cols`` that leave a maximum matching of nu of its
     zeros; only entries with a + b + nu <= limit are kept.
 
-    Subsets are visited depth-first, one line added at a time.  Adding a
-    line lowers the matching by at most one, so a + b + nu never falls
-    and a subset over the limit cuts off all of its supersets.  Each child
-    reuses its parent's maximum matching: deleting an unmatched line
-    keeps it maximum, and deleting a matched line frees its partner, from
-    which one alternating-path search restores the size or shows it fell
-    by one.  Once no zero is left, or only rows are chosen and every live
-    row is matched, each remaining line lowers the matching by a known
-    amount (zero or one), so the subtree adds binomial counts.
+    Subsets are visited depth-first, one line added at a time, and each
+    one's residual matching is found afresh.  Adding a line lowers the
+    matching by at most one, so a + b + nu never falls and a subset over
+    the limit cuts off all of its supersets.
     """
-    row_adj: dict[int, int] = {}  # row -> bitmask of its zeros' columns
-    col_adj: dict[int, int] = {}  # column -> bitmask of its zeros' rows
-    for r, c in zeros:
-        row_adj[r] = row_adj.get(r, 0) | 1 << c
-        col_adj[c] = col_adj.get(c, 0) | 1 << r
-    lines = [(True, r) for r in row_adj if r in rows]
-    n_row_lines = len(lines)  # rows come first
-    lines += [(False, c) for c in col_adj if c in cols]
-    rows_only = n_row_lines == len(lines)
-
-    def path(x: int, adj: dict[int, int], live: int, mine: list[int], theirs: list[int], seen: list[int]) -> bool:
-        """Augment along an alternating path from the free vertex x of one side."""
-        free = adj[x] & live & ~seen[0]
-        while free:
-            bit = free & -free
-            free ^= bit
-            if seen[0] & bit:
-                continue
-            seen[0] |= bit
-            y = bit.bit_length() - 1
-            if theirs[y] < 0 or path(theirs[y], adj, live, mine, theirs, seen):
-                theirs[y] = x
-                mine[x] = y
-                return True
-        return False
-
+    lines = [(r, None) for r in sorted({r for r, _ in zeros}) if r in rows]
+    lines += [(None, c) for c in sorted({c for _, c in zeros}) if c in cols]
     table: dict[tuple[int, int, int], int] = {}
 
-    def visit(start: int, live_r: int, live_c: int, a: int, b: int, nu: int,
-              match_r: list[int], match_c: list[int]) -> None:
-        if nu == 0 or (rows_only and live_r.bit_count() == nu):
-            n_rows = max(n_row_lines - start, 0)
-            n_cols = len(lines) - start - n_rows
-            for da in range(n_rows + 1):
-                left = nu - da if nu else 0  # a removed row was matched, or held no zero
-                for db in range(n_cols + 1):
-                    if a + da + b + db + left <= limit:
-                        key = (a + da, b + db, left)
-                        table[key] = table.get(key, 0) + comb(n_rows, da) * comb(n_cols, db)
+    def visit(start: int, residual: list[Position], a: int, b: int) -> None:
+        nu = len(_max_matching(residual))
+        if a + b + nu > limit:
             return
-        key = (a, b, nu)
-        table[key] = table.get(key, 0) + 1
+        table[a, b, nu] = table.get((a, b, nu), 0) + 1
         for t in range(start, len(lines)):
-            is_row, x = lines[t]
-            bit = 1 << x
-            if is_row:
-                child_r, child_c, child_a, child_b = live_r & ~bit, live_c, a + 1, b
-                partner = match_r[x]
-            else:
-                child_r, child_c, child_a, child_b = live_r, live_c & ~bit, a, b + 1
-                partner = match_c[x]
-            if partner < 0:
-                if child_a + child_b + nu <= limit:
-                    visit(t + 1, child_r, child_c, child_a, child_b, nu, match_r, match_c)
-                continue
-            mr, mc = match_r.copy(), match_c.copy()
-            if is_row:
-                mr[x] = mc[partner] = -1
-                kept = path(partner, col_adj, child_r, mc, mr, [0])
-            else:
-                mc[x] = mr[partner] = -1
-                kept = path(partner, row_adj, child_c, mr, mc, [0])
-            child_nu = nu if kept else nu - 1
-            if child_a + child_b + child_nu <= limit:
-                visit(t + 1, child_r, child_c, child_a, child_b, child_nu, mr, mc)
+            row, col = lines[t]
+            rest = [z for z in residual if z[0] != row and z[1] != col]
+            visit(t + 1, rest, a + (col is None), b + (row is None))
 
-    match_r = [-1] * (max(row_adj) + 1)
-    match_c = [-1] * (max(col_adj) + 1)
-    live_r = sum(1 << r for r in row_adj)
-    live_c = sum(1 << c for c in col_adj)
-    nu = sum(path(r, row_adj, live_c, match_r, match_c, [0]) for r in row_adj)
-    if nu <= limit:
-        visit(0, live_r, live_c, 0, 0, nu, match_r, match_c)
+    visit(0, zeros, 0, 0)
     return table
 
 
 def _partial_cover_counts(
-    zeros: tuple[Position, ...], rows: Collection[int], cols: Collection[int], limit: int, budget: int
+    zeros: tuple[Position, ...], rows: Collection[int], cols: Collection[int], limit: int
 ) -> dict[tuple[int, int], int]:
     """(i, j) -> the choices of i lines of ``rows`` and j of ``cols`` that
     are partial covers: i + j plus the matching they leave is <= limit.
@@ -335,18 +299,16 @@ def _partial_cover_counts(
     are T summed over nu.  Raises BudgetExceededError before enumerating
     anything when the components' subset counts (for each, the sum of
     C(lines, s) over s <= limit, counting its lines in ``rows`` and
-    ``cols``) exceed ``budget``.
+    ``cols``) exceed SUBSET_BUDGET.
     """
-    if not isinstance(budget, int) or budget < 1:
-        raise ValueError(f"budget must be a positive integer, got {budget!r}")
     parts = _components(zeros)
     needed = 0
     for part in parts:
         lines = len({r for r, _ in part if r in rows}) + len({c for _, c in part if c in cols})
         needed += sum(comb(lines, s) for s in range(limit + 1))
-    if needed > budget:
+    if needed > SUBSET_BUDGET:
         raise BudgetExceededError(
-            f"cover profile needs up to {needed} line-subset tests, over the budget of {budget}"
+            f"cover profile needs up to {needed} line-subset tests, over the budget of {SUBSET_BUDGET}"
         )
     if len(parts) > limit:  # each component adds a chosen line or a left zero
         return {}
@@ -377,7 +339,7 @@ def _partial_cover_counts(
     return counts
 
 
-def cover_profile(p: RapInstance, *, budget: int = DEFAULT_SUBSET_BUDGET) -> CoverProfile:
+def cover_profile(p: RapInstance) -> CoverProfile:
     """Count partial (k-1)-covers, factored over the components of the zero graph.
 
     (R, C) is a partial (k-1)-cover iff |R| + |C| plus the maximum matching
@@ -385,11 +347,11 @@ def cover_profile(p: RapInstance, *, budget: int = DEFAULT_SUBSET_BUDGET) -> Cov
     the sum of the components' residual matchings, and lines touching no
     zero change nothing but |R| + |C|, so the count is a convolution of
     small per-component tables with binomials (see _partial_cover_counts).
-    Only the lines of each component are enumerated; ``budget`` bounds the
-    number of their subsets (see DEFAULT_SUBSET_BUDGET).
+    Only the lines of each component are enumerated, and SUBSET_BUDGET
+    bounds the number of their subsets.
     """
     limit = p.k - 1
-    counts = _partial_cover_counts(p.zeros, range(p.m), range(p.n), limit, budget)
+    counts = _partial_cover_counts(p.zeros, range(p.m), range(p.n), limit)
     return CoverProfile(p.k, tuple(
         (i, j, counts.get((i, j), 0))
         for i in range(min(p.m, limit) + 1)
@@ -397,17 +359,31 @@ def cover_profile(p: RapInstance, *, budget: int = DEFAULT_SUBSET_BUDGET) -> Cov
     ))
 
 
-def row_excluded_profile(
-    p: RapInstance, r: int, *, budget: int = DEFAULT_SUBSET_BUDGET
-) -> tuple[int, ...]:
+def row_excluded_profile(p: RapInstance, r: int) -> tuple[int, ...]:
     """For each i, the number of partial (k-1)-covers of i rows avoiding row r.
 
-    Counted like :func:`cover_profile` from row choices only, with row r
-    never chosen (its zeros stay in the residual).
+    When a maximum matching covers every row holding a zero, as it does on
+    most sparse patterns, it covers any set of those rows.  Choosing i rows,
+    f of them free of zeros, then leaves a matching of nu - (i - f), so the
+    choice is a partial cover iff nu + f <= k - 1 and the counts are
+    binomial sums.  Otherwise they are counted like :func:`cover_profile`
+    from row choices only, with row r never chosen (its zeros stay in the
+    residual).
     """
     if not 0 <= r < p.m:
         raise IndexError(f"row index {r} out of range for m={p.m}")
-    counts = _partial_cover_counts(p.zeros, set(range(p.m)) - {r}, (), p.k - 1, budget)
+    limit = p.k - 1
+    held = {zr for zr, _ in p.zeros}
+    nu = len(_max_matching(p.zeros))
+    if nu == len(held):
+        n_held = len(held - {r})
+        n_free = p.m - 1 - n_held
+        return tuple(
+            comb(p.m - 1, i) if i <= limit - nu  # every f is allowed (Vandermonde)
+            else sum(comb(n_held, i - f) * comb(n_free, f) for f in range(limit - nu + 1))
+            for i in range(p.k)
+        )
+    counts = _partial_cover_counts(p.zeros, set(range(p.m)) - {r}, (), limit)
     return tuple(counts.get((i, 0), 0) for i in range(p.k))
 
 

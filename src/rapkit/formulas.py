@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from scipy.integrate import quad
 
-from .covers import DEFAULT_SUBSET_BUDGET, cover_profile, row_excluded_profile
+from .covers import cover_profile, row_excluded_profile
 from .model import RapInstance, rational_to_json
 
 METHODS = (
@@ -100,13 +100,9 @@ def gcd_group_sum(k: int, d: int) -> Fraction:
     )
 
 
-def cover_formula_value(p: RapInstance, *, budget: int = DEFAULT_SUBSET_BUDGET) -> Fraction:
-    """E(P) = (1/mn) * sum of d_{i,j} / (C(m-1,i) * C(n-1,j)).
-
-    ``budget`` caps the cover profile's subset enumeration; see
-    :func:`rapkit.covers.cover_profile`.
-    """
-    profile = cover_profile(p, budget=budget)
+def cover_formula_value(p: RapInstance) -> Fraction:
+    """E(P) = (1/mn) * sum of d_{i,j} / (C(m-1,i) * C(n-1,j))."""
+    profile = cover_profile(p)
     total = _pairwise_sum(
         [
             Fraction(count, math.comb(p.m - 1, i) * math.comb(p.n - 1, j))

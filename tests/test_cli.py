@@ -174,13 +174,18 @@ class TestCoverBudget:
         ["profile", "band16"],
         ["verify", "band16"],
         ["simulate", "band16", "--samples", "10", "--seed", "1"],
-        ["rowprob", "band26", "--row", "25"],
+        ["rowprob", "wrap26", "--row", "25"],
     ])
     def test_exit_code(self, capsys, tmp_path, argv):
-        # staircase zeros (i, i), (i, i+1): one component over every line of
-        # band16, and over rows 0..24 of band26, whose row 25 is zero-free
-        for name, m, rows in (("band16", 16, 16), ("band26", 26, 25)):
-            zeros = [[i, j] for i in range(rows) for j in (i, i + 1) if j < m]
+        # band16: staircase zeros (i, i), (i, i+1), one component over every
+        # line.  wrap26: rows 0..24 hold (i, i mod 13), (i, i+1 mod 13), so
+        # at most 13 of them are matched and all 25 are enumerated; row 25
+        # is zero-free.
+        bands = {
+            "band16": (16, [[i, j] for i in range(16) for j in (i, i + 1) if j < 16]),
+            "wrap26": (26, [[i, j % 13] for i in range(25) for j in (i, i + 1)]),
+        }
+        for name, (m, zeros) in bands.items():
             doc = {"m": m, "n": m, "k": m, "zeros": zeros}
             (tmp_path / f"{name}.json").write_text(json.dumps(doc))
         t0 = time.perf_counter()

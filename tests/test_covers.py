@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rapkit import covers
 from rapkit.covers import (
-    DEFAULT_SUBSET_BUDGET,
     column_maximal_cover,
     cover_profile,
     forced_cover_lines,
@@ -68,6 +68,16 @@ class TestMaxIndependentZeros:
 
     def test_l_shape(self):
         assert max_independent_zeros(ZeroPattern(2, 2, ((0, 0), (0, 1), (1, 0)))) == 2
+
+    def test_augmenting_path_through_every_row(self):
+        # Rows 0..size-1 take columns 0..size-1 in turn; row `size` then
+        # reaches the free column `size` only along a path through them all.
+        size = 1200
+        zeros = [(i, i) for i in range(size)] + [(i, i + 1) for i in range(size)] + [(size, 0)]
+        assert max_independent_zeros(zeros) == size + 1
+        p = instance(size + 1, size + 1, 2, zeros)
+        assert all(count == 0 for _, _, count in cover_profile(p).coefficients)
+        assert row_excluded_profile(p, 0) == (0, 0)
 
 
 class TestMinCover:
@@ -262,8 +272,8 @@ class TestFactoredProfileAgainstBruteForce:
 
 
 class TestSubsetBudget:
-    def test_default_admits_every_12x12_component(self):
-        assert DEFAULT_SUBSET_BUDGET >= sum(math.comb(24, s) for s in range(12))
+    def test_budget_admits_every_12x12_component(self):
+        assert covers.SUBSET_BUDGET >= sum(math.comb(24, s) for s in range(12))
 
     def test_one_component_over_32_lines_raises_at_once(self):
         p = instance(16, 16, 16, staircase_band(16))
@@ -273,22 +283,27 @@ class TestSubsetBudget:
                 compute(p)
             assert time.perf_counter() - t0 < 1.0
 
-    def test_budget_keyword(self):
+    def test_budget_threshold(self, monkeypatch):
         p = instance(4, 4, 3, staircase_band(4))  # 8 lines, sum of C(8, s) for s <= 2 is 37
-        assert cover_profile(p, budget=37) == brute_force_cover_profile(p)
+        monkeypatch.setattr(covers, "SUBSET_BUDGET", 37)
+        assert cover_profile(p) == brute_force_cover_profile(p)
+        monkeypatch.setattr(covers, "SUBSET_BUDGET", 36)
         with pytest.raises(BudgetExceededError):
-            cover_profile(p, budget=36)
+            cover_profile(p)
         with pytest.raises(BudgetExceededError):
-            cover_formula_value(p, budget=36)
-        # row 0 is never chosen: 3 rows, sum of C(3, s) for s <= 2 is 7
-        assert row_excluded_profile(p, 0, budget=7) == brute_force_row_excluded_profile(p, 0)
+            cover_formula_value(p)
+        # three rows share one zero column, so not every row holding a zero is
+        # matched and the rows are enumerated: sum of C(3, s) for s <= 2 is 7
+        p = instance(4, 4, 3, [(1, 0), (2, 0), (3, 0)])
+        monkeypatch.setattr(covers, "SUBSET_BUDGET", 7)
+        assert row_excluded_profile(p, 0) == brute_force_row_excluded_profile(p, 0)
+        monkeypatch.setattr(covers, "SUBSET_BUDGET", 6)
         with pytest.raises(BudgetExceededError):
-            row_excluded_profile(p, 0, budget=6)
-        with pytest.raises(ValueError):
-            cover_profile(p, budget=0)
+            row_excluded_profile(p, 0)
 
-    def test_zero_free_lines_cost_nothing(self):
-        assert cover_profile(instance(30, 30, 30), budget=1)[(29, 0)] == 30
+    def test_zero_free_lines_cost_nothing(self, monkeypatch):
+        monkeypatch.setattr(covers, "SUBSET_BUDGET", 1)
+        assert cover_profile(instance(30, 30, 30))[(29, 0)] == 30
 
 
 class TestForcedCoverLines:
