@@ -1,22 +1,27 @@
 """Seeded Monte Carlo estimation for standard RAPs.
 
-Sampling is reproducible and thread-count independent: sample i draws
-from its own counter-based substream (Philox keyed by the seed, counter
-i * 2^128), so any partition of the index range produces bit-identical
-per-sample results, and reduction merges fixed-size chunks in index
-order.
+Sampling is reproducible and thread-count independent.  Samples are
+drawn in chunks whose length is set by the shape (m, n) alone: at most
+512 samples and at most 2^16 entries.  Chunk j draws all its matrices
+in one call from its own counter-based stream (Philox keyed by the
+seed, counter j * 2^128), so any assignment of chunks to threads gives
+bit-identical per-sample results, and reduction merges the chunks in
+index order.  Threads pay only where the assignment solver dominates
+(large matrices): it releases the GIL, the rest of a chunk does not.
 
 The hot path solves each sampled matrix with the C implementation of
 the rectangular assignment solver, reduced from k-cardinality to full
 assignment by padding with zero-cost dummy columns that absorb the
-m - k unused rows.  Statistical conclusions are tie-insensitive: every
-estimated quantity (cost, zero-free-row usage, nonzero-entry usage) is
-invariant across optimal assignments with probability 1.
+m - k unused rows; the statistics are then array operations over the
+chunk.  Statistical conclusions are tie-insensitive: every estimated
+quantity (cost, zero-free-row usage, nonzero-entry usage) is invariant
+across optimal assignments with probability 1.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,8 +38,6 @@ from .model import (
     instance,
     rational_to_json,
 )
-
-_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -75,88 +78,115 @@ def _check_samples(samples: int) -> int:
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
-    """The generator for sample `index` under `seed`; disjoint by construction."""
+    """The generator for chunk `index` under `seed`; disjoint by construction."""
     return np.random.Generator(np.random.Philox(key=seed, counter=index << 128))
 
 
-def _sample_array(m: int, n: int, zero_mask: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    # -log(U) with U in (0,1]: 1 - random() never hits 0; redraw the
-    # measure-zero U = 1 collisions so nonzero entries stay positive
-    a = -np.log1p(-gen.random((m, n)))
-    a[zero_mask] = 0.0
+def _fill_exponential(out: np.ndarray, zero_mask: np.ndarray, gen: np.random.Generator) -> None:
+    """Fill `out`, shape (..., m, w), in place with exp(1) draws, zeros at `zero_mask`.
+
+    The draws are -log(U) with U in (0,1]: 1 - random() never hits 0.
+    The measure-zero U = 1 collisions are redrawn, so nonzero entries
+    stay positive.
+    """
+    gen.random(out=out)
+    np.negative(np.log1p(np.negative(out, out=out), out=out), out=out)
+    out[..., zero_mask] = 0.0
     while True:
-        bad = (a == 0.0) & ~zero_mask
+        bad = (out == 0.0) & ~zero_mask
         if not bad.any():
-            return a
-        a[bad] = -np.log1p(-gen.random(int(bad.sum())))
+            return
+        out[bad] = -np.log1p(-gen.random(int(bad.sum())))
+
+
+def _zero_mask(p: RapInstance, width: int) -> np.ndarray:
+    """The forced zeros of an m x width matrix: Z, and every column from n on."""
+    zero_mask = np.zeros((p.m, width), dtype=bool)
+    zero_mask[:, p.n:] = True
+    for r, c in p.zeros:
+        zero_mask[r, c] = True
+    return zero_mask
 
 
 def sample_matrix(p: RapInstance, rng: int | np.random.Generator) -> SampledMatrix:
     """One realization of the standard RAP: zeros at Z, exp(1) elsewhere."""
     gen = substream(_check_seed(rng), 0) if isinstance(rng, int) else rng
-    zero_mask = np.zeros((p.m, p.n), dtype=bool)
-    for r, c in p.zeros:
-        zero_mask[r, c] = True
-    a = _sample_array(p.m, p.n, zero_mask, gen)
+    a = np.empty((p.m, p.n))
+    _fill_exponential(a, _zero_mask(p, p.n), gen)
     entries = tuple(tuple(float(x) for x in row) for row in a)
     return SampledMatrix(p.m, p.n, entries, source=p.pattern)
 
 
-def _solve_positions(a: np.ndarray, k: int) -> tuple[float, set[tuple[int, int]]]:
-    """Minimum-cost k-assignment via dummy-column padding; cost and positions."""
-    m, n = a.shape
-    if k < m:
-        padded = np.concatenate([a, np.zeros((m, m - k))], axis=1)
-    else:
-        padded = a
-    rows, cols = linear_sum_assignment(padded)
-    chosen = {(int(r), int(c)) for r, c in zip(rows, cols) if c < n}
-    cost = float(sum(a[r, c] for r, c in chosen))
-    return cost, chosen
+def _chunk_length(m: int, n: int) -> int:
+    """Samples per chunk: at most 512, and at most 2^16 sampled entries (512 KB)."""
+    return min(512, max(1, 2**16 // (m * n)))
+
+
+def _draw_chunk(zero_mask: np.ndarray, size: int, gen: np.random.Generator) -> np.ndarray:
+    """`size` sampled matrices, each padded with the m - k zero dummy columns.
+
+    `zero_mask` is `_zero_mask(p, n + m - k)`.  A k-assignment of the
+    m x n matrix is a full assignment of the padded m x (n + m - k) one:
+    the dummy columns absorb the m - k unused rows.  The dummy columns
+    are drawn too and then zeroed, so the draw needs no second buffer.
+    """
+    padded = np.empty((size, *zero_mask.shape))
+    _fill_exponential(padded, zero_mask, gen)
+    return padded
+
+
+def _solve_chunk(padded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal column of every row, shape (B, m), and optimal cost, shape (B,)."""
+    cols = np.empty(padded.shape[:2], dtype=np.intp)
+    for b, matrix in enumerate(padded):
+        cols[b] = linear_sum_assignment(matrix)[1]
+    # dummy columns hold zeros, so summing every picked entry sums the real ones
+    costs = np.take_along_axis(padded, cols[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+    return cols, costs
 
 
 def _run(
     p: RapInstance,
     samples: int,
     seed: int,
-    per_sample: Callable[[np.ndarray, float, set[tuple[int, int]]], float],
+    statistic: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     threads: int = 1,
     csv_out: IO[str] | None = None,
 ) -> tuple[float, float]:
-    """Chunked deterministic sampling loop; returns (mean, stderr) of the statistic."""
-    zero_mask = np.zeros((p.m, p.n), dtype=bool)
-    for r, c in p.zeros:
-        zero_mask[r, c] = True
+    """Chunked deterministic sampling loop; returns (mean, stderr) of the statistic.
 
-    def chunk(start: int) -> tuple[float, float, list[tuple[int, float, float]]]:
-        stop = min(start + _CHUNK, samples)
-        total = 0.0
-        total_sq = 0.0
-        rows: list[tuple[int, float, float]] = []
-        for i in range(start, stop):
-            a = _sample_array(p.m, p.n, zero_mask, substream(seed, i))
-            cost, chosen = _solve_positions(a, p.k)
-            x = per_sample(a, cost, chosen)
-            total += x
-            total_sq += x * x
-            if csv_out is not None:
-                rows.append((i, cost, x))
-        return total, total_sq, rows
+    `statistic(a, cols, costs)` gives one value per sample of a chunk:
+    `a` holds its (B, m, n) sampled matrices, `cols` and `costs` come
+    from `_solve_chunk`.
+    """
+    zero_mask = _zero_mask(p, p.n + p.m - p.k)
+    length = _chunk_length(p.m, p.n)
+    chunks = -(-samples // length)
 
-    starts = range(0, samples, _CHUNK)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(chunk, starts))
+    def chunk(j: int) -> tuple[float, float, tuple[np.ndarray, np.ndarray] | None]:
+        padded = _draw_chunk(zero_mask, min(length, samples - j * length), substream(seed, j))
+        cols, costs = _solve_chunk(padded)
+        x = statistic(padded[:, :, : p.n], cols, costs).astype(np.float64)
+        return float(x.sum()), float((x * x).sum()), None if csv_out is None else (costs, x)
+
+    workers = min(threads, chunks, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(chunk, range(chunks)))
     else:
-        results = [chunk(s) for s in starts]
+        results = [chunk(j) for j in range(chunks)]
 
     grand = 0.0
     grand_sq = 0.0
-    for total, total_sq, rows in results:
+    for j, (total, total_sq, rows) in enumerate(results):
         grand += total
         grand_sq += total_sq
-        for i, cost, x in rows:
-            csv_out.write(f"{i},{cost!r},{x!r}\n")
+        if rows is not None:
+            costs, x = rows
+            csv_out.write("".join(
+                f"{i},{cost!r},{value!r}\n"
+                for i, cost, value in zip(range(j * length, samples), costs.tolist(), x.tolist())
+            ))
     mean = grand / samples
     variance = max(grand_sq - samples * mean * mean, 0.0) / (samples - 1)
     return mean, math.sqrt(variance / samples)
@@ -175,7 +205,7 @@ def estimate_value(
     _check_seed(seed)
     if csv_out is not None:
         csv_out.write("sample,cost,statistic\n")
-    mean, stderr = _run(p, samples, seed, lambda a, cost, chosen: cost, threads, csv_out)
+    mean, stderr = _run(p, samples, seed, lambda a, cols, costs: costs, threads, csv_out)
     return EstimateReport(mean, stderr, samples, seed, target)
 
 
@@ -201,7 +231,7 @@ def estimate_row_usage(
         p,
         samples,
         seed,
-        lambda a, cost, chosen: float(any(pos[0] == r for pos in chosen)),
+        lambda a, cols, costs: cols[:, r] < p.n,
         threads,
         csv_out,
     )
@@ -235,7 +265,7 @@ def estimate_entry_usage(
         p,
         samples,
         seed,
-        lambda a, cost, chosen: float((r, c) in chosen),
+        lambda a, cols, costs: cols[:, r] == c,
         threads,
         csv_out,
     )
@@ -257,9 +287,9 @@ def estimate_min_entry_usage(
     p = instance(m, n, k)
     target = min_entry_usage_probability(k, m, n)
 
-    def used_min(a: np.ndarray, cost: float, chosen: set[tuple[int, int]]) -> float:
-        r, c = np.unravel_index(int(np.argmin(a)), a.shape)
-        return float((int(r), int(c)) in chosen)
+    def used_min(a: np.ndarray, cols: np.ndarray, costs: np.ndarray) -> np.ndarray:
+        r, c = np.divmod(a.reshape(len(a), -1).argmin(axis=1), n)
+        return cols[np.arange(len(a)), r] == c
 
     if csv_out is not None:
         csv_out.write("sample,cost,statistic\n")

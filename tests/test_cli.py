@@ -243,6 +243,22 @@ class TestSimulateCommand:
         lines = csv.read_text().splitlines()
         assert lines[0] == "sample,cost,statistic" and len(lines) == 301
 
+    @pytest.mark.parametrize("what", [
+        ["--what", "value"],
+        ["--what", "row", "--row", "2"],
+        ["--what", "entry", "--pos", "1", "2"],
+    ])
+    def test_csv_fields_are_float_reprs_in_sample_order(self, capsys, inst_dir, tmp_path, what):
+        csv = tmp_path / "out.csv"
+        code, _ = run(capsys, ["simulate", inst_dir["rect32"], *what, "--samples", "1100",
+                               "--seed", "3", "--threads", "2", "--csv", str(csv)])
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+        assert [int(i) for i, _, _ in rows] == list(range(1100))
+        assert all(repr(float(f)) == f for _, cost, x in rows for f in (cost, x))
+        if what[1] != "value":
+            assert {x for _, _, x in rows} == {"0.0", "1.0"}
+
     def test_zero_cost_instance(self, capsys, inst_dir):
         code, env = run(capsys, ["simulate", inst_dir["indep"],
                                  "--samples", "100", "--seed", "1"])

@@ -1,6 +1,8 @@
 """Monte Carlo estimation: sampling contract, determinism, and calibration."""
 
+import io
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,7 @@ from rapkit.formulas import (
     min_entry_usage_probability,
     row_inclusion_probability,
 )
+import rapkit.montecarlo as montecarlo
 from rapkit.model import insert_zero, instance
 from rapkit.montecarlo import (
     EstimateReport,
@@ -155,6 +158,112 @@ class TestDeterminism:
         b = estimate_value(p, samples=1_000, seed=2)
         assert a.mean != b.mean
 
+    # every estimator on a shape of chunk length 512 and on one of 455;
+    # neither sample count is a multiple of its chunk length
+    RUNS = {
+        "value.3x3": lambda **kw: estimate_value(instance(3, 3, 2, [(0, 1)]), **kw),
+        "row.3x3": lambda **kw: estimate_row_usage(instance(3, 3, 2, [(0, 0)]), 2, **kw),
+        "entry.3x3": lambda **kw: estimate_entry_usage(instance(3, 3, 2, [(0, 0)]), (1, 2), **kw),
+        "min.3x3": lambda **kw: estimate_min_entry_usage(2, 3, 3, **kw),
+        "value.12x12": lambda **kw: estimate_value(instance(12, 12, 6, [(0, 0), (3, 5)]), **kw),
+        "row.12x12": lambda **kw: estimate_row_usage(instance(12, 12, 6, [(0, 0)]), 4, **kw),
+        "entry.12x12": lambda **kw: estimate_entry_usage(instance(12, 12, 6, [(0, 0)]), (2, 7), **kw),
+        "min.12x12": lambda **kw: estimate_min_entry_usage(6, 12, 12, **kw),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_threads_give_identical_reports_and_csv(self, name, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+        samples = 1_300 if name.endswith("3x3") else 1_000
+        assert montecarlo._chunk_length(3, 3) == 512
+        assert montecarlo._chunk_length(12, 12) == 455
+        seen = []
+        for threads in (1, 2, 3):
+            out = io.StringIO()
+            report = self.RUNS[name](samples=samples, seed=41, threads=threads, csv_out=out)
+            seen.append((report.mean, report.stderr, out.getvalue()))
+        assert seen[0] == seen[1] == seen[2]
+        assert len(seen[0][2].splitlines()) == samples + 1
+
+
+class TestThreadPool:
+    @pytest.fixture()
+    def pools(self, monkeypatch):
+        """Record each pool's max_workers; run its chunks inline."""
+        seen = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        return seen
+
+    @pytest.mark.parametrize("threads, samples, workers", [
+        (10**9, 1_200, [3]),      # three chunks
+        (10**9, 5_000, [4]),      # ten chunks, four CPUs
+        (2, 5_000, [2]),
+        (10**9, 300, []),         # one chunk runs inline
+    ])
+    def test_workers_capped_by_chunks_and_cpus(self, pools, threads, samples, workers):
+        p = instance(3, 3, 2)
+        capped = estimate_value(p, samples=samples, seed=5, threads=threads)
+        assert pools == workers
+        plain = estimate_value(p, samples=samples, seed=5, threads=1)
+        assert (capped.mean, capped.stderr) == (plain.mean, plain.stderr)
+
+    def test_unknown_cpu_count_runs_inline(self, pools, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+        estimate_value(instance(3, 3, 2), samples=5_000, seed=5, threads=10**9)
+        assert pools == []
+
+
+class TestStreams:
+    def test_chunks_never_share_draws(self):
+        p = instance(3, 3, 3)
+        mask = montecarlo._zero_mask(p, p.n)
+        for seed in (0, 1, 2**63):
+            first = montecarlo._draw_chunk(mask, 4, substream(seed, 0))
+            second = montecarlo._draw_chunk(mask, 4, substream(seed, 1))
+            assert not np.array_equal(first[0], second[0])
+            assert not np.isin(second, first).any()
+
+    def test_calibrated_across_seeds(self):
+        # 256 seeds, two chunks each: the z-scores against the exact 5/4
+        # should look standard normal
+        p = instance(2, 2, 2)
+        z = np.array([
+            (r.mean - 1.25) / r.stderr
+            for r in (estimate_value(p, samples=600, seed=s) for s in range(256))
+        ])
+        assert abs(z.mean()) < 0.25
+        assert 0.8 < z.std() < 1.2
+        assert (np.abs(z) > 3).mean() <= 0.02
+
+
+class TestMemory:
+    def test_large_matrix_chunk_stays_small(self):
+        p = instance(100, 100, 100)
+        estimate_value(p, samples=2, seed=1)  # warm up imports and caches
+        tracemalloc.start()
+        try:
+            # one uncapped 24-sample chunk alone would be 24 * 80 KB
+            estimate_value(p, samples=24, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
 
 class TestCsvOutput:
     def test_rows_in_sample_order(self, tmp_path):
@@ -192,15 +301,21 @@ class TestValidation:
 
 class TestSolverAgreement:
     def test_padded_solver_matches_exact_costs(self):
-        from rapkit.montecarlo import _solve_positions
-
         rng = random.Random(19)
         for _ in range(60):
             p = random_instance(rng, max_m=4, max_n=4)
-            s = sample_matrix(p, rng=rng.randrange(2**32))
-            entries = [[Fraction(x) for x in row] for row in s.entries]
-            exact = solve_k_assignment(entries, p.k)
-            cost, chosen = _solve_positions(np.array(s.entries, dtype=float), p.k)
-            # chosen may exceed k only by zero-cost positions; cost is exact
-            assert len(chosen) >= p.k
-            assert abs(float(exact.cost) - cost) < 1e-9 * max(1.0, cost)
+            gen = substream(rng.randrange(2**32), 0)
+            mask = montecarlo._zero_mask(p, p.n + p.m - p.k)
+            padded = montecarlo._draw_chunk(mask, 3, gen)
+            cols, costs = montecarlo._solve_chunk(padded)
+            assert padded.shape == (3, p.m, p.n + p.m - p.k)
+            assert not padded[:, :, p.n:].any()
+            for a, row_cols, cost in zip(padded[:, :, :p.n], cols, costs):
+                exact = solve_k_assignment([[Fraction(x) for x in row] for row in a], p.k)
+                chosen = {(r, int(c)) for r, c in enumerate(row_cols) if c < p.n}
+                positive = {pos for pos in chosen if a[pos] > 0}
+                # chosen may exceed k only by zero-cost positions; the
+                # costly positions and the cost are those of the optimum
+                assert len({c for _, c in chosen}) == len(chosen) >= p.k
+                assert positive == {pos for pos in exact.positions if a[pos] > 0}
+                assert abs(float(exact.cost) - cost) < 1e-9 * max(1.0, cost)
