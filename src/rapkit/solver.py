@@ -8,11 +8,14 @@ usual correctness argument applies verbatim and the returned optimum is
 additionally the lexicographically smallest sorted position list among
 all minimum-cost k-assignments.
 
-The tie weight of position (r, c) is B^(mn) - B^(mn-1-t) with t = r*n+c
-and B = k+1.  Any assignment has exactly k positions, so minimizing the
-tie-weight sum maximizes sum of B^(mn-1-t), and with B > k that sum is
-a base-B digit vector: it picks out the assignment containing the
-smallest position on which two candidate sets differ.
+The tie weight of position (r, c) is 2^(mn) - 2^(mn-1-t) with t = r*n+c.
+Minimizing the tie-weight sum of a k-assignment maximizes the sum of
+2^(mn-1-t) over its positions.  An assignment uses each position at most
+once, so that sum has only 0/1 binary digits, one per position, and the
+larger of two such sums belongs to the set holding the smallest position
+on which the two sets differ, so no base above k is needed.  The 2^(mn)
+term keeps every weight positive.  The weights are computed once per
+solve, as an m x n table.
 
 Entries may be ints, fractions.Fraction, or floats; arithmetic stays in
 the input type, so rational instances are solved exactly.
@@ -87,8 +90,10 @@ def _as_matrix(matrix: SampledMatrix | Sequence[Sequence[Number]]) -> list[list[
 
 
 def _check_k(k: int, m: int, n: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= min(m, n):
-        raise ValueError(f"k={k!r} out of range for a {m}x{n} matrix")
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"k must be an int, got {k!r}")
+    if not 1 <= k <= min(m, n):
+        raise ValueError(f"k={k} out of range for a {m}x{n} matrix")
 
 
 def solve_k_assignment(
@@ -104,12 +109,10 @@ def solve_k_assignment(
     m, n = len(a), len(a[0])
     _check_k(k, m, n)
 
-    base = k + 1
-    top = base ** (m * n)
+    mn = m * n
+    top = 1 << mn
     zero = a[0][0] - a[0][0]  # additive zero in the entry type
-
-    def tie(r: int, c: int) -> int:
-        return top - base ** (m * n - 1 - (r * n + c))
+    tie = [[top - (1 << (mn - 1 - (r * n + c))) for c in range(n)] for r in range(m)]
 
     pot_r: list[list] = [[zero, 0] for _ in range(m)]
     pot_c: list[list] = [[zero, 0] for _ in range(n)]
@@ -135,14 +138,13 @@ def solve_k_assignment(
                 if done_r[x] or (d0, d1) != dist_r[x]:
                     continue
                 done_r[x] = True
+                row, tie_row, own = a[x], tie[x], match_rc[x]
+                # reduced cost convention: c(r,c) + pot_r - pot_c >= 0
+                e0, e1 = d0 + pot_r[x][0], d1 + pot_r[x][1]
                 for c in range(n):
-                    if match_rc[x] == c or done_c[c]:
+                    if c == own or done_c[c]:
                         continue
-                    # reduced cost convention: c(r,c) + pot_r - pot_c >= 0
-                    nd = (
-                        d0 + a[x][c] + pot_r[x][0] - pot_c[c][0],
-                        d1 + tie(x, c) + pot_r[x][1] - pot_c[c][1],
-                    )
+                    nd = (e0 + row[c] - pot_c[c][0], e1 + tie_row[c] - pot_c[c][1])
                     if dist_c[c] is None or nd < dist_c[c]:
                         dist_c[c] = nd
                         parent_c[c] = x

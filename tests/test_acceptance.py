@@ -245,7 +245,8 @@ def test_criterion_10_structural_property_suite(report):
         matrix = random_fraction_matrix(rng, p.m, p.n, set(p.zeros))
         got = solve_k_assignment(matrix, p.k)
         brute = brute_force_k_assignment(matrix, p.k)
-        solver_ok = solver_ok and got.cost == brute.cost and len(got.assignment) == p.k
+        solver_ok = (solver_ok and got.cost == brute.cost and got.positions == brute.positions
+                     and len(got.assignment) == p.k)
 
     konig_ok = True
     konig_count = 0
@@ -327,7 +328,7 @@ def test_criterion_10_structural_property_suite(report):
     ok = (solver_ok and konig_ok and identity_ok and path_ok
           and deletion_checked == 50 and path_checks > 0 and elapsed < 120)
     report(10, ok,
-            f"solver=brute force on 1000 instances; cover duality on "
+            f"solver=brute force (cost and positions) on 1000 instances; cover duality on "
             f"{konig_count} patterns; deletion/insertion identities on "
             f"{deletion_checked + insertion_checked} patterns; path structure "
             f"on {path_checks} optimum elements ({elapsed:.1f}s)")

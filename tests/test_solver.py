@@ -3,9 +3,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from rapkit.model import Assignment
+from rapkit.model import Assignment, instance
+from rapkit.montecarlo import sample_matrix
 from rapkit.solver import (
     brute_force_k_assignment,
     enumerate_optimal_assignments,
@@ -60,6 +63,19 @@ class TestSolve:
         with pytest.raises((ValueError, IndexError)):
             solve_k_assignment(matrix, k)
 
+    @pytest.mark.parametrize("solver", [solve_k_assignment, brute_force_k_assignment])
+    @pytest.mark.parametrize("k", [np.int64(2), 2.0, True])
+    def test_non_int_k_says_it_must_be_an_int(self, solver, k):
+        with pytest.raises(ValueError, match="k must be an int") as info:
+            solver([[1, 2], [3, 4]], k)
+        assert "out of range" not in str(info.value)
+
+    @pytest.mark.parametrize("solver", [solve_k_assignment, brute_force_k_assignment])
+    @pytest.mark.parametrize("k", [0, 3, -1])
+    def test_int_k_out_of_range(self, solver, k):
+        with pytest.raises(ValueError, match=f"k={k} out of range for a 2x2 matrix"):
+            solver([[1, 2], [3, 4]], k)
+
     def test_matches_brute_force_cost_and_positions(self):
         rng = random.Random(21)
         for _ in range(250):
@@ -72,6 +88,24 @@ class TestSolve:
             assert fast.cost == slow.cost
             assert fast.positions == slow.positions
 
+    def test_integer_ties_match_brute_force(self):
+        # entries in {0, 1, 2}: many minimum-cost k-sets, one lexicographic optimum
+        rng = random.Random(26)
+        for _ in range(240):
+            m, n = rng.randint(4, 6), rng.randint(4, 6)
+            k = rng.randint(1, min(m, n))
+            matrix = [[rng.randrange(3) for _ in range(n)] for _ in range(m)]
+            fast = solve_k_assignment(matrix, k)
+            slow = brute_force_k_assignment(matrix, k)
+            assert fast.cost == slow.cost
+            assert fast.positions == slow.positions
+
+    @pytest.mark.parametrize("m,n,k", [(12, 12, 12), (9, 12, 5), (12, 9, 7)])
+    def test_all_ones_gives_leading_diagonal(self, m, n, k):
+        result = solve_k_assignment([[1] * n for _ in range(m)], k)
+        assert result.cost == k
+        assert result.positions == tuple((i, i) for i in range(k))
+
     def test_monotone_in_entries(self):
         rng = random.Random(22)
         for _ in range(100):
@@ -82,6 +116,36 @@ class TestSolve:
             r, c = rng.randrange(m), rng.randrange(n)
             matrix[r][c] = matrix[r][c] / 2
             assert solve_k_assignment(matrix, k).cost <= base
+
+
+class TestBenchmarkSizes:
+    """Sampled matrices at the sizes the solver is benchmarked on, against scipy."""
+
+    @staticmethod
+    def check(matrix, k):
+        a = np.array([[float(x) for x in row] for row in matrix])
+        m, n = a.shape
+        result = solve_k_assignment(matrix, k)
+        positions = result.positions
+        assert len(positions) == k
+        assert len({r for r, _ in positions}) == k and len({c for _, c in positions}) == k
+        assert result.cost == sum(matrix[r][c] for r, c in positions)
+        # m - k zero dummy columns absorb the rows a k-assignment leaves out
+        padded = np.concatenate([a, np.zeros((m, m - k))], axis=1)
+        rows, cols = linear_sum_assignment(padded)
+        ref = float(sum(a[r, c] for r, c in zip(rows, cols) if c < n))
+        assert float(result.cost) == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("k", [40, 20])
+    def test_40x40_floats(self, k):
+        for seed in (1, 2):
+            matrix = sample_matrix(instance(40, 40, k), seed).entries
+            self.check(matrix, k)
+
+    def test_20x20_fractions_with_zeros(self):
+        p = instance(20, 20, 20, [(0, 0), (3, 5), (3, 7), (11, 5), (19, 19)])
+        matrix = [[Fraction(x) for x in row] for row in sample_matrix(p, 3).entries]
+        self.check(matrix, 20)
 
 
 class TestBruteForce:
