@@ -7,6 +7,11 @@ cover size equals the maximum number of independent zeros.  A *partial
 the cover coefficient d_{i,j} counts partial (k-1)-covers with exactly
 i rows and j columns.
 
+The minimum covers form a lattice (Dulmage & Mendelsohn).  One maximum
+matching and two alternating searches, from the unmatched rows and from
+the unmatched columns, give both its ends and the lines common to all
+minimum covers; lines forced into every larger cover are tested one by one.
+
 Everything here is exact integer work on desk-scale patterns.  The
 coefficients are counted over the connected components of the bipartite
 zero graph: lines touching no zero contribute binomial factors, the
@@ -128,73 +133,77 @@ def max_independent_zeros(z: ZeroPattern | Iterable[Position]) -> int:
     return len(_max_matching(zeros))
 
 
-def min_cover(z: ZeroPattern) -> LineCover:
-    """A minimum cover of the zeros, of size max_independent_zeros (König).
+def _alternating_reach(
+    adj: dict[int, list[int]], mate: dict[int, int], free: Iterable[int]
+) -> tuple[set[int], set[int]]:
+    """Lines of both sides reached from the ``free`` lines by alternating paths.
 
-    Constructed from a maximum matching by the standard alternating-
-    reachability argument: rows unmatched on the zero graph start a BFS
-    along non-matching edges to columns and matching edges back to rows;
-    the cover is (matched rows not reached) + (columns reached).
+    A path crosses along any zero and comes back along the matching
+    (``mate``); every far line reached is matched, or the matching would
+    augment.
     """
-    zeros = z.zeros
-    match_col = _max_matching(zeros)
-    match_row = {r: c for c, r in match_col.items()}
-    adj: dict[int, set[int]] = {}
-    for r, c in zeros:
-        adj.setdefault(r, set()).add(c)
-
-    reached_rows = {r for r in adj if r not in match_row}
-    reached_cols: set[int] = set()
-    frontier = list(reached_rows)
+    near, far = set(free), set()
+    frontier = list(near)
     while frontier:
-        r = frontier.pop()
-        for c in adj[r]:
-            if c in reached_cols:
-                continue
-            reached_cols.add(c)
-            nxt = match_col.get(c)
-            if nxt is not None and nxt not in reached_rows:
-                reached_rows.add(nxt)
-                frontier.append(nxt)
-
-    rows = {r for r in match_row if r not in reached_rows}
-    cols = {c for c in match_col if c in reached_cols}
-    cover = LineCover(frozenset(rows), frozenset(cols))
-    assert len(cover) == len(match_col) and cover.covers(zeros)
-    return cover
+        for v in adj[frontier.pop()]:
+            if v not in far:
+                far.add(v)
+                near.add(mate[v])
+                frontier.append(mate[v])
+    return near, far
 
 
-def _matching_without_line(zeros: tuple[Position, ...], row: int | None, col: int | None) -> int:
-    residual = [p for p in zeros if p[0] != row and p[1] != col]
-    return len(_max_matching(residual))
+def _extreme_covers(
+    zeros: tuple[Position, ...], match_col: dict[int, int]
+) -> tuple[LineCover, LineCover]:
+    """The row-maximal and the column-maximal minimum cover, from the
+    maximum matching ``match_col`` of the zeros.
+
+    A row lies in some minimum cover iff every maximum matching covers it,
+    iff no alternating path from an unmatched row reaches it (Dulmage &
+    Mendelsohn).  So the matched rows not reached from the unmatched rows,
+    with the columns that are reached, form the row-maximal cover; the
+    search from the unmatched columns gives the column-maximal one.
+    """
+    match_row = {r: c for c, r in match_col.items()}
+    row_adj: dict[int, list[int]] = {}
+    col_adj: dict[int, list[int]] = {}
+    for r, c in zeros:
+        row_adj.setdefault(r, []).append(c)
+        col_adj.setdefault(c, []).append(r)
+    free_rows = row_adj.keys() - match_row.keys()
+    free_cols = col_adj.keys() - match_col.keys()
+    rows_from_rows, cols_from_rows = _alternating_reach(row_adj, match_col, free_rows)
+    cols_from_cols, rows_from_cols = _alternating_reach(col_adj, match_row, free_cols)
+    row_max = LineCover(match_row.keys() - rows_from_rows, cols_from_rows)
+    col_max = LineCover(rows_from_cols, match_col.keys() - cols_from_cols)
+    assert len(row_max) == len(col_max) == len(match_col)
+    assert row_max.covers(zeros) and col_max.covers(zeros)
+    return row_max, col_max
 
 
 def row_maximal_cover(z: ZeroPattern) -> LineCover:
     """The optimal cover whose row set contains every row of every optimal cover.
 
-    A row r belongs to some optimal cover iff deleting it lowers the
-    maximum number of independent zeros; by the lattice property of
-    optimal covers the union of those rows, completed by the columns
-    still holding uncovered zeros, is itself an optimal cover.
+    Optimal covers form a lattice; this is its row-maximal end, and it is
+    also what :func:`min_cover` returns.  It comes from one maximum
+    matching and an alternating search from the unmatched rows: the
+    matched rows that search does not reach, plus the columns it does.
     """
-    zeros = z.zeros
-    s = max_independent_zeros(z)
-    rows = {r for r in {p[0] for p in zeros} if _matching_without_line(zeros, r, None) == s - 1}
-    cols = {c for r, c in zeros if r not in rows}
-    cover = LineCover(frozenset(rows), frozenset(cols))
-    assert len(cover) == s and cover.covers(zeros)
-    return cover
+    return _extreme_covers(z.zeros, _max_matching(z.zeros))[0]
 
 
 def column_maximal_cover(z: ZeroPattern) -> LineCover:
-    """Dual of :func:`row_maximal_cover`."""
-    zeros = z.zeros
-    s = max_independent_zeros(z)
-    cols = {c for c in {p[1] for p in zeros} if _matching_without_line(zeros, None, c) == s - 1}
-    rows = {r for r, c in zeros if c not in cols}
-    cover = LineCover(frozenset(rows), frozenset(cols))
-    assert len(cover) == s and cover.covers(zeros)
-    return cover
+    """Dual of :func:`row_maximal_cover`: the search starts from the unmatched columns."""
+    return _extreme_covers(z.zeros, _max_matching(z.zeros))[1]
+
+
+def min_cover(z: ZeroPattern) -> LineCover:
+    """A minimum cover of the zeros, of size max_independent_zeros (König).
+
+    It is the row-maximal cover (:func:`row_maximal_cover`).
+    """
+    return row_maximal_cover(z)
 
 
 # ---------------------------------------------------------------------------
@@ -412,15 +421,18 @@ def forced_cover_lines(z: ZeroPattern, size: int) -> tuple[frozenset[int], froze
 
     Meaningful only when such a cover exists (max_independent_zeros <= size);
     raises ValueError otherwise, since membership would be vacuous.
-    """
-    if max_independent_zeros(z) > size:
-        raise ValueError(f"no {size}-cover exists")
-    zeros = z.zeros
-    rows = frozenset(
-        r for r in {p[0] for p in zeros} if _min_cover_avoiding(zeros, r, None) > size
-    )
-    cols = frozenset(
-        c for c in {p[1] for p in zeros} if _min_cover_avoiding(zeros, None, c) > size
-    )
-    return rows, cols
 
+    At the minimum size these are the lines common to all minimum covers:
+    the rows of the column-maximal cover and the columns of the row-maximal
+    one.  A larger size forces a subset of them, each tested on its own.
+    """
+    zeros = z.zeros
+    match_col = _max_matching(zeros)
+    if len(match_col) > size:
+        raise ValueError(f"no {size}-cover exists")
+    row_max, col_max = _extreme_covers(zeros, match_col)
+    if len(match_col) == size:
+        return col_max.rows, row_max.cols
+    rows = frozenset(r for r in col_max.rows if _min_cover_avoiding(zeros, r, None) > size)
+    cols = frozenset(c for c in row_max.cols if _min_cover_avoiding(zeros, None, c) > size)
+    return rows, cols

@@ -72,12 +72,6 @@ class ZeroPattern:
     def zero_set(self) -> frozenset[Position]:
         return frozenset(self.zeros)
 
-    def zeros_in_row(self, r: int) -> tuple[Position, ...]:
-        return tuple(p for p in self.zeros if p[0] == r)
-
-    def zeros_in_col(self, c: int) -> tuple[Position, ...]:
-        return tuple(p for p in self.zeros if p[1] == c)
-
 
 @dataclass(frozen=True)
 class RapInstance:

@@ -212,9 +212,10 @@ def reduce_state(s: ExpRapState) -> ExpRapState:
     """
     while True:
         zp = s.zero_pattern()
-        if max_independent_zeros(zp) >= s.k:
+        try:
+            rows, cols = forced_cover_lines(zp, s.k - 1)
+        except ValueError:  # no (k-1)-cover: k independent zeros exist
             return s
-        rows, cols = forced_cover_lines(zp, s.k - 1)
         if rows:
             r0 = min(rows)
             entries = tuple(row for r, row in enumerate(s.entries) if r != r0)
@@ -303,7 +304,7 @@ def induction_measure(
     if cls.minimal is not None:
         minimal_vars = len(s.entries[cls.minimal[0]][cls.minimal[1]].terms)
     return (
-        -max_independent_zeros(s.zero_pattern()),
+        -len(cls.cover),  # the cover is a minimum one, so its size is the matching number
         len(cls.cover.rows),
         len(cls.potentially_minimal),
         disagreements,

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from rapkit.covers import CoverProfile, max_independent_zeros
+from rapkit.covers import CoverProfile, LineCover, max_independent_zeros
 from rapkit.model import Position, RapInstance, ZeroPattern, instance
 
 
@@ -52,6 +52,51 @@ def brute_force_min_cover_size(z: ZeroPattern) -> int:
         if best is None or size < best:
             best = size
     return best
+
+
+def _matching_without_line(zeros, row: int | None, col: int | None) -> int:
+    return max_independent_zeros([p for p in zeros if p[0] != row and p[1] != col])
+
+
+def reference_row_maximal_cover(z: ZeroPattern) -> LineCover:
+    """The row-maximal optimal cover, one matching per row holding a zero.
+
+    A row r belongs to some optimal cover iff deleting it lowers the
+    maximum number of independent zeros; by the lattice property of
+    optimal covers the union of those rows, completed by the columns
+    still holding uncovered zeros, is itself an optimal cover.
+    """
+    s = max_independent_zeros(z)
+    rows = {r for r in {p[0] for p in z.zeros} if _matching_without_line(z.zeros, r, None) == s - 1}
+    return LineCover(frozenset(rows), frozenset(c for r, c in z.zeros if r not in rows))
+
+
+def reference_column_maximal_cover(z: ZeroPattern) -> LineCover:
+    """Dual of :func:`reference_row_maximal_cover`."""
+    s = max_independent_zeros(z)
+    cols = {c for c in {p[1] for p in z.zeros} if _matching_without_line(z.zeros, None, c) == s - 1}
+    return LineCover(frozenset(r for r, c in z.zeros if c not in cols), frozenset(cols))
+
+
+def _min_cover_avoiding(zeros, row: int | None, col: int | None) -> int:
+    """Minimum size of a cover not using the given line: the zeros on it
+    are covered by their crossing lines, the rest by a König cover."""
+    if row is not None:
+        forced_cols = {c for rr, c in zeros if rr == row}
+        residual = [p for p in zeros if p[0] != row and p[1] not in forced_cols]
+        return len(forced_cols) + max_independent_zeros(residual)
+    forced_rows = {rr for rr, c in zeros if c == col}
+    residual = [p for p in zeros if p[1] != col and p[0] not in forced_rows]
+    return len(forced_rows) + max_independent_zeros(residual)
+
+
+def reference_forced_cover_lines(z: ZeroPattern, size: int) -> tuple[frozenset[int], frozenset[int]]:
+    """Lines in every cover of at most ``size`` lines, testing every line holding a zero."""
+    if max_independent_zeros(z) > size:
+        raise ValueError(f"no {size}-cover exists")
+    rows = frozenset(r for r in {p[0] for p in z.zeros} if _min_cover_avoiding(z.zeros, r, None) > size)
+    cols = frozenset(c for c in {p[1] for p in z.zeros} if _min_cover_avoiding(z.zeros, None, c) > size)
+    return rows, cols
 
 
 def _residual_matcher(zeros):

@@ -38,6 +38,9 @@ from conftest import (
     instances,
     pattern_classes,
     random_instance,
+    reference_column_maximal_cover,
+    reference_forced_cover_lines,
+    reference_row_maximal_cover,
 )
 
 
@@ -320,6 +323,73 @@ class TestForcedCoverLines:
         z = ZeroPattern(2, 2, ((0, 0), (1, 1)))
         with pytest.raises(ValueError):
             forced_cover_lines(z, 1)
+
+    def test_slack_size_still_forces_a_full_row(self):
+        # nu = 1, and the only 2-covers are row 0 plus one more line
+        z = ZeroPattern(3, 4, ((0, 0), (0, 1), (0, 2)))
+        assert forced_cover_lines(z, 2) == (frozenset({0}), frozenset())
+
+
+def _agrees_with_per_line_reference(z: ZeroPattern) -> bool:
+    """Covers and forced lines at sizes nu..nu+2 equal the per-line reference;
+    returns whether some line is forced at the slack size nu+1."""
+    assert row_maximal_cover(z) == reference_row_maximal_cover(z)
+    assert min_cover(z) == reference_row_maximal_cover(z)
+    assert column_maximal_cover(z) == reference_column_maximal_cover(z)
+    nu = max_independent_zeros(z)
+    for size in range(nu, nu + 3):
+        assert forced_cover_lines(z, size) == reference_forced_cover_lines(z, size), size
+    return forced_cover_lines(z, nu + 1) != (frozenset(), frozenset())
+
+
+class TestAgainstPerLineReference:
+    """One matching and two alternating searches give what one matching per line gave."""
+
+    def test_every_pattern_up_to_3x4(self):
+        slack_forced = sum(
+            _agrees_with_per_line_reference(z)
+            for m in range(1, 4)
+            for n in range(1, 5)
+            for z in all_patterns(m, n)
+        )
+        assert slack_forced == 362  # of 5050 patterns: the slack case is not vacuous
+
+    def test_every_4x4_class(self):
+        for zeros in pattern_classes(4, 4):
+            _agrees_with_per_line_reference(ZeroPattern(4, 4, zeros))
+
+    @given(instances(max_m=6, max_n=6))
+    @settings(max_examples=150, deadline=None)
+    def test_random_up_to_6x6(self, p):
+        _agrees_with_per_line_reference(p.pattern)
+
+
+class TestOneMatchingPerPattern:
+    # one component over 7 lines with nu = 3, so per-line tests take 5, 4 and 8 matchings
+    Z = ZeroPattern(4, 3, ((0, 0), (0, 1), (1, 1), (2, 1), (2, 2), (3, 2)))
+
+    @pytest.fixture
+    def matchings(self, monkeypatch):
+        calls = []
+        real = covers._max_matching
+
+        def counted(zeros):
+            calls.append(zeros)
+            return real(zeros)
+
+        monkeypatch.setattr(covers, "_max_matching", counted)
+        return calls
+
+    @pytest.mark.parametrize("cover", [row_maximal_cover, column_maximal_cover, min_cover])
+    def test_extreme_covers(self, matchings, cover):
+        cover(self.Z)
+        assert len(matchings) == 1
+
+    def test_forced_lines_at_the_minimum_size(self, matchings):
+        assert max_independent_zeros(self.Z) == 3
+        matchings.clear()
+        assert forced_cover_lines(self.Z, 3) == (frozenset(), frozenset({1, 2}))
+        assert len(matchings) == 1
 
 
 def _dbar(p, r, i, j):

@@ -58,6 +58,20 @@ class TestGoldenValues:
         zeros = [(r, c) for r in range(2) for c in range(2)]
         assert oracle_expected_value(instance(2, 2, 2, zeros)) == 0
 
+    @pytest.mark.parametrize(
+        "p, value, nodes",
+        [
+            (instance(4, 4, 4), Fraction(205, 144), 34),
+            (instance(4, 5, 4), Fraction(145, 144), 34),
+            (instance(5, 5, 4, [(0, 0), (1, 1)]), Fraction(37, 100), 17),
+            # row 0 is forced at the slack size k-1 = 2 > nu = 1
+            (instance(3, 4, 3, [(0, 0), (0, 1), (0, 2)]), Fraction(13, 24), 3),
+        ],
+    )
+    def test_pinned_value_and_node_count(self, p, value, nodes):
+        """A cover that chose other lines would classify differently and change the node count."""
+        assert oracle_node_count(p) == (value, nodes)
+
     def test_matches_cover_formula_on_random_instances(self, oracle_cache):
         rng = random.Random(41)
         for _ in range(40):
@@ -303,3 +317,26 @@ class TestRouteIndependence:
         for name in imported:
             assert "formulas" not in name, name
             assert not name.endswith((":cover_profile", ":row_excluded_profile")), name
+
+    def test_oracle_uses_only_public_rapkit_names(self):
+        """The oracle reaches covers only through public names, the ones the
+        benchmark's span recorder wraps."""
+        tree = ast.parse(Path(rapkit.oracle.__file__).read_text(encoding="utf-8"))
+        modules = set()  # local names bound to rapkit modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("rapkit")):
+                for alias in node.names:
+                    assert not alias.name.startswith("_"), alias.name
+                    if not node.module or node.module == "rapkit":
+                        modules.add(alias.asname or alias.name)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("rapkit"):
+                        assert not any(part.startswith("_") for part in alias.name.split(".")), alias.name
+                        modules.add(alias.asname or alias.name.split(".")[0])
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.endswith("__"):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                assert not (isinstance(root, ast.Name) and root.id in modules), node.attr
