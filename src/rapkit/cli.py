@@ -39,6 +39,7 @@ from .model import (
     BudgetExceededError,
     RapError,
     RapInstance,
+    insert_zero,
     load_instance,
     rational_to_json,
 )
@@ -243,12 +244,16 @@ def cmd_simulate(
             elif what == "entry":
                 if pos is None:
                     raise ValueError("--pos is required with --what entry")
-                est = estimate_entry_usage(p, pos, samples, seed, threads=threads, csv_out=csv_out)
+                target = cover_formula_value(p) - cover_formula_value(insert_zero(p, pos))
+                est = estimate_entry_usage(
+                    p, pos, samples, seed, threads=threads, csv_out=csv_out, target=target
+                )
             elif what == "min":
                 if p.zeros:
                     raise ValueError("--what min requires an instance without zeros")
                 est = estimate_min_entry_usage(
-                    p.k, p.m, p.n, samples, seed, threads=threads, csv_out=csv_out
+                    p.k, p.m, p.n, samples, seed, threads=threads, csv_out=csv_out,
+                    target=min_entry_usage_probability(p.k, p.m, p.n),
                 )
             else:
                 raise ValueError(f"unknown statistic {what!r}")

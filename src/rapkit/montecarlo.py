@@ -30,14 +30,7 @@ from typing import IO, Callable
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .formulas import cover_formula_value, min_entry_usage_probability
-from .model import (
-    RapInstance,
-    SampledMatrix,
-    insert_zero,
-    instance,
-    rational_to_json,
-)
+from .model import RapInstance, SampledMatrix, instance, rational_to_json
 
 
 @dataclass(frozen=True)
@@ -245,11 +238,12 @@ def estimate_entry_usage(
     seed: int,
     threads: int = 1,
     csv_out: IO[str] | None = None,
+    target: Fraction | None = None,
 ) -> EstimateReport:
-    """Frequency with which a nonzero position is used, against E(P) - E(P').
+    """Frequency with which a nonzero position is used.
 
-    The exact target replaces the entry at `pos` by a zero and takes the
-    cover-formula difference of the two instances.
+    Its exact value is E(P) - E(P'), where P' has a zero at `pos`; the
+    caller passes it as `target`.
     """
     _check_samples(samples)
     _check_seed(seed)
@@ -258,7 +252,6 @@ def estimate_entry_usage(
         raise IndexError(f"position {pos} out of range")
     if pos in p.zeros:
         raise ValueError(f"position {pos} is a zero; usage varies across optima")
-    target = cover_formula_value(p) - cover_formula_value(insert_zero(p, pos))
     if csv_out is not None:
         csv_out.write("sample,cost,statistic\n")
     mean, stderr = _run(
@@ -280,12 +273,12 @@ def estimate_min_entry_usage(
     seed: int,
     threads: int = 1,
     csv_out: IO[str] | None = None,
+    target: Fraction | None = None,
 ) -> EstimateReport:
     """Frequency with which the smallest entry of a zero-free instance is used."""
     _check_samples(samples)
     _check_seed(seed)
     p = instance(m, n, k)
-    target = min_entry_usage_probability(k, m, n)
 
     def used_min(a: np.ndarray, cols: np.ndarray, costs: np.ndarray) -> np.ndarray:
         r, c = np.divmod(a.reshape(len(a), -1).argmin(axis=1), n)

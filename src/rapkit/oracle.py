@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import IO, Iterable, Mapping
 
 from .covers import LineCover, forced_cover_lines, max_independent_zeros, row_maximal_cover
@@ -140,13 +141,13 @@ class ExpRapState:
     def n(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def intensity(self, vid: int) -> Fraction:
-        for v in self.variables:
-            if v.id == vid:
-                return v.intensity
-        raise KeyError(vid)
+    # per-state data computed on first use; the state is immutable, so it never goes stale
+    @cached_property
+    def _intensities(self) -> dict[int, Fraction]:
+        return {v.id: v.intensity for v in self.variables}
 
-    def zero_pattern(self) -> ZeroPattern:
+    @cached_property
+    def _zeros(self) -> ZeroPattern:
         zeros = tuple(
             (r, c)
             for r, row in enumerate(self.entries)
@@ -154,6 +155,12 @@ class ExpRapState:
             if e.is_zero
         )
         return ZeroPattern(self.m, self.n, zeros)
+
+    def intensity(self, vid: int) -> Fraction:
+        return self._intensities[vid]
+
+    def zero_pattern(self) -> ZeroPattern:
+        return self._zeros
 
 
 @dataclass(frozen=True)
@@ -206,27 +213,27 @@ def is_terminal(s: ExpRapState) -> bool:
 def reduce_state(s: ExpRapState) -> ExpRapState:
     """Delete lines contained in every (k-1)-cover until a fixed point.
 
-    Stops early when the state becomes terminal.  Deleting such a line
-    and decrementing k leaves the optimal cost of every realization
-    unchanged, so the expected value is preserved exactly.
+    Each pass deletes every such line at once and lowers k by their
+    number: a line in every (k-1)-cover stays in every (k-2)-cover once
+    another such line is deleted, so deleting them one at a time would
+    reach the same state.  Stops when the state is terminal.  Deleting
+    such a line and decrementing k leaves the optimal cost of every
+    realization unchanged, so the expected value is preserved exactly.
     """
     while True:
-        zp = s.zero_pattern()
         try:
-            rows, cols = forced_cover_lines(zp, s.k - 1)
+            rows, cols = forced_cover_lines(s.zero_pattern(), s.k - 1)
         except ValueError:  # no (k-1)-cover: k independent zeros exist
             return s
-        if rows:
-            r0 = min(rows)
-            entries = tuple(row for r, row in enumerate(s.entries) if r != r0)
-        elif cols:
-            c0 = min(cols)
-            entries = tuple(
-                tuple(e for c, e in enumerate(row) if c != c0) for row in s.entries
-            )
-        else:
+        if not rows and not cols:
             return s
-        s = ExpRapState(s.k - 1, entries, _gc(entries, s.variables), s.accumulated)
+        entries = tuple(
+            tuple(e for c, e in enumerate(row) if c not in cols)
+            for r, row in enumerate(s.entries)
+            if r not in rows
+        )
+        k = s.k - len(rows) - len(cols)
+        s = ExpRapState(k, entries, _gc(entries, s.variables), s.accumulated)
 
 
 def classify_entries(s: ExpRapState) -> EntryClassification:
@@ -437,11 +444,10 @@ def condition_minimum(
     std_vars = [s.entries[r][c].terms[0][0] for r, c in std_positions]
     assert term is not None or std_vars, "reduced state must have a non-covered candidate"
 
-    member_intensities: list[Fraction] = []
-    if term is not None:
-        vid, coeff = term
-        member_intensities.append(s.intensity(vid) / coeff)
-    member_intensities.extend(Fraction(1) for _ in std_vars)
+    # each member of S as (variable, 1/coefficient): term a*Xi, then the standard entries
+    members = [(term[0], 1 / term[1])] if term is not None else []
+    members.extend((v, Fraction(1)) for v in std_vars)
+    member_intensities = [s.intensity(v) * scale for v, scale in members]
     total = sum(member_intensities, Fraction(0))
     extracted = Fraction(s.k - size, 1) / total
 
@@ -454,44 +460,34 @@ def condition_minimum(
         if c not in cover.cols
     } | {(r, c): 1 for r in cover.rows for c in cover.cols}
 
-    members: list[tuple[str, int]] = []
-    if term is not None:
-        members.append(("term", term[0]))
-    members.extend(("std", v) for v in std_vars)
+    # every member becomes Y + its residual Z_j (the term member (Y + Z_j)/a);
+    # the child in which member j is the minimum is this template with Z_j = 0
+    fresh = _fresh_ids(s, 1 + len(members))
+    y_id, z_ids = fresh[0], fresh[1:]
+    rules = {v: ((y_id, scale), (z_id, scale)) for (v, scale), z_id in zip(members, z_ids)}
+    template = _substitute(s.entries, rules, y_id, shift)
+    template_vars = _gc(
+        template,
+        tuple(v for v in s.variables if v.id not in rules)
+        + (ExpVariable(y_id, total),)
+        + tuple(ExpVariable(z_id, i) for z_id, i in zip(z_ids, member_intensities)),
+    )
+    holding: dict[int, list[Position]] = {z_id: [] for z_id in z_ids}
+    for r, row in enumerate(template):
+        for c, e in enumerate(row):
+            for v, _ in e.terms:
+                if v in holding:
+                    holding[v].append((r, c))
 
-    fresh = _fresh_ids(s, len(members))
     children: list[tuple[Fraction, ExpRapState]] = []
-    for idx, (kind, vid) in enumerate(members):
-        weight = member_intensities[idx] / total
-        y_id = fresh[0]
-        new_vars: list[ExpVariable] = [ExpVariable(y_id, total)]
-        rules: dict[int, tuple[tuple[int, Fraction], ...]] = {}
-        for jdx, (okind, ovid) in enumerate(members):
-            if jdx == idx:
-                # the minimum itself: member value equals Y exactly
-                if okind == "term":
-                    a = term[1]
-                    rules[ovid] = ((y_id, 1 / a),)
-                else:
-                    rules[ovid] = ((y_id, Fraction(1)),)
-            else:
-                z_id = fresh[1 + jdx - (1 if jdx > idx else 0)]
-                if okind == "term":
-                    a = term[1]
-                    rules[ovid] = ((y_id, 1 / a), (z_id, 1 / a))
-                    new_vars.append(ExpVariable(z_id, member_intensities[jdx]))
-                else:
-                    rules[ovid] = ((y_id, Fraction(1)), (z_id, Fraction(1)))
-                    new_vars.append(ExpVariable(z_id, Fraction(1)))
-        new_entries = _substitute(s.entries, rules, y_id, shift)
-        variables = tuple(v for v in s.variables if v.id not in rules) + tuple(new_vars)
+    for z_id, intensity in zip(z_ids, member_intensities):
+        rows = [list(row) for row in template]
+        for r, c in holding[z_id]:
+            rows[r][c] = LinearEntry(tuple(t for t in rows[r][c].terms if t[0] != z_id))
+        entries = tuple(tuple(row) for row in rows)
+        variables = tuple(v for v in template_vars if v.id != z_id)
         children.append(
-            (
-                weight,
-                ExpRapState(
-                    s.k, new_entries, _gc(new_entries, variables), s.accumulated + extracted
-                ),
-            )
+            (intensity / total, ExpRapState(s.k, entries, variables, s.accumulated + extracted))
         )
     assert sum(w for w, _ in children) == 1 and all(w > 0 for w, _ in children)
     return extracted, children
@@ -519,7 +515,7 @@ def canonical_key(s: ExpRapState):
     fall in different index orders get distinct keys, which merely costs a
     cache miss.
     """
-    intensity = {v.id: v.intensity for v in s.variables}
+    intensity = s._intensities
     sig = [[tuple(sorted((c, intensity[v]) for v, c in e.terms)) for e in row] for row in s.entries]
     row_order = sorted(range(s.m), key=lambda r: sorted(sig[r]))
     col_order = sorted(range(s.n), key=lambda c: sorted(row[c] for row in sig))

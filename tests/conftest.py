@@ -1,4 +1,5 @@
-"""Shared helpers: random instance generation and brute-force cover references."""
+"""Shared helpers: random instance generation, brute-force cover references and
+the slow oracle rules that the fast ones are checked against."""
 
 from __future__ import annotations
 
@@ -9,8 +10,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from rapkit.covers import CoverProfile, LineCover, max_independent_zeros
+from rapkit.covers import CoverProfile, LineCover, forced_cover_lines, max_independent_zeros
 from rapkit.model import Position, RapInstance, ZeroPattern, instance
+from rapkit.oracle import (
+    EntryClassification,
+    ExpRapState,
+    ExpVariable,
+    _fresh_ids,
+    _gc,
+    _substitute,
+    classify_entries,
+)
 
 
 def random_instance(
@@ -139,6 +149,115 @@ def brute_force_row_excluded_profile(p: RapInstance, r: int) -> tuple[int, ...]:
         )
         for i in range(p.k)
     )
+
+
+def reference_reduce_state(s: ExpRapState) -> ExpRapState:
+    """Delete one line contained in every (k-1)-cover per pass, the smallest
+    forced row first, then the smallest forced column, until a fixed point."""
+    while True:
+        try:
+            rows, cols = forced_cover_lines(s.zero_pattern(), s.k - 1)
+        except ValueError:  # no (k-1)-cover: k independent zeros exist
+            return s
+        if rows:
+            r0 = min(rows)
+            entries = tuple(row for r, row in enumerate(s.entries) if r != r0)
+        elif cols:
+            c0 = min(cols)
+            entries = tuple(
+                tuple(e for c, e in enumerate(row) if c != c0) for row in s.entries
+            )
+        else:
+            return s
+        s = ExpRapState(s.k - 1, entries, _gc(entries, s.variables), s.accumulated)
+
+
+def reference_condition_minimum(
+    s: ExpRapState, cls: EntryClassification | None = None
+) -> tuple[Fraction, list[tuple[Fraction, ExpRapState]]]:
+    """Minimum conditioning with one substitution of the whole matrix per child.
+
+    Child idx rewrites member idx to Y and every other member j to Y plus
+    a residual, the residuals numbered in member order skipping idx.
+    """
+    if cls is None:
+        cls = classify_entries(s)
+    cover = cls.cover
+    size = len(cover)
+    assert size < s.k, "caller must reduce the state first"
+    if cls.non_covered_nonstandard and cls.minimal is None:
+        raise ValueError("no minimal non-covered nonstandard entry; pair-condition instead")
+
+    term: tuple[int, Fraction] | None = None
+    if cls.minimal is not None:
+        e = s.entries[cls.minimal[0]][cls.minimal[1]]
+        term = min(e.terms)
+    std_positions = [
+        (r, c)
+        for r in range(s.m)
+        if r not in cover.rows
+        for c in range(s.n)
+        if c not in cover.cols and cls.labels[r][c] == "standard"
+    ]
+    std_vars = [s.entries[r][c].terms[0][0] for r, c in std_positions]
+    assert term is not None or std_vars, "reduced state must have a non-covered candidate"
+
+    member_intensities: list[Fraction] = []
+    if term is not None:
+        vid, coeff = term
+        member_intensities.append(s.intensity(vid) / coeff)
+    member_intensities.extend(Fraction(1) for _ in std_vars)
+    total = sum(member_intensities, Fraction(0))
+    extracted = Fraction(s.k - size, 1) / total
+
+    shift = {
+        (r, c): -1
+        for r in range(s.m)
+        if r not in cover.rows
+        for c in range(s.n)
+        if c not in cover.cols
+    } | {(r, c): 1 for r in cover.rows for c in cover.cols}
+
+    members: list[tuple[str, int]] = []
+    if term is not None:
+        members.append(("term", term[0]))
+    members.extend(("std", v) for v in std_vars)
+
+    fresh = _fresh_ids(s, len(members))
+    children: list[tuple[Fraction, ExpRapState]] = []
+    for idx, (kind, vid) in enumerate(members):
+        weight = member_intensities[idx] / total
+        y_id = fresh[0]
+        new_vars: list[ExpVariable] = [ExpVariable(y_id, total)]
+        rules: dict[int, tuple[tuple[int, Fraction], ...]] = {}
+        for jdx, (okind, ovid) in enumerate(members):
+            if jdx == idx:
+                if okind == "term":
+                    a = term[1]
+                    rules[ovid] = ((y_id, 1 / a),)
+                else:
+                    rules[ovid] = ((y_id, Fraction(1)),)
+            else:
+                z_id = fresh[1 + jdx - (1 if jdx > idx else 0)]
+                if okind == "term":
+                    a = term[1]
+                    rules[ovid] = ((y_id, 1 / a), (z_id, 1 / a))
+                    new_vars.append(ExpVariable(z_id, member_intensities[jdx]))
+                else:
+                    rules[ovid] = ((y_id, Fraction(1)), (z_id, Fraction(1)))
+                    new_vars.append(ExpVariable(z_id, Fraction(1)))
+        new_entries = _substitute(s.entries, rules, y_id, shift)
+        variables = tuple(v for v in s.variables if v.id not in rules) + tuple(new_vars)
+        children.append(
+            (
+                weight,
+                ExpRapState(
+                    s.k, new_entries, _gc(new_entries, variables), s.accumulated + extracted
+                ),
+            )
+        )
+    assert sum(w for w, _ in children) == 1 and all(w > 0 for w, _ in children)
+    return extracted, children
 
 
 def all_patterns(m: int, n: int):

@@ -187,8 +187,8 @@ def test_criterion_07_entry_usage_matches_value_drop(report):
         if not candidates:
             continue
         pos = rng.choice(candidates)
-        rep = estimate_entry_usage(p, pos, samples=20_000, seed=9000 + trials)
         expected = cover_formula_value(p) - cover_formula_value(insert_zero(p, pos))
+        rep = estimate_entry_usage(p, pos, samples=20_000, seed=9000 + trials, target=expected)
         all_ok = all_ok and rep.target == expected and rep.within_3_sigma()
         trials += 1
     report(7, all_ok,
@@ -203,7 +203,7 @@ def test_criterion_08_min_entry_usage_probability(report):
     for idx, (k, m, n) in enumerate(cases):
         exact = min_entry_usage_probability(k, m, n)
         ok = ok and exact == 1 - Fraction(k * (k - 1), 2 * m * n)
-        rep = estimate_min_entry_usage(k, m, n, samples=100_000, seed=20260 + idx)
+        rep = estimate_min_entry_usage(k, m, n, samples=100_000, seed=20260 + idx, target=exact)
         ok = ok and rep.target == exact and rep.within_3_sigma()
         details.append(f"({k},{m},{n}): {rep.mean:.4f} vs {exact}")
     square_ok = all(

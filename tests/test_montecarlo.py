@@ -114,23 +114,29 @@ class TestUsageEstimators:
             estimate_row_usage(instance(2, 2, 1), 5, samples=10, seed=1)
 
     def test_entry_usage_certain_for_one_by_one(self):
-        report = estimate_entry_usage(instance(1, 1, 1), (0, 0), samples=50, seed=2)
+        p = instance(1, 1, 1)
+        target = cover_formula_value(p) - cover_formula_value(insert_zero(p, (0, 0)))
+        report = estimate_entry_usage(p, (0, 0), samples=50, seed=2, target=target)
         assert report.mean == 1
         assert report.target == 1
 
     def test_entry_usage_target_is_value_drop(self):
         p = instance(2, 2, 2)
-        report = estimate_entry_usage(p, (0, 0), samples=20_000, seed=8)
         expected = cover_formula_value(p) - cover_formula_value(insert_zero(p, (0, 0)))
+        report = estimate_entry_usage(p, (0, 0), samples=20_000, seed=8, target=expected)
         assert report.target == expected == Fraction(1, 2)
         assert report.within_3_sigma()
 
     def test_min_entry_usage_certain_when_k_is_one(self):
-        report = estimate_min_entry_usage(1, 3, 3, samples=100, seed=4)
+        report = estimate_min_entry_usage(
+            1, 3, 3, samples=100, seed=4, target=min_entry_usage_probability(1, 3, 3)
+        )
         assert report.mean == 1 and report.target == 1
 
     def test_min_entry_usage_square_case(self):
-        report = estimate_min_entry_usage(3, 3, 3, samples=20_000, seed=14)
+        report = estimate_min_entry_usage(
+            3, 3, 3, samples=20_000, seed=14, target=min_entry_usage_probability(3, 3, 3)
+        )
         assert report.target == min_entry_usage_probability(3, 3, 3) == Fraction(2, 3)
         assert report.within_3_sigma()
 

@@ -4,11 +4,14 @@ import ast
 import io
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import conftest
+import rapkit.montecarlo
 import rapkit.oracle
 from rapkit.formulas import cover_formula_value
 from rapkit.model import BudgetExceededError, instance
@@ -28,7 +31,13 @@ from rapkit.oracle import (
     reduce_state,
 )
 
-from conftest import random_instance
+from conftest import (
+    all_patterns,
+    pattern_classes,
+    random_instance,
+    reference_condition_minimum,
+    reference_reduce_state,
+)
 
 
 def entry(mapping) -> LinearEntry:
@@ -66,6 +75,8 @@ class TestGoldenValues:
             (instance(5, 5, 4, [(0, 0), (1, 1)]), Fraction(37, 100), 17),
             # row 0 is forced at the slack size k-1 = 2 > nu = 1
             (instance(3, 4, 3, [(0, 0), (0, 1), (0, 2)]), Fraction(13, 24), 3),
+            (instance(5, 5, 4), Fraction(281, 400), 34),
+            (instance(5, 6, 4, [(0, 0)]), Fraction(1499, 3600), 33),
         ],
     )
     def test_pinned_value_and_node_count(self, p, value, nodes):
@@ -118,6 +129,40 @@ class TestReduce:
         s = make_initial_state(instance(4, 4, 3, [(0, 0), (1, 0), (2, 0), (0, 1)]))
         once = reduce_state(s)
         assert reduce_state(once) == once
+
+    def test_matches_one_line_per_pass_reference(self):
+        """Every pattern up to 4x4 but 4x4 itself, then one 4x4 pattern per class, at every k."""
+        cases = [
+            (m, n, zp.zeros)
+            for m in range(1, 5)
+            for n in range(1, 5)
+            if (m, n) != (4, 4)
+            for zp in all_patterns(m, n)
+        ] + [(4, 4, zeros) for zeros in pattern_classes(4, 4)]
+        for m, n, zeros in cases:
+            for k in range(1, min(m, n) + 1):
+                s = make_initial_state(instance(m, n, k, zeros))
+                got, ref = reduce_state(s), reference_reduce_state(s)
+                assert (got.k, got.entries, got.variables) == (ref.k, ref.entries, ref.variables)
+
+    def test_lines_forced_together_go_in_one_pass(self, monkeypatch):
+        # rows 0 and 1 are the only 2-cover; one at a time takes one more pass
+        s = make_initial_state(instance(3, 3, 3, [(r, c) for r in range(2) for c in range(3)]))
+        calls = []
+        forced = rapkit.oracle.forced_cover_lines
+
+        def counted(zp, size):
+            calls.append(size)
+            return forced(zp, size)
+
+        monkeypatch.setattr(rapkit.oracle, "forced_cover_lines", counted)
+        monkeypatch.setattr(conftest, "forced_cover_lines", counted)
+        reduced = reduce_state(s)
+        assert calls == [2, 0]
+        calls.clear()
+        assert reference_reduce_state(s) == reduced
+        assert calls == [2, 1, 0]
+        assert (reduced.k, reduced.m, reduced.n) == (1, 1, 3)
 
 
 class TestClassify:
@@ -243,6 +288,69 @@ class TestConditionMinimum:
                 assert induction_measure(child) < before
 
 
+def _reached_minimum_states(instances):
+    """The reduced, non-terminal states where minimum conditioning applies,
+    with their classifications, that an oracle run on each of `instances`
+    expands: one state per canonical key and instance, as its cache would."""
+    for p in instances:
+        seen = set()
+        stack = [make_initial_state(p)]
+        while stack:
+            s = reduce_state(stack.pop())
+            if is_terminal(s):
+                continue
+            key = canonical_key(s)
+            if key in seen:
+                continue
+            seen.add(key)
+            cls = classify_entries(s)
+            if cls.non_covered_nonstandard and cls.minimal is None:
+                branches = condition_pair(s, *cls.first_incomparable_pair)
+            else:
+                yield s, cls
+                branches = condition_minimum(s, cls)[1]
+            stack.extend(child for _, child in branches)
+
+
+def _by_rank(s: ExpRapState):
+    """The state with each variable id replaced by its rank among the ids."""
+    rank = {v: i for i, v in enumerate(sorted(v.id for v in s.variables))}
+    entries = tuple(tuple(tuple((rank[v], c) for v, c in e.terms) for e in row) for row in s.entries)
+    return entries, tuple((rank[v.id], v.intensity) for v in s.variables)
+
+
+class TestConditionMinimumAgainstReference:
+    """One template per node gives the children the per-child substitution gave."""
+
+    def _check(self, instances) -> int:
+        checked = 0
+        for s, cls in _reached_minimum_states(instances):
+            extracted, children = condition_minimum(s, cls)
+            ref_extracted, ref_children = reference_condition_minimum(s, cls)
+            assert extracted == ref_extracted
+            assert [w for w, _ in children] == [w for w, _ in ref_children]
+            for (_, got), (_, ref) in zip(children, ref_children):
+                assert (got.k, got.accumulated) == (ref.k, ref.accumulated)
+                assert canonical_key(got) == canonical_key(ref)
+                assert induction_measure(got) == induction_measure(ref)
+                # new ids keep the old ids' order, so every id tie-break is unchanged
+                assert _by_rank(got) == _by_rank(ref)
+            checked += 1
+        return checked
+
+    def test_every_two_by_two_and_three_by_three_instance(self):
+        instances = [
+            instance(m, m, k, zp.zeros)
+            for m in (2, 3)
+            for zp in all_patterns(m, m)
+            for k in range(1, m + 1)
+        ]
+        assert self._check(instances) > 600
+
+    def test_every_four_by_four_class_at_k_four(self):
+        assert self._check(instance(4, 4, 4, zeros) for zeros in pattern_classes(4, 4)) > 600
+
+
 class TestBudgetAndTrace:
     def test_budget_exhaustion_reports_nodes(self):
         with pytest.raises(BudgetExceededError) as exc:
@@ -301,22 +409,34 @@ class TestCanonicalKey:
         assert canonical_key(s) == canonical_key(shifted)
 
 
+def _imports(module) -> list[str]:
+    """Every module a source file imports, and every `module:name` it imports from one."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module_name = "." * node.level + (node.module or "")
+            imported += [module_name] + [f"{module_name}:{alias.name}" for alias in node.names]
+    assert imported  # the walk saw the module's imports
+    return imported
+
+
 class TestRouteIndependence:
     def test_oracle_never_imports_the_cover_formula(self):
         """The formula-vs-oracle checks mean something only while the oracle
         computes its value without the cover-counting route."""
-        tree = ast.parse(Path(rapkit.oracle.__file__).read_text(encoding="utf-8"))
-        imported = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                imported += [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                module = "." * node.level + (node.module or "")
-                imported += [module] + [f"{module}:{alias.name}" for alias in node.names]
-        assert imported  # the walk saw the module's imports
-        for name in imported:
+        for name in _imports(rapkit.oracle):
             assert "formulas" not in name, name
             assert not name.endswith((":cover_profile", ":row_excluded_profile")), name
+
+    def test_montecarlo_imports_neither_exact_route(self):
+        """Monte Carlo checks a route only while it reuses none of either
+        route's combinatorics; its exact targets come from the caller."""
+        for name in _imports(rapkit.montecarlo):
+            # ".formulas:cover_formula_value", "rapkit.covers", ".:oracle" ...
+            assert not {"formulas", "covers", "oracle"} & set(re.split(r"[.:]", name)), name
 
     def test_oracle_uses_only_public_rapkit_names(self):
         """The oracle reaches covers only through public names, the ones the
