@@ -10,9 +10,11 @@ underlying combinatorics (exact solvers, zero covers, cover profiles).
 """
 
 from .covers import (
+    CoverLattice,
     CoverProfile,
     LineCover,
     column_maximal_cover,
+    cover_lattice,
     cover_profile,
     forced_cover_lines,
     is_partial_cover,
@@ -73,6 +75,7 @@ __version__ = "1.0.0"
 __all__ = [
     "Assignment",
     "BudgetExceededError",
+    "CoverLattice",
     "CoverProfile",
     "DEFAULT_NODE_BUDGET",
     "EstimateReport",
@@ -87,6 +90,7 @@ __all__ = [
     "brute_force_k_assignment",
     "column_maximal_cover",
     "cover_formula_value",
+    "cover_lattice",
     "cover_profile",
     "cs_value",
     "delete_column",

@@ -182,6 +182,32 @@ def _extreme_covers(
     return row_max, col_max
 
 
+@dataclass(frozen=True)
+class CoverLattice:
+    """Both ends of the lattice of minimum covers of a zero pattern.
+
+    ``size`` is their common size, the maximum number of independent
+    zeros (König).
+    """
+
+    row_max: LineCover
+    col_max: LineCover
+    size: int
+
+    @property
+    def common_lines(self) -> tuple[frozenset[int], frozenset[int]]:
+        """Rows and columns in every minimum cover: the rows of the
+        column-maximal cover and the columns of the row-maximal one."""
+        return self.col_max.rows, self.row_max.cols
+
+
+def cover_lattice(z: ZeroPattern) -> CoverLattice:
+    """The row- and column-maximal minimum covers and their size, from one
+    maximum matching and two alternating searches."""
+    match_col = _max_matching(z.zeros)
+    return CoverLattice(*_extreme_covers(z.zeros, match_col), len(match_col))
+
+
 def row_maximal_cover(z: ZeroPattern) -> LineCover:
     """The optimal cover whose row set contains every row of every optimal cover.
 
@@ -190,12 +216,12 @@ def row_maximal_cover(z: ZeroPattern) -> LineCover:
     matching and an alternating search from the unmatched rows: the
     matched rows that search does not reach, plus the columns it does.
     """
-    return _extreme_covers(z.zeros, _max_matching(z.zeros))[0]
+    return cover_lattice(z).row_max
 
 
 def column_maximal_cover(z: ZeroPattern) -> LineCover:
     """Dual of :func:`row_maximal_cover`: the search starts from the unmatched columns."""
-    return _extreme_covers(z.zeros, _max_matching(z.zeros))[1]
+    return cover_lattice(z).col_max
 
 
 def min_cover(z: ZeroPattern) -> LineCover:
@@ -426,13 +452,12 @@ def forced_cover_lines(z: ZeroPattern, size: int) -> tuple[frozenset[int], froze
     the rows of the column-maximal cover and the columns of the row-maximal
     one.  A larger size forces a subset of them, each tested on its own.
     """
-    zeros = z.zeros
-    match_col = _max_matching(zeros)
-    if len(match_col) > size:
+    lattice = cover_lattice(z)
+    if lattice.size > size:
         raise ValueError(f"no {size}-cover exists")
-    row_max, col_max = _extreme_covers(zeros, match_col)
-    if len(match_col) == size:
-        return col_max.rows, row_max.cols
-    rows = frozenset(r for r in col_max.rows if _min_cover_avoiding(zeros, r, None) > size)
-    cols = frozenset(c for c in row_max.cols if _min_cover_avoiding(zeros, None, c) > size)
+    common_rows, common_cols = lattice.common_lines
+    if lattice.size == size:
+        return common_rows, common_cols
+    rows = frozenset(r for r in common_rows if _min_cover_avoiding(z.zeros, r, None) > size)
+    cols = frozenset(c for c in common_cols if _min_cover_avoiding(z.zeros, None, c) > size)
     return rows, cols

@@ -19,11 +19,19 @@ coefficients.  Three exact rewrites drive the evaluation:
   subtracted from every non-covered entry and added to every doubly
   covered one, extracting expected cost (k - |cover|) * E[Y].
 
-Every branch weight and every coefficient is an exact Fraction, so the
-final value is an exact rational.  A lexicographic 5-part measure
-(zeros, cover rows, potentially minimal count, disagreement variables,
-variable count of the minimal entry) strictly decreases at every
-branching step, which is asserted at runtime.
+Arithmetic is exact.  Coefficients and intensities are stored as ints
+when integral and as Fractions otherwise; on every standard instance
+tried (all 2x2 and 3x3 patterns, every 4x4 class, sampled 5x5 patterns)
+they are all ints, so the canonical key sorts and compares ints.  Every
+division goes through Fraction, so branch weights, extracted costs and
+the final value are exact Fractions.  Each state finds both ends of its
+minimum-cover lattice once, from one maximum matching; the terminal
+test, the reduction and the classification all read that one result.
+
+A lexicographic 5-part measure (zeros, cover rows, potentially minimal
+count, disagreement variables, variable count of the minimal entry)
+strictly decreases at every branching step, which is asserted at
+runtime.
 
 The evaluator never touches the cover-coefficient formula; it shares
 only the Koenig machinery with the rest of the package, which is what
@@ -38,11 +46,20 @@ from fractions import Fraction
 from functools import cached_property
 from typing import IO, Iterable, Mapping
 
-from .covers import LineCover, forced_cover_lines, max_independent_zeros, row_maximal_cover
+from .covers import CoverLattice, LineCover, cover_lattice, forced_cover_lines
 from .model import BudgetExceededError, Position, RapInstance, ZeroPattern
 
 DEFAULT_NODE_BUDGET = 10**6
-_ZERO = Fraction(0)
+
+Rational = int | Fraction  # an int when integral (see _exact)
+
+
+def _exact(x) -> Rational:
+    """``x`` as an exact rational: an int when it is integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
@@ -50,10 +67,10 @@ class ExpVariable:
     """An exponential variable: opaque integer id and positive intensity."""
 
     id: int
-    intensity: Fraction
+    intensity: Rational
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "intensity", Fraction(self.intensity))
+        object.__setattr__(self, "intensity", _exact(self.intensity))
         if self.intensity <= 0:
             raise ValueError(f"intensity must be positive, got {self.intensity}")
 
@@ -62,17 +79,16 @@ class ExpVariable:
 class LinearEntry:
     """A nonnegative rational linear combination of exponential variables.
 
-    Stored sparsely as (variable id, coefficient) pairs sorted by id;
-    zero coefficients are never stored, and the empty combination is the
-    constant 0 (a matrix zero).
+    Stored sparsely as (variable id, coefficient) pairs sorted by id, each
+    coefficient an int when integral (see _exact); zero coefficients are
+    never stored, and the empty combination is the constant 0 (a matrix
+    zero).
     """
 
-    terms: tuple[tuple[int, Fraction], ...] = ()
+    terms: tuple[tuple[int, Rational], ...] = ()
 
     def __post_init__(self) -> None:
-        normalized = tuple(
-            sorted((v, c if isinstance(c, Fraction) else Fraction(c)) for v, c in self.terms)
-        )
+        normalized = tuple(sorted((v, _exact(c)) for v, c in self.terms))
         object.__setattr__(self, "terms", normalized)
         for _, c in normalized:
             if c <= 0:
@@ -81,18 +97,18 @@ class LinearEntry:
             raise ValueError("duplicate variable in entry")
 
     @classmethod
-    def of(cls, mapping: Mapping[int, Fraction]) -> "LinearEntry":
+    def of(cls, mapping: Mapping[int, Rational]) -> "LinearEntry":
         return cls(tuple((v, c) for v, c in mapping.items() if c))
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, vid: int) -> Fraction:
+    def coeff(self, vid: int) -> Rational:
         for v, c in self.terms:
             if v == vid:
                 return c
-        return _ZERO
+        return 0
 
     def variables(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.terms)
@@ -100,7 +116,7 @@ class LinearEntry:
     def le(self, other: "LinearEntry") -> bool:
         """Componentwise comparison: every coefficient at most the other's."""
         theirs = dict(other.terms)
-        return all(c <= theirs.get(v, _ZERO) for v, c in self.terms)
+        return all(c <= theirs.get(v, 0) for v, c in self.terms)
 
     def incomparable(self, other: "LinearEntry") -> bool:
         return not self.le(other) and not other.le(self)
@@ -129,7 +145,7 @@ class ExpRapState:
             raise ValueError("duplicate variable id in table")
         for row in self.entries:
             for entry in row:
-                for v in entry.variables():
+                for v, _ in entry.terms:
                     if v not in ids:
                         raise ValueError(f"entry references unknown variable {v}")
 
@@ -143,7 +159,7 @@ class ExpRapState:
 
     # per-state data computed on first use; the state is immutable, so it never goes stale
     @cached_property
-    def _intensities(self) -> dict[int, Fraction]:
+    def _intensities(self) -> dict[int, Rational]:
         return {v.id: v.intensity for v in self.variables}
 
     @cached_property
@@ -156,7 +172,11 @@ class ExpRapState:
         )
         return ZeroPattern(self.m, self.n, zeros)
 
-    def intensity(self, vid: int) -> Fraction:
+    @cached_property
+    def _covers(self) -> CoverLattice:
+        return cover_lattice(self._zeros)
+
+    def intensity(self, vid: int) -> Rational:
         return self._intensities[vid]
 
     def zero_pattern(self) -> ZeroPattern:
@@ -187,15 +207,15 @@ def make_initial_state(p: RapInstance) -> ExpRapState:
             if (r, c) in zeros:
                 row.append(LinearEntry())
             else:
-                variables.append(ExpVariable(vid, Fraction(1)))
-                row.append(LinearEntry(((vid, Fraction(1)),)))
+                variables.append(ExpVariable(vid, 1))
+                row.append(LinearEntry(((vid, 1),)))
                 vid += 1
         rows.append(tuple(row))
     return ExpRapState(p.k, tuple(rows), tuple(variables))
 
 
 def _collect(entries: Iterable[Iterable[LinearEntry]]) -> set[int]:
-    return {v for row in entries for e in row for v in e.variables()}
+    return {v for row in entries for e in row for v, _ in e.terms}
 
 
 def _gc(
@@ -207,7 +227,7 @@ def _gc(
 
 def is_terminal(s: ExpRapState) -> bool:
     """True when k independent zeros exist; the branch value is `accumulated`."""
-    return max_independent_zeros(s.zero_pattern()) >= s.k
+    return s._covers.size >= s.k
 
 
 def reduce_state(s: ExpRapState) -> ExpRapState:
@@ -221,10 +241,14 @@ def reduce_state(s: ExpRapState) -> ExpRapState:
     realization unchanged, so the expected value is preserved exactly.
     """
     while True:
-        try:
-            rows, cols = forced_cover_lines(s.zero_pattern(), s.k - 1)
-        except ValueError:  # no (k-1)-cover: k independent zeros exist
+        lattice = s._covers
+        if lattice.size >= s.k:
             return s
+        # when k-1 is the minimum cover size, the forced lines are the lines
+        # common to all minimum covers; above it they are some of those lines
+        rows, cols = lattice.common_lines
+        if (rows or cols) and lattice.size < s.k - 1:
+            rows, cols = forced_cover_lines(s.zero_pattern(), s.k - 1)
         if not rows and not cols:
             return s
         entries = tuple(
@@ -241,7 +265,7 @@ def classify_entries(s: ExpRapState) -> EntryClassification:
     occurrences: dict[int, int] = {}
     for row in s.entries:
         for e in row:
-            for v in e.variables():
+            for v, _ in e.terms:
                 occurrences[v] = occurrences.get(v, 0) + 1
 
     def label(e: LinearEntry) -> str:
@@ -257,7 +281,7 @@ def classify_entries(s: ExpRapState) -> EntryClassification:
         return "nonstandard"
 
     labels = tuple(tuple(label(e) for e in row) for row in s.entries)
-    cover = row_maximal_cover(s.zero_pattern())
+    cover = s._covers.row_max
     ncn = tuple(
         (r, c)
         for r in range(s.m)
@@ -326,7 +350,7 @@ def _fresh_ids(s: ExpRapState, count: int) -> list[int]:
 
 def _substitute(
     entries: tuple[tuple[LinearEntry, ...], ...],
-    rules: Mapping[int, tuple[tuple[int, Fraction], ...]],
+    rules: Mapping[int, tuple[tuple[int, Rational], ...]],
     y_id: int | None = None,
     shift: Mapping[Position, int] | None = None,
 ) -> tuple[tuple[LinearEntry, ...], ...]:
@@ -337,15 +361,15 @@ def _substitute(
     def rewrite(e: LinearEntry, delta: int) -> LinearEntry:
         if not delta and not any(v in rules for v, _ in e.terms):
             return e
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, Rational] = {}
         for v, c in e.terms:
             if v in rules:
                 for w, d in rules[v]:
-                    acc[w] = acc.get(w, _ZERO) + c * d
+                    acc[w] = acc.get(w, 0) + c * d
             else:
-                acc[v] = acc.get(v, _ZERO) + c
+                acc[v] = acc.get(v, 0) + c
         if delta:
-            acc[y_id] = acc.get(y_id, _ZERO) + delta
+            acc[y_id] = acc.get(y_id, 0) + delta
             assert acc[y_id] >= 0, "every non-covered entry must contain the minimum"
         return LinearEntry.of(acc)
 
@@ -374,8 +398,8 @@ def condition_pair(
     j = min(v for v in set(e1.variables()) | set(e2.variables()) if e2.coeff(v) > e1.coeff(v))
     a = e1.coeff(i) - e2.coeff(i)  # scale of Xi's excess in e1
     b = e2.coeff(j) - e1.coeff(j)  # scale of Xj's excess in e2
-    ia = s.intensity(i) / a  # intensity of a*Xi
-    ib = s.intensity(j) / b  # intensity of b*Xj
+    ia = Fraction(s.intensity(i)) / a  # intensity of a*Xi
+    ib = Fraction(s.intensity(j)) / b  # intensity of b*Xj
     total = ia + ib
     y_id, z_id = _fresh_ids(s, 2)
 
@@ -383,18 +407,11 @@ def condition_pair(
         # minimum Y of the two scaled variables, residual Z on the loser
         weight = (ia if first_is_i else ib) / total
         z_intensity = ib if first_is_i else ia
-        y = ((y_id, Fraction(1)),)
-        y_plus_z = ((y_id, Fraction(1)), (z_id, Fraction(1)))
+        inv_a, inv_b = Fraction(1) / a, Fraction(1) / b
         if first_is_i:
-            rules = {
-                i: tuple((w, c / a) for w, c in y),
-                j: tuple((w, c / b) for w, c in y_plus_z),
-            }
+            rules = {i: ((y_id, inv_a),), j: ((y_id, inv_b), (z_id, inv_b))}
         else:
-            rules = {
-                j: tuple((w, c / b) for w, c in y),
-                i: tuple((w, c / a) for w, c in y_plus_z),
-            }
+            rules = {j: ((y_id, inv_b),), i: ((y_id, inv_a), (z_id, inv_a))}
         entries = _substitute(s.entries, rules)
         variables = tuple(v for v in s.variables if v.id not in (i, j)) + (
             ExpVariable(y_id, total),
@@ -430,7 +447,7 @@ def condition_minimum(
     if cls.non_covered_nonstandard and cls.minimal is None:
         raise ValueError("no minimal non-covered nonstandard entry; pair-condition instead")
 
-    term: tuple[int, Fraction] | None = None
+    term: tuple[int, Rational] | None = None
     if cls.minimal is not None:
         e = s.entries[cls.minimal[0]][cls.minimal[1]]
         term = min(e.terms)  # lexicographically smallest variable id
@@ -445,11 +462,11 @@ def condition_minimum(
     assert term is not None or std_vars, "reduced state must have a non-covered candidate"
 
     # each member of S as (variable, 1/coefficient): term a*Xi, then the standard entries
-    members = [(term[0], 1 / term[1])] if term is not None else []
-    members.extend((v, Fraction(1)) for v in std_vars)
+    members = [(term[0], _exact(Fraction(1) / term[1]))] if term is not None else []
+    members.extend((v, 1) for v in std_vars)
     member_intensities = [s.intensity(v) * scale for v, scale in members]
-    total = sum(member_intensities, Fraction(0))
-    extracted = Fraction(s.k - size, 1) / total
+    total = sum(member_intensities)
+    extracted = Fraction(s.k - size) / total
 
     # the minimum Y leaves every non-covered entry and joins every doubly covered one
     shift = {
@@ -486,9 +503,8 @@ def condition_minimum(
             rows[r][c] = LinearEntry(tuple(t for t in rows[r][c].terms if t[0] != z_id))
         entries = tuple(tuple(row) for row in rows)
         variables = tuple(v for v in template_vars if v.id != z_id)
-        children.append(
-            (intensity / total, ExpRapState(s.k, entries, variables, s.accumulated + extracted))
-        )
+        weight = Fraction(intensity) / total
+        children.append((weight, ExpRapState(s.k, entries, variables, s.accumulated + extracted)))
     assert sum(w for w, _ in children) == 1 and all(w > 0 for w, _ in children)
     return extracted, children
 

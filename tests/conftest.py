@@ -205,7 +205,7 @@ def reference_condition_minimum(
     member_intensities: list[Fraction] = []
     if term is not None:
         vid, coeff = term
-        member_intensities.append(s.intensity(vid) / coeff)
+        member_intensities.append(Fraction(s.intensity(vid)) / coeff)
     member_intensities.extend(Fraction(1) for _ in std_vars)
     total = sum(member_intensities, Fraction(0))
     extracted = Fraction(s.k - size, 1) / total
@@ -234,14 +234,14 @@ def reference_condition_minimum(
             if jdx == idx:
                 if okind == "term":
                     a = term[1]
-                    rules[ovid] = ((y_id, 1 / a),)
+                    rules[ovid] = ((y_id, Fraction(1) / a),)
                 else:
                     rules[ovid] = ((y_id, Fraction(1)),)
             else:
                 z_id = fresh[1 + jdx - (1 if jdx > idx else 0)]
                 if okind == "term":
                     a = term[1]
-                    rules[ovid] = ((y_id, 1 / a), (z_id, 1 / a))
+                    rules[ovid] = ((y_id, Fraction(1) / a), (z_id, Fraction(1) / a))
                     new_vars.append(ExpVariable(z_id, member_intensities[jdx]))
                 else:
                     rules[ovid] = ((y_id, Fraction(1)), (z_id, Fraction(1)))

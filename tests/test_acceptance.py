@@ -126,6 +126,19 @@ def test_criterion_03_oracle_equals_cover_formula_exhaustively(report):
             f"{mismatches} mismatches ({elapsed:.2f}s)")
 
 
+def test_oracle_equals_cover_formula_on_sampled_five_by_five_patterns():
+    """Beside criterion 3: a seeded sample of 5x5 zero patterns at k=2..4,
+    one oracle cache shared across the sample."""
+    rng = random.Random(53)
+    cache: dict = {}
+    for _ in range(100):
+        density = rng.uniform(0.05, 0.4)
+        zeros = [(r, c) for r in range(5) for c in range(5) if rng.random() < density]
+        for k in (2, 3, 4):
+            p = instance(5, 5, k, zeros)
+            assert oracle_expected_value(p, cache=cache) == cover_formula_value(p), p
+
+
 def test_criterion_04_closed_form_spot_check(report):
     p = instance(2, 2, 2, [(0, 0)])
     formula = cover_formula_value(p)

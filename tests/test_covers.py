@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from rapkit import covers
 from rapkit.covers import (
     column_maximal_cover,
+    cover_lattice,
     cover_profile,
     forced_cover_lines,
     is_partial_cover,
@@ -337,6 +338,11 @@ def _agrees_with_per_line_reference(z: ZeroPattern) -> bool:
     assert min_cover(z) == reference_row_maximal_cover(z)
     assert column_maximal_cover(z) == reference_column_maximal_cover(z)
     nu = max_independent_zeros(z)
+    lattice = cover_lattice(z)
+    assert lattice.row_max == reference_row_maximal_cover(z)
+    assert lattice.col_max == reference_column_maximal_cover(z)
+    assert lattice.size == nu
+    assert lattice.common_lines == reference_forced_cover_lines(z, nu)
     for size in range(nu, nu + 3):
         assert forced_cover_lines(z, size) == reference_forced_cover_lines(z, size), size
     return forced_cover_lines(z, nu + 1) != (frozenset(), frozenset())
@@ -390,6 +396,22 @@ class TestOneMatchingPerPattern:
         matchings.clear()
         assert forced_cover_lines(self.Z, 3) == (frozenset(), frozenset({1, 2}))
         assert len(matchings) == 1
+
+
+class TestCoverLattice:
+    def test_one_matching_gives_both_ends_and_their_size(self, monkeypatch):
+        calls = []
+        real = covers._max_matching
+
+        def counted(zeros):
+            calls.append(zeros)
+            return real(zeros)
+
+        monkeypatch.setattr(covers, "_max_matching", counted)
+        lattice = cover_lattice(TestOneMatchingPerPattern.Z)
+        assert len(calls) == 1
+        assert lattice.size == len(lattice.row_max) == len(lattice.col_max) == 3
+        assert lattice.common_lines == (frozenset(), frozenset({1, 2}))
 
 
 def _dbar(p, r, i, j):

@@ -10,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
-import conftest
+import rapkit.cli
+import rapkit.covers
 import rapkit.montecarlo
 import rapkit.oracle
+from rapkit.covers import LineCover
 from rapkit.formulas import cover_formula_value
 from rapkit.model import BudgetExceededError, instance
 from rapkit.oracle import (
@@ -109,6 +111,21 @@ class TestLinearEntry:
         assert entry({1: 0}).is_zero  # zero coefficients dropped by .of
 
 
+@pytest.fixture
+def matchings(monkeypatch):
+    """The zero sets of every maximum matching computed while the test runs."""
+    calls = []
+    real = rapkit.covers._max_matching
+
+    def counted(zeros):
+        zeros = tuple(zeros)
+        calls.append(zeros)
+        return real(zeros)
+
+    monkeypatch.setattr(rapkit.covers, "_max_matching", counted)
+    return calls
+
+
 class TestReduce:
     def test_column_with_k_zeros_deleted(self):
         s = make_initial_state(instance(3, 3, 2, [(0, 0), (1, 0)]))
@@ -145,23 +162,15 @@ class TestReduce:
                 got, ref = reduce_state(s), reference_reduce_state(s)
                 assert (got.k, got.entries, got.variables) == (ref.k, ref.entries, ref.variables)
 
-    def test_lines_forced_together_go_in_one_pass(self, monkeypatch):
-        # rows 0 and 1 are the only 2-cover; one at a time takes one more pass
+    def test_lines_forced_together_go_in_one_pass(self, matchings):
+        # rows 0 and 1 are the only 2-cover; one at a time takes one more pass.
+        # Each pass matches the zeros of the state it starts from once.
         s = make_initial_state(instance(3, 3, 3, [(r, c) for r in range(2) for c in range(3)]))
-        calls = []
-        forced = rapkit.oracle.forced_cover_lines
-
-        def counted(zp, size):
-            calls.append(size)
-            return forced(zp, size)
-
-        monkeypatch.setattr(rapkit.oracle, "forced_cover_lines", counted)
-        monkeypatch.setattr(conftest, "forced_cover_lines", counted)
         reduced = reduce_state(s)
-        assert calls == [2, 0]
-        calls.clear()
+        assert [len(zeros) for zeros in matchings] == [6, 0]
+        matchings.clear()
         assert reference_reduce_state(s) == reduced
-        assert calls == [2, 1, 0]
+        assert [len(zeros) for zeros in matchings] == [6, 3, 0]
         assert (reduced.k, reduced.m, reduced.n) == (1, 1, 3)
 
 
@@ -349,6 +358,76 @@ class TestConditionMinimumAgainstReference:
 
     def test_every_four_by_four_class_at_k_four(self):
         assert self._check(instance(4, 4, 4, zeros) for zeros in pattern_classes(4, 4)) > 600
+
+
+class TestOneLatticePerState:
+    def test_one_matching_serves_every_stage(self, matchings):
+        """The terminal test, reduction, classification and the measure all
+        read the state's one cover lattice."""
+        s = make_initial_state(instance(3, 3, 2, [(0, 0)]))
+        assert not is_terminal(s)
+        assert reduce_state(s) is s
+        cls = classify_entries(s)
+        induction_measure(s)
+        assert cls.cover == LineCover(frozenset({0}), frozenset())
+        assert len(matchings) == 1
+
+
+def _rationals(state: ExpRapState):
+    """Every coefficient and intensity of the state."""
+    coefficients = [c for row in state.entries for e in row for _, c in e.terms]
+    return coefficients + [v.intensity for v in state.variables]
+
+
+class TestExactArithmetic:
+    def test_integral_values_stored_as_ints(self):
+        assert type(LinearEntry(((0, Fraction(2)),)).terms[0][1]) is int
+        assert type(ExpVariable(0, Fraction(2)).intensity) is int
+        assert type(LinearEntry(((0, Fraction(1, 2)),)).terms[0][1]) is Fraction
+        assert type(ExpVariable(0, Fraction(1, 2)).intensity) is Fraction
+
+    def test_integral_division_stays_exact(self):
+        extracted, children = condition_minimum(make_initial_state(instance(2, 2, 2)))
+        assert type(extracted) is Fraction and extracted == Fraction(1, 2)
+        assert all(type(w) is Fraction for w, _ in children)
+        for _, child in children:
+            assert all(type(x) is int for x in _rationals(child))
+
+    def test_pair_with_fractional_coefficients_and_intensities(self):
+        rows = [[{0: Fraction(3, 2)}, {1: Fraction(1, 3)}], [{1: Fraction(1, 3)}, {0: Fraction(3, 2)}]]
+        s = state(2, rows, {0: Fraction(2, 3), 1: Fraction(5, 2)})
+        branches = condition_pair(s, (0, 0), (0, 1))
+        assert all(type(w) is Fraction for w, _ in branches)
+        # 3/2 X0 has intensity 4/9 and 1/3 X1 intensity 15/2
+        assert [w for w, _ in branches] == [Fraction(8, 143), Fraction(135, 143)]
+        assert sum(w for w, _ in branches) == 1
+        for _, child in branches:
+            assert all(type(x) in (int, Fraction) for x in _rationals(child))
+
+    def test_minimum_with_fractional_coefficients_and_intensities(self):
+        rows = [[{0: Fraction(3, 2)}, {1: 1}], [{2: 1}, {0: Fraction(3, 2), 3: Fraction(1, 3)}]]
+        s = state(2, rows, {0: Fraction(2, 3), 1: 1, 2: 1, 3: Fraction(5, 2)})
+        assert classify_entries(s).minimal == (0, 0)
+        extracted, children = condition_minimum(s)
+        # members 3/2 X0, X1, X2 with intensities 4/9, 1, 1; total 22/9
+        assert type(extracted) is Fraction and extracted == Fraction(9, 11)
+        assert all(type(w) is Fraction for w, _ in children)
+        assert [w for w, _ in children] == [Fraction(2, 11), Fraction(9, 22), Fraction(9, 22)]
+        assert sum(w for w, _ in children) == 1
+        for _, child in children:
+            assert all(type(x) in (int, Fraction) for x in _rationals(child))
+
+    def test_trace_strings_are_exact_rationals(self, capsys, tmp_path):
+        path, trace = tmp_path / "p.json", tmp_path / "trace.jsonl"
+        path.write_text(json.dumps({"m": 4, "n": 4, "k": 4, "zeros": [[0, 0], [1, 2]]}))
+        assert rapkit.cli.main(["oracle", str(path), "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        lines = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert lines
+        for line in lines:
+            for text in line["weights"] + [line["extracted"]]:
+                assert re.fullmatch(r"\d+(/\d+)?", text), text
+                assert Fraction(text) >= 0
 
 
 class TestBudgetAndTrace:
