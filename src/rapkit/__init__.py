@@ -17,7 +17,6 @@ from .covers import (
     cover_lattice,
     cover_profile,
     forced_cover_lines,
-    is_partial_cover,
     max_independent_zeros,
     min_cover,
     row_excluded_profile,
@@ -27,7 +26,6 @@ from .formulas import (
     FormulaReport,
     cover_formula_value,
     cs_value,
-    gcd_group_sum,
     min_entry_usage_probability,
     parisi_value,
     row_inclusion_probability,
@@ -41,8 +39,6 @@ from .model import (
     RapInstance,
     SampledMatrix,
     ZeroPattern,
-    delete_column,
-    delete_row,
     insert_zero,
     instance,
     load_instance,
@@ -50,7 +46,6 @@ from .model import (
     rational_from_json,
     rational_to_json,
     serialize_instance,
-    transpose_instance,
 )
 from .montecarlo import (
     EstimateReport,
@@ -64,10 +59,7 @@ from .oracle import DEFAULT_NODE_BUDGET, oracle_expected_value, oracle_node_coun
 from .solver import (
     SolveResult,
     brute_force_k_assignment,
-    enumerate_optimal_assignments,
     solve_k_assignment,
-    symmetric_difference_paths,
-    uses_row,
 )
 
 __version__ = "1.0.0"
@@ -93,18 +85,13 @@ __all__ = [
     "cover_lattice",
     "cover_profile",
     "cs_value",
-    "delete_column",
-    "delete_row",
-    "enumerate_optimal_assignments",
     "estimate_entry_usage",
     "estimate_min_entry_usage",
     "estimate_row_usage",
     "estimate_value",
     "forced_cover_lines",
-    "gcd_group_sum",
     "insert_zero",
     "instance",
-    "is_partial_cover",
     "load_instance",
     "max_independent_zeros",
     "min_cover",
@@ -121,8 +108,5 @@ __all__ = [
     "sample_matrix",
     "serialize_instance",
     "solve_k_assignment",
-    "symmetric_difference_paths",
-    "transpose_instance",
     "triangle_integral",
-    "uses_row",
 ]

@@ -76,9 +76,22 @@ class CommandResult:
 
 
 def load_schema(command: str) -> dict:
-    """The shipped JSON schema for one subcommand's envelope."""
-    ref = importlib.resources.files("rapkit.schemas").joinpath(f"{command}.json")
-    return json.loads(ref.read_text(encoding="utf-8"))
+    """The standalone JSON schema (Draft 2020-12) of one subcommand's envelope.
+
+    The shipped ``schemas/envelopes.json`` writes the envelope frame and
+    every shared shape once under ``$defs``, and each command's outputs
+    under ``commands``, keyed by the command name, which is also the
+    envelope's ``command``.  Raises KeyError for an unknown command.
+    """
+    ref = importlib.resources.files("rapkit.schemas").joinpath("envelopes.json")
+    doc = json.loads(ref.read_text(encoding="utf-8"))
+    return {
+        "$schema": doc["$schema"],
+        "$defs": doc["$defs"],
+        "title": f"rapkit {command} result envelope",
+        "$ref": "#/$defs/envelope",
+        "properties": {"command": {"const": command}, "outputs": doc["commands"][command]},
+    }
 
 
 class _Timer:

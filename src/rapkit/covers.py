@@ -246,27 +246,6 @@ up to 12x12 is refused.
 """
 
 
-def is_partial_cover(p: RapInstance, rows: Iterable[int], cols: Iterable[int]) -> bool:
-    """True iff (rows, cols) is a subset of some (k-1)-cover of the zeros.
-
-    Equivalent test (König): the zeros left uncovered by the given lines
-    admit a cover of size at most (k-1) - |rows| - |cols|, i.e. their
-    maximum matching does not exceed that bound.
-    """
-    rset, cset = frozenset(rows), frozenset(cols)
-    for r in rset:
-        if not 0 <= r < p.m:
-            raise IndexError(f"row index {r} out of range")
-    for c in cset:
-        if not 0 <= c < p.n:
-            raise IndexError(f"column index {c} out of range")
-    slack = (p.k - 1) - len(rset) - len(cset)
-    if slack < 0:
-        return False
-    residual = [z for z in p.zeros if z[0] not in rset and z[1] not in cset]
-    return len(_max_matching(residual)) <= slack
-
-
 def _components(zeros: tuple[Position, ...]) -> list[list[Position]]:
     """The zeros of each connected component of the bipartite zero graph."""
     group: dict[int, list[Position]] = {}  # row r or column ~c -> its component's zeros

@@ -80,26 +80,6 @@ def cs_value(k: int, m: int, n: int) -> Fraction:
     )
 
 
-def gcd_group_sum(k: int, d: int) -> Fraction:
-    """Partial sum of the k = m = n series over terms with gcd(k-i, k-j) = d.
-
-    Equals 1/d^2 for every divisor d, which is how the full sum telescopes
-    into the 1 + 1/4 + ... + 1/k^2 form.
-    """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if not isinstance(d, int) or isinstance(d, bool) or not 1 <= d <= k:
-        raise ValueError(f"d={d!r} out of range 1..{k}")
-    return _pairwise_sum(
-        [
-            Fraction(1, (k - i) * (k - j))
-            for i in range(k)
-            for j in range(k - i)
-            if math.gcd(k - i, k - j) == d
-        ]
-    )
-
-
 def cover_formula_value(p: RapInstance) -> Fraction:
     """E(P) = (1/mn) * sum of d_{i,j} / (C(m-1,i) * C(n-1,j))."""
     profile = cover_profile(p)

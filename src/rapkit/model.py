@@ -160,39 +160,6 @@ class SampledMatrix:
 # ---------------------------------------------------------------------------
 
 
-def transpose_instance(p: RapInstance) -> RapInstance:
-    """Swap rows and columns; every zero (r,c) becomes (c,r), k unchanged."""
-    return instance(p.n, p.m, p.k, [(c, r) for r, c in p.zeros])
-
-
-def delete_column(p: RapInstance, col: int) -> RapInstance:
-    """Remove column ``col``, reindex the later columns, decrement k and n.
-
-    Valid only when the shrunken instance is still a proper problem,
-    i.e. n >= 2 and k >= 2.
-    """
-    if not (0 <= col < p.n):
-        raise InvalidInstanceError(f"column index {col} out of range for n={p.n}")
-    if p.k < 2 or p.k > min(p.m, p.n - 1):
-        raise InvalidInstanceError(
-            f"cannot delete a column unless 2 <= k <= min(m, n-1); k={p.k}, m={p.m}, n={p.n}"
-        )
-    zeros = [(r, c if c < col else c - 1) for r, c in p.zeros if c != col]
-    return instance(p.m, p.n - 1, p.k - 1, zeros)
-
-
-def delete_row(p: RapInstance, row: int) -> RapInstance:
-    """Transpose-conjugate of :func:`delete_column`."""
-    if not (0 <= row < p.m):
-        raise InvalidInstanceError(f"row index {row} out of range for m={p.m}")
-    if p.k < 2 or p.k > min(p.m - 1, p.n):
-        raise InvalidInstanceError(
-            f"cannot delete a row unless 2 <= k <= min(m-1, n); k={p.k}, m={p.m}, n={p.n}"
-        )
-    zeros = [(r if r < row else r - 1, c) for r, c in p.zeros if r != row]
-    return instance(p.m - 1, p.n, p.k - 1, zeros)
-
-
 def insert_zero(p: RapInstance, pos: Position) -> RapInstance:
     """Enlarge the zero set by ``pos``; everything else unchanged."""
     r, c = pos

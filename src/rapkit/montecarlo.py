@@ -150,8 +150,13 @@ def _run(
 
     `statistic(a, cols, costs)` gives one value per sample of a chunk:
     `a` holds its (B, m, n) sampled matrices, `cols` and `costs` come
-    from `_solve_chunk`.
+    from `_solve_chunk`.  `samples` and `seed` are checked, and the CSV
+    header written, before anything is drawn.
     """
+    _check_samples(samples)
+    _check_seed(seed)
+    if csv_out is not None:
+        csv_out.write("sample,cost,statistic\n")
     zero_mask = _zero_mask(p, p.n + p.m - p.k)
     length = _chunk_length(p.m, p.n)
     chunks = -(-samples // length)
@@ -194,10 +199,6 @@ def estimate_value(
     target: Fraction | None = None,
 ) -> EstimateReport:
     """Sample mean of the optimal k-assignment cost."""
-    _check_samples(samples)
-    _check_seed(seed)
-    if csv_out is not None:
-        csv_out.write("sample,cost,statistic\n")
     mean, stderr = _run(p, samples, seed, lambda a, cols, costs: costs, threads, csv_out)
     return EstimateReport(mean, stderr, samples, seed, target)
 
@@ -212,21 +213,12 @@ def estimate_row_usage(
     target: Fraction | None = None,
 ) -> EstimateReport:
     """Frequency with which the optimal assignment uses zero-free row r."""
-    _check_samples(samples)
-    _check_seed(seed)
     if not 0 <= r < p.m:
         raise IndexError(f"row index {r} out of range for m={p.m}")
     if any(zr == r for zr, _ in p.zeros):
         raise ValueError(f"row {r} contains a zero; usage varies across optima")
-    if csv_out is not None:
-        csv_out.write("sample,cost,statistic\n")
     mean, stderr = _run(
-        p,
-        samples,
-        seed,
-        lambda a, cols, costs: cols[:, r] < p.n,
-        threads,
-        csv_out,
+        p, samples, seed, lambda a, cols, costs: cols[:, r] < p.n, threads, csv_out
     )
     return EstimateReport(mean, stderr, samples, seed, target)
 
@@ -245,22 +237,13 @@ def estimate_entry_usage(
     Its exact value is E(P) - E(P'), where P' has a zero at `pos`; the
     caller passes it as `target`.
     """
-    _check_samples(samples)
-    _check_seed(seed)
     r, c = pos
     if not (0 <= r < p.m and 0 <= c < p.n):
         raise IndexError(f"position {pos} out of range")
     if pos in p.zeros:
         raise ValueError(f"position {pos} is a zero; usage varies across optima")
-    if csv_out is not None:
-        csv_out.write("sample,cost,statistic\n")
     mean, stderr = _run(
-        p,
-        samples,
-        seed,
-        lambda a, cols, costs: cols[:, r] == c,
-        threads,
-        csv_out,
+        p, samples, seed, lambda a, cols, costs: cols[:, r] == c, threads, csv_out
     )
     return EstimateReport(mean, stderr, samples, seed, target)
 
@@ -276,15 +259,11 @@ def estimate_min_entry_usage(
     target: Fraction | None = None,
 ) -> EstimateReport:
     """Frequency with which the smallest entry of a zero-free instance is used."""
-    _check_samples(samples)
-    _check_seed(seed)
     p = instance(m, n, k)
 
     def used_min(a: np.ndarray, cols: np.ndarray, costs: np.ndarray) -> np.ndarray:
         r, c = np.divmod(a.reshape(len(a), -1).argmin(axis=1), n)
         return cols[np.arange(len(a)), r] == c
 
-    if csv_out is not None:
-        csv_out.write("sample,cost,statistic\n")
     mean, stderr = _run(p, samples, seed, used_min, threads, csv_out)
     return EstimateReport(mean, stderr, samples, seed, target)

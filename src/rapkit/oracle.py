@@ -27,6 +27,8 @@ division goes through Fraction, so branch weights, extracted costs and
 the final value are exact Fractions.  Each state finds both ends of its
 minimum-cover lattice once, from one maximum matching; the terminal
 test, the reduction and the classification all read that one result.
+Each state also classifies its entries once, on first use, and the
+termination measure and the conditioning rules read that classification.
 
 A lexicographic 5-part measure (zeros, cover rows, potentially minimal
 count, disagreement variables, variable count of the minimal entry)
@@ -176,6 +178,10 @@ class ExpRapState:
     def _covers(self) -> CoverLattice:
         return cover_lattice(self._zeros)
 
+    @cached_property
+    def _classification(self) -> EntryClassification:
+        return classify_entries(self)
+
     def intensity(self, vid: int) -> Rational:
         return self._intensities[vid]
 
@@ -316,15 +322,9 @@ def classify_entries(s: ExpRapState) -> EntryClassification:
     return EntryClassification(labels, cover, ncn, pm, minimal, pair)
 
 
-def induction_measure(
-    s: ExpRapState, cls: EntryClassification | None = None
-) -> tuple[int, int, int, int, int]:
-    """The 5-part lexicographic termination measure, smaller is simpler.
-
-    `cls` may pass in the state's classification when the caller has it.
-    """
-    if cls is None:
-        cls = classify_entries(s)
+def induction_measure(s: ExpRapState) -> tuple[int, int, int, int, int]:
+    """The 5-part lexicographic termination measure, smaller is simpler."""
+    cls = s._classification
     disagreements = 0
     if cls.first_incomparable_pair is not None:
         (r1, c1), (r2, c2) = cls.first_incomparable_pair
@@ -424,9 +424,7 @@ def condition_pair(
     return first, second
 
 
-def condition_minimum(
-    s: ExpRapState, cls: EntryClassification | None = None
-) -> tuple[Fraction, list[tuple[Fraction, ExpRapState]]]:
+def condition_minimum(s: ExpRapState) -> tuple[Fraction, list[tuple[Fraction, ExpRapState]]]:
     """Condition on the minimum of the candidate set S; extract expected cost.
 
     S holds one term a*Xi of the minimal non-covered nonstandard entry
@@ -436,11 +434,9 @@ def condition_minimum(
     extracted.  Each child conditions on a member being the minimum,
     replaces the conditioned variables through Y and fresh residuals,
     subtracts Y from all non-covered entries, and adds Y to all doubly
-    covered ones.  Weights sum to 1.  `cls` may pass in the state's
-    classification when the caller has it.
+    covered ones.  Weights sum to 1.
     """
-    if cls is None:
-        cls = classify_entries(s)
+    cls = s._classification
     cover = cls.cover
     size = len(cover)
     assert size < s.k, "caller must reduce the state first"
@@ -587,20 +583,10 @@ class _OracleRun:
 
 
 def _evaluate(
-    s: ExpRapState,
-    run: _OracleRun,
-    parent: int | None = None,
-    depth: int = 0,
-    cls: EntryClassification | None = None,
+    s: ExpRapState, run: _OracleRun, parent: int | None = None, depth: int = 0
 ) -> Fraction:
-    """Expected remaining cost of the state (ignores accumulated).
-
-    `cls` is the classification of `s` when the caller already has it;
-    it is reused only if reduction leaves the state unchanged.
-    """
-    reduced = reduce_state(s)
-    if reduced is not s:
-        s, cls = reduced, None
+    """Expected remaining cost of the state (ignores accumulated)."""
+    s = reduce_state(s)
     if is_terminal(s):
         return Fraction(0)
     key = canonical_key(s)
@@ -613,23 +599,21 @@ def _evaluate(
             f"oracle budget of {run.budget} recursion nodes exhausted", nodes=run.nodes
         )
     node = run.nodes
-    if cls is None:
-        cls = classify_entries(s)
-    parent_measure = induction_measure(s, cls)
+    cls = s._classification
+    parent_measure = induction_measure(s)
     if cls.non_covered_nonstandard and cls.minimal is None:
         assert cls.first_incomparable_pair is not None
         branches = list(condition_pair(s, *cls.first_incomparable_pair))
         extracted = Fraction(0)
         rule = "pair"
     else:
-        extracted, branches = condition_minimum(s, cls)
+        extracted, branches = condition_minimum(s)
         rule = "minimum"
     run.emit(key, parent, depth, rule, [w for w, _ in branches], extracted)
     value = extracted
     for weight, child in branches:
-        child_cls = classify_entries(child)
-        assert induction_measure(child, child_cls) < parent_measure, "termination measure must drop"
-        value += weight * _evaluate(child, run, node, depth + 1, child_cls)
+        assert induction_measure(child) < parent_measure, "termination measure must drop"
+        value += weight * _evaluate(child, run, node, depth + 1)
     run.cache[key] = value
     return value
 

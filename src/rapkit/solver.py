@@ -49,27 +49,6 @@ class SolveResult:
         return self.assignment.positions
 
 
-@dataclass(frozen=True)
-class AlternatingPath:
-    """Positions of mu (triangle) nu in traversal order.
-
-    Consecutive positions share a row or a column and belong to the two
-    assignments alternately; a cycle is reported as the traversal of all
-    its positions starting from the smallest one.
-    """
-
-    positions: tuple[Position, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "positions", tuple(self.positions))
-        for (r1, c1), (r2, c2) in zip(self.positions, self.positions[1:]):
-            if r1 != r2 and c1 != c2:
-                raise ValueError("consecutive path positions must share a line")
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-
 def _as_matrix(matrix: SampledMatrix | Sequence[Sequence[Number]]) -> list[list[Number]]:
     if isinstance(matrix, SampledMatrix):
         rows = [list(row) for row in matrix.entries]
@@ -195,10 +174,6 @@ def _independent_k_sets(m: int, n: int, k: int) -> Iterable[tuple[Position, ...]
             yield tuple(sorted(zip(rows, cols)))
 
 
-def _enumeration_count(m: int, n: int, k: int) -> int:
-    return math.comb(m, k) * math.perm(n, k)
-
-
 def brute_force_k_assignment(
     matrix: SampledMatrix | Sequence[Sequence[Number]], k: int
 ) -> SolveResult:
@@ -206,7 +181,7 @@ def brute_force_k_assignment(
     a = _as_matrix(matrix)
     m, n = len(a), len(a[0])
     _check_k(k, m, n)
-    if _enumeration_count(m, n, k) > ENUMERATION_LIMIT:
+    if math.comb(m, k) * math.perm(n, k) > ENUMERATION_LIMIT:
         raise ValueError(f"instance too large for brute force ({m}x{n}, k={k})")
     best: tuple | None = None
     for positions in _independent_k_sets(m, n, k):
@@ -216,86 +191,3 @@ def brute_force_k_assignment(
             best = key
     assert best is not None
     return SolveResult(cost=best[0], assignment=Assignment(best[1]))
-
-
-def enumerate_optimal_assignments(
-    matrix: SampledMatrix | Sequence[Sequence[Number]], k: int
-) -> list[Assignment]:
-    """All independent k-sets attaining the minimum cost.
-
-    Exact comparison for int and Fraction entries; for float entries a
-    relative tolerance of 1e-12 guards rounding in the summed costs.
-    """
-    a = _as_matrix(matrix)
-    m, n = len(a), len(a[0])
-    _check_k(k, m, n)
-    if _enumeration_count(m, n, k) > ENUMERATION_LIMIT:
-        raise ValueError(f"instance too large for enumeration ({m}x{n}, k={k})")
-    scored = [
-        (sum(a[r][c] for r, c in positions), positions)
-        for positions in _independent_k_sets(m, n, k)
-    ]
-    floating = any(isinstance(x, float) for row in a for x in row)
-    best = min(cost for cost, _ in scored)
-    if floating:
-        cutoff = best + abs(best) * 1e-12
-        chosen = [p for cost, p in scored if cost <= cutoff]
-    else:
-        chosen = [p for cost, p in scored if cost == best]
-    return [Assignment(p) for p in sorted(set(chosen))]
-
-
-def symmetric_difference_paths(mu: Assignment, nu: Assignment) -> list[AlternatingPath]:
-    """Decompose mu (triangle) nu into maximal alternating paths.
-
-    Every position in the symmetric difference has at most one same-row
-    neighbor and one same-column neighbor from the other assignment, so
-    the components are paths and cycles; cycles are traversed in full
-    starting from their smallest position.
-    """
-    if len(mu.positions) != len(nu.positions):
-        raise ValueError("assignments must have equal size")
-    mu_only = set(mu.positions) - set(nu.positions)
-    nu_only = set(nu.positions) - set(mu.positions)
-    diff = mu_only | nu_only
-
-    def neighbors(p: Position) -> list[Position]:
-        other = nu_only if p in mu_only else mu_only
-        r, c = p
-        out = [q for q in other if q[0] == r or q[1] == c]
-        assert len(out) <= 2
-        return sorted(out)
-
-    paths: list[AlternatingPath] = []
-    seen: set[Position] = set()
-    for start in sorted(diff):
-        if start in seen:
-            continue
-        component = {start}
-        frontier = [start]
-        while frontier:
-            p = frontier.pop()
-            for q in neighbors(p):
-                if q not in component:
-                    component.add(q)
-                    frontier.append(q)
-        endpoints = sorted(p for p in component if len(neighbors(p)) < 2)
-        head = endpoints[0] if endpoints else min(component)
-        order = [head]
-        seen.add(head)
-        cur = head
-        while True:
-            nxt = [q for q in neighbors(cur) if q not in seen]
-            if not nxt:
-                break
-            cur = nxt[0]
-            order.append(cur)
-            seen.add(cur)
-        assert len(order) == len(component)
-        paths.append(AlternatingPath(tuple(order)))
-    return paths
-
-
-def uses_row(a: Assignment, r: int) -> bool:
-    """True iff some position of the assignment lies in row r."""
-    return any(p[0] == r for p in a.positions)

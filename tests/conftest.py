@@ -1,17 +1,27 @@
-"""Shared helpers: random instance generation, brute-force cover references and
-the slow oracle rules that the fast ones are checked against."""
+"""Shared helpers: random instance generation, brute-force cover references,
+the slow oracle rules that the fast ones are checked against, and the instance
+transformations and optimal-assignment structure that the identity checks use."""
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 import pytest
 from hypothesis import strategies as st
 
 from rapkit.covers import CoverProfile, LineCover, forced_cover_lines, max_independent_zeros
-from rapkit.model import Position, RapInstance, ZeroPattern, instance
+from rapkit.model import (
+    Assignment,
+    InvalidInstanceError,
+    Position,
+    RapInstance,
+    ZeroPattern,
+    instance,
+)
 from rapkit.oracle import (
     EntryClassification,
     ExpRapState,
@@ -107,6 +117,27 @@ def reference_forced_cover_lines(z: ZeroPattern, size: int) -> tuple[frozenset[i
     rows = frozenset(r for r in {p[0] for p in z.zeros} if _min_cover_avoiding(z.zeros, r, None) > size)
     cols = frozenset(c for c in {p[1] for p in z.zeros} if _min_cover_avoiding(z.zeros, None, c) > size)
     return rows, cols
+
+
+def is_partial_cover(p: RapInstance, rows: Iterable[int], cols: Iterable[int]) -> bool:
+    """True iff (rows, cols) is a subset of some (k-1)-cover of the zeros.
+
+    Equivalent test (König): the zeros left uncovered by the given lines
+    admit a cover of size at most (k-1) - |rows| - |cols|, i.e. their
+    maximum matching does not exceed that bound.
+    """
+    rset, cset = frozenset(rows), frozenset(cols)
+    for r in rset:
+        if not 0 <= r < p.m:
+            raise IndexError(f"row index {r} out of range")
+    for c in cset:
+        if not 0 <= c < p.n:
+            raise IndexError(f"column index {c} out of range")
+    slack = (p.k - 1) - len(rset) - len(cset)
+    if slack < 0:
+        return False
+    residual = [z for z in p.zeros if z[0] not in rset and z[1] not in cset]
+    return max_independent_zeros(residual) <= slack
 
 
 def _residual_matcher(zeros):
@@ -258,6 +289,112 @@ def reference_condition_minimum(
         )
     assert sum(w for w, _ in children) == 1 and all(w > 0 for w, _ in children)
     return extracted, children
+
+
+def transpose_instance(p: RapInstance) -> RapInstance:
+    """Swap rows and columns; every zero (r,c) becomes (c,r), k unchanged."""
+    return instance(p.n, p.m, p.k, [(c, r) for r, c in p.zeros])
+
+
+def delete_column(p: RapInstance, col: int) -> RapInstance:
+    """Remove column ``col``, reindex the later columns, decrement k and n.
+
+    Valid only when the shrunken instance is still a proper problem,
+    i.e. n >= 2 and k >= 2.
+    """
+    if not (0 <= col < p.n):
+        raise InvalidInstanceError(f"column index {col} out of range for n={p.n}")
+    if p.k < 2 or p.k > min(p.m, p.n - 1):
+        raise InvalidInstanceError(
+            f"cannot delete a column unless 2 <= k <= min(m, n-1); k={p.k}, m={p.m}, n={p.n}"
+        )
+    zeros = [(r, c if c < col else c - 1) for r, c in p.zeros if c != col]
+    return instance(p.m, p.n - 1, p.k - 1, zeros)
+
+
+def enumerate_optimal_assignments(matrix, k: int) -> list[Assignment]:
+    """All independent k-sets attaining the minimum cost, sorted.
+
+    Exact comparison for int and Fraction entries; for float entries a
+    relative tolerance of 1e-12 guards rounding in the summed costs.
+    """
+    m, n = len(matrix), len(matrix[0])
+    scored = [
+        (sum(matrix[r][c] for r, c in positions), positions)
+        for rows in itertools.combinations(range(m), k)
+        for cols in itertools.permutations(range(n), k)
+        for positions in [tuple(sorted(zip(rows, cols)))]
+    ]
+    cutoff = min(cost for cost, _ in scored)
+    if any(isinstance(x, float) for row in matrix for x in row):
+        cutoff += abs(cutoff) * 1e-12
+    return [Assignment(p) for p in sorted({p for cost, p in scored if cost <= cutoff})]
+
+
+@dataclass(frozen=True)
+class AlternatingPath:
+    """Positions of mu (triangle) nu in traversal order.
+
+    Consecutive positions share a row or a column and belong to the two
+    assignments alternately; a cycle is reported as the traversal of all
+    its positions starting from the smallest one.
+    """
+
+    positions: tuple[Position, ...]
+
+    def __post_init__(self) -> None:
+        for (r1, c1), (r2, c2) in zip(self.positions, self.positions[1:]):
+            if r1 != r2 and c1 != c2:
+                raise ValueError("consecutive path positions must share a line")
+
+
+def symmetric_difference_paths(mu: Assignment, nu: Assignment) -> list[AlternatingPath]:
+    """Decompose mu (triangle) nu into maximal alternating paths.
+
+    Every position in the symmetric difference has at most one same-row
+    neighbor and one same-column neighbor from the other assignment, so
+    the components are paths and cycles; cycles are traversed in full
+    starting from their smallest position.
+    """
+    if len(mu.positions) != len(nu.positions):
+        raise ValueError("assignments must have equal size")
+    mu_only = set(mu.positions) - set(nu.positions)
+    nu_only = set(nu.positions) - set(mu.positions)
+
+    def neighbors(p: Position) -> list[Position]:
+        other = nu_only if p in mu_only else mu_only
+        r, c = p
+        out = [q for q in other if q[0] == r or q[1] == c]
+        assert len(out) <= 2
+        return sorted(out)
+
+    paths: list[AlternatingPath] = []
+    seen: set[Position] = set()
+    for start in sorted(mu_only | nu_only):
+        if start in seen:
+            continue
+        component = {start}
+        frontier = [start]
+        while frontier:
+            p = frontier.pop()
+            for q in neighbors(p):
+                if q not in component:
+                    component.add(q)
+                    frontier.append(q)
+        endpoints = sorted(p for p in component if len(neighbors(p)) < 2)
+        cur = endpoints[0] if endpoints else min(component)
+        order = [cur]
+        seen.add(cur)
+        while True:
+            nxt = [q for q in neighbors(cur) if q not in seen]
+            if not nxt:
+                break
+            cur = nxt[0]
+            order.append(cur)
+            seen.add(cur)
+        assert len(order) == len(component)
+        paths.append(AlternatingPath(tuple(order)))
+    return paths
 
 
 def all_patterns(m: int, n: int):

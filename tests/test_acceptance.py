@@ -16,7 +16,6 @@ from scipy.integrate import quad
 from rapkit.covers import (
     cover_profile,
     forced_cover_lines,
-    is_partial_cover,
     max_independent_zeros,
     min_cover,
 )
@@ -28,7 +27,7 @@ from rapkit.formulas import (
     row_inclusion_probability,
     triangle_integral,
 )
-from rapkit.model import delete_column, insert_zero, instance
+from rapkit.model import insert_zero, instance
 from rapkit.montecarlo import (
     estimate_entry_usage,
     estimate_min_entry_usage,
@@ -36,19 +35,18 @@ from rapkit.montecarlo import (
     estimate_value,
 )
 from rapkit.oracle import oracle_expected_value
-from rapkit.solver import (
-    brute_force_k_assignment,
-    enumerate_optimal_assignments,
-    solve_k_assignment,
-    symmetric_difference_paths,
-)
+from rapkit.solver import brute_force_k_assignment, solve_k_assignment
 
 from conftest import (
     all_patterns,
     brute_force_min_cover_size,
+    delete_column,
+    enumerate_optimal_assignments,
+    is_partial_cover,
     pattern_classes,
     random_fraction_matrix,
     random_instance,
+    symmetric_difference_paths,
 )
 
 

@@ -1,5 +1,7 @@
 """Command-line interface: envelopes, schemas, golden values, exit codes."""
 
+import argparse
+import copy
 import json
 import time
 
@@ -343,13 +345,84 @@ class TestPrettyOutput:
         assert code == EXIT_OK and "mean" in out
 
 
+def _commands() -> list[str]:
+    """Every subcommand the parser knows."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sorted(sub.choices)
+
+
+# one run per subcommand whose envelope the negative schema tests mutate
+ENVELOPE_ARGV = {
+    "cs": ["cs", "--k", "2", "--m", "2", "--n", "3"],
+    "integral": ["integral", "--alpha", "1", "--beta", "2"],
+    "minprob": ["minprob", "--k", "2", "--m", "2", "--n", "3"],
+    "oracle": ["oracle", "{rect32}"],
+    "parisi": ["parisi", "--k", "3"],
+    "profile": ["profile", "{rect32}"],
+    "rowprob": ["rowprob", "{rect32}", "--row", "1"],
+    "simulate": ["simulate", "{two}", "--samples", "200", "--seed", "1"],
+    "value": ["value", "{rect32}"],
+    "verify": ["verify", "{two}", "--samples", "200", "--seed", "1"],
+}
+
+
+def _rationals(obj):
+    """Every rational wire object nested in obj."""
+    if isinstance(obj, dict):
+        if {"num", "den", "approx"} <= obj.keys():
+            yield obj
+        for value in obj.values():
+            yield from _rationals(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _rationals(value)
+
+
 class TestSchemas:
     def test_all_schemas_load_and_are_valid(self):
-        for command in ("value", "profile", "verify", "parisi", "cs", "rowprob",
-                        "minprob", "simulate", "oracle", "integral"):
+        for command in _commands():
             schema = load_schema(command)
             jsonschema.Draft202012Validator.check_schema(schema)
 
     def test_unknown_schema_rejected(self):
-        with pytest.raises((KeyError, FileNotFoundError)):
+        with pytest.raises(KeyError):
             load_schema("nope")
+
+
+class TestSchemaRejects:
+    """Each command's schema rejects envelopes one mutation away from a real one."""
+
+    @pytest.fixture(params=_commands())
+    def case(self, request, capsys, inst_dir):
+        argv = [arg.format(**inst_dir) for arg in ENVELOPE_ARGV[request.param]]
+        code, env = run(capsys, argv)
+        assert code == EXIT_OK and env["command"] == request.param
+        validator = jsonschema.Draft202012Validator(load_schema(request.param))
+        return env, validator.is_valid
+
+    def test_other_command_name(self, case):
+        env, valid = case
+        for other in _commands():
+            if other != env["command"]:
+                assert not valid({**env, "command": other})
+
+    def test_extra_output_key(self, case):
+        env, valid = case
+        assert not valid({**env, "outputs": {**env["outputs"], "extra": 1}})
+
+    def test_required_output_key_removed(self, case):
+        env, valid = case
+        for key in env["outputs"]:
+            outputs = {k: v for k, v in env["outputs"].items() if k != key}
+            assert not valid({**env, "outputs": outputs})
+
+    def test_negative_denominator(self, case):
+        env, valid = case
+        count = len(list(_rationals(env)))
+        # profile counts and the integral are not rationals on the wire
+        assert count or env["command"] in ("integral", "profile")
+        for i in range(count):
+            bad = copy.deepcopy(env)
+            list(_rationals(bad))[i]["den"] = "-1"
+            assert not valid(bad)

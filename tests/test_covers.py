@@ -15,7 +15,6 @@ from rapkit.covers import (
     cover_lattice,
     cover_profile,
     forced_cover_lines,
-    is_partial_cover,
     max_independent_zeros,
     min_cover,
     row_excluded_profile,
@@ -25,10 +24,8 @@ from rapkit.formulas import cover_formula_value
 from rapkit.model import (
     BudgetExceededError,
     ZeroPattern,
-    delete_column,
     insert_zero,
     instance,
-    transpose_instance,
 )
 
 from conftest import (
@@ -36,12 +33,15 @@ from conftest import (
     brute_force_cover_profile,
     brute_force_min_cover_size,
     brute_force_row_excluded_profile,
+    delete_column,
     instances,
+    is_partial_cover,
     pattern_classes,
     random_instance,
     reference_column_maximal_cover,
     reference_forced_cover_lines,
     reference_row_maximal_cover,
+    transpose_instance,
 )
 
 

@@ -10,16 +10,36 @@ from rapkit.formulas import (
     FormulaReport,
     cover_formula_value,
     cs_value,
-    gcd_group_sum,
     min_entry_usage_probability,
     parisi_value,
     row_inclusion_probability,
     triangle_integral,
 )
 from rapkit.covers import forced_cover_lines, max_independent_zeros
-from rapkit.model import delete_column, insert_zero, instance, transpose_instance
+from rapkit.model import insert_zero, instance
 
-from conftest import random_instance
+from conftest import delete_column, random_instance, transpose_instance
+
+
+def gcd_group_sum(k: int, d: int) -> Fraction:
+    """Partial sum of the k = m = n series over terms with gcd(k-i, k-j) = d.
+
+    Equals 1/d^2 for every divisor d, which is how the full sum telescopes
+    into the 1 + 1/4 + ... + 1/k^2 form.
+    """
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    if not isinstance(d, int) or isinstance(d, bool) or not 1 <= d <= k:
+        raise ValueError(f"d={d!r} out of range 1..{k}")
+    return sum(
+        (
+            Fraction(1, (k - i) * (k - j))
+            for i in range(k)
+            for j in range(k - i)
+            if math.gcd(k - i, k - j) == d
+        ),
+        Fraction(0),
+    )
 
 
 class TestParisi:

@@ -9,10 +9,9 @@ from hypothesis import given
 from rapkit.model import (
     Assignment,
     InvalidInstanceError,
+    RapInstance,
     SampledMatrix,
     ZeroPattern,
-    delete_column,
-    delete_row,
     insert_zero,
     instance,
     parse_instance,
@@ -20,10 +19,21 @@ from rapkit.model import (
     rational_from_json,
     rational_to_json,
     serialize_instance,
-    transpose_instance,
 )
 
-from conftest import instances
+from conftest import delete_column, instances, transpose_instance
+
+
+def delete_row(p: RapInstance, row: int) -> RapInstance:
+    """Transpose-conjugate of :func:`conftest.delete_column`."""
+    if not (0 <= row < p.m):
+        raise InvalidInstanceError(f"row index {row} out of range for m={p.m}")
+    if p.k < 2 or p.k > min(p.m - 1, p.n):
+        raise InvalidInstanceError(
+            f"cannot delete a row unless 2 <= k <= min(m-1, n); k={p.k}, m={p.m}, n={p.n}"
+        )
+    zeros = [(r if r < row else r - 1, c) for r, c in p.zeros if r != row]
+    return instance(p.m - 1, p.n, p.k - 1, zeros)
 
 
 class TestParseInstance:

@@ -294,15 +294,29 @@ class TestCsvOutput:
 
 
 class TestValidation:
+    """Every estimator rejects a bad seed or sample count before writing any CSV."""
+
+    ESTIMATORS = {
+        "value": lambda **kw: estimate_value(instance(2, 2, 2), **kw),
+        "row": lambda **kw: estimate_row_usage(instance(2, 2, 2), 1, **kw),
+        "entry": lambda **kw: estimate_entry_usage(instance(2, 2, 2), (0, 1), **kw),
+        "min": lambda **kw: estimate_min_entry_usage(2, 2, 2, **kw),
+    }
+
+    def _rejected_without_output(self, **kw):
+        for name, run in self.ESTIMATORS.items():
+            out = io.StringIO()
+            with pytest.raises(ValueError):
+                run(csv_out=out, **kw)
+            assert out.getvalue() == "", name
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "7"])
     def test_bad_seed_rejected(self, seed):
-        with pytest.raises(ValueError):
-            estimate_value(instance(2, 2, 2), samples=10, seed=seed)
+        self._rejected_without_output(samples=10, seed=seed)
 
     @pytest.mark.parametrize("samples", [0, 1, -5, 2.0])
     def test_bad_samples_rejected(self, samples):
-        with pytest.raises(ValueError):
-            estimate_value(instance(2, 2, 2), samples=samples, seed=1)
+        self._rejected_without_output(samples=samples, seed=1)
 
 
 class TestSolverAgreement:

@@ -317,7 +317,7 @@ def _reached_minimum_states(instances):
                 branches = condition_pair(s, *cls.first_incomparable_pair)
             else:
                 yield s, cls
-                branches = condition_minimum(s, cls)[1]
+                branches = condition_minimum(s)[1]
             stack.extend(child for _, child in branches)
 
 
@@ -334,7 +334,7 @@ class TestConditionMinimumAgainstReference:
     def _check(self, instances) -> int:
         checked = 0
         for s, cls in _reached_minimum_states(instances):
-            extracted, children = condition_minimum(s, cls)
+            extracted, children = condition_minimum(s)
             ref_extracted, ref_children = reference_condition_minimum(s, cls)
             assert extracted == ref_extracted
             assert [w for w, _ in children] == [w for w, _ in ref_children]

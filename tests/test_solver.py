@@ -9,15 +9,18 @@ from scipy.optimize import linear_sum_assignment
 
 from rapkit.model import Assignment, instance
 from rapkit.montecarlo import sample_matrix
-from rapkit.solver import (
-    brute_force_k_assignment,
+from rapkit.solver import brute_force_k_assignment, solve_k_assignment
+
+from conftest import (
     enumerate_optimal_assignments,
-    solve_k_assignment,
+    random_fraction_matrix,
     symmetric_difference_paths,
-    uses_row,
 )
 
-from conftest import random_fraction_matrix
+
+def uses_row(a: Assignment, r: int) -> bool:
+    """True iff some position of the assignment lies in row r."""
+    return any(p[0] == r for p in a.positions)
 
 
 class TestSolve:
