@@ -8,8 +8,8 @@ or, with ``--pretty``, a small human-readable table.  Exit codes:
 0 success, 1 usage or parse error, 2 verification mismatch, 3 oracle
 node budget or cover-profile subset budget exhausted.  Randomized
 subcommands require an explicit ``--seed``; ``--threads`` falls back to
-the RAP_THREADS environment variable and never changes any output, only
-wall-clock time.
+the RAP_THREADS environment variable, then to every usable CPU, and never
+changes any output, only wall-clock time.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def cmd_verify(
     budget: int = DEFAULT_NODE_BUDGET,
     samples: int | None = None,
     seed: int | None = None,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> tuple[CommandResult, int]:
     """Cross-check the cover formula against the oracle and optionally Monte Carlo.
 
@@ -233,7 +233,7 @@ def cmd_simulate(
     what: str = "value",
     row: int | None = None,
     pos: tuple[int, int] | None = None,
-    threads: int = 1,
+    threads: int | None = None,
     csv_path: str | None = None,
 ) -> CommandResult:
     """Monte Carlo estimate of a cost or usage statistic, with exact target."""
@@ -361,12 +361,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("RAP_THREADS", "1")
+def _default_threads(parser: argparse.ArgumentParser) -> int | None:
+    """RAP_THREADS, or None (every usable CPU) when it is unset."""
+    raw = os.environ.get("RAP_THREADS")
+    if raw is None:
+        return None
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        return _positive_int(raw)
+    except (ValueError, argparse.ArgumentTypeError):
+        parser.error(f"RAP_THREADS: expected a positive integer, got {raw!r}")
 
 
 def _positive_int(text: str) -> int:
@@ -407,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=_positive_int, help="add a Monte Carlo check with this many samples")
     sp.add_argument("--seed", type=_seed_int, help="seed for the Monte Carlo check")
     sp.add_argument("--threads", type=_positive_int,
-                    help="worker threads for sampling (default RAP_THREADS or 1)")
+                    help="cap on sampling threads (default RAP_THREADS, else every usable CPU); "
+                         "small matrices always run on one")
 
     sp = sub.add_parser("parisi", parents=[common], help="zero-free k-by-k expected cost")
     sp.add_argument("--k", type=_positive_int, required=True)
@@ -436,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pos", type=int, nargs=2, metavar=("R", "C"), help="position for --what entry")
     sp.add_argument("--csv", help="write per-sample statistics to this CSV file")
     sp.add_argument("--threads", type=_positive_int,
-                    help="worker threads for sampling (default RAP_THREADS or 1)")
+                    help="cap on sampling threads (default RAP_THREADS, else every usable CPU); "
+                         "small matrices always run on one")
 
     sp = sub.add_parser("oracle", parents=[common], help="exact value by symbolic conditioning")
     sp.add_argument("instance", help="instance JSON file")
@@ -478,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
                 budget=args.budget,
                 samples=args.samples,
                 seed=args.seed,
-                threads=args.threads or _default_threads(),
+                threads=None if args.samples is None else args.threads or _default_threads(parser),
             )
         elif args.command == "parisi":
             result = cmd_parisi(args.k)
@@ -497,7 +502,7 @@ def main(argv: list[str] | None = None) -> int:
                 what=args.what,
                 row=args.row,
                 pos=pos,
-                threads=args.threads or _default_threads(),
+                threads=args.threads or _default_threads(parser),
                 csv_path=args.csv,
             )
         elif args.command == "oracle":

@@ -6,8 +6,14 @@ drawn in chunks whose length is set by the shape (m, n) alone: at most
 in one call from its own counter-based stream (Philox keyed by the
 seed, counter j * 2^128), so any assignment of chunks to threads gives
 bit-identical per-sample results, and reduction merges the chunks in
-index order.  Threads pay only where the assignment solver dominates
-(large matrices): it releases the GIL, the rest of a chunk does not.
+index order.
+
+The pool is sized from the shape.  Threads pay only where the
+assignment solver dominates: it releases the GIL, the rest of a chunk
+does not.  So a shape whose padded matrix m x (n + m - k) has fewer
+than `_POOL_MIN_ENTRIES` entries always runs inline; a larger one uses
+min(threads, chunks, usable CPUs) threads, every usable CPU when
+`threads` is None (the default).  Each thread holds one chunk at a time.
 
 The hot path solves each sampled matrix with the C implementation of
 the rectangular assignment solver, reduced from k-cardinality to full
@@ -56,6 +62,41 @@ class EstimateReport:
             "seed": self.seed,
             "target": None if self.target is None else rational_to_json(self.target),
         }
+
+
+# Fewest padded entries, m * (n + m - k), at which a chunk may run on the
+# pool.  Below it the per-matrix loop and the draws, which hold the GIL,
+# cost as much as the solver, so a second thread only waits for the GIL.
+# Wall time of estimate_value with threads=1 over threads=2 (above 1 the
+# pool is faster), median of 7 interleaved runs of about 0.25 s each,
+# 2-CPU box:
+#
+#   m x n, k        padded   1 / 2 threads
+#   8x8, 8              64   0.88
+#   12x12, 12          144   0.75-0.91
+#   12x12, 6           216   0.95-0.99
+#   16x16, 16          256   1.20-1.40
+#   8x40, 8            320   0.94
+#   20x20, 20          400   1.41-1.62
+#   12x40, 12          480   1.00-1.07
+#   8x64, 8            512   0.96
+#   2x512, 2          1024   1.10
+#   4x256, 4          1024   1.08
+#   8x128, 8          1024   1.40
+#   32x32, 32         1024   1.39-1.47
+#   40x40, 20         2400   1.88
+#   100x100, 100     10000   1.72
+#
+# Square shapes gain from about 256 entries, but shapes with few rows
+# still lose or tie up to 512; from 1024 on every shape measured gains.
+_POOL_MIN_ENTRIES = 1024
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _check_seed(seed: int) -> int:
@@ -143,7 +184,7 @@ def _run(
     samples: int,
     seed: int,
     statistic: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    threads: int = 1,
+    threads: int | None = None,
     csv_out: IO[str] | None = None,
 ) -> tuple[float, float]:
     """Chunked deterministic sampling loop; returns (mean, stderr) of the statistic.
@@ -151,7 +192,9 @@ def _run(
     `statistic(a, cols, costs)` gives one value per sample of a chunk:
     `a` holds its (B, m, n) sampled matrices, `cols` and `costs` come
     from `_solve_chunk`.  `samples` and `seed` are checked, and the CSV
-    header written, before anything is drawn.
+    header written, before anything is drawn.  `threads` caps the pool
+    on shapes large enough for one (see `_POOL_MIN_ENTRIES`); None
+    means every usable CPU.
     """
     _check_samples(samples)
     _check_seed(seed)
@@ -167,7 +210,10 @@ def _run(
         x = statistic(padded[:, :, : p.n], cols, costs).astype(np.float64)
         return float(x.sum()), float((x * x).sum()), None if csv_out is None else (costs, x)
 
-    workers = min(threads, chunks, os.cpu_count() or 1)
+    workers = 1
+    if zero_mask.size >= _POOL_MIN_ENTRIES:
+        cpus = _usable_cpus()
+        workers = min(cpus if threads is None else threads, chunks, cpus)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(chunk, range(chunks)))
@@ -194,7 +240,7 @@ def estimate_value(
     p: RapInstance,
     samples: int,
     seed: int,
-    threads: int = 1,
+    threads: int | None = None,
     csv_out: IO[str] | None = None,
     target: Fraction | None = None,
 ) -> EstimateReport:
@@ -208,7 +254,7 @@ def estimate_row_usage(
     r: int,
     samples: int,
     seed: int,
-    threads: int = 1,
+    threads: int | None = None,
     csv_out: IO[str] | None = None,
     target: Fraction | None = None,
 ) -> EstimateReport:
@@ -228,7 +274,7 @@ def estimate_entry_usage(
     pos: tuple[int, int],
     samples: int,
     seed: int,
-    threads: int = 1,
+    threads: int | None = None,
     csv_out: IO[str] | None = None,
     target: Fraction | None = None,
 ) -> EstimateReport:
@@ -254,7 +300,7 @@ def estimate_min_entry_usage(
     n: int,
     samples: int,
     seed: int,
-    threads: int = 1,
+    threads: int | None = None,
     csv_out: IO[str] | None = None,
     target: Fraction | None = None,
 ) -> EstimateReport:

@@ -294,7 +294,29 @@ class TestThreads:
         monkeypatch.setenv("RAP_THREADS", "3")
         assert run(capsys, argv)[0] == EXIT_OK
         assert run(capsys, argv + ["--threads", "1"])[0] == EXIT_OK
-        assert seen == [2, 3, 1]
+        monkeypatch.delenv("RAP_THREADS")
+        assert run(capsys, argv)[0] == EXIT_OK
+        assert seen == [2, 3, 1, None]
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "", "1.5"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "{two}", "--samples", "64", "--seed", "5"],
+        ["verify", "{two}", "--samples", "64", "--seed", "5"],
+    ], ids=["simulate", "verify"])
+    def test_bad_env_is_a_usage_error(self, capsys, inst_dir, monkeypatch, raw, argv):
+        monkeypatch.setenv("RAP_THREADS", raw)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([a.format(**inst_dir) for a in argv])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"RAP_THREADS: expected a positive integer, got {raw!r}" in captured.err
+
+    def test_env_is_read_only_when_sampling_without_the_flag(self, capsys, inst_dir, monkeypatch):
+        monkeypatch.setenv("RAP_THREADS", "abc")
+        assert run(capsys, ["verify", inst_dir["two"]])[0] == EXIT_OK
+        assert run(capsys, ["simulate", inst_dir["two"], "--samples", "64", "--seed", "5",
+                            "--threads", "2"])[0] == EXIT_OK
 
 
 class TestUsageErrors:

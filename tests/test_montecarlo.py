@@ -28,6 +28,18 @@ from rapkit.solver import solve_k_assignment
 
 from conftest import random_instance
 
+usable_cpus = montecarlo._usable_cpus  # the real one, for tests that patch it
+
+
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """Record each pool's max_workers; the pools still run."""
+    seen = []
+    pool = montecarlo.ThreadPoolExecutor
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor",
+                        lambda max_workers: seen.append(max_workers) or pool(max_workers))
+    return seen
+
 
 class TestSampleMatrix:
     def test_zeros_exact_and_rest_positive(self):
@@ -164,8 +176,9 @@ class TestDeterminism:
         b = estimate_value(p, samples=1_000, seed=2)
         assert a.mean != b.mean
 
-    # every estimator on a shape of chunk length 512 and on one of 455;
-    # neither sample count is a multiple of its chunk length
+    # every estimator on a shape of chunk length 512, on one of 455 and on
+    # one of 40; no sample count is a multiple of its chunk length.  3x3 and
+    # 12x12 run inline under the pool gate; 40x40 (40 x 60 padded) is above it
     RUNS = {
         "value.3x3": lambda **kw: estimate_value(instance(3, 3, 2, [(0, 1)]), **kw),
         "row.3x3": lambda **kw: estimate_row_usage(instance(3, 3, 2, [(0, 0)]), 2, **kw),
@@ -175,24 +188,37 @@ class TestDeterminism:
         "row.12x12": lambda **kw: estimate_row_usage(instance(12, 12, 6, [(0, 0)]), 4, **kw),
         "entry.12x12": lambda **kw: estimate_entry_usage(instance(12, 12, 6, [(0, 0)]), (2, 7), **kw),
         "min.12x12": lambda **kw: estimate_min_entry_usage(6, 12, 12, **kw),
+        "value.40x40": lambda **kw: estimate_value(instance(40, 40, 20, [(0, 0), (3, 5)]), **kw),
+        "row.40x40": lambda **kw: estimate_row_usage(instance(40, 40, 20, [(0, 0)]), 4, **kw),
+        "entry.40x40": lambda **kw: estimate_entry_usage(instance(40, 40, 20, [(0, 0)]), (2, 7), **kw),
+        "min.40x40": lambda **kw: estimate_min_entry_usage(20, 40, 40, **kw),
     }
+    SAMPLES = {"3x3": 1_300, "12x12": 1_000, "40x40": 130}
 
     @pytest.mark.parametrize("name", sorted(RUNS))
-    def test_threads_give_identical_reports_and_csv(self, name, monkeypatch):
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
-        samples = 1_300 if name.endswith("3x3") else 1_000
+    def test_threads_give_identical_reports_and_csv(self, name, pool_sizes, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
+        shape = name.split(".")[1]
+        samples = self.SAMPLES[shape]
         assert montecarlo._chunk_length(3, 3) == 512
         assert montecarlo._chunk_length(12, 12) == 455
+        assert montecarlo._chunk_length(40, 40) == 40
         seen = []
-        for threads in (1, 2, 3):
+        for threads in (1, 2, 3, None):
             out = io.StringIO()
             report = self.RUNS[name](samples=samples, seed=41, threads=threads, csv_out=out)
             seen.append((report.mean, report.stderr, out.getvalue()))
-        assert seen[0] == seen[1] == seen[2]
+        assert seen[0] == seen[1] == seen[2] == seen[3]
         assert len(seen[0][2].splitlines()) == samples + 1
+        # four chunks of 40x40: threads 2 and 3, and every one of 8 CPUs capped at 4
+        assert pool_sizes == ([2, 3, 4] if shape == "40x40" else [])
 
 
 class TestThreadPool:
+    # 32x4 with k=1 has 512 samples a chunk, as 3x3 has, and its padded
+    # 32 x 35 matrix is above the pool gate, so the pool sizes below hold
+    LARGE = instance(32, 4, 1)
+
     @pytest.fixture()
     def pools(self, monkeypatch):
         """Record each pool's max_workers; run its chunks inline."""
@@ -212,7 +238,7 @@ class TestThreadPool:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recorder)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
         return seen
 
     @pytest.mark.parametrize("threads, samples, workers", [
@@ -220,18 +246,34 @@ class TestThreadPool:
         (10**9, 5_000, [4]),      # ten chunks, four CPUs
         (2, 5_000, [2]),
         (10**9, 300, []),         # one chunk runs inline
+        (None, 1_200, [3]),       # the default: every CPU, up to the chunks
+        (None, 5_000, [4]),
+        (1, 5_000, []),
     ])
     def test_workers_capped_by_chunks_and_cpus(self, pools, threads, samples, workers):
-        p = instance(3, 3, 2)
-        capped = estimate_value(p, samples=samples, seed=5, threads=threads)
+        capped = estimate_value(self.LARGE, samples=samples, seed=5, threads=threads)
         assert pools == workers
-        plain = estimate_value(p, samples=samples, seed=5, threads=1)
+        plain = estimate_value(self.LARGE, samples=samples, seed=5, threads=1)
         assert (capped.mean, capped.stderr) == (plain.mean, plain.stderr)
 
-    def test_unknown_cpu_count_runs_inline(self, pools, monkeypatch):
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+    def test_small_shape_runs_inline_whatever_threads_says(self, pools):
         estimate_value(instance(3, 3, 2), samples=5_000, seed=5, threads=10**9)
+        estimate_value(instance(3, 3, 2), samples=5_000, seed=5)
         assert pools == []
+
+    def test_unknown_cpu_count_runs_inline(self, pools, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", usable_cpus)
+        monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+        estimate_value(self.LARGE, samples=5_000, seed=5, threads=10**9)
+        assert pools == []
+
+    def test_cpu_count_honours_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+        assert montecarlo._usable_cpus() == 1
+        monkeypatch.delattr(montecarlo.os, "sched_getaffinity")
+        assert montecarlo._usable_cpus() == 8
 
 
 class TestStreams:
@@ -264,11 +306,27 @@ class TestMemory:
         tracemalloc.start()
         try:
             # one uncapped 24-sample chunk alone would be 24 * 80 KB
-            estimate_value(p, samples=24, seed=1)
+            estimate_value(p, samples=24, seed=1, threads=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    def test_pool_holds_one_chunk_per_worker(self, pool_sizes, monkeypatch):
+        p = instance(100, 100, 100)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        estimate_value(p, samples=2, seed=1, threads=1)  # warm up imports and caches
+        chunk_bytes = montecarlo._chunk_length(100, 100) * 100 * 100 * 8
+        tracemalloc.start()
+        try:
+            # ten 6-sample chunks on the default pool: all of them at once
+            # would be 10 * 480 KB
+            estimate_value(p, samples=60, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pool_sizes == [2]
+        assert peak < 2 * chunk_bytes + 2**19
 
 
 class TestCsvOutput:
