@@ -13,14 +13,11 @@ from .covers import (
     CoverLattice,
     CoverProfile,
     LineCover,
-    column_maximal_cover,
     cover_lattice,
     cover_profile,
     forced_cover_lines,
     max_independent_zeros,
-    min_cover,
     row_excluded_profile,
-    row_maximal_cover,
 )
 from .formulas import (
     FormulaReport,
@@ -80,7 +77,6 @@ __all__ = [
     "SolveResult",
     "ZeroPattern",
     "brute_force_k_assignment",
-    "column_maximal_cover",
     "cover_formula_value",
     "cover_lattice",
     "cover_profile",
@@ -94,7 +90,6 @@ __all__ = [
     "instance",
     "load_instance",
     "max_independent_zeros",
-    "min_cover",
     "min_entry_usage_probability",
     "oracle_expected_value",
     "oracle_node_count",
@@ -104,7 +99,6 @@ __all__ = [
     "rational_to_json",
     "row_excluded_profile",
     "row_inclusion_probability",
-    "row_maximal_cover",
     "sample_matrix",
     "serialize_instance",
     "solve_k_assignment",

@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, NoReturn
@@ -236,43 +237,35 @@ def cmd_simulate(
     threads: int | None = None,
     csv_path: str | None = None,
 ) -> CommandResult:
-    """Monte Carlo estimate of a cost or usage statistic, with exact target."""
+    """Monte Carlo estimate of a cost or usage statistic, with exact target.
+
+    The arguments are checked and the exact target computed before the
+    CSV file is opened, so a command that fails there leaves no file.
+    """
     p = load_instance(instance_file)
-    csv_out: IO[str] | None = None
-    try:
-        if csv_path is not None:
-            csv_out = open(csv_path, "w", encoding="utf-8")
-        with _Timer() as t:
-            if what == "value":
-                est = estimate_value(
-                    p, samples, seed, threads=threads, csv_out=csv_out, target=cover_formula_value(p)
-                )
-            elif what == "row":
-                if row is None:
-                    raise ValueError("--row is required with --what row")
-                est = estimate_row_usage(
-                    p, row, samples, seed, threads=threads, csv_out=csv_out,
-                    target=row_inclusion_probability(p, row),
-                )
-            elif what == "entry":
-                if pos is None:
-                    raise ValueError("--pos is required with --what entry")
-                target = cover_formula_value(p) - cover_formula_value(insert_zero(p, pos))
-                est = estimate_entry_usage(
-                    p, pos, samples, seed, threads=threads, csv_out=csv_out, target=target
-                )
-            elif what == "min":
-                if p.zeros:
-                    raise ValueError("--what min requires an instance without zeros")
-                est = estimate_min_entry_usage(
-                    p.k, p.m, p.n, samples, seed, threads=threads, csv_out=csv_out,
-                    target=min_entry_usage_probability(p.k, p.m, p.n),
-                )
-            else:
-                raise ValueError(f"unknown statistic {what!r}")
-    finally:
-        if csv_out is not None:
-            csv_out.close()
+    with _Timer() as t:
+        if what == "value":
+            target = cover_formula_value(p)
+            estimate = functools.partial(estimate_value, p)
+        elif what == "row":
+            if row is None:
+                raise ValueError("--row is required with --what row")
+            target = row_inclusion_probability(p, row)
+            estimate = functools.partial(estimate_row_usage, p, row)
+        elif what == "entry":
+            if pos is None:
+                raise ValueError("--pos is required with --what entry")
+            target = cover_formula_value(p) - cover_formula_value(insert_zero(p, pos))
+            estimate = functools.partial(estimate_entry_usage, p, pos)
+        elif what == "min":
+            if p.zeros:
+                raise ValueError("--what min requires an instance without zeros")
+            target = min_entry_usage_probability(p.k, p.m, p.n)
+            estimate = functools.partial(estimate_min_entry_usage, p.k, p.m, p.n)
+        else:
+            raise ValueError(f"unknown statistic {what!r}")
+        with open(csv_path, "w", encoding="utf-8") if csv_path is not None else nullcontext() as csv_out:
+            est = estimate(samples, seed, threads=threads, csv_out=csv_out, target=target)
     inputs = _echo_instance(instance_file, p) | {
         "what": what,
         "samples": samples,
@@ -379,6 +372,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _sample_count(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 samples for a standard error, got {text!r}")
+    return value
+
+
 def _seed_int(text: str) -> int:
     value = int(text)
     if not 0 <= value < 2**64:
@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="run the symbolic oracle (default on)")
     sp.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET,
                     help="oracle recursion-node budget")
-    sp.add_argument("--samples", type=_positive_int, help="add a Monte Carlo check with this many samples")
+    sp.add_argument("--samples", type=_sample_count, help="add a Monte Carlo check with this many samples")
     sp.add_argument("--seed", type=_seed_int, help="seed for the Monte Carlo check")
     sp.add_argument("--threads", type=_positive_int,
                     help="cap on sampling threads (default RAP_THREADS, else every usable CPU); "
@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", parents=[common], help="Monte Carlo estimate with exact target")
     sp.add_argument("instance", help="instance JSON file")
     sp.add_argument("--what", choices=("value", "row", "entry", "min"), default="value")
-    sp.add_argument("--samples", type=_positive_int, required=True)
+    sp.add_argument("--samples", type=_sample_count, required=True)
     sp.add_argument("--seed", type=_seed_int, required=True,
                     help="explicit 64-bit seed (no wall-clock seeding)")
     sp.add_argument("--row", type=int, help="row index for --what row")

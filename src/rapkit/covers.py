@@ -203,33 +203,13 @@ class CoverLattice:
 
 def cover_lattice(z: ZeroPattern) -> CoverLattice:
     """The row- and column-maximal minimum covers and their size, from one
-    maximum matching and two alternating searches."""
+    maximum matching and two alternating searches.
+
+    The rows of ``row_max`` contain the rows of every minimum cover, and
+    the columns of ``col_max`` the columns of every minimum cover.
+    """
     match_col = _max_matching(z.zeros)
     return CoverLattice(*_extreme_covers(z.zeros, match_col), len(match_col))
-
-
-def row_maximal_cover(z: ZeroPattern) -> LineCover:
-    """The optimal cover whose row set contains every row of every optimal cover.
-
-    Optimal covers form a lattice; this is its row-maximal end, and it is
-    also what :func:`min_cover` returns.  It comes from one maximum
-    matching and an alternating search from the unmatched rows: the
-    matched rows that search does not reach, plus the columns it does.
-    """
-    return cover_lattice(z).row_max
-
-
-def column_maximal_cover(z: ZeroPattern) -> LineCover:
-    """Dual of :func:`row_maximal_cover`: the search starts from the unmatched columns."""
-    return cover_lattice(z).col_max
-
-
-def min_cover(z: ZeroPattern) -> LineCover:
-    """A minimum cover of the zeros, of size max_independent_zeros (König).
-
-    It is the row-maximal cover (:func:`row_maximal_cover`).
-    """
-    return row_maximal_cover(z)
 
 
 # ---------------------------------------------------------------------------

@@ -55,40 +55,31 @@ def _check_kmn(k: int, m: int, n: int) -> None:
         raise ValueError(f"k={k} exceeds min(m, n)={min(m, n)}")
 
 
-def _pairwise_sum(terms: list[Fraction]) -> Fraction:
-    """Balanced summation; far fewer huge-denominator reductions than a left fold."""
-    if not terms:
-        return Fraction(0)
-    while len(terms) > 1:
-        it = iter(terms)
-        terms = [a + b for a, b in zip(it, it)] + ([terms[-1]] if len(terms) % 2 else [])
-    return terms[0]
-
-
 def parisi_value(k: int) -> Fraction:
     """Exact sum of 1/d^2 for d = 1..k."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
-    return _pairwise_sum([Fraction(1, d * d) for d in range(1, k + 1)])
+    return sum((Fraction(1, d * d) for d in range(1, k + 1)), Fraction(0))
 
 
 def cs_value(k: int, m: int, n: int) -> Fraction:
     """Exact sum of 1/((m-i)(n-j)) over i, j >= 0 with i+j < k."""
     _check_kmn(k, m, n)
-    return _pairwise_sum(
-        [Fraction(1, (m - i) * (n - j)) for i in range(k) for j in range(k - i)]
+    return sum(
+        (Fraction(1, (m - i) * (n - j)) for i in range(k) for j in range(k - i)), Fraction(0)
     )
 
 
 def cover_formula_value(p: RapInstance) -> Fraction:
     """E(P) = (1/mn) * sum of d_{i,j} / (C(m-1,i) * C(n-1,j))."""
     profile = cover_profile(p)
-    total = _pairwise_sum(
-        [
+    total = sum(
+        (
             Fraction(count, math.comb(p.m - 1, i) * math.comb(p.n - 1, j))
             for i, j, count in profile.coefficients
             if count
-        ]
+        ),
+        Fraction(0),
     )
     return total / (p.m * p.n)
 
@@ -105,8 +96,9 @@ def row_inclusion_probability(p: RapInstance, r: int) -> Fraction:
     if any(zr == r for zr, _ in p.zeros):
         raise ValueError(f"row {r} contains a zero; the row formula does not apply")
     dbar = row_excluded_profile(p, r)
-    total = _pairwise_sum(
-        [Fraction(count, math.comb(p.m - 1, i)) for i, count in enumerate(dbar) if count]
+    total = sum(
+        (Fraction(count, math.comb(p.m - 1, i)) for i, count in enumerate(dbar) if count),
+        Fraction(0),
     )
     return total / p.m
 

@@ -191,10 +191,16 @@ class ExpRapState:
 
 @dataclass(frozen=True)
 class EntryClassification:
-    """Per-entry labels plus the bookkeeping the conditioning rules need."""
+    """The entries outside the cover, split by kind, plus the bookkeeping the
+    conditioning rules need.
 
-    labels: tuple[tuple[str, ...], ...]  # "zero" | "standard" | "nonstandard"
+    An entry is standard when it is one coefficient-1 term of a
+    unit-intensity variable that occurs nowhere else, and nonstandard
+    otherwise.  Both position tuples are in row-major order.
+    """
+
     cover: LineCover  # row-maximal optimal cover of the zeros
+    non_covered_standard: tuple[Position, ...]
     non_covered_nonstandard: tuple[Position, ...]
     potentially_minimal: tuple[Position, ...]
     minimal: Position | None
@@ -267,34 +273,35 @@ def reduce_state(s: ExpRapState) -> ExpRapState:
 
 
 def classify_entries(s: ExpRapState) -> EntryClassification:
-    """Label entries and locate the structures driving the case split."""
+    """Split the entries outside the row-maximal cover into standard and
+    nonstandard ones, and locate the structures driving the case split.
+
+    Only those entries are read: no zero lies outside a cover, and the
+    conditioning rules never look at a covered entry's kind.
+    """
     occurrences: dict[int, int] = {}
     for row in s.entries:
         for e in row:
             for v, _ in e.terms:
                 occurrences[v] = occurrences.get(v, 0) + 1
 
-    def label(e: LinearEntry) -> str:
-        if e.is_zero:
-            return "zero"
-        if (
+    cover = s._covers.row_max
+    outside = [
+        (r, c) for r in range(s.m) if r not in cover.rows for c in range(s.n) if c not in cover.cols
+    ]
+
+    def is_standard(p: Position) -> bool:
+        e = s.entries[p[0]][p[1]]
+        return (
             len(e.terms) == 1
             and e.terms[0][1] == 1
             and occurrences[e.terms[0][0]] == 1
             and s.intensity(e.terms[0][0]) == 1
-        ):
-            return "standard"
-        return "nonstandard"
+        )
 
-    labels = tuple(tuple(label(e) for e in row) for row in s.entries)
-    cover = s._covers.row_max
-    ncn = tuple(
-        (r, c)
-        for r in range(s.m)
-        if r not in cover.rows
-        for c in range(s.n)
-        if c not in cover.cols and labels[r][c] == "nonstandard"
-    )
+    flags = [is_standard(p) for p in outside]
+    standard = tuple(p for p, std in zip(outside, flags) if std)
+    ncn = tuple(p for p, std in zip(outside, flags) if not std)
 
     def entry(p: Position) -> LinearEntry:
         return s.entries[p[0]][p[1]]
@@ -319,7 +326,7 @@ def classify_entries(s: ExpRapState) -> EntryClassification:
                     break
             if pair:
                 break
-    return EntryClassification(labels, cover, ncn, pm, minimal, pair)
+    return EntryClassification(cover, standard, ncn, pm, minimal, pair)
 
 
 def induction_measure(s: ExpRapState) -> tuple[int, int, int, int, int]:
@@ -447,14 +454,7 @@ def condition_minimum(s: ExpRapState) -> tuple[Fraction, list[tuple[Fraction, Ex
     if cls.minimal is not None:
         e = s.entries[cls.minimal[0]][cls.minimal[1]]
         term = min(e.terms)  # lexicographically smallest variable id
-    std_positions = [
-        (r, c)
-        for r in range(s.m)
-        if r not in cover.rows
-        for c in range(s.n)
-        if c not in cover.cols and cls.labels[r][c] == "standard"
-    ]
-    std_vars = [s.entries[r][c].terms[0][0] for r, c in std_positions]
+    std_vars = [s.entries[r][c].terms[0][0] for r, c in cls.non_covered_standard]
     assert term is not None or std_vars, "reduced state must have a non-covered candidate"
 
     # each member of S as (variable, 1/coefficient): term a*Xi, then the standard entries
@@ -640,7 +640,7 @@ def oracle_node_count(
     trace: IO[str] | None = None,
 ) -> tuple[Fraction, int]:
     """Value plus the number of evaluated nodes, for budget reporting."""
-    if not isinstance(budget, int) or budget < 1:
+    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
         raise ValueError(f"budget must be a positive integer, got {budget!r}")
     run = _OracleRun(budget, cache, trace)
     value = _evaluate(make_initial_state(p), run)

@@ -223,14 +223,7 @@ def reference_condition_minimum(
     if cls.minimal is not None:
         e = s.entries[cls.minimal[0]][cls.minimal[1]]
         term = min(e.terms)
-    std_positions = [
-        (r, c)
-        for r in range(s.m)
-        if r not in cover.rows
-        for c in range(s.n)
-        if c not in cover.cols and cls.labels[r][c] == "standard"
-    ]
-    std_vars = [s.entries[r][c].terms[0][0] for r, c in std_positions]
+    std_vars = [s.entries[r][c].terms[0][0] for r, c in cls.non_covered_standard]
     assert term is not None or std_vars, "reduced state must have a non-covered candidate"
 
     member_intensities: list[Fraction] = []

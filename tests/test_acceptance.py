@@ -14,10 +14,10 @@ import pytest
 from scipy.integrate import quad
 
 from rapkit.covers import (
+    cover_lattice,
     cover_profile,
     forced_cover_lines,
     max_independent_zeros,
-    min_cover,
 )
 from rapkit.formulas import (
     cover_formula_value,
@@ -266,7 +266,7 @@ def test_criterion_10_structural_property_suite(report):
             for z in all_patterns(m, n):
                 konig_count += 1
                 best = brute_force_min_cover_size(z)
-                cover = min_cover(z)
+                cover = cover_lattice(z).row_max
                 konig_ok = konig_ok and (
                     max_independent_zeros(z) == best == len(cover.rows) + len(cover.cols)
                 )

@@ -261,6 +261,27 @@ class TestSimulateCommand:
         if what[1] != "value":
             assert {x for _, _, x in rows} == {"0.0", "1.0"}
 
+    @pytest.mark.parametrize("args, code", [
+        (["{rect32}", "--what", "row", "--samples", "100"], EXIT_USAGE),
+        (["{rect32}", "--what", "min", "--samples", "100"], EXIT_USAGE),
+        (["{rect32}", "--what", "row", "--row", "0", "--samples", "100"], EXIT_USAGE),
+        (["{two}", "--samples", "1"], EXIT_USAGE),
+        (["{band16}", "--samples", "100"], EXIT_BUDGET),
+    ], ids=["row-missing", "min-with-zeros", "row-holds-a-zero", "one-sample", "target-over-budget"])
+    def test_failure_leaves_no_csv(self, capsys, inst_dir, tmp_path, args, code):
+        band16 = tmp_path / "band16.json"  # one component over every line (see TestCoverBudget)
+        zeros = [[i, j] for i in range(16) for j in (i, i + 1) if j < 16]
+        band16.write_text(json.dumps({"m": 16, "n": 16, "k": 16, "zeros": zeros}))
+        csv = tmp_path / "out.csv"
+        argv = ["simulate", *(a.format(**inst_dir, band16=band16) for a in args),
+                "--seed", "1", "--csv", str(csv)]
+        try:
+            got = cli.main(argv)
+        except SystemExit as exc:  # a parse error
+            got = exc.code
+        assert got == code and capsys.readouterr().out == ""
+        assert not csv.exists()
+
     def test_zero_cost_instance(self, capsys, inst_dir):
         code, env = run(capsys, ["simulate", inst_dir["indep"],
                                  "--samples", "100", "--seed", "1"])
@@ -334,6 +355,13 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main(["parisi", "--k", "2", "--json", "--pretty"])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_one_sample_is_a_parse_error(self, capsys, inst_dir, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, inst_dir["two"], "--samples", "1", "--seed", "1"])
+        assert exc.value.code == EXIT_USAGE
+        assert "at least 2 samples" in capsys.readouterr().err
 
     def test_bad_seed_value(self, capsys, inst_dir):
         with pytest.raises(SystemExit) as exc:

@@ -11,14 +11,12 @@ from hypothesis import strategies as st
 
 from rapkit import covers
 from rapkit.covers import (
-    column_maximal_cover,
+    LineCover,
     cover_lattice,
     cover_profile,
     forced_cover_lines,
     max_independent_zeros,
-    min_cover,
     row_excluded_profile,
-    row_maximal_cover,
 )
 from rapkit.formulas import cover_formula_value
 from rapkit.model import (
@@ -85,25 +83,28 @@ class TestMaxIndependentZeros:
 
 
 class TestMinCover:
+    """A minimum cover of the zeros: the row-maximal end of the cover lattice."""
+
     def test_empty(self):
-        cover = min_cover(ZeroPattern(3, 3))
-        assert not cover.rows and not cover.cols
+        lattice = cover_lattice(ZeroPattern(3, 3))
+        assert lattice.size == 0
+        assert lattice.row_max == lattice.col_max == LineCover(frozenset(), frozenset())
 
     def test_single_full_row(self):
         z = ZeroPattern(3, 3, ((1, 0), (1, 1), (1, 2)))
-        cover = min_cover(z)
+        cover = cover_lattice(z).row_max
         assert (cover.rows, cover.cols) == (frozenset({1}), frozenset())
 
     def test_diagonal_needs_two_lines(self):
         z = ZeroPattern(2, 2, ((0, 0), (1, 1)))
-        cover = min_cover(z)
+        cover = cover_lattice(z).row_max
         assert len(cover.rows) + len(cover.cols) == 2 and _covers(cover, z)
 
     def test_konig_duality_exhaustive_small(self):
         for m in range(1, 4):
             for n in range(1, 4):
                 for z in all_patterns(m, n):
-                    cover = min_cover(z)
+                    cover = cover_lattice(z).row_max
                     assert _covers(cover, z)
                     size = len(cover.rows) + len(cover.cols)
                     assert size == max_independent_zeros(z) == brute_force_min_cover_size(z)
@@ -114,22 +115,22 @@ class TestMinCover:
             m, n = rng.randint(1, 5), rng.randint(1, 5)
             zeros = [(r, c) for r in range(m) for c in range(n) if rng.random() < 0.4]
             z = ZeroPattern(m, n, tuple(zeros))
-            cover = min_cover(z)
+            cover = cover_lattice(z).row_max
             assert _covers(cover, z)
             assert len(cover.rows) + len(cover.cols) == brute_force_min_cover_size(z)
 
 
 class TestLatticeExtremes:
     def test_empty(self):
-        cover = row_maximal_cover(ZeroPattern(3, 3))
+        cover = cover_lattice(ZeroPattern(3, 3)).row_max
         assert not cover.rows and not cover.cols
 
     def test_single_zero_prefers_row(self):
-        cover = row_maximal_cover(ZeroPattern(3, 3, ((0, 0),)))
+        cover = cover_lattice(ZeroPattern(3, 3, ((0, 0),))).row_max
         assert (cover.rows, cover.cols) == (frozenset({0}), frozenset())
 
     def test_all_zero_2x2_takes_both_rows(self):
-        cover = row_maximal_cover(ZeroPattern(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1))))
+        cover = cover_lattice(ZeroPattern(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))).row_max
         assert (cover.rows, cover.cols) == (frozenset({0, 1}), frozenset())
 
     def test_contains_every_optimal_cover_rows(self):
@@ -138,8 +139,8 @@ class TestLatticeExtremes:
             m, n = rng.randint(1, 4), rng.randint(1, 4)
             zeros = [(r, c) for r in range(m) for c in range(n) if rng.random() < 0.4]
             z = ZeroPattern(m, n, tuple(zeros))
-            rmc = row_maximal_cover(z)
-            cmc = column_maximal_cover(z)
+            lattice = cover_lattice(z)
+            rmc, cmc = lattice.row_max, lattice.col_max
             best = brute_force_min_cover_size(z)
             assert len(rmc.rows) + len(rmc.cols) == best
             assert len(cmc.rows) + len(cmc.cols) == best
@@ -334,9 +335,6 @@ class TestForcedCoverLines:
 def _agrees_with_per_line_reference(z: ZeroPattern) -> bool:
     """Covers and forced lines at sizes nu..nu+2 equal the per-line reference;
     returns whether some line is forced at the slack size nu+1."""
-    assert row_maximal_cover(z) == reference_row_maximal_cover(z)
-    assert min_cover(z) == reference_row_maximal_cover(z)
-    assert column_maximal_cover(z) == reference_column_maximal_cover(z)
     nu = max_independent_zeros(z)
     lattice = cover_lattice(z)
     assert lattice.row_max == reference_row_maximal_cover(z)
@@ -386,10 +384,19 @@ class TestOneMatchingPerPattern:
         monkeypatch.setattr(covers, "_max_matching", counted)
         return calls
 
-    @pytest.mark.parametrize("cover", [row_maximal_cover, column_maximal_cover, min_cover])
-    def test_extreme_covers(self, matchings, cover):
-        cover(self.Z)
+    # the minimum cover the lattice hands out is its row-maximal end
+    @pytest.mark.parametrize(
+        "end, reference",
+        [
+            pytest.param("row_max", reference_row_maximal_cover, id="row_maximal_cover"),
+            pytest.param("col_max", reference_column_maximal_cover, id="column_maximal_cover"),
+            pytest.param("row_max", reference_row_maximal_cover, id="min_cover"),
+        ],
+    )
+    def test_extreme_covers(self, matchings, end, reference):
+        lattice = cover_lattice(self.Z)
         assert len(matchings) == 1
+        assert getattr(lattice, end) == reference(self.Z)
 
     def test_forced_lines_at_the_minimum_size(self, matchings):
         assert max_independent_zeros(self.Z) == 3

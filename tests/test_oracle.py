@@ -5,6 +5,7 @@ import io
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -177,21 +178,29 @@ class TestReduce:
 class TestClassify:
     def test_initial_state_all_standard(self):
         cls = classify_entries(make_initial_state(instance(2, 3, 2)))
-        assert all(label == "standard" for row in cls.labels for label in row)
+        assert cls.non_covered_standard == tuple((r, c) for r in range(2) for c in range(3))
         assert cls.non_covered_nonstandard == ()
 
     def test_zero_label(self):
+        # the zero's row is the cover, so the zero is in neither tuple
         cls = classify_entries(make_initial_state(instance(2, 2, 2, [(1, 0)])))
-        assert cls.labels[1][0] == "zero"
+        assert cls.cover == LineCover(frozenset({1}), frozenset())
+        assert cls.non_covered_standard == ((0, 0), (0, 1))
+        assert cls.non_covered_nonstandard == ()
 
     def test_repeated_variable_is_nonstandard(self):
         s = state(1, [[{0: 1}, {0: 1}]], {0: 1})
         cls = classify_entries(s)
-        assert cls.labels[0] == ("nonstandard", "nonstandard")
+        assert cls.non_covered_standard == ()
+        assert cls.non_covered_nonstandard == ((0, 0), (0, 1))
 
     def test_scaled_variable_is_nonstandard(self):
         s = state(1, [[{0: 2}, {1: 1}]], {0: 1, 1: 1})
-        assert classify_entries(s).labels[0][0] == "nonstandard"
+        cls = classify_entries(s)
+        assert (cls.non_covered_standard, cls.non_covered_nonstandard) == (((0, 1),), ((0, 0),))
+        s = state(1, [[{0: 1}, {1: 1}]], {0: 2, 1: 1})
+        cls = classify_entries(s)
+        assert (cls.non_covered_standard, cls.non_covered_nonstandard) == (((0, 1),), ((0, 0),))
 
     def test_minimal_detected(self):
         rows = [[{0: 1}, {0: 1, 1: 1}], [{0: 1, 2: 1}, {0: 1, 1: 1, 2: 1}]]
@@ -321,6 +330,19 @@ def _reached_minimum_states(instances):
             stack.extend(child for _, child in branches)
 
 
+def _every_small_instance():
+    return (
+        instance(m, m, k, zp.zeros)
+        for m in (2, 3)
+        for zp in all_patterns(m, m)
+        for k in range(1, m + 1)
+    )
+
+
+def _every_four_by_four_class_at_k_four():
+    return (instance(4, 4, 4, zeros) for zeros in pattern_classes(4, 4))
+
+
 def _by_rank(s: ExpRapState):
     """The state with each variable id replaced by its rank among the ids."""
     rank = {v: i for i, v in enumerate(sorted(v.id for v in s.variables))}
@@ -348,16 +370,47 @@ class TestConditionMinimumAgainstReference:
         return checked
 
     def test_every_two_by_two_and_three_by_three_instance(self):
-        instances = [
-            instance(m, m, k, zp.zeros)
-            for m in (2, 3)
-            for zp in all_patterns(m, m)
-            for k in range(1, m + 1)
-        ]
-        assert self._check(instances) > 600
+        assert self._check(_every_small_instance()) > 600
 
     def test_every_four_by_four_class_at_k_four(self):
-        assert self._check(instance(4, 4, 4, zeros) for zeros in pattern_classes(4, 4)) > 600
+        assert self._check(_every_four_by_four_class_at_k_four()) > 600
+
+
+class TestClassificationPartition:
+    """The two position tuples split the cells outside the cover by kind."""
+
+    @staticmethod
+    def _check(instances) -> int:
+        checked = 0
+        for s, cls in _reached_minimum_states(instances):
+            outside = [
+                (r, c)
+                for r in range(s.m)
+                if r not in cls.cover.rows
+                for c in range(s.n)
+                if c not in cls.cover.cols
+            ]
+            standard, nonstandard = cls.non_covered_standard, cls.non_covered_nonstandard
+            assert list(standard) == sorted(standard) and list(nonstandard) == sorted(nonstandard)
+            assert sorted(standard + nonstandard) == outside
+            occurrences = Counter(v for row in s.entries for e in row for v, _ in e.terms)
+            for r, c in outside:
+                terms = s.entries[r][c].terms
+                is_standard = (
+                    len(terms) == 1
+                    and terms[0][1] == 1
+                    and s.intensity(terms[0][0]) == 1
+                    and occurrences[terms[0][0]] == 1
+                )
+                assert ((r, c) in standard) == is_standard
+            checked += 1
+        return checked
+
+    def test_every_two_by_two_and_three_by_three_instance(self):
+        assert self._check(_every_small_instance()) > 600
+
+    def test_every_four_by_four_class_at_k_four(self):
+        assert self._check(_every_four_by_four_class_at_k_four()) > 600
 
 
 class TestOneLatticePerState:
@@ -437,8 +490,10 @@ class TestBudgetAndTrace:
         assert exc.value.nodes == 4
 
     def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            oracle_expected_value(instance(2, 2, 2), budget=0)
+        for budget in (0, -1, True, 2.0):
+            for evaluate in (oracle_expected_value, oracle_node_count):
+                with pytest.raises(ValueError, match="budget must be a positive integer"):
+                    evaluate(instance(2, 2, 2), budget=budget)
 
     def test_node_count(self):
         value, nodes = oracle_node_count(instance(2, 2, 2))

@@ -1,9 +1,11 @@
 """The package's public surface: what ``rapkit`` exports and what it leaves to the tests."""
 
+import dataclasses
 import importlib
 import pkgutil
 
 import rapkit
+from rapkit.oracle import EntryClassification
 
 # reference helpers that only the tests use; they live in tests/conftest.py
 # or in the one test module that uses them
@@ -18,6 +20,10 @@ TEST_ONLY = (
     "transpose_instance",
     "uses_row",
 )
+
+# names the package no longer defines: cover_lattice and max_independent_zeros
+# are the whole König API, and Fractions are summed with sum()
+REMOVED = ("column_maximal_cover", "min_cover", "row_maximal_cover", "_pairwise_sum")
 
 
 def _modules():
@@ -36,6 +42,11 @@ class TestPublicSurface:
         assert {m.__name__ for m in modules} >= {"rapkit.covers", "rapkit.solver", "rapkit.model"}
         found = [f"{m.__name__}.{name}" for m in modules for name in TEST_ONLY if hasattr(m, name)]
         assert found == []
+
+    def test_removed_names_stay_removed(self):
+        found = [f"{m.__name__}.{name}" for m in _modules() for name in REMOVED if hasattr(m, name)]
+        assert found == []
+        assert "labels" not in {field.name for field in dataclasses.fields(EntryClassification)}
 
     def test_benchmark_imports_resolve(self):
         # the names the benchmark harness (perfbench/) imports from the package
