@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy.integrate import quad
-
 from .covers import cover_profile, row_excluded_profile
 from .model import RapInstance, rational_to_json
 
@@ -115,7 +113,9 @@ def triangle_integral(alpha: float, beta: float) -> float:
     Reduced to one dimension: the inner y-integral is ln(beta/(beta-1+x)),
     written as -log1p((x-1)/beta) for stability near x = 1, then integrated
     adaptively in x.  Accurate to well below 1e-9 for alpha, beta >= 1; the
-    corner singularity at alpha = beta = 1 is integrable.
+    corner singularity at alpha = beta = 1 is integrable.  scipy's `quad`
+    is imported here, when the integral is called, so the exact formulas
+    load without scipy.
     """
     alpha = float(alpha)
     beta = float(beta)
@@ -126,6 +126,8 @@ def triangle_integral(alpha: float, beta: float) -> float:
 
     def integrand(x: float) -> float:
         return -math.log1p((x - 1.0) / beta) / (alpha - x)
+
+    from scipy.integrate import quad
 
     value, abserr = quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=500)
     if abserr > 1e-9:

@@ -15,13 +15,15 @@ than `_POOL_MIN_ENTRIES` entries always runs inline; a larger one uses
 min(threads, chunks, usable CPUs) threads, every usable CPU when
 `threads` is None (the default).  Each thread holds one chunk at a time.
 
-The hot path solves each sampled matrix with the C implementation of
-the rectangular assignment solver, reduced from k-cardinality to full
-assignment by padding with zero-cost dummy columns that absorb the
+The hot path solves each sampled matrix with scipy's C implementation
+of the rectangular assignment solver, reduced from k-cardinality to
+full assignment by padding with zero-cost dummy columns that absorb the
 m - k unused rows; the statistics are then array operations over the
-chunk.  Statistical conclusions are tie-insensitive: every estimated
-quantity (cost, zero-free-row usage, nonzero-entry usage) is invariant
-across optimal assignments with probability 1.
+chunk.  scipy is imported on the first solve, not with the module, so
+the commands that never sample do not load it.  Statistical
+conclusions are tie-insensitive: every estimated quantity (cost,
+zero-free-row usage, nonzero-entry usage) is invariant across optimal
+assignments with probability 1.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from fractions import Fraction
 from typing import IO, Callable
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .model import RapInstance, SampledMatrix, instance, rational_to_json
 
@@ -149,6 +150,25 @@ def sample_matrix(p: RapInstance, rng: int | np.random.Generator) -> SampledMatr
     _fill_exponential(a, _zero_mask(p, p.n), gen)
     entries = tuple(tuple(float(x) for x in row) for row in a)
     return SampledMatrix(p.m, p.n, entries, source=p.pattern)
+
+
+_scipy_lsa: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's `linear_sum_assignment(cost)`, imported on the first call.
+
+    The name is never rebound, so a wrapper installed on it stays in
+    place; the solver is kept in `_scipy_lsa` instead.  Pool threads may
+    make the first call together: the import lock serialises the import,
+    and each thread stores the same function.
+    """
+    global _scipy_lsa
+    if _scipy_lsa is None:
+        from scipy.optimize import linear_sum_assignment as solver
+
+        _scipy_lsa = solver
+    return _scipy_lsa(cost)
 
 
 def _chunk_length(m: int, n: int) -> int:

@@ -33,7 +33,9 @@ termination measure and the conditioning rules read that classification.
 A lexicographic 5-part measure (zeros, cover rows, potentially minimal
 count, disagreement variables, variable count of the minimal entry)
 strictly decreases at every branching step, which is asserted at
-runtime.
+runtime part by part: each child's first two parts come from its cover
+lattice, which its reduction reads anyway, and the child is classified
+for the other three only when those two tie with the parent's.
 
 The evaluator never touches the cover-coefficient formula; it shares
 only the Koenig machinery with the rest of the package, which is what
@@ -329,6 +331,13 @@ def classify_entries(s: ExpRapState) -> EntryClassification:
     return EntryClassification(cover, standard, ncn, pm, minimal, pair)
 
 
+def _cover_parts(s: ExpRapState) -> tuple[int, int]:
+    """The measure's first two parts, read from the state's cover lattice:
+    -(minimum cover size) and the rows of the row-maximal cover."""
+    lattice = s._covers
+    return -lattice.size, len(lattice.row_max.rows)
+
+
 def induction_measure(s: ExpRapState) -> tuple[int, int, int, int, int]:
     """The 5-part lexicographic termination measure, smaller is simpler."""
     cls = s._classification
@@ -341,13 +350,17 @@ def induction_measure(s: ExpRapState) -> tuple[int, int, int, int, int]:
     minimal_vars = 0
     if cls.minimal is not None:
         minimal_vars = len(s.entries[cls.minimal[0]][cls.minimal[1]].terms)
-    return (
-        -len(cls.cover),  # the cover is a minimum one, so its size is the matching number
-        len(cls.cover.rows),
-        len(cls.potentially_minimal),
-        disagreements,
-        minimal_vars,
-    )
+    return (*_cover_parts(s), len(cls.potentially_minimal), disagreements, minimal_vars)
+
+
+def _measure_drops(child: ExpRapState, parent_measure: tuple[int, ...]) -> bool:
+    """``induction_measure(child) < parent_measure``, classifying the child
+    only when the two cover parts tie; its reduction reads the lattice
+    they come from anyway."""
+    head = _cover_parts(child)
+    if head != parent_measure[:2]:
+        return head < parent_measure[:2]
+    return induction_measure(child) < parent_measure
 
 
 def _fresh_ids(s: ExpRapState, count: int) -> list[int]:
@@ -612,7 +625,7 @@ def _evaluate(
     run.emit(key, parent, depth, rule, [w for w, _ in branches], extracted)
     value = extracted
     for weight, child in branches:
-        assert induction_measure(child) < parent_measure, "termination measure must drop"
+        assert _measure_drops(child, parent_measure), "termination measure must drop"
         value += weight * _evaluate(child, run, node, depth + 1)
     run.cache[key] = value
     return value

@@ -306,10 +306,10 @@ class TestConditionMinimum:
                 assert induction_measure(child) < before
 
 
-def _reached_minimum_states(instances):
-    """The reduced, non-terminal states where minimum conditioning applies,
-    with their classifications, that an oracle run on each of `instances`
-    expands: one state per canonical key and instance, as its cache would."""
+def _reached_branchings(instances):
+    """The reduced, non-terminal states that an oracle run on each of
+    `instances` expands, one per canonical key and instance as its cache
+    would, each with its classification, its rule and its children."""
     for p in instances:
         seen = set()
         stack = [make_initial_state(p)]
@@ -323,11 +323,20 @@ def _reached_minimum_states(instances):
             seen.add(key)
             cls = classify_entries(s)
             if cls.non_covered_nonstandard and cls.minimal is None:
-                branches = condition_pair(s, *cls.first_incomparable_pair)
+                rule, branches = "pair", condition_pair(s, *cls.first_incomparable_pair)
             else:
-                yield s, cls
-                branches = condition_minimum(s)[1]
-            stack.extend(child for _, child in branches)
+                rule, branches = "minimum", condition_minimum(s)[1]
+            children = [child for _, child in branches]
+            yield s, cls, rule, children
+            stack.extend(children)
+
+
+def _reached_minimum_states(instances):
+    """The reached states where minimum conditioning applies, with their
+    classifications."""
+    for s, cls, rule, _ in _reached_branchings(instances):
+        if rule == "minimum":
+            yield s, cls
 
 
 def _every_small_instance():
@@ -411,6 +420,58 @@ class TestClassificationPartition:
 
     def test_every_four_by_four_class_at_k_four(self):
         assert self._check(_every_four_by_four_class_at_k_four()) > 600
+
+
+class TestLazyMeasure:
+    """The part-by-part termination check gives the eager measure's verdict."""
+
+    @staticmethod
+    def _check(instances) -> Counter:
+        seen = Counter()
+        for parent, _, rule, children in _reached_branchings(instances):
+            before = induction_measure(parent)
+            for child in children:
+                after = induction_measure(child)
+                # the branching step, then the reversed and the equal comparison
+                for s, measure in ((child, before), (parent, after), (child, after)):
+                    verdict = rapkit.oracle._measure_drops(s, measure)
+                    assert verdict == (induction_measure(s) < measure)
+                    seen[verdict, induction_measure(s)[:2] == measure[:2]] += 1
+                seen["children"] += 1
+                seen[rule] += 1
+        return seen
+
+    def test_every_two_by_two_and_three_by_three_instance(self):
+        seen = self._check(_every_small_instance())
+        assert seen["children"] > 2000
+        assert seen[False, True] > 0  # the equal comparisons go to the full measure
+
+    def test_every_four_by_four_class_at_k_four(self):
+        seen = self._check(_every_four_by_four_class_at_k_four())
+        assert seen["children"] > 3000
+        assert seen[True, True] > 0  # children that tie their parent on the cover parts
+
+    def test_pair_conditioning_children(self):
+        # no instance above reaches pair conditioning; these 5x5 ones do
+        seen = self._check([
+            instance(5, 5, 5, [(0, 0), (2, 0), (2, 1), (3, 1), (4, 4)]),
+            instance(5, 5, 5, [(1, 1), (2, 0), (3, 4), (4, 4)]),
+        ])
+        assert seen["pair"] > 20 and seen["minimum"] > 300
+
+    def test_a_child_is_classified_only_on_a_tie(self, monkeypatch):
+        """Zero-free 4x4 at k=4: at most two classifications a node; the
+        eager check classified every child (232 calls for 34 nodes)."""
+        calls = []
+
+        def counting(s):
+            calls.append(1)
+            return classify_entries(s)
+
+        monkeypatch.setattr(rapkit.oracle, "classify_entries", counting)
+        value, nodes = oracle_node_count(instance(4, 4, 4))
+        assert value == Fraction(205, 144) and nodes == 34
+        assert len(calls) <= 2 * nodes
 
 
 class TestOneLatticePerState:
