@@ -115,47 +115,43 @@ def _echo_instance(path: str, p: RapInstance) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations (pure: file paths and parameters in, envelope out)
+# Command implementations (pure: parsed arguments in, envelope and exit code out)
 # ---------------------------------------------------------------------------
 
 
-def cmd_value(instance_file: str) -> CommandResult:
+def cmd_value(args: argparse.Namespace) -> tuple[CommandResult, int]:
     """Exact expected optimal cost of the instance, by the cover formula."""
-    p = load_instance(instance_file)
+    p = load_instance(args.instance)
     with _Timer() as t:
         value = cover_formula_value(p)
     report = FormulaReport("cover-formula", p.k, p.m, p.n, value)
-    return CommandResult("value", _echo_instance(instance_file, p), report.to_json_obj(), t.elapsed_ms)
+    inputs = _echo_instance(args.instance, p)
+    return CommandResult("value", inputs, report.to_json_obj(), t.elapsed_ms), EXIT_OK
 
 
-def cmd_profile(instance_file: str) -> CommandResult:
+def cmd_profile(args: argparse.Namespace) -> tuple[CommandResult, int]:
     """Cover-coefficient table d_{i,j} of the instance."""
-    p = load_instance(instance_file)
+    p = load_instance(args.instance)
     with _Timer() as t:
         profile = cover_profile(p)
     outputs = {"m": p.m, "n": p.n, **profile.to_json_obj()}
-    return CommandResult("profile", _echo_instance(instance_file, p), outputs, t.elapsed_ms)
+    return CommandResult("profile", _echo_instance(args.instance, p), outputs, t.elapsed_ms), EXIT_OK
 
 
-def cmd_verify(
-    instance_file: str,
-    oracle: bool = True,
-    budget: int = DEFAULT_NODE_BUDGET,
-    samples: int | None = None,
-    seed: int | None = None,
-    threads: int | None = None,
-) -> tuple[CommandResult, int]:
+def cmd_verify(args: argparse.Namespace) -> tuple[CommandResult, int]:
     """Cross-check the cover formula against the oracle and optionally Monte Carlo.
 
-    Returns the envelope together with the exit code: 0 when all enabled
-    checks agree, 2 on an exact mismatch, 3 when the oracle budget runs out.
+    The exit code is 0 when all enabled checks agree, 2 on an exact
+    mismatch, 3 when the oracle budget runs out.
     """
-    p = load_instance(instance_file)
-    inputs = _echo_instance(instance_file, p) | {
-        "oracle": oracle,
-        "budget": budget,
-        "samples": samples,
-        "seed": seed,
+    if args.samples is not None and args.seed is None:
+        raise ValueError("--samples requires an explicit --seed")
+    p = load_instance(args.instance)
+    inputs = _echo_instance(args.instance, p) | {
+        "oracle": args.oracle,
+        "budget": args.budget,
+        "samples": args.samples,
+        "seed": args.seed,
     }
     code = EXIT_OK
     with _Timer() as t:
@@ -170,9 +166,9 @@ def cmd_verify(
             "montecarlo": None,
             "mc_within_3_sigma": None,
         }
-        if oracle:
+        if args.oracle:
             try:
-                oracle_value, nodes = oracle_node_count(p, budget=budget)
+                oracle_value, nodes = oracle_node_count(p, budget=args.budget)
             except BudgetExceededError as exc:
                 outputs["status"] = "budget-exhausted"
                 outputs["oracle_nodes"] = exc.nodes
@@ -186,63 +182,60 @@ def cmd_verify(
                     outputs["status"] = "mismatch"
                     outputs["agree"] = False
                     code = EXIT_MISMATCH
-        if samples is not None and code == EXIT_OK:
-            est = estimate_value(p, samples, seed, threads=threads, target=formula)
+        if args.samples is not None and code == EXIT_OK:
+            est = estimate_value(p, args.samples, args.seed, threads=args.threads, target=formula)
             outputs["montecarlo"] = est.to_json_obj()
             outputs["mc_within_3_sigma"] = est.within_3_sigma()
     return CommandResult("verify", inputs, outputs, t.elapsed_ms), code
 
 
-def cmd_parisi(k: int) -> CommandResult:
+def cmd_parisi(args: argparse.Namespace) -> tuple[CommandResult, int]:
     """Exact expected cost of the zero-free k-by-k instance."""
     with _Timer() as t:
-        value = parisi_value(k)
-    report = FormulaReport("parisi", k, k, k, value)
-    return CommandResult("parisi", {"k": k}, report.to_json_obj(), t.elapsed_ms)
+        value = parisi_value(args.k)
+    report = FormulaReport("parisi", args.k, args.k, args.k, value)
+    return CommandResult("parisi", {"k": args.k}, report.to_json_obj(), t.elapsed_ms), EXIT_OK
 
 
-def cmd_cs(k: int, m: int, n: int) -> CommandResult:
+def cmd_cs(args: argparse.Namespace) -> tuple[CommandResult, int]:
     """Exact expected cost of the zero-free m-by-n instance with k assigned."""
+    k, m, n = args.k, args.m, args.n
     with _Timer() as t:
         value = cs_value(k, m, n)
     report = FormulaReport("coppersmith-sorkin", k, m, n, value)
-    return CommandResult("cs", {"k": k, "m": m, "n": n}, report.to_json_obj(), t.elapsed_ms)
+    inputs = {"k": k, "m": m, "n": n}
+    return CommandResult("cs", inputs, report.to_json_obj(), t.elapsed_ms), EXIT_OK
 
 
-def cmd_rowprob(instance_file: str, r: int) -> CommandResult:
+def cmd_rowprob(args: argparse.Namespace) -> tuple[CommandResult, int]:
     """Exact probability that the optimal assignment uses zero-free row r."""
-    p = load_instance(instance_file)
+    p = load_instance(args.instance)
     with _Timer() as t:
-        value = row_inclusion_probability(p, r)
+        value = row_inclusion_probability(p, args.row)
     report = FormulaReport("row-inclusion", p.k, p.m, p.n, value)
-    outputs = {"row": r, **report.to_json_obj()}
-    return CommandResult("rowprob", _echo_instance(instance_file, p) | {"row": r}, outputs, t.elapsed_ms)
+    outputs = {"row": args.row, **report.to_json_obj()}
+    inputs = _echo_instance(args.instance, p) | {"row": args.row}
+    return CommandResult("rowprob", inputs, outputs, t.elapsed_ms), EXIT_OK
 
 
-def cmd_minprob(k: int, m: int, n: int) -> CommandResult:
+def cmd_minprob(args: argparse.Namespace) -> tuple[CommandResult, int]:
     """Exact probability that the smallest entry of a zero-free instance is used."""
+    k, m, n = args.k, args.m, args.n
     with _Timer() as t:
         value = min_entry_usage_probability(k, m, n)
     report = FormulaReport("min-entry-usage", k, m, n, value)
-    return CommandResult("minprob", {"k": k, "m": m, "n": n}, report.to_json_obj(), t.elapsed_ms)
+    inputs = {"k": k, "m": m, "n": n}
+    return CommandResult("minprob", inputs, report.to_json_obj(), t.elapsed_ms), EXIT_OK
 
 
-def cmd_simulate(
-    instance_file: str,
-    samples: int,
-    seed: int,
-    what: str = "value",
-    row: int | None = None,
-    pos: tuple[int, int] | None = None,
-    threads: int | None = None,
-    csv_path: str | None = None,
-) -> CommandResult:
+def cmd_simulate(args: argparse.Namespace) -> tuple[CommandResult, int]:
     """Monte Carlo estimate of a cost or usage statistic, with exact target.
 
     The arguments are checked and the exact target computed before the
     CSV file is opened, so a command that fails there leaves no file.
     """
-    p = load_instance(instance_file)
+    p = load_instance(args.instance)
+    what, row, pos = args.what, args.row, args.pos
     with _Timer() as t:
         if what == "value":
             target = cover_formula_value(p)
@@ -264,50 +257,43 @@ def cmd_simulate(
             estimate = functools.partial(estimate_min_entry_usage, p.k, p.m, p.n)
         else:
             raise ValueError(f"unknown statistic {what!r}")
-        with open(csv_path, "w", encoding="utf-8") if csv_path is not None else nullcontext() as csv_out:
-            est = estimate(samples, seed, threads=threads, csv_out=csv_out, target=target)
-    inputs = _echo_instance(instance_file, p) | {
+        with open(args.csv, "w", encoding="utf-8") if args.csv is not None else nullcontext() as csv_out:
+            est = estimate(args.samples, args.seed, threads=args.threads, csv_out=csv_out, target=target)
+    inputs = _echo_instance(args.instance, p) | {
         "what": what,
-        "samples": samples,
-        "seed": seed,
+        "samples": args.samples,
+        "seed": args.seed,
         "row": row,
-        "pos": None if pos is None else list(pos),
-        "csv": csv_path,
+        "pos": pos,
+        "csv": args.csv,
     }
     outputs = {"what": what, **est.to_json_obj(), "within_3_sigma": est.within_3_sigma()}
-    return CommandResult("simulate", inputs, outputs, t.elapsed_ms)
+    return CommandResult("simulate", inputs, outputs, t.elapsed_ms), EXIT_OK
 
 
-def cmd_oracle(
-    instance_file: str, budget: int = DEFAULT_NODE_BUDGET, trace_path: str | None = None
-) -> tuple[CommandResult, int]:
+def cmd_oracle(args: argparse.Namespace) -> tuple[CommandResult, int]:
     """Exact expected cost by symbolic conditioning, with node accounting."""
-    p = load_instance(instance_file)
-    inputs = _echo_instance(instance_file, p) | {"budget": budget, "trace": trace_path}
-    trace: IO[str] | None = None
-    try:
-        if trace_path is not None:
-            trace = open(trace_path, "w", encoding="utf-8")
+    p = load_instance(args.instance)
+    inputs = _echo_instance(args.instance, p) | {"budget": args.budget, "trace": args.trace}
+    with open(args.trace, "w", encoding="utf-8") if args.trace is not None else nullcontext() as trace:
         with _Timer() as t:
             try:
-                value, nodes = oracle_node_count(p, budget=budget, trace=trace)
+                value, nodes = oracle_node_count(p, budget=args.budget, trace=trace)
                 outputs = {"status": "ok", "value": rational_to_json(value), "nodes": nodes}
                 code = EXIT_OK
             except BudgetExceededError as exc:
                 outputs = {"status": "budget-exhausted", "value": None, "nodes": exc.nodes}
                 code = EXIT_BUDGET
-    finally:
-        if trace is not None:
-            trace.close()
     return CommandResult("oracle", inputs, outputs, t.elapsed_ms), code
 
 
-def cmd_integral(alpha: float, beta: float) -> CommandResult:
+def cmd_integral(args: argparse.Namespace) -> tuple[CommandResult, int]:
     """Numeric value of the limiting triangular-support integral."""
+    alpha, beta = args.alpha, args.beta
     with _Timer() as t:
         value = triangle_integral(alpha, beta)
     outputs = {"alpha": alpha, "beta": beta, "value": value}
-    return CommandResult("integral", {"alpha": alpha, "beta": beta}, outputs, t.elapsed_ms)
+    return CommandResult("integral", {"alpha": alpha, "beta": beta}, outputs, t.elapsed_ms), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +382,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sp = sub.add_parser("value", parents=[common], help="expected optimal cost by the cover formula")
+    sp.set_defaults(run=cmd_value)
     sp.add_argument("instance", help="instance JSON file")
 
     sp = sub.add_parser("profile", parents=[common], help="cover-coefficient table of an instance")
+    sp.set_defaults(run=cmd_profile)
     sp.add_argument("instance", help="instance JSON file")
 
     sp = sub.add_parser("verify", parents=[common], help="cross-check formula, oracle, Monte Carlo")
+    sp.set_defaults(run=cmd_verify)
     sp.add_argument("instance", help="instance JSON file")
     sp.add_argument("--oracle", action=argparse.BooleanOptionalAction, default=True,
                     help="run the symbolic oracle (default on)")
@@ -414,23 +403,28 @@ def build_parser() -> argparse.ArgumentParser:
                          "small matrices always run on one")
 
     sp = sub.add_parser("parisi", parents=[common], help="zero-free k-by-k expected cost")
+    sp.set_defaults(run=cmd_parisi)
     sp.add_argument("--k", type=_positive_int, required=True)
 
     sp = sub.add_parser("cs", parents=[common], help="zero-free m-by-n k-assignment expected cost")
+    sp.set_defaults(run=cmd_cs)
     sp.add_argument("--k", type=_positive_int, required=True)
     sp.add_argument("--m", type=_positive_int, required=True)
     sp.add_argument("--n", type=_positive_int, required=True)
 
     sp = sub.add_parser("rowprob", parents=[common], help="probability a zero-free row is used")
+    sp.set_defaults(run=cmd_rowprob)
     sp.add_argument("instance", help="instance JSON file")
     sp.add_argument("--row", type=int, required=True)
 
     sp = sub.add_parser("minprob", parents=[common], help="probability the smallest entry is used")
+    sp.set_defaults(run=cmd_minprob)
     sp.add_argument("--k", type=_positive_int, required=True)
     sp.add_argument("--m", type=_positive_int, required=True)
     sp.add_argument("--n", type=_positive_int, required=True)
 
     sp = sub.add_parser("simulate", parents=[common], help="Monte Carlo estimate with exact target")
+    sp.set_defaults(run=cmd_simulate)
     sp.add_argument("instance", help="instance JSON file")
     sp.add_argument("--what", choices=("value", "row", "entry", "min"), default="value")
     sp.add_argument("--samples", type=_sample_count, required=True)
@@ -444,11 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
                          "small matrices always run on one")
 
     sp = sub.add_parser("oracle", parents=[common], help="exact value by symbolic conditioning")
+    sp.set_defaults(run=cmd_oracle)
     sp.add_argument("instance", help="instance JSON file")
     sp.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
     sp.add_argument("--trace", help="write one JSON line per branching node to this file")
 
     sp = sub.add_parser("integral", parents=[common], help="limiting triangular-support integral")
+    sp.set_defaults(run=cmd_integral)
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--beta", type=float, required=True)
 
@@ -468,49 +464,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    code = EXIT_OK
+    if getattr(args, "samples", None) is not None and args.threads is None:
+        args.threads = _default_threads(parser)
     try:
-        if args.command == "value":
-            result = cmd_value(args.instance)
-        elif args.command == "profile":
-            result = cmd_profile(args.instance)
-        elif args.command == "verify":
-            if args.samples is not None and args.seed is None:
-                raise ValueError("--samples requires an explicit --seed")
-            result, code = cmd_verify(
-                args.instance,
-                oracle=args.oracle,
-                budget=args.budget,
-                samples=args.samples,
-                seed=args.seed,
-                threads=None if args.samples is None else args.threads or _default_threads(parser),
-            )
-        elif args.command == "parisi":
-            result = cmd_parisi(args.k)
-        elif args.command == "cs":
-            result = cmd_cs(args.k, args.m, args.n)
-        elif args.command == "rowprob":
-            result = cmd_rowprob(args.instance, args.row)
-        elif args.command == "minprob":
-            result = cmd_minprob(args.k, args.m, args.n)
-        elif args.command == "simulate":
-            pos = None if args.pos is None else (args.pos[0], args.pos[1])
-            result = cmd_simulate(
-                args.instance,
-                samples=args.samples,
-                seed=args.seed,
-                what=args.what,
-                row=args.row,
-                pos=pos,
-                threads=args.threads or _default_threads(parser),
-                csv_path=args.csv,
-            )
-        elif args.command == "oracle":
-            result, code = cmd_oracle(args.instance, budget=args.budget, trace_path=args.trace)
-        elif args.command == "integral":
-            result = cmd_integral(args.alpha, args.beta)
-        else:  # pragma: no cover - argparse enforces the choices
-            parser.error(f"unknown command {args.command!r}")
+        result, code = args.run(args)
     except BudgetExceededError as exc:  # the oracle's is reported in its envelope
         print(f"rapkit: error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

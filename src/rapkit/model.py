@@ -187,6 +187,9 @@ def parse_instance(text: str) -> RapInstance:
         raise InvalidInstanceError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidInstanceError("instance document must be a JSON object")
+    unknown = doc.keys() - {"m", "n", "k", "zeros"}
+    if unknown:
+        raise InvalidInstanceError(f"unknown keys: {sorted(unknown)}")
     missing = {"m", "n", "k"} - doc.keys()
     if missing:
         raise InvalidInstanceError(f"missing required keys: {sorted(missing)}")

@@ -306,7 +306,7 @@ def estimate_entry_usage(
     r, c = pos
     if not (0 <= r < p.m and 0 <= c < p.n):
         raise IndexError(f"position {pos} out of range")
-    if pos in p.zeros:
+    if (r, c) in p.zeros:
         raise ValueError(f"position {pos} is a zero; usage varies across optima")
     mean, stderr = _run(
         p, samples, seed, lambda a, cols, costs: cols[:, r] == c, threads, csv_out

@@ -11,8 +11,8 @@ coefficients.  Three exact rewrites drive the evaluation:
   distributions.
 * pair conditioning: when no minimal non-covered nonstandard entry
   exists, pick the first two incomparable potentially minimal ones and
-  condition on which of the two scaled disagreement variables is
-  smaller, rewriting both through fresh variables Y, Z.
+  apply minimum conditioning to their two scaled disagreement variables,
+  with no cost extracted and no shift.
 * minimum conditioning: when a minimal non-covered nonstandard entry
   exists (or none at all), condition on the minimum of one of its terms
   together with all non-covered standard entries; the minimum Y is
@@ -371,12 +371,11 @@ def _fresh_ids(s: ExpRapState, count: int) -> list[int]:
 def _substitute(
     entries: tuple[tuple[LinearEntry, ...], ...],
     rules: Mapping[int, tuple[tuple[int, Rational], ...]],
-    y_id: int | None = None,
-    shift: Mapping[Position, int] | None = None,
+    y_id: int,
+    shift: Mapping[Position, int],
 ) -> tuple[tuple[LinearEntry, ...], ...]:
     """Replace each variable in `rules` by a nonnegative combination, then
     add `shift[(r, c)]` times variable `y_id` to entry (r, c)."""
-    shift = shift or {}
 
     def rewrite(e: LinearEntry, delta: int) -> LinearEntry:
         if not delta and not any(v in rules for v, _ in e.terms):
@@ -399,16 +398,64 @@ def _substitute(
     )
 
 
+def _condition_on_minimum(
+    s: ExpRapState,
+    members: list[tuple[int, Rational]],
+    shift: Mapping[Position, int],
+    accumulated: Fraction,
+) -> list[tuple[Fraction, ExpRapState]]:
+    """Condition on which of `members`, independent scaled exponentials
+    given as (variable, 1/coefficient), is the minimum Y.
+
+    Every member becomes Y plus its residual Z_j (the variable becomes
+    (Y + Z_j) * scale) and entry (r, c) gains `shift[(r, c)]` times Y;
+    the child in which member j is the minimum is this template with
+    Z_j = 0, weighted by member j's intensity over the total.  Fresh ids
+    are Y, then Z_1, Z_2, ..., above every existing id.  Weights sum to 1.
+    """
+    member_intensities = [s.intensity(v) * scale for v, scale in members]
+    total = sum(member_intensities)
+    fresh = _fresh_ids(s, 1 + len(members))
+    y_id, z_ids = fresh[0], fresh[1:]
+    rules = {v: ((y_id, scale), (z_id, scale)) for (v, scale), z_id in zip(members, z_ids)}
+    template = _substitute(s.entries, rules, y_id, shift)
+    template_vars = _gc(
+        template,
+        tuple(v for v in s.variables if v.id not in rules)
+        + (ExpVariable(y_id, total),)
+        + tuple(ExpVariable(z_id, i) for z_id, i in zip(z_ids, member_intensities)),
+    )
+    holding: dict[int, list[Position]] = {z_id: [] for z_id in z_ids}
+    for r, row in enumerate(template):
+        for c, e in enumerate(row):
+            for v, _ in e.terms:
+                if v in holding:
+                    holding[v].append((r, c))
+
+    children: list[tuple[Fraction, ExpRapState]] = []
+    for z_id, intensity in zip(z_ids, member_intensities):
+        rows = [list(row) for row in template]
+        for r, c in holding[z_id]:
+            rows[r][c] = LinearEntry(tuple(t for t in rows[r][c].terms if t[0] != z_id))
+        entries = tuple(tuple(row) for row in rows)
+        variables = tuple(v for v in template_vars if v.id != z_id)
+        weight = Fraction(intensity) / total
+        children.append((weight, ExpRapState(s.k, entries, variables, accumulated)))
+    assert sum(w for w, _ in children) == 1 and all(w > 0 for w, _ in children)
+    return children
+
+
 def condition_pair(
     s: ExpRapState, u1: Position, u2: Position
 ) -> tuple[tuple[Fraction, ExpRapState], tuple[Fraction, ExpRapState]]:
     """Split on which scaled disagreement variable of two entries is smaller.
 
     With e1 = a1*Xi + b1*Xj + ... and e2 = a2*Xi + b2*Xj + ... where
-    a1 > a2 and b2 > b1, the events are (a1-a2)Xi < (b2-b1)Xj and its
-    complement; in each child both variables are rewritten through the
-    minimum Y and the residual Z, after which e1 and e2 share their
-    Y-coefficient.  No cost is extracted.  Weights sum to 1.
+    a1 > a2 and b2 > b1, this is minimum conditioning of the two scaled
+    disagreement variables (a1-a2)Xi and (b2-b1)Xj, with no cost extracted
+    and no shift; in each child e1 and e2 share their Y-coefficient.
+    The child in which (a1-a2)Xi is the minimum comes first.  Weights
+    sum to 1.
     """
     e1 = s.entries[u1[0]][u1[1]]
     e2 = s.entries[u2[0]][u2[1]]
@@ -418,29 +465,8 @@ def condition_pair(
     j = min(v for v in set(e1.variables()) | set(e2.variables()) if e2.coeff(v) > e1.coeff(v))
     a = e1.coeff(i) - e2.coeff(i)  # scale of Xi's excess in e1
     b = e2.coeff(j) - e1.coeff(j)  # scale of Xj's excess in e2
-    ia = Fraction(s.intensity(i)) / a  # intensity of a*Xi
-    ib = Fraction(s.intensity(j)) / b  # intensity of b*Xj
-    total = ia + ib
-    y_id, z_id = _fresh_ids(s, 2)
-
-    def child(first_is_i: bool) -> tuple[Fraction, ExpRapState]:
-        # minimum Y of the two scaled variables, residual Z on the loser
-        weight = (ia if first_is_i else ib) / total
-        z_intensity = ib if first_is_i else ia
-        inv_a, inv_b = Fraction(1) / a, Fraction(1) / b
-        if first_is_i:
-            rules = {i: ((y_id, inv_a),), j: ((y_id, inv_b), (z_id, inv_b))}
-        else:
-            rules = {j: ((y_id, inv_b),), i: ((y_id, inv_a), (z_id, inv_a))}
-        entries = _substitute(s.entries, rules)
-        variables = tuple(v for v in s.variables if v.id not in (i, j)) + (
-            ExpVariable(y_id, total),
-            ExpVariable(z_id, z_intensity),
-        )
-        return weight, ExpRapState(s.k, entries, _gc(entries, variables), s.accumulated)
-
-    first, second = child(True), child(False)
-    assert first[0] + second[0] == 1 and first[0] > 0 and second[0] > 0
+    members = [(i, _exact(Fraction(1) / a)), (j, _exact(Fraction(1) / b))]
+    first, second = _condition_on_minimum(s, members, {}, s.accumulated)
     return first, second
 
 
@@ -473,8 +499,7 @@ def condition_minimum(s: ExpRapState) -> tuple[Fraction, list[tuple[Fraction, Ex
     # each member of S as (variable, 1/coefficient): term a*Xi, then the standard entries
     members = [(term[0], _exact(Fraction(1) / term[1]))] if term is not None else []
     members.extend((v, 1) for v in std_vars)
-    member_intensities = [s.intensity(v) * scale for v, scale in members]
-    total = sum(member_intensities)
+    total = sum(s.intensity(v) * scale for v, scale in members)
     extracted = Fraction(s.k - size) / total
 
     # the minimum Y leaves every non-covered entry and joins every doubly covered one
@@ -485,37 +510,7 @@ def condition_minimum(s: ExpRapState) -> tuple[Fraction, list[tuple[Fraction, Ex
         for c in range(s.n)
         if c not in cover.cols
     } | {(r, c): 1 for r in cover.rows for c in cover.cols}
-
-    # every member becomes Y + its residual Z_j (the term member (Y + Z_j)/a);
-    # the child in which member j is the minimum is this template with Z_j = 0
-    fresh = _fresh_ids(s, 1 + len(members))
-    y_id, z_ids = fresh[0], fresh[1:]
-    rules = {v: ((y_id, scale), (z_id, scale)) for (v, scale), z_id in zip(members, z_ids)}
-    template = _substitute(s.entries, rules, y_id, shift)
-    template_vars = _gc(
-        template,
-        tuple(v for v in s.variables if v.id not in rules)
-        + (ExpVariable(y_id, total),)
-        + tuple(ExpVariable(z_id, i) for z_id, i in zip(z_ids, member_intensities)),
-    )
-    holding: dict[int, list[Position]] = {z_id: [] for z_id in z_ids}
-    for r, row in enumerate(template):
-        for c, e in enumerate(row):
-            for v, _ in e.terms:
-                if v in holding:
-                    holding[v].append((r, c))
-
-    children: list[tuple[Fraction, ExpRapState]] = []
-    for z_id, intensity in zip(z_ids, member_intensities):
-        rows = [list(row) for row in template]
-        for r, c in holding[z_id]:
-            rows[r][c] = LinearEntry(tuple(t for t in rows[r][c].terms if t[0] != z_id))
-        entries = tuple(tuple(row) for row in rows)
-        variables = tuple(v for v in template_vars if v.id != z_id)
-        weight = Fraction(intensity) / total
-        children.append((weight, ExpRapState(s.k, entries, variables, s.accumulated + extracted)))
-    assert sum(w for w, _ in children) == 1 and all(w > 0 for w, _ in children)
-    return extracted, children
+    return extracted, _condition_on_minimum(s, members, shift, s.accumulated + extracted)
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,48 @@ def reference_condition_minimum(
     return extracted, children
 
 
+def reference_condition_pair(
+    s: ExpRapState, u1: Position, u2: Position
+) -> tuple[tuple[Fraction, ExpRapState], tuple[Fraction, ExpRapState]]:
+    """Pair conditioning with one substitution of the whole matrix per child.
+
+    The winner of the two scaled disagreement variables becomes the minimum
+    Y, the loser Y plus the residual Z; both children number Y and Z alike.
+    """
+    e1 = s.entries[u1[0]][u1[1]]
+    e2 = s.entries[u2[0]][u2[1]]
+    if not e1.incomparable(e2):
+        raise ValueError("entries must be incomparable to pair-condition")
+    i = min(v for v in set(e1.variables()) | set(e2.variables()) if e1.coeff(v) > e2.coeff(v))
+    j = min(v for v in set(e1.variables()) | set(e2.variables()) if e2.coeff(v) > e1.coeff(v))
+    a = e1.coeff(i) - e2.coeff(i)  # scale of Xi's excess in e1
+    b = e2.coeff(j) - e1.coeff(j)  # scale of Xj's excess in e2
+    ia = Fraction(s.intensity(i)) / a  # intensity of a*Xi
+    ib = Fraction(s.intensity(j)) / b  # intensity of b*Xj
+    total = ia + ib
+    y_id, z_id = _fresh_ids(s, 2)
+
+    def child(first_is_i: bool) -> tuple[Fraction, ExpRapState]:
+        # minimum Y of the two scaled variables, residual Z on the loser
+        weight = (ia if first_is_i else ib) / total
+        z_intensity = ib if first_is_i else ia
+        inv_a, inv_b = Fraction(1) / a, Fraction(1) / b
+        if first_is_i:
+            rules = {i: ((y_id, inv_a),), j: ((y_id, inv_b), (z_id, inv_b))}
+        else:
+            rules = {j: ((y_id, inv_b),), i: ((y_id, inv_a), (z_id, inv_a))}
+        entries = _substitute(s.entries, rules, y_id, {})
+        variables = tuple(v for v in s.variables if v.id not in (i, j)) + (
+            ExpVariable(y_id, total),
+            ExpVariable(z_id, z_intensity),
+        )
+        return weight, ExpRapState(s.k, entries, _gc(entries, variables), s.accumulated)
+
+    first, second = child(True), child(False)
+    assert first[0] + second[0] == 1 and first[0] > 0 and second[0] > 0
+    return first, second
+
+
 def transpose_instance(p: RapInstance) -> RapInstance:
     """Swap rows and columns; every zero (r,c) becomes (c,r), k unchanged."""
     return instance(p.n, p.m, p.k, [(c, r) for r, c in p.zeros])

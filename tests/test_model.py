@@ -61,6 +61,7 @@ class TestParseInstance:
             '{"m":2,"n":2,"k":1,"zeros":[[0,0],[0,0]]}',
             '{"m":0,"n":2,"k":1,"zeros":[]}',
             '{"m":2,"n":2,"k":0,"zeros":[]}',
+            '{"m":3,"n":3,"k":2,"zeroes":[[0,0]]}',
         ],
     )
     def test_malformed_documents_rejected(self, text):

@@ -139,6 +139,11 @@ class TestUsageEstimators:
         assert report.target == expected == Fraction(1, 2)
         assert report.within_3_sigma()
 
+    @pytest.mark.parametrize("pos", [(0, 0), [0, 0]], ids=["tuple", "list"])
+    def test_entry_usage_rejects_zero_position(self, pos):
+        with pytest.raises(ValueError):
+            estimate_entry_usage(instance(2, 2, 1, [(0, 0)]), pos, samples=100, seed=1)
+
     def test_min_entry_usage_certain_when_k_is_one(self):
         report = estimate_min_entry_usage(
             1, 3, 3, samples=100, seed=4, target=min_entry_usage_probability(1, 3, 3)

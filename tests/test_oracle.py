@@ -39,6 +39,7 @@ from conftest import (
     pattern_classes,
     random_instance,
     reference_condition_minimum,
+    reference_condition_pair,
     reference_reduce_state,
 )
 
@@ -385,6 +386,57 @@ class TestConditionMinimumAgainstReference:
         assert self._check(_every_four_by_four_class_at_k_four()) > 600
 
 
+def _pair_conditioning_instances():
+    """Two 5x5 instances at k=5 whose oracle runs reach pair conditioning;
+    no 2x2, 3x3 or 4x4 instance does."""
+    return [
+        instance(5, 5, 5, [(0, 0), (2, 0), (2, 1), (3, 1), (4, 4)]),
+        instance(5, 5, 5, [(1, 1), (2, 0), (3, 4), (4, 4)]),
+    ]
+
+
+class TestConditionPairAgainstReference:
+    """The shared minimum-conditioning step gives the children the
+    per-child substitution gave."""
+
+    @staticmethod
+    def _check(cases) -> int:
+        checked = 0
+        for s, u1, u2 in cases:
+            branches = condition_pair(s, u1, u2)
+            ref_branches = reference_condition_pair(s, u1, u2)
+            assert [w for w, _ in branches] == [w for w, _ in ref_branches]
+            for (_, got), (_, ref) in zip(branches, ref_branches):
+                assert (got.k, got.accumulated) == (ref.k, ref.accumulated)
+                assert canonical_key(got) == canonical_key(ref)
+                assert induction_measure(got) == induction_measure(ref)
+                # new ids keep the old ids' order, so every id tie-break is unchanged
+                assert _by_rank(got) == _by_rank(ref)
+            checked += 1
+        return checked
+
+    def test_every_reached_pair_state(self):
+        # both disagreement scales are 1 at every one of these states
+        cases = (
+            (s, *cls.first_incomparable_pair)
+            for s, cls, rule, _ in _reached_branchings(_pair_conditioning_instances())
+            if rule == "pair"
+        )
+        assert self._check(cases) > 20
+
+    def test_unequal_scales_and_intensities(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        cases = [
+            (state(2, [[{0: 3 * half}, {1: third}], [{1: third}, {0: 3 * half}]],
+                   {0: 2 * third, 1: 5 * half}), (0, 0), (0, 1)),
+            (state(2, [[{0: 2, 1: 1}, {0: 1, 1: 3, 2: 1}], [{2: 1}, {3: 1}]],
+                   {0: 1, 1: 3, 2: 1, 3: 1}, accumulated=half), (0, 0), (0, 1)),
+            (state(1, [[{0: 1, 2: 4}, {1: 1}], [{0: 3, 1: half}, {2: 1}]],
+                   {0: 1, 1: 2, 2: third}), (0, 0), (1, 0)),
+        ]
+        assert self._check(cases) == 3
+
+
 class TestClassificationPartition:
     """The two position tuples split the cells outside the cover by kind."""
 
@@ -452,11 +504,7 @@ class TestLazyMeasure:
         assert seen[True, True] > 0  # children that tie their parent on the cover parts
 
     def test_pair_conditioning_children(self):
-        # no instance above reaches pair conditioning; these 5x5 ones do
-        seen = self._check([
-            instance(5, 5, 5, [(0, 0), (2, 0), (2, 1), (3, 1), (4, 4)]),
-            instance(5, 5, 5, [(1, 1), (2, 0), (3, 4), (4, 4)]),
-        ])
+        seen = self._check(_pair_conditioning_instances())
         assert seen["pair"] > 20 and seen["minimum"] > 300
 
     def test_a_child_is_classified_only_on_a_tie(self, monkeypatch):
