@@ -13,6 +13,7 @@ on them are pure functions.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -37,11 +38,29 @@ class BudgetExceededError(RapError):
         self.nodes = nodes
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a float, bool or string is rejected, not truncated."""
+    if type(value) is not bool:
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidInstanceError(f"{name} must be an integer, got {value!r}")
+
+
 def _canonical_positions(positions: Iterable[Position]) -> tuple[Position, ...]:
+    """The positions as sorted pairs of ints, each checked like :func:`_integer`."""
+    index = operator.index
     out = []
     for pos in positions:
-        r, c = pos
-        out.append((int(r), int(c)))
+        try:
+            r, c = pos
+            if type(r) is not bool and type(c) is not bool:
+                out.append((index(r), index(c)))
+                continue
+        except (TypeError, ValueError):  # not a pair, or not integers
+            pass
+        raise InvalidInstanceError(f"position {pos!r} must be a pair of integers")
     return tuple(sorted(out))
 
 
@@ -58,6 +77,8 @@ class ZeroPattern:
     zeros: tuple[Position, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "m", _integer(self.m, "m"))
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.m < 1 or self.n < 1:
             raise InvalidInstanceError(f"dimensions must be positive, got {self.m}x{self.n}")
         canon = _canonical_positions(self.zeros)
@@ -81,6 +102,7 @@ class RapInstance:
     k: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "k", _integer(self.k, "k"))
         if not (1 <= self.k <= min(self.pattern.m, self.pattern.n)):
             raise InvalidInstanceError(
                 f"k={self.k} must satisfy 1 <= k <= min(m,n)={min(self.pattern.m, self.pattern.n)}"

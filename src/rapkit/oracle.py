@@ -30,6 +30,13 @@ test, the reduction and the classification all read that one result.
 Each state also classifies its entries once, on first use, and the
 termination measure and the conditioning rules read that classification.
 
+The root state costs no per-cell construction: its standard cells are
+shared immutable objects, each built (and validated) once per variable
+id for the whole process, and it takes its zero pattern from the
+instance instead of scanning its entries for one.  The canonical key
+encodes zero- and one-term cells directly and sorts only the terms of
+cells with two or more.
+
 A lexicographic 5-part measure (zeros, cover rows, potentially minimal
 count, disagreement variables, variable count of the minimal entry)
 strictly decreases at every branching step, which is asserted at
@@ -47,7 +54,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import IO, Iterable, Mapping
 
 from .covers import CoverLattice, LineCover, cover_lattice, forced_cover_lines
@@ -144,6 +151,8 @@ class ExpRapState:
         object.__setattr__(self, "accumulated", Fraction(self.accumulated))
         if self.accumulated < 0:
             raise ValueError("accumulated cost must be nonnegative")
+        if any(len(row) != self.n for row in self.entries):
+            raise ValueError("every row of entries must have the same length")
         ids = {v.id for v in self.variables}
         if len(ids) != len(self.variables):
             raise ValueError("duplicate variable id in table")
@@ -209,23 +218,34 @@ class EntryClassification:
     first_incomparable_pair: tuple[Position, Position] | None
 
 
+_ZERO = LinearEntry()
+
+
+@cache
+def _unit(vid: int) -> tuple[LinearEntry, ExpVariable]:
+    """The standard cell of variable `vid` and its unit variable, built once
+    and shared by every initial state; both are immutable."""
+    return LinearEntry(((vid, 1),)), ExpVariable(vid, 1)
+
+
 def make_initial_state(p: RapInstance) -> ExpRapState:
     """The standard RAP as a symbolic state: one unit variable per nonzero."""
-    zeros = set(p.zeros)
+    zeros = p.pattern.zero_set
     variables = []
     rows = []
-    vid = 0
     for r in range(p.m):
         row = []
         for c in range(p.n):
             if (r, c) in zeros:
-                row.append(LinearEntry())
+                row.append(_ZERO)
             else:
-                variables.append(ExpVariable(vid, 1))
-                row.append(LinearEntry(((vid, 1),)))
-                vid += 1
+                cell, variable = _unit(len(variables))
+                row.append(cell)
+                variables.append(variable)
         rows.append(tuple(row))
-    return ExpRapState(p.k, tuple(rows), tuple(variables))
+    s = ExpRapState(p.k, tuple(rows), tuple(variables))
+    vars(s)["_zeros"] = p.pattern  # the validated, sorted zeros the scan would find
+    return s
 
 
 def _collect(entries: Iterable[Iterable[LinearEntry]]) -> set[int]:
@@ -527,7 +547,8 @@ def canonical_key(s: ExpRapState):
     terms of each entry, sorted over the line), with signature ties broken
     by index.  The matrix is then read in that order, renaming variables in
     order of first appearance, and the key holds the encoded cells plus the
-    intensity of each renamed variable.
+    intensity of each renamed variable.  A cell with fewer than two terms
+    is already sorted, so only the others sort theirs.
 
     The key is sound: it describes the state completely up to that row and
     column order and that renaming, so equal keys imply identical value
@@ -536,7 +557,19 @@ def canonical_key(s: ExpRapState):
     cache miss.
     """
     intensity = s._intensities
-    sig = [[tuple(sorted((c, intensity[v]) for v, c in e.terms)) for e in row] for row in s.entries]
+    sig = []
+    for row in s.entries:
+        row_sig = []
+        for e in row:
+            terms = e.terms
+            if len(terms) == 1:
+                ((v, c),) = terms
+                row_sig.append(((c, intensity[v]),))
+            elif terms:
+                row_sig.append(tuple(sorted((c, intensity[v]) for v, c in terms)))
+            else:
+                row_sig.append(())
+        sig.append(row_sig)
     row_order = sorted(range(s.m), key=lambda r: sorted(sig[r]))
     col_order = sorted(range(s.n), key=lambda c: sorted(row[c] for row in sig))
 
@@ -546,10 +579,18 @@ def canonical_key(s: ExpRapState):
         row = s.entries[r]
         for c in col_order:
             terms = row[c].terms
-            fresh = sorted((c_, intensity[v], v) for v, c_ in terms if v not in rename)
-            for _, _, v in fresh:
-                rename[v] = len(rename)
-            encoded.append(tuple(sorted((rename[v], c_) for v, c_ in terms)))
+            if len(terms) == 1:
+                ((v, c_),) = terms
+                if v not in rename:
+                    rename[v] = len(rename)
+                encoded.append(((rename[v], c_),))
+            elif terms:
+                fresh = sorted((c_, intensity[v], v) for v, c_ in terms if v not in rename)
+                for _, _, v in fresh:
+                    rename[v] = len(rename)
+                encoded.append(tuple(sorted((rename[v], c_) for v, c_ in terms)))
+            else:
+                encoded.append(())
     inv = sorted(rename, key=rename.get)
     return (s.k, s.m, s.n, tuple(encoded), tuple(intensity[v] for v in inv))
 

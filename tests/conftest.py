@@ -1,6 +1,7 @@
 """Shared helpers: random instance generation, brute-force cover references,
-the slow oracle rules that the fast ones are checked against, and the instance
-transformations and optimal-assignment structure that the identity checks use."""
+the slow oracle rules, initial state and canonical key that the fast ones are
+checked against, and the instance transformations and optimal-assignment
+structure that the identity checks use."""
 
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from rapkit.oracle import (
     EntryClassification,
     ExpRapState,
     ExpVariable,
+    LinearEntry,
     _fresh_ids,
     _gc,
     _substitute,
@@ -324,6 +326,46 @@ def reference_condition_pair(
     first, second = child(True), child(False)
     assert first[0] + second[0] == 1 and first[0] > 0 and second[0] > 0
     return first, second
+
+
+def reference_initial_state(p: RapInstance) -> ExpRapState:
+    """The standard RAP as a symbolic state, every cell and variable built afresh."""
+    zeros = set(p.zeros)
+    variables = []
+    rows = []
+    vid = 0
+    for r in range(p.m):
+        row = []
+        for c in range(p.n):
+            if (r, c) in zeros:
+                row.append(LinearEntry())
+            else:
+                variables.append(ExpVariable(vid, 1))
+                row.append(LinearEntry(((vid, 1),)))
+                vid += 1
+        rows.append(tuple(row))
+    return ExpRapState(p.k, tuple(rows), tuple(variables))
+
+
+def reference_canonical_key(s: ExpRapState):
+    """The canonical key with every cell's terms sorted, one-term cells included."""
+    intensity = s._intensities
+    sig = [[tuple(sorted((c, intensity[v]) for v, c in e.terms)) for e in row] for row in s.entries]
+    row_order = sorted(range(s.m), key=lambda r: sorted(sig[r]))
+    col_order = sorted(range(s.n), key=lambda c: sorted(row[c] for row in sig))
+
+    rename: dict[int, int] = {}
+    encoded = []
+    for r in row_order:
+        row = s.entries[r]
+        for c in col_order:
+            terms = row[c].terms
+            fresh = sorted((c_, intensity[v], v) for v, c_ in terms if v not in rename)
+            for _, _, v in fresh:
+                rename[v] = len(rename)
+            encoded.append(tuple(sorted((rename[v], c_) for v, c_ in terms)))
+    inv = sorted(rename, key=rename.get)
+    return (s.k, s.m, s.n, tuple(encoded), tuple(intensity[v] for v in inv))
 
 
 def transpose_instance(p: RapInstance) -> RapInstance:

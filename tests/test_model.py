@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -167,6 +168,40 @@ class TestValidation:
             SampledMatrix(2, 2, ((0.0, 0.0), (2.0, 3.0)), z)  # zero off the pattern
         with pytest.raises(InvalidInstanceError):
             SampledMatrix(2, 2, ((0.0, 1.0),), z)  # wrong shape
+
+
+class TestIntegerArguments:
+    """Coordinates, dimensions and k are integers: anything else is refused,
+    never truncated; an integer type such as numpy.int64 is accepted."""
+
+    @pytest.mark.parametrize(
+        "value, accepted",
+        [(0.9, False), (2.0, False), (True, False), ("1", False), (np.int64(1), True)],
+        ids=["float", "integral-float", "bool", "str", "numpy-int64"],
+    )
+    def test_value(self, value, accepted):
+        builds = {
+            "row": lambda: instance(3, 3, 2, [(value, 0)]).zeros[0],
+            "column": lambda: instance(3, 3, 2, [(0, value)]).zeros[0],
+            "assignment": lambda: Assignment(((value, 0),)).positions[0],
+            "m": lambda: (instance(value, 3, 1).m,),
+            "n": lambda: (instance(3, value, 1).n,),
+            "k": lambda: (instance(3, 3, value).k,),
+        }
+        for build in builds.values():
+            if accepted:
+                stored = build()
+                assert 1 in stored and all(type(x) is int for x in stored)
+            else:
+                with pytest.raises(InvalidInstanceError, match="integer"):
+                    build()
+
+    @pytest.mark.parametrize("pos", [(0, 1, 2), (0,), 5], ids=["triple", "single", "int"])
+    def test_position_must_be_a_pair(self, pos):
+        with pytest.raises(InvalidInstanceError, match="pair of integers"):
+            instance(3, 3, 2, [pos])
+        with pytest.raises(InvalidInstanceError, match="pair of integers"):
+            Assignment((pos,))
 
 
 class TestRationalWireFormat:

@@ -38,8 +38,10 @@ from conftest import (
     all_patterns,
     pattern_classes,
     random_instance,
+    reference_canonical_key,
     reference_condition_minimum,
     reference_condition_pair,
+    reference_initial_state,
     reference_reduce_state,
 )
 
@@ -111,6 +113,12 @@ class TestLinearEntry:
         with pytest.raises(ValueError):
             LinearEntry(((1, Fraction(-1)),))
         assert entry({1: 0}).is_zero  # zero coefficients dropped by .of
+
+
+class TestExpRapState:
+    def test_ragged_entries_rejected(self):
+        with pytest.raises(ValueError, match="same length"):
+            ExpRapState(1, ((LinearEntry(),), (LinearEntry(), LinearEntry())), ())
 
 
 @pytest.fixture
@@ -311,9 +319,14 @@ def _reached_branchings(instances):
     """The reduced, non-terminal states that an oracle run on each of
     `instances` expands, one per canonical key and instance as its cache
     would, each with its classification, its rule and its children."""
-    for p in instances:
+    return _branchings_below(make_initial_state(p) for p in instances)
+
+
+def _branchings_below(roots):
+    """:func:`_reached_branchings` for runs started at arbitrary states."""
+    for root in roots:
         seen = set()
-        stack = [make_initial_state(p)]
+        stack = [root]
         while stack:
             s = reduce_state(stack.pop())
             if is_terminal(s):
@@ -541,6 +554,16 @@ def _rationals(state: ExpRapState):
     return coefficients + [v.intensity for v in state.variables]
 
 
+def _fractional_pair_state() -> ExpRapState:
+    rows = [[{0: Fraction(3, 2)}, {1: Fraction(1, 3)}], [{1: Fraction(1, 3)}, {0: Fraction(3, 2)}]]
+    return state(2, rows, {0: Fraction(2, 3), 1: Fraction(5, 2)})
+
+
+def _fractional_minimum_state() -> ExpRapState:
+    rows = [[{0: Fraction(3, 2)}, {1: 1}], [{2: 1}, {0: Fraction(3, 2), 3: Fraction(1, 3)}]]
+    return state(2, rows, {0: Fraction(2, 3), 1: 1, 2: 1, 3: Fraction(5, 2)})
+
+
 class TestExactArithmetic:
     def test_integral_values_stored_as_ints(self):
         assert type(LinearEntry(((0, Fraction(2)),)).terms[0][1]) is int
@@ -556,8 +579,7 @@ class TestExactArithmetic:
             assert all(type(x) is int for x in _rationals(child))
 
     def test_pair_with_fractional_coefficients_and_intensities(self):
-        rows = [[{0: Fraction(3, 2)}, {1: Fraction(1, 3)}], [{1: Fraction(1, 3)}, {0: Fraction(3, 2)}]]
-        s = state(2, rows, {0: Fraction(2, 3), 1: Fraction(5, 2)})
+        s = _fractional_pair_state()
         branches = condition_pair(s, (0, 0), (0, 1))
         assert all(type(w) is Fraction for w, _ in branches)
         # 3/2 X0 has intensity 4/9 and 1/3 X1 intensity 15/2
@@ -567,8 +589,7 @@ class TestExactArithmetic:
             assert all(type(x) in (int, Fraction) for x in _rationals(child))
 
     def test_minimum_with_fractional_coefficients_and_intensities(self):
-        rows = [[{0: Fraction(3, 2)}, {1: 1}], [{2: 1}, {0: Fraction(3, 2), 3: Fraction(1, 3)}]]
-        s = state(2, rows, {0: Fraction(2, 3), 1: 1, 2: 1, 3: Fraction(5, 2)})
+        s = _fractional_minimum_state()
         assert classify_entries(s).minimal == (0, 0)
         extracted, children = condition_minimum(s)
         # members 3/2 X0, X1, X2 with intensities 4/9, 1, 1; total 22/9
@@ -650,6 +671,71 @@ class TestCanonicalKey:
         s = make_initial_state(instance(2, 2, 2))
         shifted = ExpRapState(s.k, s.entries, s.variables, Fraction(7, 2))
         assert canonical_key(s) == canonical_key(shifted)
+
+
+class TestCanonicalKeyAgainstReference:
+    """Keying zero- and one-term cells without sorting gives the key that
+    sorting every cell gave."""
+
+    @staticmethod
+    def _check(branchings) -> Counter:
+        seen = Counter()
+        for parent, _, _, children in branchings:
+            for s in (parent, *children):
+                assert canonical_key(s) == reference_canonical_key(s)
+                terms = [e.terms for row in s.entries for e in row]
+                seen["states"] += 1
+                seen["multi-term"] += any(len(t) > 1 for t in terms)
+                seen["fraction"] += any(type(c) is Fraction for t in terms for _, c in t)
+        return seen
+
+    def test_every_two_by_two_and_three_by_three_instance(self):
+        # every cell of these states has at most one term
+        assert self._check(_reached_branchings(_every_small_instance()))["states"] > 3000
+
+    def test_every_four_by_four_class_at_k_four(self):
+        seen = self._check(_reached_branchings(_every_four_by_four_class_at_k_four()))
+        assert seen["states"] > 4000 and seen["multi-term"] > 300
+
+    def test_pair_conditioning_instances(self):
+        seen = self._check(_reached_branchings(_pair_conditioning_instances()))
+        assert seen["multi-term"] > 1000
+
+    def test_fractional_coefficients(self):
+        roots = [_fractional_pair_state(), _fractional_minimum_state()]
+        seen = self._check(_branchings_below(roots))
+        assert seen["fraction"] > 10 and seen["multi-term"] > 10
+
+
+class TestSharedInitialState:
+    """Shared standard cells and the instance's zero pattern give the state
+    the per-cell builder gave."""
+
+    @staticmethod
+    def _instances():
+        for m in (1, 2, 3):
+            for n in (1, 2, 3):
+                for zp in all_patterns(m, n):
+                    yield from (instance(m, n, k, zp.zeros) for k in range(1, min(m, n) + 1))
+        for zp in all_patterns(3, 4):
+            yield instance(3, 4, 3, zp.zeros)
+        yield from _every_four_by_four_class_at_k_four()
+
+    def test_matches_the_per_cell_builder(self):
+        checked = 0
+        for p in self._instances():
+            s, ref = make_initial_state(p), reference_initial_state(p)
+            assert (s.k, s.entries, s.variables) == (ref.k, ref.entries, ref.variables)
+            assert vars(s)["_zeros"] is p.pattern  # primed, not scanned
+            assert s.zero_pattern() == ref.zero_pattern()  # the scan of the entries
+            checked += 1
+        assert checked > 4000
+
+    def test_same_instance_twice(self):
+        p = instance(3, 4, 3, [(0, 1), (2, 3)])
+        a, b = make_initial_state(p), make_initial_state(p)
+        assert a == b and canonical_key(a) == canonical_key(b)
+        assert all(x is y for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb))
 
 
 def _imports(module) -> list[str]:
