@@ -20,6 +20,13 @@ convolution of small per-component tables, each found by a pruned
 depth-first enumeration of that component's lines.  A component that
 spans every line is still exponential in its size, so the enumeration
 is charged against a subset budget (BudgetExceededError when exceeded).
+Deleting a line lowers a matching by at most one, so the lines a choice
+takes from a component plus the matching they leave there never fall
+below that component's own maximum matching.  Once the budget is
+checked, one matching per component bounds everything: a pattern with
+k independent zeros has no partial (k-1)-cover and costs nothing more,
+and otherwise each component is enumerated only as far as the others
+leave room for.
 Row-only counts need no enumeration at all when a maximum matching
 covers every row holding a zero.
 """
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Collection, Container, Iterable
 
-from .model import BudgetExceededError, Position, RapInstance, ZeroPattern
+from .model import BudgetExceededError, Position, RapInstance, ZeroPattern, _integer
 
 
 @dataclass(frozen=True)
@@ -248,34 +255,37 @@ def _components(zeros: tuple[Position, ...]) -> list[list[Position]]:
 
 
 def _component_table(
-    zeros: list[Position], rows: Container[int], cols: Container[int], limit: int
+    zeros: list[Position], rows: Container[int], cols: Container[int], limit: int, nu: int
 ) -> dict[tuple[int, int, int], int]:
     """Line-subset counts of one component of the zero graph.
 
-    T[(a, b, nu)] counts the choices of a of its rows in ``rows`` and b of
-    its columns in ``cols`` that leave a maximum matching of nu of its
-    zeros; only entries with a + b + nu <= limit are kept.
+    T[(a, b, nu')] counts the choices of a of its rows in ``rows`` and b of
+    its columns in ``cols`` that leave a maximum matching of nu' of its
+    zeros; only entries with a + b + nu' <= limit are kept.  ``nu`` is the
+    component's own maximum matching, the residual of the empty choice,
+    so the root visit does not find it again; the caller passes a limit
+    of at least ``nu``, so the table always holds that root entry.
 
     Subsets are visited depth-first, one line added at a time, and each
     one's residual matching is found afresh.  Adding a line lowers the
-    matching by at most one, so a + b + nu never falls and a subset over
+    matching by at most one, so a + b + nu' never falls and a subset over
     the limit cuts off all of its supersets.
     """
     lines = [(r, None) for r in sorted({r for r, _ in zeros}) if r in rows]
     lines += [(None, c) for c in sorted({c for _, c in zeros}) if c in cols]
     table: dict[tuple[int, int, int], int] = {}
 
-    def visit(start: int, residual: list[Position], a: int, b: int) -> None:
-        nu = len(_max_matching(residual))
+    def visit(start: int, residual: list[Position], a: int, b: int, nu: int) -> None:
         if a + b + nu > limit:
             return
         table[a, b, nu] = table.get((a, b, nu), 0) + 1
         for t in range(start, len(lines)):
             row, col = lines[t]
             rest = [z for z in residual if z[0] != row and z[1] != col]
-            visit(t + 1, rest, a + (col is None), b + (row is None))
+            a2, b2 = a + (col is None), b + (row is None)
+            visit(t + 1, rest, a2, b2, len(_max_matching(rest)))
 
-    visit(0, zeros, 0, 0)
+    visit(0, zeros, 0, 0, nu)
     return table
 
 
@@ -294,6 +304,15 @@ def _partial_cover_counts(
     anything when the components' subset counts (for each, the sum of
     C(lines, s) over s <= limit, counting its lines in ``rows`` and
     ``cols``) exceed SUBSET_BUDGET.
+
+    Deleting a line lowers a matching by at most one, so every choice
+    leaves component c with a_c + b_c + nu'_c >= nu_c, its own maximum
+    matching.  The other components therefore use at least the sum of
+    their nu_c, and only the slack, limit minus the sum of every nu_c, is
+    left over: none means no partial cover at all (so a pattern with
+    limit + 1 independent zeros costs one matching per component), and
+    otherwise component c is enumerated to slack + nu_c and the zero-free
+    lines to the slack.
     """
     parts = _components(zeros)
     needed = 0
@@ -304,7 +323,9 @@ def _partial_cover_counts(
         raise BudgetExceededError(
             f"cover profile needs up to {needed} line-subset tests, over the budget of {SUBSET_BUDGET}"
         )
-    if len(parts) > limit:  # each component adds a chosen line or a left zero
+    nus = [len(_max_matching(part)) for part in parts]
+    slack = limit - sum(nus)
+    if slack < 0:
         return {}
     zero_rows = {r for r, _ in zeros}
     zero_cols = {c for _, c in zeros}
@@ -312,13 +333,11 @@ def _partial_cover_counts(
     n0 = sum(c not in zero_cols for c in cols)
     total = {  # the zero-free lines alone leave nothing to match
         (a, b, 0): comb(m0, a) * comb(n0, b)
-        for a in range(min(m0, limit) + 1)
-        for b in range(min(n0, limit - a) + 1)
+        for a in range(min(m0, slack) + 1)
+        for b in range(min(n0, slack - a) + 1)
     }
-    for part in parts:
-        table = _component_table(part, rows, cols, limit)
-        if not table:  # this component alone leaves no partial cover
-            return {}
+    for part, nu in zip(parts, nus):
+        table = _component_table(part, rows, cols, slack + nu, nu)
         merged: dict[tuple[int, int, int], int] = {}
         for (a1, b1, nu1), x1 in total.items():
             room = limit - a1 - b1 - nu1
@@ -364,6 +383,7 @@ def row_excluded_profile(p: RapInstance, r: int) -> tuple[int, ...]:
     from row choices only, with row r never chosen (its zeros stay in the
     residual).
     """
+    r = _integer(r, "row")
     if not 0 <= r < p.m:
         raise IndexError(f"row index {r} out of range for m={p.m}")
     limit = p.k - 1

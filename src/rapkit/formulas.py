@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .covers import cover_profile, row_excluded_profile
-from .model import RapInstance, rational_to_json
+from .model import RapInstance, _integer, rational_to_json
 
 METHODS = (
     "parisi",
@@ -89,6 +89,7 @@ def row_inclusion_probability(p: RapInstance, r: int) -> Fraction:
     counts i-row partial (k-1)-covers avoiding row r.  The formula requires
     row r to contain no zeros (usage is then invariant across optima).
     """
+    r = _integer(r, "row")
     if not 0 <= r < p.m:
         raise IndexError(f"row index {r} out of range for m={p.m}")
     if any(zr == r for zr, _ in p.zeros):

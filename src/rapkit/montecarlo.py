@@ -37,7 +37,7 @@ from typing import IO, Callable
 
 import numpy as np
 
-from .model import RapInstance, SampledMatrix, instance, rational_to_json
+from .model import RapInstance, SampledMatrix, _integer, instance, rational_to_json
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,14 @@ def _check_seed(seed: int) -> int:
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit nonnegative integer, got {seed!r}")
     return seed
+
+
+def _check_threads(threads: int | None) -> int | None:
+    if threads is None:
+        return None
+    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
+        raise ValueError(f"threads must be None or a positive integer, got {threads!r}")
+    return threads
 
 
 def _check_samples(samples: int) -> int:
@@ -211,13 +219,14 @@ def _run(
 
     `statistic(a, cols, costs)` gives one value per sample of a chunk:
     `a` holds its (B, m, n) sampled matrices, `cols` and `costs` come
-    from `_solve_chunk`.  `samples` and `seed` are checked, and the CSV
-    header written, before anything is drawn.  `threads` caps the pool
-    on shapes large enough for one (see `_POOL_MIN_ENTRIES`); None
-    means every usable CPU.
+    from `_solve_chunk`.  `samples`, `seed` and `threads` are checked,
+    and the CSV header written, before anything is drawn.  `threads` caps
+    the pool on shapes large enough for one (see `_POOL_MIN_ENTRIES`);
+    None means every usable CPU.
     """
     _check_samples(samples)
     _check_seed(seed)
+    _check_threads(threads)
     if csv_out is not None:
         csv_out.write("sample,cost,statistic\n")
     zero_mask = _zero_mask(p, p.n + p.m - p.k)
@@ -279,6 +288,7 @@ def estimate_row_usage(
     target: Fraction | None = None,
 ) -> EstimateReport:
     """Frequency with which the optimal assignment uses zero-free row r."""
+    r = _integer(r, "row")
     if not 0 <= r < p.m:
         raise IndexError(f"row index {r} out of range for m={p.m}")
     if any(zr == r for zr, _ in p.zeros):
@@ -303,7 +313,7 @@ def estimate_entry_usage(
     Its exact value is E(P) - E(P'), where P' has a zero at `pos`; the
     caller passes it as `target`.
     """
-    r, c = pos
+    r, c = (_integer(x, "position coordinate") for x in pos)
     if not (0 <= r < p.m and 0 <= c < p.n):
         raise IndexError(f"position {pos} out of range")
     if (r, c) in p.zeros:

@@ -27,6 +27,8 @@ division goes through Fraction, so branch weights, extracted costs and
 the final value are exact Fractions.  Each state finds both ends of its
 minimum-cover lattice once, from one maximum matching; the terminal
 test, the reduction and the classification all read that one result.
+An instance already terminal at the root (k independent zeros) is
+answered from one matching, before its state is built.
 Each state also classifies its entries once, on first use, and the
 termination measure and the conditioning rules read that classification.
 
@@ -57,7 +59,13 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import IO, Iterable, Mapping
 
-from .covers import CoverLattice, LineCover, cover_lattice, forced_cover_lines
+from .covers import (
+    CoverLattice,
+    LineCover,
+    cover_lattice,
+    forced_cover_lines,
+    max_independent_zeros,
+)
 from .model import BudgetExceededError, Position, RapInstance, ZeroPattern
 
 DEFAULT_NODE_BUDGET = 10**6
@@ -688,9 +696,16 @@ def oracle_node_count(
     cache: dict | None = None,
     trace: IO[str] | None = None,
 ) -> tuple[Fraction, int]:
-    """Value plus the number of evaluated nodes, for budget reporting."""
+    """Value plus the number of evaluated nodes, for budget reporting.
+
+    An instance whose zeros hold k independent entries is terminal at the
+    root, so it is answered from one matching: value 0, no node, no trace
+    line and no cache entry, without building the symbolic state.
+    """
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
         raise ValueError(f"budget must be a positive integer, got {budget!r}")
+    if max_independent_zeros(p.pattern) >= p.k:
+        return Fraction(0), 0
     run = _OracleRun(budget, cache, trace)
     value = _evaluate(make_initial_state(p), run)
     return value, run.nodes

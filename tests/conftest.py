@@ -14,6 +14,7 @@ from typing import Iterable
 import pytest
 from hypothesis import strategies as st
 
+import rapkit.covers
 from rapkit.covers import CoverProfile, LineCover, forced_cover_lines, max_independent_zeros
 from rapkit.model import (
     Assignment,
@@ -508,6 +509,21 @@ def instances(draw, max_m: int = 4, max_n: int = 4):
     cells = [(r, c) for r in range(m) for c in range(n)]
     zeros = draw(st.lists(st.sampled_from(cells), unique=True, max_size=m * n))
     return instance(m, n, k, zeros)
+
+
+@pytest.fixture
+def matchings(monkeypatch) -> list[tuple[Position, ...]]:
+    """The zero sets of every maximum matching computed while the test runs."""
+    calls = []
+    real = rapkit.covers._max_matching
+
+    def counted(zeros):
+        zeros = tuple(zeros)
+        calls.append(zeros)
+        return real(zeros)
+
+    monkeypatch.setattr(rapkit.covers, "_max_matching", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -5,8 +5,9 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rapkit import covers
@@ -229,6 +230,15 @@ class TestRowExcludedProfile:
         with pytest.raises(IndexError):
             row_excluded_profile(instance(2, 2, 2), 2)
 
+    @pytest.mark.parametrize("row", [True, 1.5, 1.0, "1"])
+    def test_row_must_be_an_integer(self, row):
+        with pytest.raises(ValueError, match="row must be an integer"):
+            row_excluded_profile(instance(3, 3, 2, [(0, 0)]), row)
+
+    def test_numpy_integer_row_accepted(self):
+        p = instance(3, 3, 2, [(0, 0)])
+        assert row_excluded_profile(p, np.int64(1)) == row_excluded_profile(p, 1)
+
 
 def staircase_band(size: int) -> list[tuple[int, int]]:
     """Zeros (i, i) and (i, i+1): one component over all 2*size lines."""
@@ -276,12 +286,86 @@ class TestFactoredProfileAgainstBruteForce:
         assert profile.as_dict() == {(j, i): count for (i, j), count in theirs.items()}
 
 
+@st.composite
+def block_patterns(draw, max_side: int = 7) -> ZeroPattern:
+    """Patterns up to max_side x max_side whose zeros lie in two or three
+    diagonal blocks (rows and columns labelled by block), so the zero graph
+    falls apart into several components."""
+    m = draw(st.integers(2, max_side))
+    n = draw(st.integers(2, max_side))
+    blocks = draw(st.integers(2, 3))
+    row_block = draw(st.lists(st.integers(0, blocks - 1), min_size=m, max_size=m))
+    col_block = draw(st.lists(st.integers(0, blocks - 1), min_size=n, max_size=n))
+    cells = [(r, c) for r in range(m) for c in range(n) if row_block[r] == col_block[c]]
+    assume(cells)
+    zeros = draw(st.lists(st.sampled_from(cells), unique=True, max_size=len(cells)))
+    assume(len(covers._components(tuple(zeros))) >= 2)
+    return ZeroPattern(m, n, tuple(zeros))
+
+
+def _components(p) -> list[tuple]:
+    return sorted(tuple(sorted(part)) for part in covers._components(p.zeros))
+
+
+def _no_table(*args):
+    raise AssertionError("a component was enumerated")
+
+
+class TestMatchingBound:
+    """Each component c leaves a_c + b_c + nu'_c >= nu_c, so only the slack
+    k - 1 - sum(nu_c) is left for the rest of a choice."""
+
+    @given(block_patterns())
+    @settings(max_examples=60, deadline=None)
+    def test_several_components_match_brute_force_at_every_k(self, z):
+        for k in range(1, min(z.m, z.n) + 1):
+            p = instance(z.m, z.n, k, z.zeros)
+            assert cover_profile(p) == brute_force_cover_profile(p)
+            for r in range(p.m):
+                assert row_excluded_profile(p, r) == brute_force_row_excluded_profile(p, r)
+
+    # four components: an all-zero 2x2 block (nu 2), a path (nu 2), two single zeros
+    ZEROS = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 3), (4, 4), (5, 5)]
+
+    def test_k_independent_zeros_cost_one_matching_per_component(self, matchings, monkeypatch):
+        monkeypatch.setattr(covers, "_component_table", _no_table)
+        for k in range(1, 7):  # nu = 6 >= k
+            p = instance(7, 7, k, self.ZEROS)
+            matchings.clear()
+            profile = cover_profile(p)
+            assert len(matchings) == 4
+            assert sorted(tuple(sorted(zeros)) for zeros in matchings) == _components(p)
+            assert all(count == 0 for _, _, count in profile.coefficients)
+            assert profile == brute_force_cover_profile(p)
+
+    def test_rows_only_count_also_stops_at_the_bound(self, matchings, monkeypatch):
+        monkeypatch.setattr(covers, "_component_table", _no_table)
+        # two rows share each of columns 0 and 1, so the rows are enumerated;
+        # four components of nu 1 against k - 1 = 2
+        p = instance(7, 4, 3, [(0, 0), (1, 0), (2, 1), (3, 1), (4, 2), (5, 3)])
+        assert row_excluded_profile(p, 6) == (0, 0, 0)
+        assert len(matchings) == 1 + 4  # the whole pattern's, then one per component
+
+    def test_component_root_reuses_the_given_matching(self, matchings):
+        zeros = self.ZEROS[:7]  # the block and the path, nu = 4
+        for k in range(5, 8):  # slack k - 1 - 4 from 0 to 2
+            p = instance(7, 7, k, zeros)
+            expected = brute_force_cover_profile(p)
+            matchings.clear()
+            assert cover_profile(p) == expected
+            found = [tuple(sorted(zeros)) for zeros in matchings]
+            for part in _components(p):  # once for the slack, never again at the root
+                assert found.count(part) == 1, part
+
+
 class TestSubsetBudget:
     def test_budget_admits_every_12x12_component(self):
         assert covers.SUBSET_BUDGET >= sum(math.comb(24, s) for s in range(12))
 
     def test_one_component_over_32_lines_raises_at_once(self):
         p = instance(16, 16, 16, staircase_band(16))
+        # k independent zeros: the budget is checked before the matching bound
+        assert max_independent_zeros(p.pattern) >= p.k
         for compute in (cover_profile, cover_formula_value):
             t0 = time.perf_counter()
             with pytest.raises(BudgetExceededError):
@@ -371,18 +455,6 @@ class TestAgainstPerLineReference:
 class TestOneMatchingPerPattern:
     # one component over 7 lines with nu = 3, so per-line tests take 5, 4 and 8 matchings
     Z = ZeroPattern(4, 3, ((0, 0), (0, 1), (1, 1), (2, 1), (2, 2), (3, 2)))
-
-    @pytest.fixture
-    def matchings(self, monkeypatch):
-        calls = []
-        real = covers._max_matching
-
-        def counted(zeros):
-            calls.append(zeros)
-            return real(zeros)
-
-        monkeypatch.setattr(covers, "_max_matching", counted)
-        return calls
 
     # the minimum cover the lattice hands out is its row-maximal end
     @pytest.mark.parametrize(

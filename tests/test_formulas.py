@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rapkit.formulas import (
@@ -169,6 +170,14 @@ class TestRowInclusion:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             row_inclusion_probability(instance(3, 3, 2), 5)
+
+    @pytest.mark.parametrize("row", [True, 1.5, 1.0, "1"])
+    def test_row_must_be_an_integer(self, row):
+        with pytest.raises(ValueError, match="row must be an integer"):
+            row_inclusion_probability(instance(3, 3, 2, [(0, 0)]), row)
+
+    def test_numpy_integer_row_accepted(self):
+        assert row_inclusion_probability(instance(3, 3, 2, [(0, 0)]), np.int64(2)) == Fraction(1, 2)
 
 
 class TestMinEntryUsage:

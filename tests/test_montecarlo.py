@@ -125,6 +125,22 @@ class TestUsageEstimators:
         with pytest.raises(IndexError):
             estimate_row_usage(instance(2, 2, 1), 5, samples=10, seed=1)
 
+    @pytest.mark.parametrize("row", [True, 1.5, 1.0, "1"])
+    def test_row_usage_row_must_be_an_integer(self, row):
+        with pytest.raises(ValueError, match="row must be an integer"):
+            estimate_row_usage(instance(3, 3, 2, [(0, 0)]), row, samples=100, seed=1)
+
+    @pytest.mark.parametrize("pos", [(True, 1), (1, False), (1.0, 1), (1, 1.5)])
+    def test_entry_usage_position_must_be_integers(self, pos):
+        with pytest.raises(ValueError, match="must be an integer"):
+            estimate_entry_usage(instance(3, 3, 2, [(0, 0)]), pos, samples=100, seed=1)
+
+    def test_numpy_integers_accepted(self):
+        p = instance(3, 3, 2, [(0, 0)])
+        one = np.int64(1)
+        assert estimate_row_usage(p, one, 100, 1) == estimate_row_usage(p, 1, 100, 1)
+        assert estimate_entry_usage(p, (one, one), 100, 1) == estimate_entry_usage(p, (1, 1), 100, 1)
+
     def test_entry_usage_certain_for_one_by_one(self):
         p = instance(1, 1, 1)
         target = cover_formula_value(p) - cover_formula_value(insert_zero(p, (0, 0)))
@@ -357,7 +373,8 @@ class TestCsvOutput:
 
 
 class TestValidation:
-    """Every estimator rejects a bad seed or sample count before writing any CSV."""
+    """Every estimator rejects a bad seed, sample count or thread cap before
+    writing any CSV."""
 
     ESTIMATORS = {
         "value": lambda **kw: estimate_value(instance(2, 2, 2), **kw),
@@ -380,6 +397,28 @@ class TestValidation:
     @pytest.mark.parametrize("samples", [0, 1, -5, 2.0])
     def test_bad_samples_rejected(self, samples):
         self._rejected_without_output(samples=samples, seed=1)
+
+    BAD_THREADS = [0, -1, True, 1.5, "2"]
+
+    @pytest.mark.parametrize("threads", BAD_THREADS)
+    def test_bad_threads_rejected(self, threads):
+        self._rejected_without_output(samples=10, seed=1, threads=threads)
+
+    @pytest.mark.parametrize("threads", BAD_THREADS)
+    @pytest.mark.parametrize(
+        "shape, pooled", [((2, 2, 2), False), ((40, 40, 20), True)], ids=["inline", "pooled"]
+    )
+    def test_bad_threads_rejected_before_drawing(self, shape, pooled, threads, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(montecarlo, "_draw_chunk", no_draw)
+        p = instance(*shape)
+        assert (p.m * (p.n + p.m - p.k) >= montecarlo._POOL_MIN_ENTRIES) == pooled
+        out = io.StringIO()
+        with pytest.raises(ValueError, match="threads must be None or a positive integer"):
+            estimate_value(p, 50, 1, threads=threads, csv_out=out)
+        assert out.getvalue() == ""
 
 
 class TestSolverAgreement:

@@ -12,13 +12,13 @@ from pathlib import Path
 import pytest
 
 import rapkit.cli
-import rapkit.covers
 import rapkit.montecarlo
 import rapkit.oracle
 from rapkit.covers import LineCover
 from rapkit.formulas import cover_formula_value
 from rapkit.model import BudgetExceededError, instance
 from rapkit.oracle import (
+    DEFAULT_NODE_BUDGET,
     ExpRapState,
     ExpVariable,
     LinearEntry,
@@ -119,21 +119,6 @@ class TestExpRapState:
     def test_ragged_entries_rejected(self):
         with pytest.raises(ValueError, match="same length"):
             ExpRapState(1, ((LinearEntry(),), (LinearEntry(), LinearEntry())), ())
-
-
-@pytest.fixture
-def matchings(monkeypatch):
-    """The zero sets of every maximum matching computed while the test runs."""
-    calls = []
-    real = rapkit.covers._max_matching
-
-    def counted(zeros):
-        zeros = tuple(zeros)
-        calls.append(zeros)
-        return real(zeros)
-
-    monkeypatch.setattr(rapkit.covers, "_max_matching", counted)
-    return calls
 
 
 class TestReduce:
@@ -653,6 +638,40 @@ class TestBudgetAndTrace:
         oracle_expected_value(instance(3, 3, 3), cache=cache)
         _, nodes = oracle_node_count(instance(3, 3, 3), cache=cache)
         assert nodes == 0  # everything served from the shared cache
+
+
+class TestIndependentZerosAtTheRoot:
+    """An instance whose zeros hold k independent entries is answered from
+    one matching, as the full evaluation would answer it."""
+
+    def test_answered_without_a_state(self, matchings, monkeypatch):
+        def no_state(p):
+            raise AssertionError("built the symbolic state")
+
+        monkeypatch.setattr(rapkit.oracle, "make_initial_state", no_state)
+        cache: dict = {}
+        trace = io.StringIO()
+        p = instance(4, 5, 3, [(0, 0), (1, 1), (3, 0), (3, 2)])
+        assert oracle_node_count(p, cache=cache, trace=trace) == (0, 0)
+        assert oracle_expected_value(p, budget=1) == 0
+        assert trace.getvalue() == "" and cache == {}
+        assert len(matchings) == 2  # one per call
+
+    def test_agrees_with_the_full_evaluation(self):
+        """Value, node count, trace and cache equal those of evaluating the
+        root state, on every pattern up to 3x3 at every k."""
+        for m in range(1, 4):
+            for n in range(1, 4):
+                for z in all_patterns(m, n):
+                    for k in range(1, min(m, n) + 1):
+                        p = instance(m, n, k, z.zeros)
+                        full = rapkit.oracle._OracleRun(DEFAULT_NODE_BUDGET, None, io.StringIO())
+                        value = rapkit.oracle._evaluate(make_initial_state(p), full)
+                        cache: dict = {}
+                        trace = io.StringIO()
+                        assert oracle_node_count(p, cache=cache, trace=trace) == (value, full.nodes)
+                        assert trace.getvalue() == full.trace.getvalue()
+                        assert cache == full.cache
 
 
 class TestCanonicalKey:
