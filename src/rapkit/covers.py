@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Collection, Container, Iterable
 
-from .model import BudgetExceededError, Position, RapInstance, ZeroPattern, _integer
+from .model import BudgetExceededError, Position, RapInstance, ZeroPattern, checked_int, checked_row
 
 
 @dataclass(frozen=True)
@@ -383,9 +383,7 @@ def row_excluded_profile(p: RapInstance, r: int) -> tuple[int, ...]:
     from row choices only, with row r never chosen (its zeros stay in the
     residual).
     """
-    r = _integer(r, "row")
-    if not 0 <= r < p.m:
-        raise IndexError(f"row index {r} out of range for m={p.m}")
+    r = checked_row(p, r)
     limit = p.k - 1
     held = {zr for zr, _ in p.zeros}
     nu = len(_max_matching(p.zeros))
@@ -431,6 +429,7 @@ def forced_cover_lines(z: ZeroPattern, size: int) -> tuple[frozenset[int], froze
     the rows of the column-maximal cover and the columns of the row-maximal
     one.  A larger size forces a subset of them, each tested on its own.
     """
+    size = checked_int(size, "size")
     lattice = cover_lattice(z)
     if lattice.size > size:
         raise ValueError(f"no {size}-cover exists")

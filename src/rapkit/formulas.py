@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .covers import cover_profile, row_excluded_profile
-from .model import RapInstance, _integer, rational_to_json
+from .model import RapInstance, checked_int, checked_row, instance, rational_to_json
 
 METHODS = (
     "parisi",
@@ -45,24 +45,16 @@ class FormulaReport:
         return {"method": self.method, "k": self.k, "m": self.m, "n": self.n, "value": payload}
 
 
-def _check_kmn(k: int, m: int, n: int) -> None:
-    for name, x in (("k", k), ("m", m), ("n", n)):
-        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-            raise ValueError(f"{name} must be a positive integer, got {x!r}")
-    if k > min(m, n):
-        raise ValueError(f"k={k} exceeds min(m, n)={min(m, n)}")
-
-
 def parisi_value(k: int) -> Fraction:
     """Exact sum of 1/d^2 for d = 1..k."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+    k = checked_int(k, "k", 1)
     return sum((Fraction(1, d * d) for d in range(1, k + 1)), Fraction(0))
 
 
 def cs_value(k: int, m: int, n: int) -> Fraction:
     """Exact sum of 1/((m-i)(n-j)) over i, j >= 0 with i+j < k."""
-    _check_kmn(k, m, n)
+    p = instance(m, n, k)
+    k, m, n = p.k, p.m, p.n
     return sum(
         (Fraction(1, (m - i) * (n - j)) for i in range(k) for j in range(k - i)), Fraction(0)
     )
@@ -89,9 +81,7 @@ def row_inclusion_probability(p: RapInstance, r: int) -> Fraction:
     counts i-row partial (k-1)-covers avoiding row r.  The formula requires
     row r to contain no zeros (usage is then invariant across optima).
     """
-    r = _integer(r, "row")
-    if not 0 <= r < p.m:
-        raise IndexError(f"row index {r} out of range for m={p.m}")
+    r = checked_row(p, r)
     if any(zr == r for zr, _ in p.zeros):
         raise ValueError(f"row {r} contains a zero; the row formula does not apply")
     dbar = row_excluded_profile(p, r)
@@ -104,8 +94,8 @@ def row_inclusion_probability(p: RapInstance, r: int) -> Fraction:
 
 def min_entry_usage_probability(k: int, m: int, n: int) -> Fraction:
     """Probability that the smallest matrix entry is in the optimal k-assignment."""
-    _check_kmn(k, m, n)
-    return 1 - Fraction(k * (k - 1), 2 * m * n)
+    p = instance(m, n, k)
+    return 1 - Fraction(p.k * (p.k - 1), 2 * p.m * p.n)
 
 
 def triangle_integral(alpha: float, beta: float) -> float:

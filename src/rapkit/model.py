@@ -38,18 +38,50 @@ class BudgetExceededError(RapError):
         self.nodes = nodes
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int; a float, bool or string is rejected, not truncated."""
+def checked_int(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as an int in [low, high]: the package's one integer-argument rule.
+
+    An int or an integer type such as ``numpy.int64`` is accepted; a bool,
+    float or string is refused, never truncated.  Every failure raises
+    :class:`InvalidInstanceError` (a ValueError) naming the argument.
+    """
     if type(value) is not bool:
         try:
-            return operator.index(value)
+            x = operator.index(value)
         except TypeError:
             pass
-    raise InvalidInstanceError(f"{name} must be an integer, got {value!r}")
+        else:
+            if (low is None or x >= low) and (high is None or x <= high):
+                return x
+    what = "an integer"
+    if low == 1 and high is None:
+        what = "a positive integer"
+    elif high is not None:
+        what += f" in [{low}, {high}]"
+    elif low is not None:
+        what += f" >= {low}"
+    raise InvalidInstanceError(f"{name} must be {what}, got {value!r}")
+
+
+def checked_position(pos) -> Position:
+    """``pos`` as a pair of ints, each coordinate checked by :func:`checked_int`."""
+    try:
+        r, c = pos
+    except (TypeError, ValueError):
+        raise InvalidInstanceError(f"position {pos!r} must be a pair of integers") from None
+    return checked_int(r, "position coordinate"), checked_int(c, "position coordinate")
+
+
+def checked_row(p: RapInstance, r: int) -> int:
+    """Row ``r`` of ``p`` by :func:`checked_int`; IndexError when out of range."""
+    r = checked_int(r, "row")
+    if not 0 <= r < p.m:
+        raise IndexError(f"row index {r} out of range for m={p.m}")
+    return r
 
 
 def _canonical_positions(positions: Iterable[Position]) -> tuple[Position, ...]:
-    """The positions as sorted pairs of ints, each checked like :func:`_integer`."""
+    """The positions as sorted pairs of ints; a fast path of :func:`checked_position`."""
     index = operator.index
     out = []
     for pos in positions:
@@ -60,7 +92,7 @@ def _canonical_positions(positions: Iterable[Position]) -> tuple[Position, ...]:
                 continue
         except (TypeError, ValueError):  # not a pair, or not integers
             pass
-        raise InvalidInstanceError(f"position {pos!r} must be a pair of integers")
+        out.append(checked_position(pos))
     return tuple(sorted(out))
 
 
@@ -77,10 +109,8 @@ class ZeroPattern:
     zeros: tuple[Position, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "m", _integer(self.m, "m"))
-        object.__setattr__(self, "n", _integer(self.n, "n"))
-        if self.m < 1 or self.n < 1:
-            raise InvalidInstanceError(f"dimensions must be positive, got {self.m}x{self.n}")
+        object.__setattr__(self, "m", checked_int(self.m, "m", 1))
+        object.__setattr__(self, "n", checked_int(self.n, "n", 1))
         canon = _canonical_positions(self.zeros)
         if len(set(canon)) != len(canon):
             raise InvalidInstanceError("duplicate zero positions")
@@ -102,11 +132,8 @@ class RapInstance:
     k: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k", _integer(self.k, "k"))
-        if not (1 <= self.k <= min(self.pattern.m, self.pattern.n)):
-            raise InvalidInstanceError(
-                f"k={self.k} must satisfy 1 <= k <= min(m,n)={min(self.pattern.m, self.pattern.n)}"
-            )
+        k = checked_int(self.k, "k", 1, min(self.pattern.m, self.pattern.n))
+        object.__setattr__(self, "k", k)
 
     @property
     def m(self) -> int:
@@ -184,7 +211,7 @@ class SampledMatrix:
 
 def insert_zero(p: RapInstance, pos: Position) -> RapInstance:
     """Enlarge the zero set by ``pos``; everything else unchanged."""
-    r, c = pos
+    r, c = checked_position(pos)
     if not (0 <= r < p.m and 0 <= c < p.n):
         raise InvalidInstanceError(f"position ({r},{c}) outside {p.m}x{p.n} grid")
     if (r, c) in p.pattern.zero_set:
@@ -215,22 +242,10 @@ def parse_instance(text: str) -> RapInstance:
     missing = {"m", "n", "k"} - doc.keys()
     if missing:
         raise InvalidInstanceError(f"missing required keys: {sorted(missing)}")
-    for key in ("m", "n", "k"):
-        if not isinstance(doc[key], int) or isinstance(doc[key], bool):
-            raise InvalidInstanceError(f"key {key!r} must be an integer")
-    raw_zeros = doc.get("zeros", [])
-    if not isinstance(raw_zeros, list):
+    zeros = doc.get("zeros", [])
+    if not isinstance(zeros, list):
         raise InvalidInstanceError("key 'zeros' must be a list of [row, col] pairs")
-    zeros: list[Position] = []
-    for item in raw_zeros:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)
-        ):
-            raise InvalidInstanceError(f"malformed zero position {item!r}")
-        zeros.append((item[0], item[1]))
-    return instance(doc["m"], doc["n"], doc["k"], zeros)
+    return instance(doc["m"], doc["n"], doc["k"], zeros)  # instance() applies the integer and pair rules
 
 
 def serialize_instance(p: RapInstance) -> str:
@@ -272,7 +287,11 @@ def rational_to_json(value: Fraction) -> dict[str, str]:
 
 
 def rational_from_json(doc: dict) -> Fraction:
+    """The Fraction of a wire object; num and den must be integer strings, den nonzero."""
     try:
-        return Fraction(int(doc["num"]), int(doc["den"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInstanceError(f"malformed rational object: {doc!r}") from exc
+        num, den = doc["num"], doc["den"]
+        if isinstance(num, str) and isinstance(den, str):
+            return Fraction(int(num), int(den))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        pass
+    raise InvalidInstanceError(f"malformed rational object: {doc!r}")

@@ -37,7 +37,8 @@ from typing import IO, Callable
 
 import numpy as np
 
-from .model import RapInstance, SampledMatrix, _integer, instance, rational_to_json
+from .model import RapInstance, SampledMatrix, instance, rational_to_json
+from .model import checked_int, checked_position, checked_row
 
 
 @dataclass(frozen=True)
@@ -100,24 +101,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _check_seed(seed: int) -> int:
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit nonnegative integer, got {seed!r}")
-    return seed
-
-
-def _check_threads(threads: int | None) -> int | None:
-    if threads is None:
-        return None
-    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
-        raise ValueError(f"threads must be None or a positive integer, got {threads!r}")
-    return threads
-
-
-def _check_samples(samples: int) -> int:
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 2:
-        raise ValueError(f"samples must be an integer >= 2, got {samples!r}")
-    return samples
+_SEED_RANGE = (0, 2**64 - 1)  # a seed is a 64-bit nonnegative integer
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -153,9 +137,10 @@ def _zero_mask(p: RapInstance, width: int) -> np.ndarray:
 
 def sample_matrix(p: RapInstance, rng: int | np.random.Generator) -> SampledMatrix:
     """One realization of the standard RAP: zeros at Z, exp(1) elsewhere."""
-    gen = substream(_check_seed(rng), 0) if isinstance(rng, int) else rng
+    if not isinstance(rng, np.random.Generator):
+        rng = substream(checked_int(rng, "seed", *_SEED_RANGE), 0)
     a = np.empty((p.m, p.n))
-    _fill_exponential(a, _zero_mask(p, p.n), gen)
+    _fill_exponential(a, _zero_mask(p, p.n), rng)
     entries = tuple(tuple(float(x) for x in row) for row in a)
     return SampledMatrix(p.m, p.n, entries, source=p.pattern)
 
@@ -214,8 +199,9 @@ def _run(
     statistic: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     threads: int | None = None,
     csv_out: IO[str] | None = None,
-) -> tuple[float, float]:
-    """Chunked deterministic sampling loop; returns (mean, stderr) of the statistic.
+    target: Fraction | None = None,
+) -> EstimateReport:
+    """Chunked deterministic sampling loop; reports the statistic's mean and stderr.
 
     `statistic(a, cols, costs)` gives one value per sample of a chunk:
     `a` holds its (B, m, n) sampled matrices, `cols` and `costs` come
@@ -224,9 +210,13 @@ def _run(
     the pool on shapes large enough for one (see `_POOL_MIN_ENTRIES`);
     None means every usable CPU.
     """
-    _check_samples(samples)
-    _check_seed(seed)
-    _check_threads(threads)
+    samples = checked_int(samples, "samples", 2)
+    seed = checked_int(seed, "seed", *_SEED_RANGE)
+    if threads is not None:
+        try:
+            threads = checked_int(threads, "threads", 1)
+        except ValueError:
+            raise ValueError(f"threads must be None or a positive integer, got {threads!r}") from None
     if csv_out is not None:
         csv_out.write("sample,cost,statistic\n")
     zero_mask = _zero_mask(p, p.n + p.m - p.k)
@@ -262,7 +252,7 @@ def _run(
             ))
     mean = grand / samples
     variance = max(grand_sq - samples * mean * mean, 0.0) / (samples - 1)
-    return mean, math.sqrt(variance / samples)
+    return EstimateReport(mean, math.sqrt(variance / samples), samples, seed, target)
 
 
 def estimate_value(
@@ -274,8 +264,7 @@ def estimate_value(
     target: Fraction | None = None,
 ) -> EstimateReport:
     """Sample mean of the optimal k-assignment cost."""
-    mean, stderr = _run(p, samples, seed, lambda a, cols, costs: costs, threads, csv_out)
-    return EstimateReport(mean, stderr, samples, seed, target)
+    return _run(p, samples, seed, lambda a, cols, costs: costs, threads, csv_out, target)
 
 
 def estimate_row_usage(
@@ -288,15 +277,10 @@ def estimate_row_usage(
     target: Fraction | None = None,
 ) -> EstimateReport:
     """Frequency with which the optimal assignment uses zero-free row r."""
-    r = _integer(r, "row")
-    if not 0 <= r < p.m:
-        raise IndexError(f"row index {r} out of range for m={p.m}")
+    r = checked_row(p, r)
     if any(zr == r for zr, _ in p.zeros):
         raise ValueError(f"row {r} contains a zero; usage varies across optima")
-    mean, stderr = _run(
-        p, samples, seed, lambda a, cols, costs: cols[:, r] < p.n, threads, csv_out
-    )
-    return EstimateReport(mean, stderr, samples, seed, target)
+    return _run(p, samples, seed, lambda a, cols, costs: cols[:, r] < p.n, threads, csv_out, target)
 
 
 def estimate_entry_usage(
@@ -313,15 +297,12 @@ def estimate_entry_usage(
     Its exact value is E(P) - E(P'), where P' has a zero at `pos`; the
     caller passes it as `target`.
     """
-    r, c = (_integer(x, "position coordinate") for x in pos)
+    r, c = checked_position(pos)
     if not (0 <= r < p.m and 0 <= c < p.n):
         raise IndexError(f"position {pos} out of range")
     if (r, c) in p.zeros:
         raise ValueError(f"position {pos} is a zero; usage varies across optima")
-    mean, stderr = _run(
-        p, samples, seed, lambda a, cols, costs: cols[:, r] == c, threads, csv_out
-    )
-    return EstimateReport(mean, stderr, samples, seed, target)
+    return _run(p, samples, seed, lambda a, cols, costs: cols[:, r] == c, threads, csv_out, target)
 
 
 def estimate_min_entry_usage(
@@ -338,8 +319,7 @@ def estimate_min_entry_usage(
     p = instance(m, n, k)
 
     def used_min(a: np.ndarray, cols: np.ndarray, costs: np.ndarray) -> np.ndarray:
-        r, c = np.divmod(a.reshape(len(a), -1).argmin(axis=1), n)
+        r, c = np.divmod(a.reshape(len(a), -1).argmin(axis=1), p.n)
         return cols[np.arange(len(a)), r] == c
 
-    mean, stderr = _run(p, samples, seed, used_min, threads, csv_out)
-    return EstimateReport(mean, stderr, samples, seed, target)
+    return _run(p, samples, seed, used_min, threads, csv_out, target)

@@ -66,7 +66,7 @@ from .covers import (
     forced_cover_lines,
     max_independent_zeros,
 )
-from .model import BudgetExceededError, Position, RapInstance, ZeroPattern
+from .model import BudgetExceededError, Position, RapInstance, ZeroPattern, checked_int
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -702,8 +702,7 @@ def oracle_node_count(
     root, so it is answered from one matching: value 0, no node, no trace
     line and no cache entry, without building the symbolic state.
     """
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
-        raise ValueError(f"budget must be a positive integer, got {budget!r}")
+    budget = checked_int(budget, "budget", 1)
     if max_independent_zeros(p.pattern) >= p.k:
         return Fraction(0), 0
     run = _OracleRun(budget, cache, trace)

@@ -30,7 +30,7 @@ from heapq import heappop, heappush
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
-from .model import Assignment, Position, SampledMatrix
+from .model import Assignment, Position, SampledMatrix, checked_int
 
 Number = int | float | Fraction
 
@@ -68,11 +68,11 @@ def _as_matrix(matrix: SampledMatrix | Sequence[Sequence[Number]]) -> list[list[
     return rows
 
 
-def _check_k(k: int, m: int, n: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"k must be an int, got {k!r}")
+def _check_k(k: int, m: int, n: int) -> int:
+    k = checked_int(k, "k")
     if not 1 <= k <= min(m, n):
         raise ValueError(f"k={k} out of range for a {m}x{n} matrix")
+    return k
 
 
 def solve_k_assignment(
@@ -86,7 +86,7 @@ def solve_k_assignment(
     """
     a = _as_matrix(matrix)
     m, n = len(a), len(a[0])
-    _check_k(k, m, n)
+    k = _check_k(k, m, n)
 
     mn = m * n
     top = 1 << mn
@@ -180,7 +180,7 @@ def brute_force_k_assignment(
     """Exhaustive reference solver over every independent k-set."""
     a = _as_matrix(matrix)
     m, n = len(a), len(a[0])
-    _check_k(k, m, n)
+    k = _check_k(k, m, n)
     if math.comb(m, k) * math.perm(n, k) > ENUMERATION_LIMIT:
         raise ValueError(f"instance too large for brute force ({m}x{n}, k={k})")
     best: tuple | None = None

@@ -415,6 +415,12 @@ class TestForcedCoverLines:
         z = ZeroPattern(3, 4, ((0, 0), (0, 1), (0, 2)))
         assert forced_cover_lines(z, 2) == (frozenset({0}), frozenset())
 
+    @pytest.mark.parametrize("size", [True, 1.5, 2.0, "2"])
+    def test_size_must_be_an_integer(self, size):
+        z = ZeroPattern(3, 4, ((0, 0), (0, 1), (0, 2)))
+        with pytest.raises(ValueError, match="size must be an integer"):
+            forced_cover_lines(z, size)
+
 
 def _agrees_with_per_line_reference(z: ZeroPattern) -> bool:
     """Covers and forced lines at sizes nu..nu+2 equal the per-line reference;

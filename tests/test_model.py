@@ -143,6 +143,24 @@ class TestInsertZero:
         p = insert_zero(instance(3, 3, 2, [(0, 0)]), (1, 1))
         assert p.zeros == ((0, 0), (1, 1))
 
+    @pytest.mark.parametrize("pos", [5, (1, 1, 1), (1,), None], ids=["int", "triple", "single", "none"])
+    def test_position_must_be_a_pair(self, pos):
+        with pytest.raises(InvalidInstanceError, match="must be a pair of integers"):
+            insert_zero(instance(3, 3, 2), pos)
+
+    @pytest.mark.parametrize("pos", [(True, 1), (1, 1.0), (1, "1")])
+    def test_coordinates_must_be_integers(self, pos):
+        with pytest.raises(InvalidInstanceError, match="position coordinate must be an integer"):
+            insert_zero(instance(3, 3, 2), pos)
+
+    def test_out_of_range_stays_an_instance_error(self):
+        with pytest.raises(InvalidInstanceError, match="outside 3x3 grid"):
+            insert_zero(instance(3, 3, 2), (3, 0))
+
+    def test_numpy_coordinates_accepted(self):
+        p = insert_zero(instance(3, 3, 2), (np.int64(1), np.int64(2)))
+        assert p.zeros == ((1, 2),) and all(type(x) is int for x in p.zeros[0])
+
 
 class TestValidation:
     def test_zero_pattern_bounds(self):
@@ -196,6 +214,28 @@ class TestIntegerArguments:
                 with pytest.raises(InvalidInstanceError, match="integer"):
                     build()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"m":2.5,"n":2,"k":1}',
+            '{"m":null,"n":2,"k":1}',
+            '{"m":2,"n":"2","k":1}',
+            '{"m":2,"n":2,"k":1.0}',
+            '{"m":2,"n":2,"k":1,"zeros":null}',
+            '{"m":2,"n":2,"k":1,"zeros":[[0,1,1]]}',
+            '{"m":2,"n":2,"k":1,"zeros":[[0,true]]}',
+            '{"m":2,"n":2,"k":1,"zeros":[[0,1.0]]}',
+            '{"m":2,"n":2,"k":1,"zeros":["01"]}',
+            '{"m":2,"n":2,"k":1,"zeros":[{"r":0,"c":1}]}',
+            '{"m":2,"n":2,"k":1,"zeros":[null]}',
+        ],
+    )
+    def test_document_values_follow_the_same_rule(self, text):
+        """parse_instance leaves value checks to instance(): a malformed
+        document still raises InvalidInstanceError, never a TypeError."""
+        with pytest.raises(InvalidInstanceError, match="integer|list"):
+            parse_instance(text)
+
     @pytest.mark.parametrize("pos", [(0, 1, 2), (0,), 5], ids=["triple", "single", "int"])
     def test_position_must_be_a_pair(self, pos):
         with pytest.raises(InvalidInstanceError, match="pair of integers"):
@@ -216,6 +256,30 @@ class TestRationalWireFormat:
     def test_malformed_rejected(self):
         with pytest.raises(InvalidInstanceError):
             rational_from_json({"num": "1"})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"num": 1.5, "den": "1"},
+            {"num": "1", "den": 2.0},
+            {"num": True, "den": "1"},
+            {"num": 1, "den": 1},
+            {"num": None, "den": "1"},
+            {"num": "1.5", "den": "1"},
+            {"num": "1", "den": "0"},
+            {"num": "0", "den": "0"},
+            ["1", "2"],
+            None,
+        ],
+    )
+    def test_num_and_den_must_be_integer_strings_with_nonzero_den(self, doc):
+        """The wire writes both as decimal strings: nothing is truncated, and
+        a zero denominator is a malformed object, not a ZeroDivisionError."""
+        with pytest.raises(InvalidInstanceError, match="malformed rational object"):
+            rational_from_json(doc)
+
+    def test_negative_and_unreduced_strings_read_exactly(self):
+        assert rational_from_json({"num": "-6", "den": "4"}) == Fraction(-3, 2)
 
     def test_approx_significant_digits(self):
         assert rational_approx(Fraction(1, 3)) == "0.333333333333"

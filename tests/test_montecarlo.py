@@ -135,6 +135,15 @@ class TestUsageEstimators:
         with pytest.raises(ValueError, match="must be an integer"):
             estimate_entry_usage(instance(3, 3, 2, [(0, 0)]), pos, samples=100, seed=1)
 
+    @pytest.mark.parametrize("pos", [5, (1, 1, 1), (1,)], ids=["int", "triple", "single"])
+    def test_entry_usage_position_must_be_a_pair(self, pos):
+        with pytest.raises(ValueError, match="must be a pair of integers"):
+            estimate_entry_usage(instance(3, 3, 2, [(0, 0)]), pos, samples=100, seed=1)
+
+    def test_entry_usage_out_of_range_stays_an_index_error(self):
+        with pytest.raises(IndexError):
+            estimate_entry_usage(instance(3, 3, 2, [(0, 0)]), (1, 3), samples=100, seed=1)
+
     def test_numpy_integers_accepted(self):
         p = instance(3, 3, 2, [(0, 0)])
         one = np.int64(1)

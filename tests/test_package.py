@@ -6,17 +6,28 @@ import inspect
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rapkit
 import rapkit.montecarlo
-from rapkit.model import instance, serialize_instance
-from rapkit.montecarlo import estimate_value
-from rapkit.oracle import EntryClassification
+from rapkit.covers import forced_cover_lines, row_excluded_profile
+from rapkit.formulas import cs_value, min_entry_usage_probability, parisi_value, row_inclusion_probability
+from rapkit.model import ZeroPattern, insert_zero, instance, serialize_instance
+from rapkit.montecarlo import (
+    estimate_entry_usage,
+    estimate_min_entry_usage,
+    estimate_row_usage,
+    estimate_value,
+    sample_matrix,
+)
+from rapkit.oracle import EntryClassification, oracle_expected_value, oracle_node_count
+from rapkit.solver import brute_force_k_assignment, solve_k_assignment
 
 # reference helpers that only the tests use; they live in tests/conftest.py
 # or in the one test module that uses them
@@ -196,3 +207,70 @@ class TestScipyLoadedOnlyWhereCalled:
         assert got["outputs"] == outputs
         if argv[0] == "simulate" and got["cpus"] > 1:
             assert got["main_thread"] is False  # scipy was first imported on a pool thread
+
+
+_P = instance(3, 3, 2, [(0, 0)])
+_Z = ZeroPattern(3, 4, ((0, 0), (0, 1), (0, 2)))
+_M = [[3, 1, 2], [2, 2, 1], [1, 3, 3]]
+_TWO_NODES = instance(2, 3, 2, [(0, 0)])  # the oracle evaluates two nodes
+
+# every public integer argument, each called with the value v in its place
+# and 2 a valid value for it
+INTEGER_ARGUMENTS = {
+    "instance.m": lambda v: instance(v, 3, 2),
+    "instance.n": lambda v: instance(3, v, 2),
+    "instance.k": lambda v: instance(3, 3, v),
+    "parisi_value.k": lambda v: parisi_value(v),
+    "cs_value.k": lambda v: cs_value(v, 3, 4),
+    "cs_value.m": lambda v: cs_value(2, v, 4),
+    "cs_value.n": lambda v: cs_value(2, 3, v),
+    "min_entry_usage_probability.k": lambda v: min_entry_usage_probability(v, 3, 4),
+    "min_entry_usage_probability.m": lambda v: min_entry_usage_probability(2, v, 4),
+    "min_entry_usage_probability.n": lambda v: min_entry_usage_probability(2, 3, v),
+    "solve_k_assignment.k": lambda v: solve_k_assignment(_M, v),
+    "brute_force_k_assignment.k": lambda v: brute_force_k_assignment(_M, v),
+    "row_inclusion_probability.row": lambda v: row_inclusion_probability(_P, v),
+    "row_excluded_profile.row": lambda v: row_excluded_profile(_P, v),
+    "estimate_row_usage.row": lambda v: estimate_row_usage(_P, v, 20, 1),
+    "insert_zero.pos": lambda v: insert_zero(_P, (v, 1)),
+    "estimate_entry_usage.pos": lambda v: estimate_entry_usage(_P, (1, v), 20, 1),
+    "forced_cover_lines.size": lambda v: forced_cover_lines(_Z, v),
+    "oracle_expected_value.budget": lambda v: oracle_expected_value(_TWO_NODES, budget=v),
+    "oracle_node_count.budget": lambda v: oracle_node_count(_TWO_NODES, budget=v),
+    "estimate_value.samples": lambda v: estimate_value(_P, v, 1),
+    "estimate_value.seed": lambda v: estimate_value(_P, 20, v),
+    "estimate_value.threads": lambda v: estimate_value(_P, 20, 1, threads=v),
+    "estimate_min_entry_usage.k": lambda v: estimate_min_entry_usage(v, 3, 3, 20, 1),
+    "sample_matrix.seed": lambda v: sample_matrix(_P, v),
+}
+
+
+class TestOneIntegerRule:
+    """Every integer argument follows ``rapkit.model.checked_int``: an int or
+    an integer type such as numpy.int64, never a bool, float or string."""
+
+    @pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+    def test_numpy_integer_gives_the_same_result(self, name):
+        call = INTEGER_ARGUMENTS[name]
+        as_numpy, as_int = call(np.int64(2)), call(2)
+        assert as_numpy == as_int
+        assert repr(as_numpy) == repr(as_int)  # no numpy scalar leaks into the result
+
+    @pytest.mark.parametrize("value", [True, 2.0, "2"], ids=["bool", "float", "str"])
+    @pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+    def test_bool_float_and_string_are_refused(self, name, value):
+        with pytest.raises(ValueError):
+            INTEGER_ARGUMENTS[name](value)
+
+    def test_no_hand_written_integer_check_outside_model(self):
+        """A bool test is the mark of a hand-written integer check; only the
+        rule in model.py may make one."""
+        bool_test = re.compile(r"isinstance\([^)]*\bbool\b|type\([^)]*\)\s+is\s+(not\s+)?bool\b")
+        found = [
+            f"{path.name}:{number}"
+            for path in sorted(Path(rapkit.__file__).parent.glob("*.py"))
+            if path.name != "model.py"
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if bool_test.search(line)
+        ]
+        assert found == []
