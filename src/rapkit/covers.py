@@ -7,19 +7,27 @@ cover size equals the maximum number of independent zeros.  A *partial
 the cover coefficient d_{i,j} counts partial (k-1)-covers with exactly
 i rows and j columns.
 
+The bipartite zero graph is held as row bitmasks: each row holding a zero
+maps to the mask of its zero columns.  One maximum matching over those
+masks (Kuhn's augmenting paths) serves every question here.
+
 The minimum covers form a lattice (Dulmage & Mendelsohn).  One maximum
 matching and two alternating searches, from the unmatched rows and from
 the unmatched columns, give both its ends and the lines common to all
 minimum covers; lines forced into every larger cover are tested one by one.
 
 Everything here is exact integer work on desk-scale patterns.  The
-coefficients are counted over the connected components of the bipartite
-zero graph: lines touching no zero contribute binomial factors, the
-residual matching number is a sum over components, so d_{i,j} is a
-convolution of small per-component tables, each found by a pruned
-depth-first enumeration of that component's lines.  A component that
-spans every line is still exponential in its size, so the enumeration
-is charged against a subset budget (BudgetExceededError when exceeded).
+coefficients are counted over the connected components of the zero graph:
+lines touching no zero contribute binomial factors, the residual matching
+number is a sum over components, so d_{i,j} is a convolution of small
+per-component tables, each found by a pruned depth-first enumeration of
+that component's lines.  The enumeration extends the binomials to the
+lines a partial choice has emptied: at each visit the candidate lines that
+no longer touch a residual zero are counted by C(free rows, x) *
+C(free columns, y), and only the lines still touching one are branched
+on, each branch with one residual matching.  A component that spans every
+line is still exponential in its size, so the enumeration is charged
+against a subset budget (BudgetExceededError when exceeded).
 Deleting a line lowers a matching by at most one, so the lines a choice
 takes from a component plus the matching they leave there never fall
 below that component's own maximum matching.  Once the budget is
@@ -35,9 +43,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Collection, Container, Iterable
+from typing import Iterable
 
-from .model import BudgetExceededError, Position, RapInstance, ZeroPattern, checked_int, checked_row
+from .model import (
+    BudgetExceededError,
+    InvalidInstanceError,
+    Position,
+    RapInstance,
+    ZeroPattern,
+    checked_int,
+    checked_position,
+    checked_row,
+)
 
 
 @dataclass(frozen=True)
@@ -87,105 +104,139 @@ class CoverProfile:
 # ---------------------------------------------------------------------------
 
 
-def _max_matching(zeros: Iterable[Position]) -> dict[int, int]:
-    """Kuhn's augmenting-path matching over zero positions; returns col->row."""
-    adj: dict[int, list[int]] = {}
-    for r, c in sorted(zeros):
-        adj.setdefault(r, []).append(c)
+def _row_masks(zeros: Iterable[Position]) -> dict[int, int]:
+    """The zero graph as row -> bitmask of its zero columns, rows in first-seen order."""
+    adj: dict[int, int] = {}
+    for r, c in zeros:
+        adj[r] = adj.get(r, 0) | 1 << c
+    return adj
+
+
+def _indices(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        bit = mask & -mask
+        out.append(bit.bit_length() - 1)
+        mask ^= bit
+    return out
+
+
+def _max_matching(adj: dict[int, int]) -> dict[int, int]:
+    """Kuhn's augmenting-path matching over the row masks ``adj``; returns
+    column bit -> row."""
     match_col: dict[int, int] = {}
-    for root in adj:
-        for c in adj[root]:  # a free column ends the path at once
-            if c not in match_col:
-                match_col[c] = root
-                break
+    taken = 0
+    for root, cols in adj.items():
+        free = cols & ~taken
+        if free:  # a free column ends the path at once
+            bit = free & -free
+            match_col[bit] = root
+            taken |= bit
         else:
-            _augment(root, adj, match_col)
+            taken |= _augment(root, adj, match_col)
     return match_col
 
 
-def _augment(root: int, adj: dict[int, list[int]], match_col: dict[int, int]) -> None:
-    """Augment ``match_col`` along an alternating path from the free row ``root``, if any.
+def _augment(root: int, adj: dict[int, int], match_col: dict[int, int]) -> int:
+    """Augment ``match_col`` along an alternating path from the free row
+    ``root``, if any; returns the column bit newly matched, else 0.
 
     The depth-first search keeps its own stack, so a path through every
     row of a long staircase needs no deep recursion.
     """
-    seen: set[int] = set()
-    # path[t] is a row on the search path, untried[t] its unexplored
-    # columns; via[t] is the matched column leading from path[t] on.
-    path, untried, via = [root], [iter(adj[root])], []
+    seen = 0
+    # path[t] is a row on the search path; via[t] is the matched column
+    # bit leading from path[t] on.  A row's untried columns are its mask
+    # less the columns already seen.
+    path, via = [root], []
     while path:
-        for c in untried[-1]:
-            if c not in seen:
-                break
-        else:  # dead end: back up one row
+        untried = adj[path[-1]] & ~seen
+        if not untried:  # dead end: back up one row
             path.pop()
-            untried.pop()
             if via:
                 via.pop()
             continue
-        seen.add(c)
-        via.append(c)
-        if c in match_col:
-            path.append(match_col[c])
-            untried.append(iter(adj[match_col[c]]))
+        bit = untried & -untried
+        seen |= bit
+        via.append(bit)
+        row = match_col.get(bit)
+        if row is not None:
+            path.append(row)
             continue
-        for r, c in zip(path, via):  # c is free: each row on the path moves one column on
+        for r, c in zip(path, via):  # the column is free: each row on the path moves one column on
             match_col[c] = r
-        return
+        return bit
+    return 0
 
 
 def max_independent_zeros(z: ZeroPattern | Iterable[Position]) -> int:
-    """Size of the largest set of zeros, no two in the same row or column."""
-    zeros = z.zeros if isinstance(z, ZeroPattern) else tuple(z)
-    return len(_max_matching(zeros))
+    """Size of the largest set of zeros, no two in the same row or column.
 
-
-def _alternating_reach(
-    adj: dict[int, list[int]], mate: dict[int, int], free: Iterable[int]
-) -> tuple[set[int], set[int]]:
-    """Lines of both sides reached from the ``free`` lines by alternating paths.
-
-    A path crosses along any zero and comes back along the matching
-    (``mate``); every far line reached is matched, or the matching would
-    augment.
+    Positions given as an iterable are checked like those of a pattern:
+    pairs of nonnegative integers (InvalidInstanceError otherwise).
     """
-    near, far = set(free), set()
-    frontier = list(near)
-    while frontier:
-        for v in adj[frontier.pop()]:
-            if v not in far:
-                far.add(v)
-                near.add(mate[v])
-                frontier.append(mate[v])
-    return near, far
+    if isinstance(z, ZeroPattern):
+        zeros = z.zeros
+    else:
+        zeros = []
+        for pos in z:
+            r, c = checked_position(pos)
+            if r < 0 or c < 0:
+                raise InvalidInstanceError(f"position {pos!r} has a negative coordinate")
+            zeros.append((r, c))
+    return len(_max_matching(_row_masks(zeros)))
 
 
-def _extreme_covers(
-    zeros: tuple[Position, ...], match_col: dict[int, int]
-) -> tuple[LineCover, LineCover]:
-    """The row-maximal and the column-maximal minimum cover, from the
-    maximum matching ``match_col`` of the zeros.
+def _extreme_covers(adj: dict[int, int], match_col: dict[int, int]) -> tuple[LineCover, LineCover]:
+    """The row-maximal and the column-maximal minimum cover of the row
+    masks ``adj``, from their maximum matching ``match_col``.
 
     A row lies in some minimum cover iff every maximum matching covers it,
     iff no alternating path from an unmatched row reaches it (Dulmage &
     Mendelsohn).  So the matched rows not reached from the unmatched rows,
     with the columns that are reached, form the row-maximal cover; the
-    search from the unmatched columns gives the column-maximal one.
+    search from the unmatched columns gives the column-maximal one.  A
+    path crosses along any zero and comes back along the matching; every
+    far line reached is matched, or the matching would augment.
     """
-    match_row = {r: c for c, r in match_col.items()}
-    row_adj: dict[int, list[int]] = {}
-    col_adj: dict[int, list[int]] = {}
-    for r, c in zeros:
-        row_adj.setdefault(r, []).append(c)
-        col_adj.setdefault(c, []).append(r)
-    free_rows = row_adj.keys() - match_row.keys()
-    free_cols = col_adj.keys() - match_col.keys()
-    rows_from_rows, cols_from_rows = _alternating_reach(row_adj, match_col, free_rows)
-    cols_from_cols, rows_from_cols = _alternating_reach(col_adj, match_row, free_cols)
-    row_max = LineCover(match_row.keys() - rows_from_rows, cols_from_rows)
-    col_max = LineCover(rows_from_cols, match_col.keys() - cols_from_cols)
+    match_row = {r: bit for bit, r in match_col.items()}
+    matched_cols = zero_cols = 0
+    for bit in match_col:
+        matched_cols |= bit
+    frontier = []
+    for r, cols in adj.items():
+        zero_cols |= cols
+        if r not in match_row:
+            frontier.append(r)
+    rows_from_rows, cols_from_rows = set(frontier), 0
+    while frontier:
+        new = adj[frontier.pop()] & ~cols_from_rows
+        cols_from_rows |= new
+        while new:
+            bit = new & -new
+            new ^= bit
+            row = match_col[bit]
+            rows_from_rows.add(row)
+            frontier.append(row)
+    # from the unmatched columns: scan the row masks once per frontier layer
+    rows_from_cols: set[int] = set()
+    layer = cols_from_cols = zero_cols & ~matched_cols
+    while layer:
+        reached = 0
+        for r, cols in adj.items():
+            if cols & layer and r not in rows_from_cols:
+                rows_from_cols.add(r)
+                reached |= match_row[r]
+        layer = reached & ~cols_from_cols
+        cols_from_cols |= layer
+    row_max_rows = match_row.keys() - rows_from_rows
+    col_max_cols = matched_cols & ~cols_from_cols
+    assert all(r in row_max_rows or not cols & ~cols_from_rows for r, cols in adj.items())
+    assert all(r in rows_from_cols or not cols & ~col_max_cols for r, cols in adj.items())
+    row_max = LineCover(row_max_rows, _indices(cols_from_rows))
+    col_max = LineCover(rows_from_cols, _indices(col_max_cols))
     assert len(row_max) == len(col_max) == len(match_col)
-    assert row_max.covers(zeros) and col_max.covers(zeros)
     return row_max, col_max
 
 
@@ -215,8 +266,9 @@ def cover_lattice(z: ZeroPattern) -> CoverLattice:
     The rows of ``row_max`` contain the rows of every minimum cover, and
     the columns of ``col_max`` the columns of every minimum cover.
     """
-    match_col = _max_matching(z.zeros)
-    return CoverLattice(*_extreme_covers(z.zeros, match_col), len(match_col))
+    adj = _row_masks(z.zeros)
+    match_col = _max_matching(adj)
+    return CoverLattice(*_extreme_covers(adj, match_col), len(match_col))
 
 
 # ---------------------------------------------------------------------------
@@ -233,67 +285,115 @@ up to 12x12 is refused.
 """
 
 
-def _components(zeros: tuple[Position, ...]) -> list[list[Position]]:
-    """The zeros of each connected component of the bipartite zero graph."""
-    group: dict[int, list[Position]] = {}  # row r or column ~c -> its component's zeros
-    for z in zeros:
-        r, c = z
-        g, h = group.get(r), group.get(~c)
-        if g is None or h is None or g is h:
-            g = g or h or []
-            g.append(z)
-            group[r] = group[~c] = g
-            continue
-        if len(g) < len(h):
-            g, h = h, g
-        g.extend(h)
-        g.append(z)
-        for r2, c2 in h:
-            group[r2] = group[~c2] = g
-        group[r] = group[~c] = g
-    return list({id(g): g for g in group.values()}.values())
+def _span(part: dict[int, int]) -> tuple[int, int]:
+    """The masks of the rows and of the columns holding the zeros of ``part``."""
+    rows = cols = 0
+    for r, row_cols in part.items():
+        rows |= 1 << r
+        cols |= row_cols
+    return rows, cols
+
+
+def _components(adj: dict[int, int]) -> list[dict[int, int]]:
+    """The row masks of each connected component of the zero graph ``adj``."""
+    parts: list[tuple[int, dict[int, int]]] = []  # (its column mask, its row masks)
+    for r, cols in adj.items():
+        joined: dict[int, int] = {}
+        span = cols
+        rest = []
+        for part_cols, part in parts:
+            if part_cols & cols:
+                joined.update(part)
+                span |= part_cols
+            else:
+                rest.append((part_cols, part))
+        joined[r] = cols
+        rest.append((span, joined))
+        parts = rest
+    return [part for _, part in parts]
 
 
 def _component_table(
-    zeros: list[Position], rows: Container[int], cols: Container[int], limit: int, nu: int
+    part: dict[int, int], rows: int, cols: int, limit: int, nu: int
 ) -> dict[tuple[int, int, int], int]:
     """Line-subset counts of one component of the zero graph.
 
-    T[(a, b, nu')] counts the choices of a of its rows in ``rows`` and b of
-    its columns in ``cols`` that leave a maximum matching of nu' of its
-    zeros; only entries with a + b + nu' <= limit are kept.  ``nu`` is the
-    component's own maximum matching, the residual of the empty choice,
-    so the root visit does not find it again; the caller passes a limit
-    of at least ``nu``, so the table always holds that root entry.
+    ``part`` holds the component's row masks.  T[(a, b, nu')] counts the
+    choices of a of its rows in the mask ``rows`` and b of its columns in
+    the mask ``cols`` that leave a maximum matching of nu' of its zeros;
+    only entries with a + b + nu' <= limit are kept.  ``nu`` is the size
+    of the component's own maximum matching, the residual of the empty
+    choice, so the root visit does not find it again; the caller passes a
+    limit of at least ``nu``, so the table always holds that root entry.
 
-    Subsets are visited depth-first, one line added at a time, and each
-    one's residual matching is found afresh.  Adding a line lowers the
-    matching by at most one, so a + b + nu' never falls and a subset over
+    Subsets are visited depth-first.  A visit's candidates are the lines
+    it may still add: those after its branch line in the order rows, then
+    columns, plus the candidates its ancestors found free.  A candidate
+    touching no residual zero is *free*: adding it changes a or b but not
+    nu', so every choice of free lines is counted at once by binomials.
+    Deleting a line empties no line on its own side, and rows come first,
+    so no candidate row is ever emptied: the free lines are the columns
+    that chosen rows have emptied, and y of them are chosen in C(free, y)
+    ways.  Only the candidates that still touch a zero are branched on,
+    each child with its own residual matching.  Adding a line lowers the
+    matching by at most one, so a + b + nu' never falls and a child over
     the limit cuts off all of its supersets.
+
+    A component with more rows than columns is enumerated transposed, so
+    that each matching starts from the fewer lines and the binomials count
+    the more numerous ones.
     """
-    lines = [(r, None) for r in sorted({r for r, _ in zeros}) if r in rows]
-    lines += [(None, c) for c in sorted({c for _, c in zeros}) if c in cols]
+    part_rows, part_cols = _span(part)
+    if len(part) > part_cols.bit_count():
+        col_masks: dict[int, int] = {}
+        for r, row_cols in part.items():
+            for c in _indices(row_cols):
+                col_masks[c] = col_masks.get(c, 0) | 1 << r
+        table = _component_table(col_masks, cols, rows, limit, nu)
+        return {(b, a, nu2): x for (a, b, nu2), x in table.items()}
     table: dict[tuple[int, int, int], int] = {}
 
-    def visit(start: int, residual: list[Position], a: int, b: int, nu: int) -> None:
-        if a + b + nu > limit:
-            return
-        table[a, b, nu] = table.get((a, b, nu), 0) + 1
-        for t in range(start, len(lines)):
-            row, col = lines[t]
-            rest = [z for z in residual if z[0] != row and z[1] != col]
-            a2, b2 = a + (col is None), b + (row is None)
-            visit(t + 1, rest, a2, b2, len(_max_matching(rest)))
+    def visit(adj: dict[int, int], a: int, b: int, nu: int, cand_rows: int, cand_cols: int, free: int) -> None:
+        if free:
+            for y in range(min(free, limit - a - b - nu) + 1):
+                key = (a, b + y, nu)
+                table[key] = table.get(key, 0) + comb(free, y)
+        else:
+            key = (a, b, nu)
+            table[key] = table.get(key, 0) + 1
+        while cand_rows:
+            bit = cand_rows & -cand_rows
+            cand_rows ^= bit
+            rest = adj.copy()
+            del rest[bit.bit_length() - 1]
+            live = 0
+            for row_cols in rest.values():
+                live |= row_cols
+            nu2 = len(_max_matching(rest))
+            if a + b + 1 + nu2 <= limit:
+                emptied = (cand_cols & ~live).bit_count()
+                visit(rest, a + 1, b, nu2, cand_rows, cand_cols & live, free + emptied)
+        while cand_cols:  # the remaining columns keep their zeros
+            bit = cand_cols & -cand_cols
+            cand_cols ^= bit
+            rest = {}
+            for r, row_cols in adj.items():
+                if row_cols & ~bit:
+                    rest[r] = row_cols & ~bit
+            nu2 = len(_max_matching(rest))
+            if a + b + 1 + nu2 <= limit:
+                visit(rest, a, b + 1, nu2, 0, cand_cols, free)
 
-    visit(0, zeros, 0, 0, nu)
+    visit(part, 0, 0, nu, part_rows & rows, part_cols & cols, 0)
     return table
 
 
 def _partial_cover_counts(
-    zeros: tuple[Position, ...], rows: Collection[int], cols: Collection[int], limit: int
+    adj: dict[int, int], rows: int, cols: int, limit: int
 ) -> dict[tuple[int, int], int]:
-    """(i, j) -> the choices of i lines of ``rows`` and j of ``cols`` that
-    are partial covers: i + j plus the matching they leave is <= limit.
+    """(i, j) -> the choices of i lines of the row mask ``rows`` and j of
+    the column mask ``cols`` that are partial covers of the zero graph
+    ``adj``: i + j plus the matching they leave is <= limit.
 
     The residual matching is a sum over the components of the zero graph,
     and a chosen line touching no zero only adds to i or j.  So the table
@@ -311,13 +411,14 @@ def _partial_cover_counts(
     their nu_c, and only the slack, limit minus the sum of every nu_c, is
     left over: none means no partial cover at all (so a pattern with
     limit + 1 independent zeros costs one matching per component), and
-    otherwise component c is enumerated to slack + nu_c and the zero-free
-    lines to the slack.
+    otherwise component c is enumerated to slack + nu_c, its root taking
+    nu_c from that matching, and the zero-free lines to the slack.
     """
-    parts = _components(zeros)
+    parts = _components(adj)
     needed = 0
     for part in parts:
-        lines = len({r for r, _ in part if r in rows}) + len({c for _, c in part if c in cols})
+        part_rows, part_cols = _span(part)
+        lines = (part_rows & rows).bit_count() + (part_cols & cols).bit_count()
         needed += sum(comb(lines, s) for s in range(limit + 1))
     if needed > SUBSET_BUDGET:
         raise BudgetExceededError(
@@ -327,10 +428,9 @@ def _partial_cover_counts(
     slack = limit - sum(nus)
     if slack < 0:
         return {}
-    zero_rows = {r for r, _ in zeros}
-    zero_cols = {c for _, c in zeros}
-    m0 = sum(r not in zero_rows for r in rows)
-    n0 = sum(c not in zero_cols for c in cols)
+    zero_rows, zero_cols = _span(adj)
+    m0 = (rows & ~zero_rows).bit_count()
+    n0 = (cols & ~zero_cols).bit_count()
     total = {  # the zero-free lines alone leave nothing to match
         (a, b, 0): comb(m0, a) * comb(n0, b)
         for a in range(min(m0, slack) + 1)
@@ -364,7 +464,7 @@ def cover_profile(p: RapInstance) -> CoverProfile:
     bounds the number of their subsets.
     """
     limit = p.k - 1
-    counts = _partial_cover_counts(p.zeros, range(p.m), range(p.n), limit)
+    counts = _partial_cover_counts(_row_masks(p.zeros), (1 << p.m) - 1, (1 << p.n) - 1, limit)
     return CoverProfile(p.k, tuple(
         (i, j, counts.get((i, j), 0))
         for i in range(min(p.m, limit) + 1)
@@ -385,17 +485,17 @@ def row_excluded_profile(p: RapInstance, r: int) -> tuple[int, ...]:
     """
     r = checked_row(p, r)
     limit = p.k - 1
-    held = {zr for zr, _ in p.zeros}
-    nu = len(_max_matching(p.zeros))
-    if nu == len(held):
-        n_held = len(held - {r})
+    adj = _row_masks(p.zeros)
+    nu = len(_max_matching(adj))
+    if nu == len(adj):
+        n_held = len(adj) - (r in adj)
         n_free = p.m - 1 - n_held
         return tuple(
             comb(p.m - 1, i) if i <= limit - nu  # every f is allowed (Vandermonde)
             else sum(comb(n_held, i - f) * comb(n_free, f) for f in range(limit - nu + 1))
             for i in range(p.k)
         )
-    counts = _partial_cover_counts(p.zeros, set(range(p.m)) - {r}, (), limit)
+    counts = _partial_cover_counts(adj, ((1 << p.m) - 1) & ~(1 << r), 0, limit)
     return tuple(counts.get((i, 0), 0) for i in range(p.k))
 
 
@@ -404,19 +504,19 @@ def row_excluded_profile(p: RapInstance, r: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _min_cover_avoiding(zeros: tuple[Position, ...], row: int | None, col: int | None) -> int:
-    """Minimum size of a cover not using the given line.
+def _min_cover_avoiding(adj: dict[int, int], row: int | None, col: int | None) -> int:
+    """Minimum size of a cover of the row masks ``adj`` not using the given line.
 
     Zeros on the forbidden line must be covered by their crossing lines;
     the rest is a König minimum cover of the remaining zeros.
     """
     if row is not None:
-        forced_cols = {c for rr, c in zeros if rr == row}
-        residual = [p for p in zeros if p[0] != row and p[1] not in forced_cols]
-        return len(forced_cols) + len(_max_matching(residual))
-    forced_rows = {rr for rr, c in zeros if c == col}
-    residual = [p for p in zeros if p[1] != col and p[0] not in forced_rows]
-    return len(forced_rows) + len(_max_matching(residual))
+        forced_cols = adj.get(row, 0)
+        residual = {r: cols & ~forced_cols for r, cols in adj.items() if r != row and cols & ~forced_cols}
+        return forced_cols.bit_count() + len(_max_matching(residual))
+    bit = 1 << col
+    residual = {r: cols for r, cols in adj.items() if not cols & bit}
+    return len(adj) - len(residual) + len(_max_matching(residual))
 
 
 def forced_cover_lines(z: ZeroPattern, size: int) -> tuple[frozenset[int], frozenset[int]]:
@@ -436,6 +536,7 @@ def forced_cover_lines(z: ZeroPattern, size: int) -> tuple[frozenset[int], froze
     common_rows, common_cols = lattice.common_lines
     if lattice.size == size:
         return common_rows, common_cols
-    rows = frozenset(r for r in common_rows if _min_cover_avoiding(z.zeros, r, None) > size)
-    cols = frozenset(c for c in common_cols if _min_cover_avoiding(z.zeros, None, c) > size)
+    adj = _row_masks(z.zeros)
+    rows = frozenset(r for r in common_rows if _min_cover_avoiding(adj, r, None) > size)
+    cols = frozenset(c for c in common_cols if _min_cover_avoiding(adj, None, c) > size)
     return rows, cols

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .covers import cover_profile, row_excluded_profile
-from .model import RapInstance, checked_int, checked_row, instance, rational_to_json
+from .model import RapInstance, checked_int, checked_zero_free_row, instance, rational_to_json
 
 METHODS = (
     "parisi",
@@ -81,9 +81,7 @@ def row_inclusion_probability(p: RapInstance, r: int) -> Fraction:
     counts i-row partial (k-1)-covers avoiding row r.  The formula requires
     row r to contain no zeros (usage is then invariant across optima).
     """
-    r = checked_row(p, r)
-    if any(zr == r for zr, _ in p.zeros):
-        raise ValueError(f"row {r} contains a zero; the row formula does not apply")
+    r = checked_zero_free_row(p, r)
     dbar = row_excluded_profile(p, r)
     total = sum(
         (Fraction(count, math.comb(p.m - 1, i)) for i, count in enumerate(dbar) if count),

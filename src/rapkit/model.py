@@ -80,6 +80,18 @@ def checked_row(p: RapInstance, r: int) -> int:
     return r
 
 
+def checked_zero_free_row(p: RapInstance, r: int) -> int:
+    """Row ``r`` of ``p`` by :func:`checked_row`; ValueError when it holds a zero.
+
+    Whether the optimal assignment uses a row holding a zero can vary
+    across optima, so neither the row formula nor its estimate applies.
+    """
+    r = checked_row(p, r)
+    if any(zr == r for zr, _ in p.zeros):
+        raise ValueError(f"row {r} contains a zero; its usage varies across optima")
+    return r
+
+
 def _canonical_positions(positions: Iterable[Position]) -> tuple[Position, ...]:
     """The positions as sorted pairs of ints; a fast path of :func:`checked_position`."""
     index = operator.index

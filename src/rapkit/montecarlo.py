@@ -38,7 +38,7 @@ from typing import IO, Callable
 import numpy as np
 
 from .model import RapInstance, SampledMatrix, instance, rational_to_json
-from .model import checked_int, checked_position, checked_row
+from .model import checked_int, checked_position, checked_zero_free_row
 
 
 @dataclass(frozen=True)
@@ -277,9 +277,7 @@ def estimate_row_usage(
     target: Fraction | None = None,
 ) -> EstimateReport:
     """Frequency with which the optimal assignment uses zero-free row r."""
-    r = checked_row(p, r)
-    if any(zr == r for zr, _ in p.zeros):
-        raise ValueError(f"row {r} contains a zero; usage varies across optima")
+    r = checked_zero_free_row(p, r)
     return _run(p, samples, seed, lambda a, cols, costs: cols[:, r] < p.n, threads, csv_out, target)
 
 

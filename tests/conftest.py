@@ -9,7 +9,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Container, Iterable
 
 import pytest
 from hypothesis import strategies as st
@@ -170,6 +170,33 @@ def brute_force_cover_profile(p: RapInstance) -> CoverProfile:
             )
             coeffs.append((i, j, count))
     return CoverProfile(p.k, tuple(coeffs))
+
+
+def reference_component_table(
+    zeros: Iterable[Position], rows: Container[int], cols: Container[int], limit: int
+) -> dict[tuple[int, int, int], int]:
+    """T[(a, b, nu')] of one component, a fresh matching per subset and every
+    subset visited: the choices of a of its rows in ``rows`` and b of its
+    columns in ``cols`` leaving a maximum matching of nu', kept where
+    a + b + nu' <= limit.  Adding a line never lowers a + b + nu', so a
+    subset over the limit cuts off its supersets."""
+    zeros = list(zeros)
+    lines = [(r, None) for r in sorted({r for r, _ in zeros}) if r in rows]
+    lines += [(None, c) for c in sorted({c for _, c in zeros}) if c in cols]
+    table: dict[tuple[int, int, int], int] = {}
+
+    def visit(start: int, residual: list[Position], a: int, b: int) -> None:
+        nu = max_independent_zeros(residual)
+        if a + b + nu > limit:
+            return
+        table[a, b, nu] = table.get((a, b, nu), 0) + 1
+        for t in range(start, len(lines)):
+            row, col = lines[t]
+            rest = [z for z in residual if z[0] != row and z[1] != col]
+            visit(t + 1, rest, a + (col is None), b + (row is None))
+
+    visit(0, zeros, 0, 0)
+    return table
 
 
 def brute_force_row_excluded_profile(p: RapInstance, r: int) -> tuple[int, ...]:
@@ -511,16 +538,20 @@ def instances(draw, max_m: int = 4, max_n: int = 4):
     return instance(m, n, k, zeros)
 
 
+def zeros_of(masks: dict[int, int]) -> tuple[Position, ...]:
+    """The zero positions of a row -> column-bitmask zero graph."""
+    return tuple((r, c) for r, cols in masks.items() for c in range(cols.bit_length()) if cols >> c & 1)
+
+
 @pytest.fixture
 def matchings(monkeypatch) -> list[tuple[Position, ...]]:
     """The zero sets of every maximum matching computed while the test runs."""
     calls = []
     real = rapkit.covers._max_matching
 
-    def counted(zeros):
-        zeros = tuple(zeros)
-        calls.append(zeros)
-        return real(zeros)
+    def counted(masks):
+        calls.append(zeros_of(masks))
+        return real(masks)
 
     monkeypatch.setattr(rapkit.covers, "_max_matching", counted)
     return calls

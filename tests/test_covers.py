@@ -22,6 +22,7 @@ from rapkit.covers import (
 from rapkit.formulas import cover_formula_value
 from rapkit.model import (
     BudgetExceededError,
+    InvalidInstanceError,
     ZeroPattern,
     insert_zero,
     instance,
@@ -38,9 +39,11 @@ from conftest import (
     pattern_classes,
     random_instance,
     reference_column_maximal_cover,
+    reference_component_table,
     reference_forced_cover_lines,
     reference_row_maximal_cover,
     transpose_instance,
+    zeros_of,
 )
 
 
@@ -81,6 +84,24 @@ class TestMaxIndependentZeros:
         p = instance(size + 1, size + 1, 2, zeros)
         assert all(count == 0 for _, _, count in cover_profile(p).coefficients)
         assert row_excluded_profile(p, 0) == (0, 0)
+
+
+class TestMaxIndependentZerosInput:
+    """Positions given as an iterable follow the pattern's rule: pairs of
+    nonnegative integers, else InvalidInstanceError."""
+
+    @pytest.mark.parametrize(
+        "zeros",
+        [[(-1, 0), (0, 0)], [(0, -2)], [(0.5, 1)], [(True, 1)], [(1, False)], [("a", "b")], [(0, 0, 1)], [7]],
+        ids=["negative-row", "negative-col", "float", "bool-row", "bool-col", "strings", "triple", "scalar"],
+    )
+    def test_malformed_position_is_refused(self, zeros):
+        with pytest.raises(InvalidInstanceError):
+            max_independent_zeros(zeros)
+
+    def test_numpy_coordinates_and_repeats_accepted(self):
+        assert max_independent_zeros([(np.int64(0), np.int64(1)), (0, 1), (1, 1)]) == 1
+        assert max_independent_zeros(iter([(0, 0), (1, 1)])) == 2
 
 
 class TestMinCover:
@@ -299,12 +320,12 @@ def block_patterns(draw, max_side: int = 7) -> ZeroPattern:
     cells = [(r, c) for r in range(m) for c in range(n) if row_block[r] == col_block[c]]
     assume(cells)
     zeros = draw(st.lists(st.sampled_from(cells), unique=True, max_size=len(cells)))
-    assume(len(covers._components(tuple(zeros))) >= 2)
+    assume(len(covers._components(covers._row_masks(zeros))) >= 2)
     return ZeroPattern(m, n, tuple(zeros))
 
 
 def _components(p) -> list[tuple]:
-    return sorted(tuple(sorted(part)) for part in covers._components(p.zeros))
+    return sorted(tuple(sorted(zeros_of(part))) for part in covers._components(covers._row_masks(p.zeros)))
 
 
 def _no_table(*args):
@@ -356,6 +377,81 @@ class TestMatchingBound:
             found = [tuple(sorted(zeros)) for zeros in matchings]
             for part in _components(p):  # once for the slack, never again at the root
                 assert found.count(part) == 1, part
+
+
+def _bits(mask: int) -> set[int]:
+    return {i for i in range(mask.bit_length()) if mask >> i & 1}
+
+
+def _assert_tables_match_reference(zeros, rows: int, cols: int, slacks) -> None:
+    """Each component's table equals the from-scratch subset enumeration
+    at every given slack over the component's own matching."""
+    for part in covers._components(covers._row_masks(zeros)):
+        nu = len(covers._max_matching(part))
+        for slack in slacks:
+            limit = slack + nu
+            got = covers._component_table(part, rows, cols, limit, nu)
+            assert got == reference_component_table(zeros_of(part), _bits(rows), _bits(cols), limit)
+
+
+def _reference_component_table(part, rows, cols, limit, nu):
+    return reference_component_table(zeros_of(part), _bits(rows), _bits(cols), limit)
+
+
+def band(length: int, offset: int) -> list[tuple[int, int]]:
+    """Zeros (i, i + offset) and (i, i + offset + 1): one component of 2*length zeros."""
+    return [(i, i + offset) for i in range(length)] + [(i, i + offset + 1) for i in range(length)]
+
+
+class TestFreeLineBinomials:
+    """The enumeration counts the candidate lines a choice has emptied by
+    binomials; its tables equal the reference that visits every subset
+    with a fresh matching."""
+
+    def test_every_pattern_up_to_3x3_at_every_k(self):
+        for m in range(1, 4):
+            for n in range(1, 4):
+                full_rows, full_cols = (1 << m) - 1, (1 << n) - 1
+                for z in all_patterns(m, n):
+                    _assert_tables_match_reference(z.zeros, full_rows, full_cols, range(min(m, n)))
+                    for r in range(m):  # the rows-only tables of row_excluded_profile
+                        _assert_tables_match_reference(z.zeros, full_rows & ~(1 << r), 0, range(min(m, n)))
+
+    def test_every_4x4_class_at_k_2_to_4(self):
+        for zeros in pattern_classes(4, 4):
+            _assert_tables_match_reference(zeros, 0b1111, 0b1111, range(1, 4))
+
+    @given(
+        instances(max_m=6, max_n=6),
+        st.integers(0, (1 << 6) - 1),
+        st.integers(0, (1 << 6) - 1),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_random_up_to_6x6_with_restricted_lines(self, p, rows, cols, slack):
+        rows &= (1 << p.m) - 1
+        cols &= (1 << p.n) - 1
+        _assert_tables_match_reference(p.zeros, rows, cols, [slack])
+
+    def test_band_profile_makes_at_most_2753_matchings(self, matchings, monkeypatch):
+        p = instance(10, 10, 10, band(6, 1))
+        with monkeypatch.context() as patched:
+            patched.setattr(covers, "_component_table", _reference_component_table)
+            expected = cover_profile(p)
+        matchings.clear()
+        assert cover_profile(p) == expected
+        assert len(matchings) <= 2753  # 7,744 with a matching for every subset
+
+    def test_transposed_band_is_enumerated_alike(self, matchings):
+        """Seven rows against six columns: the component is enumerated
+        transposed, so it costs what the band does."""
+        p = instance(10, 10, 10, band(6, 1))
+        cover_profile(p)
+        count = len(matchings)
+        matchings.clear()
+        theirs = cover_profile(transpose_instance(p)).as_dict()
+        assert len(matchings) == count
+        assert cover_profile(p).as_dict() == {(j, i): x for (i, j), x in theirs.items()}
 
 
 class TestSubsetBudget:

@@ -13,6 +13,7 @@ from rapkit.model import (
     RapInstance,
     SampledMatrix,
     ZeroPattern,
+    checked_zero_free_row,
     insert_zero,
     instance,
     parse_instance,
@@ -21,6 +22,9 @@ from rapkit.model import (
     rational_to_json,
     serialize_instance,
 )
+
+from rapkit.formulas import row_inclusion_probability
+from rapkit.montecarlo import estimate_row_usage
 
 from conftest import delete_column, instances, transpose_instance
 
@@ -242,6 +246,33 @@ class TestIntegerArguments:
             instance(3, 3, 2, [pos])
         with pytest.raises(InvalidInstanceError, match="pair of integers"):
             Assignment((pos,))
+
+
+class TestZeroFreeRow:
+    """One rule refuses a row holding a zero, for the row formula and its estimate alike."""
+
+    P = instance(3, 3, 2, [(0, 0), (0, 2)])
+
+    def test_zero_free_row_is_returned_as_int(self):
+        assert checked_zero_free_row(self.P, np.int64(1)) == 1
+        assert type(checked_zero_free_row(self.P, np.int64(1))) is int
+
+    def test_row_checks_come_first(self):
+        with pytest.raises(IndexError):
+            checked_zero_free_row(self.P, 3)
+        with pytest.raises(InvalidInstanceError, match="row must be an integer"):
+            checked_zero_free_row(self.P, 0.0)
+
+    def test_formula_and_estimate_give_one_message(self):
+        message = "row 0 contains a zero; its usage varies across optima"
+        for call in (
+            lambda: checked_zero_free_row(self.P, 0),
+            lambda: row_inclusion_probability(self.P, 0),
+            lambda: estimate_row_usage(self.P, 0, samples=10, seed=1),
+        ):
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == message
 
 
 class TestRationalWireFormat:

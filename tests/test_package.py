@@ -1,5 +1,6 @@
 """The package's public surface: what ``rapkit`` exports and what it leaves to the tests."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import rapkit
+import rapkit.covers
 import rapkit.montecarlo
 from rapkit.covers import forced_cover_lines, row_excluded_profile
 from rapkit.formulas import cs_value, min_entry_usage_probability, parisi_value, row_inclusion_probability
@@ -274,3 +276,47 @@ class TestOneIntegerRule:
             if bool_test.search(line)
         ]
         assert found == []
+
+
+class TestOneMatchingRoutine:
+    """Every matching in ``covers.py`` comes from ``_max_matching`` over row
+    masks, so a second (say, list-based) König path cannot come back."""
+
+    TREE = ast.parse(Path(rapkit.covers.__file__).read_text(encoding="utf-8"))
+    FUNCTIONS = [node for node in ast.walk(TREE) if isinstance(node, ast.FunctionDef)]
+
+    def _callers(self, name: str) -> list[str]:
+        return sorted(
+            f.name
+            for f in self.FUNCTIONS
+            for node in ast.walk(f)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+        )
+
+    def test_one_augmenting_path_search(self):
+        searches = sorted(f.name for f in self.FUNCTIONS if "match" in f.name or "augment" in f.name)
+        assert searches == ["_augment", "_max_matching"]
+        assert self._callers("_augment") == ["_max_matching"]
+
+    def test_only_the_matching_routine_writes_a_matching(self):
+        writers = sorted({
+            f.name
+            for f in self.FUNCTIONS
+            for node in ast.walk(f)
+            if isinstance(node, (ast.Assign, ast.AugAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Subscript)
+            and isinstance(target.value, ast.Name)
+            and target.value.id.startswith("match")
+        })
+        assert writers == ["_augment", "_max_matching"]
+
+    def test_no_other_matching_is_called(self):
+        assert self._callers("max_independent_zeros") == []  # the public wrapper checks its input
+        imported = [
+            alias.name
+            for node in ast.walk(self.TREE)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        ]
+        assert not [name for name in imported if re.search("match|assignment|networkx|scipy", name)]
