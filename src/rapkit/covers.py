@@ -8,8 +8,11 @@ the cover coefficient d_{i,j} counts partial (k-1)-covers with exactly
 i rows and j columns.
 
 The bipartite zero graph is held as row bitmasks: each row holding a zero
-maps to the mask of its zero columns.  One maximum matching over those
-masks (Kuhn's augmenting paths) serves every question here.
+maps to the mask of its zero columns.  A pattern's column indices are the
+mask bits, so a mask takes up to n bits; the positions handed to
+max_independent_zeros as a bare iterable are relabelled densely first.
+One maximum matching over those masks (Kuhn's augmenting paths) serves
+every question here.
 
 The minimum covers form a lattice (Dulmage & Mendelsohn).  One maximum
 matching and two alternating searches, from the unmatched rows and from
@@ -180,11 +183,12 @@ def max_independent_zeros(z: ZeroPattern | Iterable[Position]) -> int:
         zeros = z.zeros
     else:
         zeros = []
+        labels: dict[int, int] = {}  # columns relabelled densely, so a mask has a bit per distinct column
         for pos in z:
             r, c = checked_position(pos)
             if r < 0 or c < 0:
                 raise InvalidInstanceError(f"position {pos!r} has a negative coordinate")
-            zeros.append((r, c))
+            zeros.append((r, labels.setdefault(c, len(labels))))
     return len(_max_matching(_row_masks(zeros)))
 
 
@@ -339,18 +343,8 @@ def _component_table(
     matching by at most one, so a + b + nu' never falls and a child over
     the limit cuts off all of its supersets.
 
-    A component with more rows than columns is enumerated transposed, so
-    that each matching starts from the fewer lines and the binomials count
-    the more numerous ones.
     """
     part_rows, part_cols = _span(part)
-    if len(part) > part_cols.bit_count():
-        col_masks: dict[int, int] = {}
-        for r, row_cols in part.items():
-            for c in _indices(row_cols):
-                col_masks[c] = col_masks.get(c, 0) | 1 << r
-        table = _component_table(col_masks, cols, rows, limit, nu)
-        return {(b, a, nu2): x for (a, b, nu2), x in table.items()}
     table: dict[tuple[int, int, int], int] = {}
 
     def visit(adj: dict[int, int], a: int, b: int, nu: int, cand_rows: int, cand_cols: int, free: int) -> None:
