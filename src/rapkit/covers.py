@@ -270,9 +270,14 @@ def cover_lattice(z: ZeroPattern) -> CoverLattice:
     The rows of ``row_max`` contain the rows of every minimum cover, and
     the columns of ``col_max`` the columns of every minimum cover.
     """
-    adj = _row_masks(z.zeros)
-    match_col = _max_matching(adj)
-    return CoverLattice(*_extreme_covers(adj, match_col), len(match_col))
+    return mask_cover_lattice(_row_masks(z.zeros))
+
+
+def mask_cover_lattice(masks: dict[int, int]) -> CoverLattice:
+    """:func:`cover_lattice` of a zero graph given as row masks: each row
+    holding a zero maps to the bitmask of its zero columns."""
+    match_col = _max_matching(masks)
+    return CoverLattice(*_extreme_covers(masks, match_col), len(match_col))
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,26 @@ tried (all 2x2 and 3x3 patterns, every 4x4 class, sampled 5x5 patterns)
 they are all ints, so the canonical key sorts and compares ints.  Every
 division goes through Fraction, so branch weights, extracted costs and
 the final value are exact Fractions.  Each state finds both ends of its
-minimum-cover lattice once, from one maximum matching; the terminal
-test, the reduction and the classification all read that one result.
-An instance already terminal at the root (k independent zeros) is
-answered from one matching, before its state is built.
+minimum-cover lattice once, from one maximum matching over its zero
+graph held as row bitmasks; the terminal test, the reduction and the
+classification all read that one result.  States the evaluator derives
+carry that zero graph: a conditioned child takes its node's template's,
+found once per node, plus the cells it empties, and a reduced state its
+parent's less the deleted lines.  Only a caller of zero_pattern() (the
+slack case of the reduction, through forced_cover_lines) builds a
+ZeroPattern.  An instance already terminal at the root (k independent
+zeros) is answered from one matching, before its state is built.
 Each state also classifies its entries once, on first use, and the
 termination measure and the conditioning rules read that classification.
+
+A line is plain when each of its cells is a zero or a standard entry,
+and two plain lines with the same zeros are twins: swapping them, and
+renaming their standard variables, maps the state to itself.  The
+minimum-conditioning children of members in twin rows and twin columns
+are therefore isomorphic and equally weighted, so the evaluation builds
+one child per such orbit and weights its value by the orbit's summed
+weight.  The term member is an orbit of its own, and pair conditioning
+evaluates both of its children.
 
 The root state costs no per-cell construction: its standard cells are
 shared immutable objects, each built (and validated) once per variable
@@ -44,7 +58,10 @@ count, disagreement variables, variable count of the minimal entry)
 strictly decreases at every branching step, which is asserted at
 runtime part by part: each child's first two parts come from its cover
 lattice, which its reduction reads anyway, and the child is classified
-for the other three only when those two tie with the parent's.
+for the other three only when those two tie with the parent's.  The
+first two parts are the same for isomorphic states, so when they differ
+from the parent's one child decides for its whole orbit; when they tie,
+every member of the orbit is built and checked in full.
 
 The evaluator never touches the cover-coefficient formula; it shares
 only the Koenig machinery with the rest of the package, which is what
@@ -57,13 +74,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import IO, Iterable, Mapping
+from typing import IO, Callable, Iterable, Mapping
 
 from .covers import (
     CoverLattice,
     LineCover,
-    cover_lattice,
     forced_cover_lines,
+    mask_cover_lattice,
     max_independent_zeros,
 )
 from .model import BudgetExceededError, Position, RapInstance, ZeroPattern, checked_int
@@ -159,16 +176,16 @@ class ExpRapState:
         object.__setattr__(self, "accumulated", Fraction(self.accumulated))
         if self.accumulated < 0:
             raise ValueError("accumulated cost must be nonnegative")
-        if any(len(row) != self.n for row in self.entries):
+        n = self.n
+        if any(len(row) != n for row in self.entries):
             raise ValueError("every row of entries must have the same length")
         ids = {v.id for v in self.variables}
         if len(ids) != len(self.variables):
             raise ValueError("duplicate variable id in table")
-        for row in self.entries:
-            for entry in row:
-                for v, _ in entry.terms:
-                    if v not in ids:
-                        raise ValueError(f"entry references unknown variable {v}")
+        unknown = _collect(self.entries) - ids
+        if unknown:
+            first = next(v for row in self.entries for e in row for v, _ in e.terms if v in unknown)
+            raise ValueError(f"entry references unknown variable {first}")
 
     @property
     def m(self) -> int:
@@ -184,6 +201,12 @@ class ExpRapState:
         return {v.id: v.intensity for v in self.variables}
 
     @cached_property
+    def _masks(self) -> dict[int, int]:
+        """The zero graph as row -> bitmask of its zero columns.  States the
+        oracle derives carry theirs; any other state scans its entries."""
+        return _zero_masks(self.entries)
+
+    @cached_property
     def _zeros(self) -> ZeroPattern:
         zeros = tuple(
             (r, c)
@@ -195,7 +218,7 @@ class ExpRapState:
 
     @cached_property
     def _covers(self) -> CoverLattice:
-        return cover_lattice(self._zeros)
+        return mask_cover_lattice(self._masks)
 
     @cached_property
     def _classification(self) -> EntryClassification:
@@ -216,6 +239,13 @@ class EntryClassification:
     An entry is standard when it is one coefficient-1 term of a
     unit-intensity variable that occurs nowhere else, and nonstandard
     otherwise.  Both position tuples are in row-major order.
+
+    A line is *plain* when each of its cells is a zero or a standard cell.
+    Two plain rows with zeros in the same columns are *twins*: swapping
+    them, and renaming their standard variables, leaves the state as it
+    was.  The same holds for columns.  ``row_twins[r]`` names the twin
+    class of row r by its first row, and ``col_twins`` does the same for
+    the columns; a line that is not plain is a class of its own.
     """
 
     cover: LineCover  # row-maximal optimal cover of the zeros
@@ -224,6 +254,8 @@ class EntryClassification:
     potentially_minimal: tuple[Position, ...]
     minimal: Position | None
     first_incomparable_pair: tuple[Position, Position] | None
+    row_twins: tuple[int, ...]
+    col_twins: tuple[int, ...]
 
 
 _ZERO = LinearEntry()
@@ -241,11 +273,13 @@ def make_initial_state(p: RapInstance) -> ExpRapState:
     zeros = p.pattern.zero_set
     variables = []
     rows = []
+    masks = {}
     for r in range(p.m):
         row = []
         for c in range(p.n):
             if (r, c) in zeros:
                 row.append(_ZERO)
+                masks[r] = masks.get(r, 0) | 1 << c
             else:
                 cell, variable = _unit(len(variables))
                 row.append(cell)
@@ -253,11 +287,25 @@ def make_initial_state(p: RapInstance) -> ExpRapState:
         rows.append(tuple(row))
     s = ExpRapState(p.k, tuple(rows), tuple(variables))
     vars(s)["_zeros"] = p.pattern  # the validated, sorted zeros the scan would find
+    vars(s)["_masks"] = masks
     return s
 
 
 def _collect(entries: Iterable[Iterable[LinearEntry]]) -> set[int]:
     return {v for row in entries for e in row for v, _ in e.terms}
+
+
+def _zero_masks(entries: Iterable[Iterable[LinearEntry]]) -> dict[int, int]:
+    """Row -> bitmask of the zero columns, for each row holding a zero."""
+    masks = {}
+    for r, row in enumerate(entries):
+        mask = 0
+        for c, e in enumerate(row):
+            if not e.terms:
+                mask |= 1 << c
+        if mask:
+            masks[r] = mask
+    return masks
 
 
 def _gc(
@@ -293,45 +341,66 @@ def reduce_state(s: ExpRapState) -> ExpRapState:
             rows, cols = forced_cover_lines(s.zero_pattern(), s.k - 1)
         if not rows and not cols:
             return s
+        kept_rows = [r for r in range(s.m) if r not in rows]
         entries = tuple(
-            tuple(e for c, e in enumerate(row) if c not in cols)
-            for r, row in enumerate(s.entries)
-            if r not in rows
+            tuple(e for c, e in enumerate(s.entries[r]) if c not in cols) for r in kept_rows
         )
+        # the zero graph loses the deleted lines: each column deleted, highest
+        # first, takes its bit out of every mask and shifts the bits above it down
+        drop = sorted(cols, reverse=True)
+        masks = {}
+        for i, r in enumerate(kept_rows):
+            mask = s._masks.get(r, 0)
+            for c in drop:
+                mask = (mask & ((1 << c) - 1)) | (mask >> (c + 1) << c)
+            if mask:
+                masks[i] = mask
         k = s.k - len(rows) - len(cols)
         s = ExpRapState(k, entries, _gc(entries, s.variables), s.accumulated)
+        vars(s)["_masks"] = masks
 
 
 def classify_entries(s: ExpRapState) -> EntryClassification:
     """Split the entries outside the row-maximal cover into standard and
     nonstandard ones, and locate the structures driving the case split.
 
-    Only those entries are read: no zero lies outside a cover, and the
-    conditioning rules never look at a covered entry's kind.
+    The pass that finds the nonstandard cells reads every cell, covered or
+    not, so it also finds the zeros of each line and from them the twin
+    classes of the plain lines (see EntryClassification).
     """
     occurrences: dict[int, int] = {}
     for row in s.entries:
         for e in row:
             for v, _ in e.terms:
                 occurrences[v] = occurrences.get(v, 0) + 1
+    intensity = s._intensities
+
+    nonstandard = set()  # nonzero cells that are not standard
+    row_zeros, col_zeros = [0] * s.m, [0] * s.n
+    for r, row in enumerate(s.entries):
+        for c, e in enumerate(row):
+            terms = e.terms
+            if not terms:
+                row_zeros[r] |= 1 << c
+                col_zeros[c] |= 1 << r
+            elif not (
+                len(terms) == 1
+                and terms[0][1] == 1
+                and occurrences[terms[0][0]] == 1
+                and intensity[terms[0][0]] == 1
+            ):
+                nonstandard.add((r, c))
+    plain_rows = [True] * s.m
+    plain_cols = [True] * s.n
+    for r, c in nonstandard:
+        plain_rows[r] = plain_cols[c] = False
 
     cover = s._covers.row_max
     outside = [
         (r, c) for r in range(s.m) if r not in cover.rows for c in range(s.n) if c not in cover.cols
     ]
-
-    def is_standard(p: Position) -> bool:
-        e = s.entries[p[0]][p[1]]
-        return (
-            len(e.terms) == 1
-            and e.terms[0][1] == 1
-            and occurrences[e.terms[0][0]] == 1
-            and s.intensity(e.terms[0][0]) == 1
-        )
-
-    flags = [is_standard(p) for p in outside]
-    standard = tuple(p for p, std in zip(outside, flags) if std)
-    ncn = tuple(p for p, std in zip(outside, flags) if not std)
+    standard = tuple(p for p in outside if p not in nonstandard)
+    ncn = tuple(p for p in outside if p in nonstandard)
 
     def entry(p: Position) -> LinearEntry:
         return s.entries[p[0]][p[1]]
@@ -356,7 +425,17 @@ def classify_entries(s: ExpRapState) -> EntryClassification:
                     break
             if pair:
                 break
-    return EntryClassification(cover, standard, ncn, pm, minimal, pair)
+    return EntryClassification(
+        cover, standard, ncn, pm, minimal, pair,
+        _twins(plain_rows, row_zeros), _twins(plain_cols, col_zeros),
+    )
+
+
+def _twins(plain: list[bool], zeros: list[int]) -> tuple[int, ...]:
+    """Each line's twin class, named by its first member: plain lines with
+    equal zero masks share one, and a line that is not plain is alone."""
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(z, i) if p else i for i, (p, z) in enumerate(zip(plain, zeros)))
 
 
 def _cover_parts(s: ExpRapState) -> tuple[int, int]:
@@ -431,7 +510,7 @@ def _condition_on_minimum(
     members: list[tuple[int, Rational]],
     shift: Mapping[Position, int],
     accumulated: Fraction,
-) -> list[tuple[Fraction, ExpRapState]]:
+) -> tuple[list[Fraction], Callable[[int], ExpRapState]]:
     """Condition on which of `members`, independent scaled exponentials
     given as (variable, 1/coefficient), is the minimum Y.
 
@@ -439,7 +518,10 @@ def _condition_on_minimum(
     (Y + Z_j) * scale) and entry (r, c) gains `shift[(r, c)]` times Y;
     the child in which member j is the minimum is this template with
     Z_j = 0, weighted by member j's intensity over the total.  Fresh ids
-    are Y, then Z_1, Z_2, ..., above every existing id.  Weights sum to 1.
+    are Y, then Z_1, Z_2, ..., above every existing id.  Returns the
+    weights, which sum to 1, and a function that builds child j, so a
+    caller builds only the children it needs.  Each child carries its zero
+    graph: the template's, found once, plus the cells that Z_j = 0 empties.
     """
     member_intensities = [s.intensity(v) * scale for v, scale in members]
     total = sum(member_intensities)
@@ -453,6 +535,7 @@ def _condition_on_minimum(
         + (ExpVariable(y_id, total),)
         + tuple(ExpVariable(z_id, i) for z_id, i in zip(z_ids, member_intensities)),
     )
+    template_masks = _zero_masks(template)
     holding: dict[int, list[Position]] = {z_id: [] for z_id in z_ids}
     for r, row in enumerate(template):
         for c, e in enumerate(row):
@@ -460,17 +543,23 @@ def _condition_on_minimum(
                 if v in holding:
                     holding[v].append((r, c))
 
-    children: list[tuple[Fraction, ExpRapState]] = []
-    for z_id, intensity in zip(z_ids, member_intensities):
-        rows = [list(row) for row in template]
+    def child(j: int) -> ExpRapState:
+        z_id = z_ids[j]
+        rows = list(template)
+        masks = dict(template_masks)
         for r, c in holding[z_id]:
-            rows[r][c] = LinearEntry(tuple(t for t in rows[r][c].terms if t[0] != z_id))
-        entries = tuple(tuple(row) for row in rows)
+            e = LinearEntry(tuple(t for t in rows[r][c].terms if t[0] != z_id))
+            rows[r] = (*rows[r][:c], e, *rows[r][c + 1:])
+            if not e.terms:
+                masks[r] = masks.get(r, 0) | 1 << c
         variables = tuple(v for v in template_vars if v.id != z_id)
-        weight = Fraction(intensity) / total
-        children.append((weight, ExpRapState(s.k, entries, variables, accumulated)))
-    assert sum(w for w, _ in children) == 1 and all(w > 0 for w, _ in children)
-    return children
+        state = ExpRapState(s.k, tuple(rows), variables, accumulated)
+        vars(state)["_masks"] = masks
+        return state
+
+    weights = [Fraction(i) / total for i in member_intensities]
+    assert sum(weights) == 1 and all(w > 0 for w in weights)
+    return weights, child
 
 
 def condition_pair(
@@ -494,15 +583,16 @@ def condition_pair(
     a = e1.coeff(i) - e2.coeff(i)  # scale of Xi's excess in e1
     b = e2.coeff(j) - e1.coeff(j)  # scale of Xj's excess in e2
     members = [(i, _exact(Fraction(1) / a)), (j, _exact(Fraction(1) / b))]
-    first, second = _condition_on_minimum(s, members, {}, s.accumulated)
-    return first, second
+    (w1, w2), child = _condition_on_minimum(s, members, {}, s.accumulated)
+    return (w1, child(0)), (w2, child(1))
 
 
 def condition_minimum(s: ExpRapState) -> tuple[Fraction, list[tuple[Fraction, ExpRapState]]]:
     """Condition on the minimum of the candidate set S; extract expected cost.
 
     S holds one term a*Xi of the minimal non-covered nonstandard entry
-    (when such an entry exists) and every non-covered standard entry.
+    (when such an entry exists) and every non-covered standard entry, in
+    that order and the latter in row-major order.
     The minimum Y of S has intensity I = sum of member intensities, and
     by the cover recursion the expected cost (k - |cover|)/I is
     extracted.  Each child conditions on a member being the minimum,
@@ -510,6 +600,15 @@ def condition_minimum(s: ExpRapState) -> tuple[Fraction, list[tuple[Fraction, Ex
     subtracts Y from all non-covered entries, and adds Y to all doubly
     covered ones.  Weights sum to 1.
     """
+    extracted, weights, child = _minimum_conditioning(s)
+    return extracted, [(w, child(j)) for j, w in enumerate(weights)]
+
+
+def _minimum_conditioning(
+    s: ExpRapState,
+) -> tuple[Fraction, list[Fraction], Callable[[int], ExpRapState]]:
+    """:func:`condition_minimum` with its children left unbuilt: the cost
+    extracted, each member's weight and a function that builds its child."""
     cls = s._classification
     cover = cls.cover
     size = len(cover)
@@ -538,7 +637,25 @@ def condition_minimum(s: ExpRapState) -> tuple[Fraction, list[tuple[Fraction, Ex
         for c in range(s.n)
         if c not in cover.cols
     } | {(r, c): 1 for r in cover.rows for c in cover.cols}
-    return extracted, _condition_on_minimum(s, members, shift, s.accumulated + extracted)
+    weights, child = _condition_on_minimum(s, members, shift, s.accumulated + extracted)
+    return extracted, weights, child
+
+
+def _member_orbits(cls: EntryClassification) -> list[list[int]]:
+    """The members of minimum conditioning (see condition_minimum) by
+    index, grouped into orbits, in order of first member.
+
+    The term member is an orbit of its own.  Swapping twin lines (see
+    EntryClassification) maps the state to itself, so standard members
+    (r, c) and (r', c') lie in one orbit when r, r' are twin rows and c, c'
+    twin columns; their children are isomorphic and equally weighted.
+    """
+    orbits: dict[object, list[int]] = {}
+    if cls.minimal is not None:
+        orbits["term"] = [0]
+    for j, (r, c) in enumerate(cls.non_covered_standard, len(orbits)):
+        orbits.setdefault((cls.row_twins[r], cls.col_twins[c]), []).append(j)
+    return list(orbits.values())
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +739,7 @@ class _OracleRun:
         parent: int | None,
         depth: int,
         rule: str,
-        weights: list[Fraction],
+        weights: Iterable[Fraction],
         extracted: Fraction,
     ) -> None:
         if self.trace is None:
@@ -660,17 +777,27 @@ def _evaluate(
     parent_measure = induction_measure(s)
     if cls.non_covered_nonstandard and cls.minimal is None:
         assert cls.first_incomparable_pair is not None
-        branches = list(condition_pair(s, *cls.first_incomparable_pair))
+        weights, children = zip(*condition_pair(s, *cls.first_incomparable_pair))
+        build = children.__getitem__
         extracted = Fraction(0)
+        orbits = [[0], [1]]
         rule = "pair"
     else:
-        extracted, branches = condition_minimum(s)
+        extracted, weights, build = _minimum_conditioning(s)
+        orbits = _member_orbits(cls)
         rule = "minimum"
-    run.emit(key, parent, depth, rule, [w for w, _ in branches], extracted)
+    run.emit(key, parent, depth, rule, weights, extracted)
     value = extracted
-    for weight, child in branches:
-        assert _measure_drops(child, parent_measure), "termination measure must drop"
-        value += weight * _evaluate(child, run, node, depth + 1)
+    for orbit in orbits:
+        # one child stands for its orbit; the head of the measure is the same
+        # for isomorphic states, so a head that ties the parent's is the only
+        # case where the other members must be built and checked in full
+        child = build(orbit[0])
+        checked = [child]
+        if _cover_parts(child) == parent_measure[:2]:
+            checked += map(build, orbit[1:])
+        assert all(_measure_drops(c, parent_measure) for c in checked), "termination measure must drop"
+        value += sum(weights[j] for j in orbit) * _evaluate(child, run, node, depth + 1)
     run.cache[key] = value
     return value
 

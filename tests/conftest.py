@@ -1,7 +1,7 @@
 """Shared helpers: random instance generation, brute-force cover references,
-the slow oracle rules, initial state and canonical key that the fast ones are
-checked against, and the instance transformations and optimal-assignment
-structure that the identity checks use."""
+the slow oracle rules, initial state, canonical key and ungrouped evaluation
+that the fast ones are checked against, and the instance transformations and
+optimal-assignment structure that the identity checks use."""
 
 from __future__ import annotations
 
@@ -32,7 +32,12 @@ from rapkit.oracle import (
     _fresh_ids,
     _gc,
     _substitute,
+    canonical_key,
     classify_entries,
+    condition_minimum,
+    condition_pair,
+    is_terminal,
+    reduce_state,
 )
 
 
@@ -354,6 +359,24 @@ def reference_condition_pair(
     first, second = child(True), child(False)
     assert first[0] + second[0] == 1 and first[0] > 0 and second[0] > 0
     return first, second
+
+
+def reference_expected_value(s: ExpRapState, cache: dict) -> Fraction:
+    """Expected remaining cost of a state (accumulated excluded), evaluating
+    every child of every node: no orbit of twin lines is merged.  ``cache``
+    maps canonical keys to values and may be shared across calls."""
+    s = reduce_state(s)
+    if is_terminal(s):
+        return Fraction(0)
+    key = canonical_key(s)
+    if key not in cache:
+        cls = classify_entries(s)
+        if cls.non_covered_nonstandard and cls.minimal is None:
+            extracted, branches = Fraction(0), condition_pair(s, *cls.first_incomparable_pair)
+        else:
+            extracted, branches = condition_minimum(s)
+        cache[key] = extracted + sum(w * reference_expected_value(child, cache) for w, child in branches)
+    return cache[key]
 
 
 def reference_initial_state(p: RapInstance) -> ExpRapState:

@@ -1,6 +1,7 @@
 """Symbolic conditioning oracle: state machinery, rules, and exact values."""
 
 import ast
+import hashlib
 import io
 import json
 import random
@@ -14,7 +15,7 @@ import pytest
 import rapkit.cli
 import rapkit.montecarlo
 import rapkit.oracle
-from rapkit.covers import LineCover
+from rapkit.covers import LineCover, cover_lattice
 from rapkit.formulas import cover_formula_value
 from rapkit.model import BudgetExceededError, instance
 from rapkit.oracle import (
@@ -41,6 +42,7 @@ from conftest import (
     reference_canonical_key,
     reference_condition_minimum,
     reference_condition_pair,
+    reference_expected_value,
     reference_initial_state,
     reference_reduce_state,
 )
@@ -119,6 +121,21 @@ class TestExpRapState:
     def test_ragged_entries_rejected(self):
         with pytest.raises(ValueError, match="same length"):
             ExpRapState(1, ((LinearEntry(),), (LinearEntry(), LinearEntry())), ())
+
+    def test_duplicate_variable_id_rejected(self):
+        entries = ((entry({0: 1}),),)
+        with pytest.raises(ValueError, match="duplicate variable id in table"):
+            ExpRapState(1, entries, (ExpVariable(0, 1), ExpVariable(0, 2)))
+
+    def test_unknown_variable_named_first_in_row_major_order(self):
+        # ids 3, 5 and 7 are unknown; 5 comes first in row-major order
+        rows = [[{0: 1}, {5: 1, 7: 1}], [{3: 1}, {0: 1}]]
+        with pytest.raises(ValueError, match=r"^entry references unknown variable 5$"):
+            state(1, rows, {0: 1})
+
+    def test_negative_accumulated_rejected(self):
+        with pytest.raises(ValueError, match="accumulated cost must be nonnegative"):
+            state(1, [[{0: 1}]], {0: 1}, accumulated=Fraction(-1, 2))
 
 
 class TestReduce:
@@ -207,6 +224,26 @@ class TestClassify:
         cls = classify_entries(state(2, rows, {0: 1, 1: 1}))
         assert cls.minimal is None
         assert cls.first_incomparable_pair == ((0, 0), (0, 1))
+
+    def test_twin_lines(self):
+        # rows 1 and 2 are plain and zero-free, row 0 holds the zero
+        cls = classify_entries(make_initial_state(instance(3, 4, 2, [(0, 0)])))
+        assert cls.row_twins == (0, 1, 1)
+        assert cls.col_twins == (0, 1, 1, 1)
+
+    def test_a_line_with_a_nonstandard_cell_has_no_twin(self):
+        # rows 1 and 2 are zero-free, but row 2 and column 1 hold variable 4 twice
+        rows = [[{}, {1: 1}], [{2: 1}, {3: 1}], [{4: 1}, {4: 1}]]
+        cls = classify_entries(state(2, rows, {1: 1, 2: 1, 3: 1, 4: 1}))
+        assert cls.row_twins == (0, 1, 2)
+        assert cls.col_twins == (0, 1)
+        # a scaled or a fast variable is nonstandard too
+        for rows, intensities in (
+            ([[{1: 1}, {2: 2}], [{3: 1}, {4: 1}]], {1: 1, 2: 1, 3: 1, 4: 1}),
+            ([[{1: 1}, {2: 1}], [{3: 1}, {4: 1}]], {1: 1, 2: 3, 3: 1, 4: 1}),
+        ):
+            cls = classify_entries(state(2, rows, intensities))
+            assert (cls.row_twins, cls.col_twins) == ((0, 1), (0, 1))
 
 
 class TestConditionPair:
@@ -349,6 +386,10 @@ def _every_small_instance():
 
 def _every_four_by_four_class_at_k_four():
     return (instance(4, 4, 4, zeros) for zeros in pattern_classes(4, 4))
+
+
+def _every_four_by_four_class():
+    return (instance(4, 4, k, zeros) for zeros in pattern_classes(4, 4) for k in (2, 3, 4))
 
 
 def _by_rank(s: ExpRapState):
@@ -518,6 +559,161 @@ class TestLazyMeasure:
         value, nodes = oracle_node_count(instance(4, 4, 4))
         assert value == Fraction(205, 144) and nodes == 34
         assert len(calls) <= 2 * nodes
+
+
+def _scanned_masks(s: ExpRapState) -> dict[int, int]:
+    """Row -> bitmask of the zero columns, from the entries."""
+    masks = {r: sum(1 << c for c, e in enumerate(row) if e.is_zero) for r, row in enumerate(s.entries)}
+    return {r: mask for r, mask in masks.items() if mask}
+
+
+def _roots_with_lines_that_are_not_plain() -> list[ExpRapState]:
+    """States holding lines with the same zeros where one line has a
+    nonstandard cell: a two-term cell, or a variable shared by two cells."""
+    return [
+        state(2, [[{0: 1}, {1: 1}], [{2: 1}, {3: 1, 4: 1}]], dict.fromkeys(range(5), 1)),
+        state(2, [[{0: 1}, {1: 1}, {5: 1}], [{2: 1}, {3: 1, 4: 1}, {6: 1}], [{7: 1}, {8: 1}, {9: 1}]],
+              dict.fromkeys(range(10), 1)),
+        _fractional_minimum_state(),
+    ]
+
+
+class TestCarriedZeroGraph:
+    """States the oracle derives carry the zero graph a scan of their
+    entries would find."""
+
+    @staticmethod
+    def _check(instances) -> Counter:
+        seen = Counter()
+        for parent, _, _, children in _reached_branchings(instances):
+            for child in children:
+                assert "_masks" in vars(child)  # carried, not yet scanned
+            for s in (parent, *children, *map(reduce_state, children)):
+                assert s._masks == _scanned_masks(s)
+                assert s._covers == cover_lattice(s.zero_pattern())
+                seen["states"] += 1
+        return seen
+
+    def test_every_two_by_two_and_three_by_three_instance(self):
+        assert self._check(_every_small_instance())["states"] > 5000
+
+    def test_every_four_by_four_class(self):
+        assert self._check(_every_four_by_four_class())["states"] > 9000
+
+    def test_reduction_deletes_lines_from_the_masks(self):
+        zeros = [(0, 0), (1, 1), (1, 2), (2, 3), (3, 0)]
+        s = reduce_state(make_initial_state(instance(4, 4, 4, zeros)))
+        assert (s.k, s.m, s.n) == (2, 3, 3)
+        assert vars(s)["_masks"] == _scanned_masks(s) == {1: 0b100}
+
+
+class TestOrbitsOfTwinLines:
+    """Swapping twin lines maps a state to itself, so the minimum-conditioning
+    children of one orbit are isomorphic: the oracle evaluates one of them."""
+
+    @staticmethod
+    def _check(branchings, cache: dict) -> Counter:
+        seen = Counter()
+        for s, cls, rule, children in branchings:
+            if rule != "minimum":
+                continue
+            before = induction_measure(s)
+            weights = [w for w, _ in condition_minimum(s)[1]]
+            orbits = rapkit.oracle._member_orbits(cls)
+            assert sorted(j for orbit in orbits for j in orbit) == list(range(len(children)))
+            for orbit in orbits:
+                first = children[orbit[0]]
+                value = reference_expected_value(first, cache)
+                for j in orbit:
+                    child = children[j]
+                    assert weights[j] == weights[orbit[0]]
+                    assert reference_expected_value(child, cache) == value
+                    assert rapkit.oracle._cover_parts(child) == rapkit.oracle._cover_parts(first)
+                    assert induction_measure(child) < before
+                seen["later members"] += len(orbit) - 1
+            seen["states"] += 1
+        return seen
+
+    def test_every_two_by_two_and_three_by_three_instance(self):
+        seen = self._check(_reached_branchings(_every_small_instance()), {})
+        assert seen["states"] > 600 and seen["later members"] > 1000
+
+    def test_every_four_by_four_class(self):
+        seen = self._check(_reached_branchings(_every_four_by_four_class()), {})
+        assert seen["states"] > 700 and seen["later members"] > 2500
+
+    def test_pair_conditioning_instances(self):
+        seen = self._check(_reached_branchings(_pair_conditioning_instances()), {})
+        assert seen["states"] > 150 and seen["later members"] > 200
+
+    def test_lines_that_are_not_plain(self):
+        """Below these roots, lines with equal zeros but a nonstandard cell
+        are not twins: their members' children differ in value."""
+        seen = self._check(_branchings_below(_roots_with_lines_that_are_not_plain()), {})
+        assert seen["states"] > 20 and seen["later members"] > 30
+
+    @pytest.mark.parametrize(
+        "instances",
+        [_every_small_instance, _every_four_by_four_class, _pair_conditioning_instances],
+    )
+    def test_grouped_value_equals_ungrouped(self, instances):
+        grouped: dict = {}
+        ungrouped: dict = {}
+        for p in instances():
+            assert oracle_expected_value(p, cache=grouped) == reference_expected_value(
+                make_initial_state(p), ungrouped
+            )
+
+    def test_grouped_value_equals_ungrouped_on_lines_that_are_not_plain(self):
+        for s in _roots_with_lines_that_are_not_plain():
+            run = rapkit.oracle._OracleRun(DEFAULT_NODE_BUDGET, None, None)
+            assert rapkit.oracle._evaluate(s, run) == reference_expected_value(s, {})
+
+    def test_a_head_tie_checks_every_member(self, monkeypatch):
+        """With every head tied, each member of each orbit is built and
+        checked in full; otherwise one child per orbit is checked."""
+        real = rapkit.oracle._measure_drops
+
+        def run(verdict):
+            checked = []
+
+            def recording(child, parent_measure):
+                checked.append(child)
+                return verdict(child, parent_measure)
+
+            monkeypatch.setattr(rapkit.oracle, "_measure_drops", recording)
+            trace = io.StringIO()
+            assert oracle_node_count(instance(4, 4, 4), trace=trace) == (Fraction(205, 144), 34)
+            members = sum(len(json.loads(line)["weights"]) for line in trace.getvalue().splitlines())
+            return checked, members
+
+        checked, members = run(real)
+        assert len(checked) < members  # one child per orbit
+        # every head ties the parent's; the full check is stubbed, since
+        # the measure's own head is now constant too
+        monkeypatch.setattr(rapkit.oracle, "_cover_parts", lambda s: (0, 0))
+        checked, members = run(lambda child, parent_measure: True)
+        assert len(checked) == members
+        assert len({id(child) for child in checked}) == members  # each member built
+
+
+class TestUnchangedBehaviour:
+    """Inputs whose twin orbits were all cache hits evaluate the nodes, and
+    write the trace, that evaluating every child did."""
+
+    @pytest.mark.parametrize(
+        "n, nodes, digest",
+        [
+            (3, 7, "04169dbe5b449b302fae924ad5d76ebb763c227a9217296cc8c175128a0ef81c"),
+            (4, 34, "7cbaa0266d6202f259d2a069a4d8a05f89e130bb2638d514766bc95cb71fe7c4"),
+        ],
+    )
+    def test_zero_free_square_at_k_equal_n(self, n, nodes, digest):
+        trace = io.StringIO()
+        value, count = oracle_node_count(instance(n, n, n), trace=trace)
+        assert count == nodes == len(trace.getvalue().splitlines())
+        assert hashlib.sha256(trace.getvalue().encode()).hexdigest() == digest
+        assert value == reference_expected_value(make_initial_state(instance(n, n, n)), {})
 
 
 class TestOneLatticePerState:
@@ -746,6 +942,7 @@ class TestSharedInitialState:
             s, ref = make_initial_state(p), reference_initial_state(p)
             assert (s.k, s.entries, s.variables) == (ref.k, ref.entries, ref.variables)
             assert vars(s)["_zeros"] is p.pattern  # primed, not scanned
+            assert vars(s)["_masks"] == _scanned_masks(ref)
             assert s.zero_pattern() == ref.zero_pattern()  # the scan of the entries
             checked += 1
         assert checked > 4000
