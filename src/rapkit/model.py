@@ -13,6 +13,7 @@ on them are pure functions.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -61,6 +62,16 @@ def checked_int(value, name: str, low: int | None = None, high: int | None = Non
     elif low is not None:
         what += f" >= {low}"
     raise InvalidInstanceError(f"{name} must be {what}, got {value!r}")
+
+
+def is_finite(x) -> bool:
+    """False for a NaN or an infinity of any number type, numpy scalars included.
+
+    The package's one finiteness rule for entries.  A chained comparison,
+    unlike :func:`math.isfinite`, never converts to float, so an int or
+    Fraction of any size is finite.
+    """
+    return -math.inf < x < math.inf
 
 
 def checked_position(pos) -> Position:
@@ -209,7 +220,9 @@ class SampledMatrix:
                 if (r, c) in zset:
                     if v != 0.0:
                         raise InvalidInstanceError(f"entry at zero position ({r},{c}) is {v}")
-                elif not v > 0.0:
+                elif not 0.0 < v < math.inf:  # positive and finite; NaN fails too
+                    if not is_finite(v):
+                        raise InvalidInstanceError(f"entry at ({r},{c}) must be finite, got {v!r}")
                     raise InvalidInstanceError(f"entry at ({r},{c}) must be strictly positive")
 
     def __getitem__(self, pos: Position) -> float:

@@ -14,8 +14,20 @@ Minimizing the tie-weight sum of a k-assignment maximizes the sum of
 once, so that sum has only 0/1 binary digits, one per position, and the
 larger of two such sums belongs to the set holding the smallest position
 on which the two sets differ, so no base above k is needed.  The 2^(mn)
-term keeps every weight positive.  The weights are computed once per
-solve, as an m x n table.
+term keeps every weight positive.
+
+Each augmentation is one dense shortest-path scan in the manner of
+Jonker and Volgenant (Computing 38, 1987): every unfinished column keeps
+its tentative entry-sum distance and its parent row in plain lists, the
+next column is picked by a linear scan, and a finished row relaxes only
+the unfinished columns, so an augmentation costs O(mn) at most.  The tie
+part of a column's distance depends only on the column and its parent
+row, so it is computed on demand: where two entry sums are equal, in a
+relaxation or in the pick, and once for each finished column.  No table
+of weights is built.  Every scan finishes the free rows at distance 0,
+so they share one potential, and each column keeps its smallest entry
+over the free rows from one augmentation to the next: a scan starts
+from those n entries instead of relaxing every free row.
 
 Entries may be ints, fractions.Fraction, or floats; arithmetic stays in
 the input type, so rational instances are solved exactly.
@@ -26,11 +38,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
-from .model import Assignment, Position, SampledMatrix, checked_int
+from .model import Assignment, Position, SampledMatrix, checked_int, is_finite
 
 Number = int | float | Fraction
 
@@ -49,11 +60,12 @@ class SolveResult:
         return self.assignment.positions
 
 
-def _as_matrix(matrix: SampledMatrix | Sequence[Sequence[Number]]) -> list[list[Number]]:
+def _as_matrix(
+    matrix: SampledMatrix | Sequence[Sequence[Number]],
+) -> Sequence[Sequence[Number]]:
     if isinstance(matrix, SampledMatrix):
-        rows = [list(row) for row in matrix.entries]
-    else:
-        rows = [list(row) for row in matrix]
+        return matrix.entries  # finite and nonnegative by construction
+    rows = [list(row) for row in matrix]
     if not rows or not rows[0]:
         raise ValueError("matrix must be nonempty")
     n = len(rows[0])
@@ -61,9 +73,9 @@ def _as_matrix(matrix: SampledMatrix | Sequence[Sequence[Number]]) -> list[list[
         if len(row) != n:
             raise ValueError("matrix rows must have equal length")
         for x in row:
-            if isinstance(x, float) and not math.isfinite(x):
-                raise ValueError(f"matrix entries must be finite, got {x!r}")
-            if x < 0:
+            if not 0 <= x < math.inf:  # nonnegative and finite; NaN fails too
+                if not is_finite(x):
+                    raise ValueError(f"matrix entries must be finite, got {x!r}")
                 raise ValueError(f"matrix entries must be nonnegative, got {x!r}")
     return rows
 
@@ -80,86 +92,112 @@ def solve_k_assignment(
 ) -> SolveResult:
     """Globally minimal sum of k independent entries, deterministic on ties.
 
-    Runs k successive shortest-path augmentations; each path is found by
-    a multi-source Dijkstra from the unassigned rows over reduced costs,
-    with potentials updated by the capped rule pi(x) += min(dist(x), D).
+    Runs k augmentations, each a dense Jonker-Volgenant scan from the
+    unassigned rows over reduced costs.  After a scan, each node it
+    finished moves its potential by dist(x) - D, with D the distance of
+    the path's end; the other nodes keep theirs.
     """
     a = _as_matrix(matrix)
     m, n = len(a), len(a[0])
     k = _check_k(k, m, n)
 
-    mn = m * n
-    top = 1 << mn
+    top = 1 << (m * n)
+    last = m * n - 1
     zero = a[0][0] - a[0][0]  # additive zero in the entry type
-    tie = [[top - (1 << (mn - 1 - (r * n + c))) for c in range(n)] for r in range(m)]
+    inf = math.inf
 
-    pot_r: list[list] = [[zero, 0] for _ in range(m)]
-    pot_c: list[list] = [[zero, 0] for _ in range(n)]
+    def bit(r: int, c: int) -> int:
+        """2^(mn-1-t) for t = r*n+c: the tie weight of (r, c) is top - bit(r, c)."""
+        return 1 << (last - r * n - c)
+
+    def tie_dist(c: int) -> int:
+        """The tie part of column c's tentative distance, through its parent row."""
+        p = parent[c]
+        return reach1[p] + top - bit(p, c) - pot_c1[c]
+
+    # Potentials are (entry sum, tie) pairs, kept as two lists per side, and
+    # the reduced cost a[r][c] + pot_r[r] - pot_c[c] is >= 0 in the pair
+    # order.  The free rows share one potential (free0, free1), so the
+    # nearest free row to a column is the first row holding the column's
+    # smallest free entry: low_row[c], holding low_val[c].
+    pot_r0: list = [zero] * m
+    pot_r1 = [0] * m
+    pot_c0: list = [zero] * n
+    pot_c1 = [0] * n
+    free0, free1 = zero, 0
     match_rc: list[int | None] = [None] * m
     match_cr: list[int | None] = [None] * n
+    free = list(range(m))
+    low_val: list = []
+    low_row: list[int] = []
+    for col in zip(*a):
+        v = min(col)
+        low_val.append(v)
+        low_row.append(col.index(v))
 
     for _ in range(k):
-        dist_r: list[tuple | None] = [None] * m
-        dist_c: list[tuple | None] = [None] * n
-        done_r = [False] * m
-        done_c = [False] * n
-        parent_c: list[int | None] = [None] * n  # column <- row it was relaxed from
-        heap: list[tuple] = []
-        for r in range(m):
-            if match_rc[r] is None:
-                dist_r[r] = (zero, 0)
-                heappush(heap, (zero, 0, 0, r))
-        end: int | None = None
-        bound: tuple | None = None
-        while heap:
-            d0, d1, kind, x = heappop(heap)
-            if kind == 0:
-                if done_r[x] or (d0, d1) != dist_r[x]:
-                    continue
-                done_r[x] = True
-                row, tie_row, own = a[x], tie[x], match_rc[x]
-                # reduced cost convention: c(r,c) + pot_r - pot_c >= 0
-                e0, e1 = d0 + pot_r[x][0], d1 + pot_r[x][1]
-                for c in range(n):
-                    if c == own or done_c[c]:
-                        continue
-                    nd = (e0 + row[c] - pot_c[c][0], e1 + tie_row[c] - pot_c[c][1])
-                    if dist_c[c] is None or nd < dist_c[c]:
-                        dist_c[c] = nd
-                        parent_c[c] = x
-                        heappush(heap, (nd[0], nd[1], 1, c))
-            else:
-                if done_c[x] or (d0, d1) != dist_c[x]:
-                    continue
-                done_c[x] = True
-                r = match_cr[x]
-                if r is None:
-                    end = x
-                    bound = (d0, d1)
-                    break
-                if not done_r[r] and (dist_r[r] is None or (d0, d1) < dist_r[r]):
-                    dist_r[r] = (d0, d1)
-                    heappush(heap, (d0, d1, 0, r))
-        assert end is not None and bound is not None, "augmenting path must exist for k <= min(m,n)"
+        todo = list(range(n))  # unfinished columns, ascending
+        dist0: list = [free0 + v - p for v, p in zip(low_val, pot_c0)]  # primary distances
+        parent = low_row[:]  # the row each column's distance was relaxed from
+        reach1 = [free1] * m  # tie part of dist + pot of each finished row
+        done: list[tuple] = []  # finished assigned columns, their rows and distance pairs
 
-        for r in range(m):
-            d = dist_r[r]
-            inc = bound if d is None or d > bound else d
-            pot_r[r][0] += inc[0]
-            pot_r[r][1] += inc[1]
-        for c in range(n):
-            d = dist_c[c]
-            inc = bound if d is None or d > bound else d
-            pot_c[c][0] += inc[0]
-            pot_c[c][1] += inc[1]
+        while True:
+            end, b0, b1 = -1, inf, None
+            for c in todo:
+                v = dist0[c]
+                if v < b0:
+                    end, b0, b1 = c, v, None
+                elif v == b0:
+                    if b1 is None:
+                        b1 = tie_dist(end)
+                    s = tie_dist(c)
+                    if s < b1:
+                        end, b1 = c, s
+            if b1 is None:
+                b1 = tie_dist(end)
+            todo.remove(end)
+            x = match_cr[end]
+            if x is None:
+                break
+            done.append((end, x, b0, b1))
+            e0, e1, row = b0 + pot_r0[x], b1 + pot_r1[x], a[x]
+            reach1[x] = e1
+            for c in todo:
+                nd = e0 + row[c] - pot_c0[c]
+                old = dist0[c]
+                if nd < old:
+                    dist0[c] = nd
+                    parent[c] = x
+                elif nd == old:
+                    p = parent[c]
+                    if e1 - bit(x, c) < reach1[p] - bit(p, c):
+                        parent[c] = x
+
+        for c, x, d0, d1 in done:
+            pot_c0[c] += d0 - b0
+            pot_c1[c] += d1 - b1
+            pot_r0[x] += d0 - b0
+            pot_r1[x] += d1 - b1
+        free0 -= b0
+        free1 -= b1
 
         c: int | None = end
         while c is not None:
-            r = parent_c[c]
+            r = parent[c]
             prev = match_rc[r]
             match_rc[r] = c
             match_cr[c] = r
             c = prev
+        # r is the path's root, free until now
+        pot_r0[r], pot_r1[r] = free0, free1
+        free.remove(r)
+        if free:
+            for c in range(n):
+                if low_row[c] == r:
+                    col = [a[f][c] for f in free]
+                    low_val[c] = v = min(col)
+                    low_row[c] = free[col.index(v)]
 
     positions = tuple(sorted((r, match_rc[r]) for r in range(m) if match_rc[r] is not None))
     cost = zero

@@ -1,12 +1,14 @@
 """Shared helpers: random instance generation, brute-force cover references,
 the slow oracle rules, initial state, canonical key and ungrouped evaluation
-that the fast ones are checked against, and the instance transformations and
+that the fast ones are checked against, the heap-based assignment solver the
+dense one is checked against, and the instance transformations and
 optimal-assignment structure that the identity checks use."""
 
 from __future__ import annotations
 
 import itertools
 import random
+from heapq import heappop, heappush
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Container, Iterable
@@ -39,6 +41,7 @@ from rapkit.oracle import (
     is_terminal,
     reduce_state,
 )
+from rapkit.solver import SolveResult, _as_matrix, _check_k
 
 
 def random_instance(
@@ -457,6 +460,97 @@ def enumerate_optimal_assignments(matrix, k: int) -> list[Assignment]:
     if any(isinstance(x, float) for row in matrix for x in row):
         cutoff += abs(cutoff) * 1e-12
     return [Assignment(p) for p in sorted({p for cost, p in scored if cost <= cutoff})]
+
+
+def reference_solve_k_assignment(matrix, k: int) -> SolveResult:
+    """The k-assignment solver by successive heap-Dijkstra augmentations.
+
+    Costs are (entry sum, tie weight) pairs under lexicographic order, with
+    the tie weight 2^(mn) - 2^(mn-1-(r*n+c)) of position (r, c) held in an
+    m x n table; every improved (distance, node) pair is pushed on one heap
+    from all free rows, and every potential moves by min(dist(x), D).
+    """
+    a = _as_matrix(matrix)
+    m, n = len(a), len(a[0])
+    k = _check_k(k, m, n)
+
+    mn = m * n
+    top = 1 << mn
+    zero = a[0][0] - a[0][0]
+    tie = [[top - (1 << (mn - 1 - (r * n + c))) for c in range(n)] for r in range(m)]
+
+    pot_r: list[list] = [[zero, 0] for _ in range(m)]
+    pot_c: list[list] = [[zero, 0] for _ in range(n)]
+    match_rc: list[int | None] = [None] * m
+    match_cr: list[int | None] = [None] * n
+
+    for _ in range(k):
+        dist_r: list[tuple | None] = [None] * m
+        dist_c: list[tuple | None] = [None] * n
+        done_r = [False] * m
+        done_c = [False] * n
+        parent_c: list[int | None] = [None] * n
+        heap: list[tuple] = []
+        for r in range(m):
+            if match_rc[r] is None:
+                dist_r[r] = (zero, 0)
+                heappush(heap, (zero, 0, 0, r))
+        end: int | None = None
+        bound: tuple | None = None
+        while heap:
+            d0, d1, kind, x = heappop(heap)
+            if kind == 0:
+                if done_r[x] or (d0, d1) != dist_r[x]:
+                    continue
+                done_r[x] = True
+                row, tie_row, own = a[x], tie[x], match_rc[x]
+                e0, e1 = d0 + pot_r[x][0], d1 + pot_r[x][1]
+                for c in range(n):
+                    if c == own or done_c[c]:
+                        continue
+                    nd = (e0 + row[c] - pot_c[c][0], e1 + tie_row[c] - pot_c[c][1])
+                    if dist_c[c] is None or nd < dist_c[c]:
+                        dist_c[c] = nd
+                        parent_c[c] = x
+                        heappush(heap, (nd[0], nd[1], 1, c))
+            else:
+                if done_c[x] or (d0, d1) != dist_c[x]:
+                    continue
+                done_c[x] = True
+                r = match_cr[x]
+                if r is None:
+                    end = x
+                    bound = (d0, d1)
+                    break
+                if not done_r[r] and (dist_r[r] is None or (d0, d1) < dist_r[r]):
+                    dist_r[r] = (d0, d1)
+                    heappush(heap, (d0, d1, 0, r))
+        assert end is not None and bound is not None
+
+        for r in range(m):
+            d = dist_r[r]
+            inc = bound if d is None or d > bound else d
+            pot_r[r][0] += inc[0]
+            pot_r[r][1] += inc[1]
+        for c in range(n):
+            d = dist_c[c]
+            inc = bound if d is None or d > bound else d
+            pot_c[c][0] += inc[0]
+            pot_c[c][1] += inc[1]
+
+        c: int | None = end
+        while c is not None:
+            r = parent_c[c]
+            prev = match_rc[r]
+            match_rc[r] = c
+            match_cr[c] = r
+            c = prev
+
+    positions = tuple(sorted((r, match_rc[r]) for r in range(m) if match_rc[r] is not None))
+    cost = zero
+    for r, c in positions:
+        cost = cost + a[r][c]
+    return SolveResult(cost=cost, assignment=Assignment(positions))
 
 
 @dataclass(frozen=True)

@@ -191,6 +191,14 @@ class TestValidation:
         with pytest.raises(InvalidInstanceError):
             SampledMatrix(2, 2, ((0.0, 1.0),), z)  # wrong shape
 
+    @pytest.mark.parametrize(
+        "value", [float("inf"), float("nan"), np.float32("inf"), np.float16("nan")]
+    )
+    def test_sampled_matrix_refuses_non_finite_entries(self, value):
+        source = instance(1, 2, 1).pattern
+        with pytest.raises(InvalidInstanceError, match="must be finite"):
+            SampledMatrix(1, 2, ((value, 1.0),), source=source)
+
 
 class TestIntegerArguments:
     """Coordinates, dimensions and k are integers: anything else is refused,

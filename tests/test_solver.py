@@ -14,6 +14,7 @@ from rapkit.solver import brute_force_k_assignment, solve_k_assignment
 from conftest import (
     enumerate_optimal_assignments,
     random_fraction_matrix,
+    reference_solve_k_assignment,
     symmetric_difference_paths,
 )
 
@@ -65,6 +66,13 @@ class TestSolve:
     def test_invalid_inputs(self, matrix, k):
         with pytest.raises((ValueError, IndexError)):
             solve_k_assignment(matrix, k)
+
+    @pytest.mark.parametrize("solver", [solve_k_assignment, brute_force_k_assignment])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_numpy_entries_are_refused(self, solver, dtype, value):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            solver([[dtype(value), 1.0], [1.0, 2.0]], 2)
 
     @pytest.mark.parametrize("solver", [solve_k_assignment, brute_force_k_assignment])
     @pytest.mark.parametrize("k", [2.0, True])
@@ -150,10 +158,48 @@ class TestBenchmarkSizes:
             matrix = sample_matrix(instance(40, 40, k), seed).entries
             self.check(matrix, k)
 
+    @pytest.mark.parametrize("k", [80, 40])
+    def test_80x80_floats(self, k):
+        self.check(sample_matrix(instance(80, 80, k), 1).entries, k)
+
     def test_20x20_fractions_with_zeros(self):
         p = instance(20, 20, 20, [(0, 0), (3, 5), (3, 7), (11, 5), (19, 19)])
         matrix = [[Fraction(x) for x in row] for row in sample_matrix(p, 3).entries]
         self.check(matrix, 20)
+
+
+class TestAgainstReference:
+    """The dense scan returns the cost and positions of the heap solver it replaced."""
+
+    @staticmethod
+    def check(matrix, k):
+        assert solve_k_assignment(matrix, k) == reference_solve_k_assignment(matrix, k)
+
+    @pytest.mark.parametrize(
+        "m,n,k",
+        [(10, 10, 10), (10, 10, 5), (20, 20, 20), (20, 20, 10), (40, 40, 40), (40, 40, 20),
+         (30, 40, 30), (30, 40, 15), (40, 30, 30), (40, 30, 15)],
+    )
+    def test_sampled_floats(self, m, n, k):
+        for seed in (4, 5):
+            self.check(sample_matrix(instance(m, n, k), seed), k)
+
+    def test_20x20_fractions_with_zeros(self):
+        rng = random.Random(27)
+        for k in (20, 10):
+            zeros = {(r, c) for r in range(20) for c in range(20) if rng.random() < 0.1}
+            self.check(random_fraction_matrix(rng, 20, 20, zeros), k)
+
+    @pytest.mark.parametrize("full", [False, True], ids=["random-k", "full-k"])
+    @pytest.mark.parametrize("values", [2, 3])
+    def test_integer_ties_past_brute_force(self, values, full):
+        # entries in {0, 1} or {0, 1, 2}: primary ties in nearly every scan,
+        # and at k = min(m, n) the late scans pass through many assigned rows
+        rng = random.Random(28 + values + 2 * full)
+        for _ in range(60):
+            m, n = rng.randint(8, 30), rng.randint(8, 30)
+            k = min(m, n) if full else rng.randint(1, min(m, n))
+            self.check([[rng.randrange(values) for _ in range(n)] for _ in range(m)], k)
 
 
 class TestBruteForce:
