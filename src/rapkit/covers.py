@@ -62,7 +62,7 @@ from .model import (
 
 @dataclass(frozen=True)
 class LineCover:
-    """A set of row indices and column indices, asserted to cover a zero set."""
+    """A set of row indices and column indices: a cover of a zero set."""
 
     rows: frozenset[int]
     cols: frozenset[int]
@@ -73,9 +73,6 @@ class LineCover:
 
     def __len__(self) -> int:
         return len(self.rows) + len(self.cols)
-
-    def covers(self, zeros: Iterable[Position]) -> bool:
-        return all(r in self.rows or c in self.cols for r, c in zeros)
 
 
 @dataclass(frozen=True)

@@ -27,15 +27,21 @@ division goes through Fraction, so branch weights, extracted costs and
 the final value are exact Fractions.  Each state finds both ends of its
 minimum-cover lattice once, from one maximum matching over its zero
 graph held as row bitmasks; the terminal test, the reduction and the
-classification all read that one result.  States the evaluator derives
-carry that zero graph: a conditioned child takes its node's template's,
-found once per node, plus the cells it empties, and a reduced state its
-parent's less the deleted lines.  Only a caller of zero_pattern() (the
-slack case of the reduction, through forced_cover_lines) builds a
-ZeroPattern.  An instance already terminal at the root (k independent
-zeros) is answered from one matching, before its state is built.
-Each state also classifies its entries once, on first use, and the
-termination measure and the conditioning rules read that classification.
+classification all read that one result.  Every state scans its own
+entries for that zero graph on first use: the ends of the lattice are
+unique (Dulmage & Mendelsohn), so no matching a parent found could give
+a child a different answer.  Only a caller of zero_pattern() (the slack
+case of the reduction, through forced_cover_lines) builds a ZeroPattern.
+An instance already terminal at the root (k independent zeros) is
+answered from one matching, before its state is built.  Each state also
+classifies its entries once, on first use, and the termination measure
+and the conditioning rules read that classification.
+
+Both conditioning rules return the cost they extract, the weight of each
+child and a function that builds child j, so the evaluator builds only
+the children it evaluates or checks.  A state holds no record of the
+cost extracted above it: the evaluator adds each node's extracted cost
+to the weighted values of its children.
 
 A line is plain when each of its cells is a zero or a standard entry,
 and two plain lines with the same zeros are twins: swapping them, and
@@ -48,7 +54,7 @@ evaluates both of its children.
 
 The root state costs no per-cell construction: its standard cells are
 shared immutable objects, each built (and validated) once per variable
-id for the whole process, and it takes its zero pattern from the
+id for the whole process, and it takes its ZeroPattern from the
 instance instead of scanning its entries for one.  The canonical key
 encodes zero- and one-term cells directly and sorts only the terms of
 cells with two or more.
@@ -160,22 +166,14 @@ class LinearEntry:
 
 @dataclass(frozen=True)
 class ExpRapState:
-    """A RAP over exponential linear-combination entries.
-
-    `accumulated` is expected cost already extracted on the path from
-    the root; the state's total value is accumulated plus the expected
-    optimal k-assignment cost of the symbolic matrix.
-    """
+    """A RAP over exponential linear-combination entries; its value is the
+    expected optimal k-assignment cost of the symbolic matrix."""
 
     k: int
     entries: tuple[tuple[LinearEntry, ...], ...]
     variables: tuple[ExpVariable, ...]
-    accumulated: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "accumulated", Fraction(self.accumulated))
-        if self.accumulated < 0:
-            raise ValueError("accumulated cost must be nonnegative")
         n = self.n
         if any(len(row) != n for row in self.entries):
             raise ValueError("every row of entries must have the same length")
@@ -202,8 +200,8 @@ class ExpRapState:
 
     @cached_property
     def _masks(self) -> dict[int, int]:
-        """The zero graph as row -> bitmask of its zero columns.  States the
-        oracle derives carry theirs; any other state scans its entries."""
+        """The zero graph as row -> bitmask of its zero columns, scanned
+        from the entries."""
         return _zero_masks(self.entries)
 
     @cached_property
@@ -273,13 +271,11 @@ def make_initial_state(p: RapInstance) -> ExpRapState:
     zeros = p.pattern.zero_set
     variables = []
     rows = []
-    masks = {}
     for r in range(p.m):
         row = []
         for c in range(p.n):
             if (r, c) in zeros:
                 row.append(_ZERO)
-                masks[r] = masks.get(r, 0) | 1 << c
             else:
                 cell, variable = _unit(len(variables))
                 row.append(cell)
@@ -287,7 +283,6 @@ def make_initial_state(p: RapInstance) -> ExpRapState:
         rows.append(tuple(row))
     s = ExpRapState(p.k, tuple(rows), tuple(variables))
     vars(s)["_zeros"] = p.pattern  # the validated, sorted zeros the scan would find
-    vars(s)["_masks"] = masks
     return s
 
 
@@ -316,7 +311,7 @@ def _gc(
 
 
 def is_terminal(s: ExpRapState) -> bool:
-    """True when k independent zeros exist; the branch value is `accumulated`."""
+    """True when k independent zeros exist; the state's value is then 0."""
     return s._covers.size >= s.k
 
 
@@ -341,23 +336,13 @@ def reduce_state(s: ExpRapState) -> ExpRapState:
             rows, cols = forced_cover_lines(s.zero_pattern(), s.k - 1)
         if not rows and not cols:
             return s
-        kept_rows = [r for r in range(s.m) if r not in rows]
         entries = tuple(
-            tuple(e for c, e in enumerate(s.entries[r]) if c not in cols) for r in kept_rows
+            tuple(e for c, e in enumerate(row) if c not in cols)
+            for r, row in enumerate(s.entries)
+            if r not in rows
         )
-        # the zero graph loses the deleted lines: each column deleted, highest
-        # first, takes its bit out of every mask and shifts the bits above it down
-        drop = sorted(cols, reverse=True)
-        masks = {}
-        for i, r in enumerate(kept_rows):
-            mask = s._masks.get(r, 0)
-            for c in drop:
-                mask = (mask & ((1 << c) - 1)) | (mask >> (c + 1) << c)
-            if mask:
-                masks[i] = mask
         k = s.k - len(rows) - len(cols)
-        s = ExpRapState(k, entries, _gc(entries, s.variables), s.accumulated)
-        vars(s)["_masks"] = masks
+        s = ExpRapState(k, entries, _gc(entries, s.variables))
 
 
 def classify_entries(s: ExpRapState) -> EntryClassification:
@@ -509,7 +494,6 @@ def _condition_on_minimum(
     s: ExpRapState,
     members: list[tuple[int, Rational]],
     shift: Mapping[Position, int],
-    accumulated: Fraction,
 ) -> tuple[list[Fraction], Callable[[int], ExpRapState]]:
     """Condition on which of `members`, independent scaled exponentials
     given as (variable, 1/coefficient), is the minimum Y.
@@ -519,9 +503,7 @@ def _condition_on_minimum(
     the child in which member j is the minimum is this template with
     Z_j = 0, weighted by member j's intensity over the total.  Fresh ids
     are Y, then Z_1, Z_2, ..., above every existing id.  Returns the
-    weights, which sum to 1, and a function that builds child j, so a
-    caller builds only the children it needs.  Each child carries its zero
-    graph: the template's, found once, plus the cells that Z_j = 0 empties.
+    weights, which sum to 1, and a function that builds child j.
     """
     member_intensities = [s.intensity(v) * scale for v, scale in members]
     total = sum(member_intensities)
@@ -535,7 +517,6 @@ def _condition_on_minimum(
         + (ExpVariable(y_id, total),)
         + tuple(ExpVariable(z_id, i) for z_id, i in zip(z_ids, member_intensities)),
     )
-    template_masks = _zero_masks(template)
     holding: dict[int, list[Position]] = {z_id: [] for z_id in z_ids}
     for r, row in enumerate(template):
         for c, e in enumerate(row):
@@ -546,33 +527,31 @@ def _condition_on_minimum(
     def child(j: int) -> ExpRapState:
         z_id = z_ids[j]
         rows = list(template)
-        masks = dict(template_masks)
         for r, c in holding[z_id]:
             e = LinearEntry(tuple(t for t in rows[r][c].terms if t[0] != z_id))
             rows[r] = (*rows[r][:c], e, *rows[r][c + 1:])
-            if not e.terms:
-                masks[r] = masks.get(r, 0) | 1 << c
         variables = tuple(v for v in template_vars if v.id != z_id)
-        state = ExpRapState(s.k, tuple(rows), variables, accumulated)
-        vars(state)["_masks"] = masks
-        return state
+        return ExpRapState(s.k, tuple(rows), variables)
 
     weights = [Fraction(i) / total for i in member_intensities]
     assert sum(weights) == 1 and all(w > 0 for w in weights)
     return weights, child
 
 
-def condition_pair(
-    s: ExpRapState, u1: Position, u2: Position
-) -> tuple[tuple[Fraction, ExpRapState], tuple[Fraction, ExpRapState]]:
+# a conditioning step: the cost it extracts, each child's weight (they sum
+# to 1) and a function that builds child j, so a caller builds only the
+# children it needs
+Conditioning = tuple[Fraction, list[Fraction], Callable[[int], ExpRapState]]
+
+
+def condition_pair(s: ExpRapState, u1: Position, u2: Position) -> Conditioning:
     """Split on which scaled disagreement variable of two entries is smaller.
 
     With e1 = a1*Xi + b1*Xj + ... and e2 = a2*Xi + b2*Xj + ... where
     a1 > a2 and b2 > b1, this is minimum conditioning of the two scaled
     disagreement variables (a1-a2)Xi and (b2-b1)Xj, with no cost extracted
     and no shift; in each child e1 and e2 share their Y-coefficient.
-    The child in which (a1-a2)Xi is the minimum comes first.  Weights
-    sum to 1.
+    Child 0 is the one in which (a1-a2)Xi is the minimum.
     """
     e1 = s.entries[u1[0]][u1[1]]
     e2 = s.entries[u2[0]][u2[1]]
@@ -583,32 +562,23 @@ def condition_pair(
     a = e1.coeff(i) - e2.coeff(i)  # scale of Xi's excess in e1
     b = e2.coeff(j) - e1.coeff(j)  # scale of Xj's excess in e2
     members = [(i, _exact(Fraction(1) / a)), (j, _exact(Fraction(1) / b))]
-    (w1, w2), child = _condition_on_minimum(s, members, {}, s.accumulated)
-    return (w1, child(0)), (w2, child(1))
+    return (Fraction(0), *_condition_on_minimum(s, members, {}))
 
 
-def condition_minimum(s: ExpRapState) -> tuple[Fraction, list[tuple[Fraction, ExpRapState]]]:
+def condition_minimum(s: ExpRapState) -> Conditioning:
     """Condition on the minimum of the candidate set S; extract expected cost.
 
     S holds one term a*Xi of the minimal non-covered nonstandard entry
     (when such an entry exists) and every non-covered standard entry, in
-    that order and the latter in row-major order.
+    that order and the latter in row-major order; child j is the one in
+    which member j is the minimum.
     The minimum Y of S has intensity I = sum of member intensities, and
     by the cover recursion the expected cost (k - |cover|)/I is
     extracted.  Each child conditions on a member being the minimum,
     replaces the conditioned variables through Y and fresh residuals,
     subtracts Y from all non-covered entries, and adds Y to all doubly
-    covered ones.  Weights sum to 1.
+    covered ones.
     """
-    extracted, weights, child = _minimum_conditioning(s)
-    return extracted, [(w, child(j)) for j, w in enumerate(weights)]
-
-
-def _minimum_conditioning(
-    s: ExpRapState,
-) -> tuple[Fraction, list[Fraction], Callable[[int], ExpRapState]]:
-    """:func:`condition_minimum` with its children left unbuilt: the cost
-    extracted, each member's weight and a function that builds its child."""
     cls = s._classification
     cover = cls.cover
     size = len(cover)
@@ -637,8 +607,7 @@ def _minimum_conditioning(
         for c in range(s.n)
         if c not in cover.cols
     } | {(r, c): 1 for r in cover.rows for c in cover.cols}
-    weights, child = _condition_on_minimum(s, members, shift, s.accumulated + extracted)
-    return extracted, weights, child
+    return (extracted, *_condition_on_minimum(s, members, shift))
 
 
 def _member_orbits(cls: EntryClassification) -> list[list[int]]:
@@ -665,7 +634,7 @@ def _member_orbits(cls: EntryClassification) -> list[list[int]]:
 
 def canonical_key(s: ExpRapState):
     """A hashable key equal for states identical up to row/column permutation
-    and variable renaming; accumulated cost is excluded.
+    and variable renaming.
 
     One encoding pass: rows and columns are ordered by content signatures
     that ignore variable identity (the sorted (coefficient, intensity)
@@ -759,7 +728,8 @@ class _OracleRun:
 def _evaluate(
     s: ExpRapState, run: _OracleRun, parent: int | None = None, depth: int = 0
 ) -> Fraction:
-    """Expected remaining cost of the state (ignores accumulated)."""
+    """Expected cost of the state: the cost its rule extracts plus the
+    weighted values of its children."""
     s = reduce_state(s)
     if is_terminal(s):
         return Fraction(0)
@@ -777,13 +747,11 @@ def _evaluate(
     parent_measure = induction_measure(s)
     if cls.non_covered_nonstandard and cls.minimal is None:
         assert cls.first_incomparable_pair is not None
-        weights, children = zip(*condition_pair(s, *cls.first_incomparable_pair))
-        build = children.__getitem__
-        extracted = Fraction(0)
+        extracted, weights, build = condition_pair(s, *cls.first_incomparable_pair)
         orbits = [[0], [1]]
         rule = "pair"
     else:
-        extracted, weights, build = _minimum_conditioning(s)
+        extracted, weights, build = condition_minimum(s)
         orbits = _member_orbits(cls)
         rule = "minimum"
     run.emit(key, parent, depth, rule, weights, extracted)

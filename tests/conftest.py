@@ -27,6 +27,7 @@ from rapkit.model import (
     instance,
 )
 from rapkit.oracle import (
+    Conditioning,
     EntryClassification,
     ExpRapState,
     ExpVariable,
@@ -238,7 +239,7 @@ def reference_reduce_state(s: ExpRapState) -> ExpRapState:
             )
         else:
             return s
-        s = ExpRapState(s.k - 1, entries, _gc(entries, s.variables), s.accumulated)
+        s = ExpRapState(s.k - 1, entries, _gc(entries, s.variables))
 
 
 def reference_condition_minimum(
@@ -310,14 +311,7 @@ def reference_condition_minimum(
                     new_vars.append(ExpVariable(z_id, Fraction(1)))
         new_entries = _substitute(s.entries, rules, y_id, shift)
         variables = tuple(v for v in s.variables if v.id not in rules) + tuple(new_vars)
-        children.append(
-            (
-                weight,
-                ExpRapState(
-                    s.k, new_entries, _gc(new_entries, variables), s.accumulated + extracted
-                ),
-            )
-        )
+        children.append((weight, ExpRapState(s.k, new_entries, _gc(new_entries, variables))))
     assert sum(w for w, _ in children) == 1 and all(w > 0 for w, _ in children)
     return extracted, children
 
@@ -357,17 +351,26 @@ def reference_condition_pair(
             ExpVariable(y_id, total),
             ExpVariable(z_id, z_intensity),
         )
-        return weight, ExpRapState(s.k, entries, _gc(entries, variables), s.accumulated)
+        return weight, ExpRapState(s.k, entries, _gc(entries, variables))
 
     first, second = child(True), child(False)
     assert first[0] + second[0] == 1 and first[0] > 0 and second[0] > 0
     return first, second
 
 
+def every_child(
+    conditioning: Conditioning,
+) -> tuple[Fraction, list[tuple[Fraction, ExpRapState]]]:
+    """A conditioning rule's extracted cost, and each child's weight with
+    the child built."""
+    extracted, weights, build = conditioning
+    return extracted, [(w, build(j)) for j, w in enumerate(weights)]
+
+
 def reference_expected_value(s: ExpRapState, cache: dict) -> Fraction:
-    """Expected remaining cost of a state (accumulated excluded), evaluating
-    every child of every node: no orbit of twin lines is merged.  ``cache``
-    maps canonical keys to values and may be shared across calls."""
+    """Expected cost of a state, evaluating every child of every node: no
+    orbit of twin lines is merged.  ``cache`` maps canonical keys to values
+    and may be shared across calls."""
     s = reduce_state(s)
     if is_terminal(s):
         return Fraction(0)
@@ -375,9 +378,9 @@ def reference_expected_value(s: ExpRapState, cache: dict) -> Fraction:
     if key not in cache:
         cls = classify_entries(s)
         if cls.non_covered_nonstandard and cls.minimal is None:
-            extracted, branches = Fraction(0), condition_pair(s, *cls.first_incomparable_pair)
+            extracted, branches = every_child(condition_pair(s, *cls.first_incomparable_pair))
         else:
-            extracted, branches = condition_minimum(s)
+            extracted, branches = every_child(condition_minimum(s))
         cache[key] = extracted + sum(w * reference_expected_value(child, cache) for w, child in branches)
     return cache[key]
 

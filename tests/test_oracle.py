@@ -15,7 +15,7 @@ import pytest
 import rapkit.cli
 import rapkit.montecarlo
 import rapkit.oracle
-from rapkit.covers import LineCover, cover_lattice
+from rapkit.covers import LineCover, cover_lattice, forced_cover_lines
 from rapkit.formulas import cover_formula_value
 from rapkit.model import BudgetExceededError, instance
 from rapkit.oracle import (
@@ -37,6 +37,7 @@ from rapkit.oracle import (
 
 from conftest import (
     all_patterns,
+    every_child,
     pattern_classes,
     random_instance,
     reference_canonical_key,
@@ -52,10 +53,10 @@ def entry(mapping) -> LinearEntry:
     return LinearEntry.of({v: Fraction(c) for v, c in mapping.items()})
 
 
-def state(k, rows, intensities, accumulated=0) -> ExpRapState:
+def state(k, rows, intensities) -> ExpRapState:
     variables = tuple(ExpVariable(v, Fraction(i)) for v, i in intensities.items())
     entries = tuple(tuple(entry(e) for e in row) for row in rows)
-    return ExpRapState(k, entries, variables, Fraction(accumulated))
+    return ExpRapState(k, entries, variables)
 
 
 class TestGoldenValues:
@@ -132,10 +133,6 @@ class TestExpRapState:
         rows = [[{0: 1}, {5: 1, 7: 1}], [{3: 1}, {0: 1}]]
         with pytest.raises(ValueError, match=r"^entry references unknown variable 5$"):
             state(1, rows, {0: 1})
-
-    def test_negative_accumulated_rejected(self):
-        with pytest.raises(ValueError, match="accumulated cost must be nonnegative"):
-            state(1, [[{0: 1}]], {0: 1}, accumulated=Fraction(-1, 2))
 
 
 class TestReduce:
@@ -250,19 +247,19 @@ class TestConditionPair:
     def test_equal_scaled_intensities_split_evenly(self):
         rows = [[{0: 2}, {1: 2}], [{1: 2}, {0: 2}]]
         s = state(2, rows, {0: 1, 1: 1})
-        (w1, c1), (w2, c2) = condition_pair(s, (0, 0), (0, 1))
-        assert w1 == w2 == Fraction(1, 2)
+        _, weights, _ = condition_pair(s, (0, 0), (0, 1))
+        assert weights == [Fraction(1, 2)] * 2
 
     def test_intensity_ratio_two_to_one(self):
         rows = [[{0: 1}, {1: 2}], [{1: 2}, {0: 1}]]
         s = state(2, rows, {0: 1, 1: 1})
-        (w1, _), (w2, _) = condition_pair(s, (0, 0), (0, 1))
-        assert (w1, w2) == (Fraction(2, 3), Fraction(1, 3))
+        _, weights, _ = condition_pair(s, (0, 0), (0, 1))
+        assert weights == [Fraction(2, 3), Fraction(1, 3)]
 
     def test_children_share_y_coefficient(self):
         rows = [[{0: 2}, {1: 2}], [{1: 2}, {0: 2}]]
         s = state(2, rows, {0: 1, 1: 1})
-        for _, child in condition_pair(s, (0, 0), (0, 1)):
+        for _, child in every_child(condition_pair(s, (0, 0), (0, 1)))[1]:
             y_id = min(v.id for v in child.variables if v.id >= 2)
             e1 = child.entries[0][0]
             e2 = child.entries[0][1]
@@ -273,45 +270,36 @@ class TestConditionPair:
         with pytest.raises(ValueError):
             condition_pair(s, (0, 0), (0, 1))
 
-    def test_no_cost_extracted_and_accumulated_kept(self):
+    def test_no_cost_extracted(self):
         rows = [[{0: 2}, {1: 2}], [{1: 2}, {0: 2}]]
-        s = state(2, rows, {0: 1, 1: 1}, accumulated=Fraction(3, 7))
-        for w, child in condition_pair(s, (0, 0), (0, 1)):
-            assert child.accumulated == Fraction(3, 7)
-            assert w > 0
+        extracted, weights, _ = condition_pair(state(2, rows, {0: 1, 1: 1}), (0, 0), (0, 1))
+        assert type(extracted) is Fraction and extracted == 0
+        assert all(w > 0 for w in weights)
 
 
 class TestConditionMinimum:
     def test_one_by_one(self):
-        extracted, children = condition_minimum(make_initial_state(instance(1, 1, 1)))
+        extracted, children = every_child(condition_minimum(make_initial_state(instance(1, 1, 1))))
         assert extracted == 1
         assert len(children) == 1
         weight, child = children[0]
         assert weight == 1
         assert is_terminal(reduce_state(child))
-        assert child.accumulated == 1
 
     def test_two_by_two_intensity_four(self):
-        extracted, children = condition_minimum(make_initial_state(instance(2, 2, 2)))
+        extracted, weights, _ = condition_minimum(make_initial_state(instance(2, 2, 2)))
         assert extracted == Fraction(1, 2)  # (k - |cover|) / I = 2/4
-        assert [w for w, _ in children] == [Fraction(1, 4)] * 4
+        assert weights == [Fraction(1, 4)] * 4
 
     def test_minimum_position_becomes_zero(self):
-        _, children = condition_minimum(make_initial_state(instance(2, 2, 2)))
+        _, children = every_child(condition_minimum(make_initial_state(instance(2, 2, 2))))
         positions = [(r, c) for r in range(2) for c in range(2)]
         for (weight, child), pos in zip(children, positions):
             assert child.entries[pos[0]][pos[1]].is_zero
 
-    def test_accumulated_nondecreasing(self):
-        parent = make_initial_state(instance(3, 3, 2, [(0, 0)]))
-        extracted, children = condition_minimum(parent)
-        assert extracted > 0
-        for _, child in children:
-            assert child.accumulated == parent.accumulated + extracted
-
     def test_weights_sum_to_one(self):
-        _, children = condition_minimum(make_initial_state(instance(3, 4, 2, [(1, 2)])))
-        assert sum(w for w, _ in children) == 1
+        _, weights, _ = condition_minimum(make_initial_state(instance(3, 4, 2, [(1, 2)])))
+        assert sum(weights) == 1
 
     def test_doubly_covered_entries_gain_the_minimum(self):
         # one zero covered by a row; the crossing entries are doubly covered
@@ -321,7 +309,7 @@ class TestConditionMinimum:
         s2 = make_initial_state(instance(3, 3, 3, [(0, 0), (0, 1), (1, 0), (2, 0)]))
         cover = classify_entries(s2).cover
         assert cover.rows and cover.cols
-        _, children = condition_minimum(s2)
+        _, children = every_child(condition_minimum(s2))
         for _, child in children:
             y_id = child.entries[0][0].variables()[0]  # doubly covered zero gains Y
             for r in cover.rows:
@@ -332,7 +320,7 @@ class TestConditionMinimum:
         for p in (instance(2, 2, 2), instance(3, 3, 2, [(0, 0)]), instance(3, 3, 3)):
             parent = reduce_state(make_initial_state(p))
             before = induction_measure(parent)
-            _, children = condition_minimum(parent)
+            _, children = every_child(condition_minimum(parent))
             for _, child in children:
                 assert induction_measure(child) < before
 
@@ -359,10 +347,10 @@ def _branchings_below(roots):
             seen.add(key)
             cls = classify_entries(s)
             if cls.non_covered_nonstandard and cls.minimal is None:
-                rule, branches = "pair", condition_pair(s, *cls.first_incomparable_pair)
+                rule, conditioning = "pair", condition_pair(s, *cls.first_incomparable_pair)
             else:
-                rule, branches = "minimum", condition_minimum(s)[1]
-            children = [child for _, child in branches]
+                rule, conditioning = "minimum", condition_minimum(s)
+            children = [child for _, child in every_child(conditioning)[1]]
             yield s, cls, rule, children
             stack.extend(children)
 
@@ -405,12 +393,12 @@ class TestConditionMinimumAgainstReference:
     def _check(self, instances) -> int:
         checked = 0
         for s, cls in _reached_minimum_states(instances):
-            extracted, children = condition_minimum(s)
+            extracted, children = every_child(condition_minimum(s))
             ref_extracted, ref_children = reference_condition_minimum(s, cls)
             assert extracted == ref_extracted
             assert [w for w, _ in children] == [w for w, _ in ref_children]
             for (_, got), (_, ref) in zip(children, ref_children):
-                assert (got.k, got.accumulated) == (ref.k, ref.accumulated)
+                assert got.k == ref.k
                 assert canonical_key(got) == canonical_key(ref)
                 assert induction_measure(got) == induction_measure(ref)
                 # new ids keep the old ids' order, so every id tie-break is unchanged
@@ -442,11 +430,11 @@ class TestConditionPairAgainstReference:
     def _check(cases) -> int:
         checked = 0
         for s, u1, u2 in cases:
-            branches = condition_pair(s, u1, u2)
+            _, branches = every_child(condition_pair(s, u1, u2))
             ref_branches = reference_condition_pair(s, u1, u2)
             assert [w for w, _ in branches] == [w for w, _ in ref_branches]
             for (_, got), (_, ref) in zip(branches, ref_branches):
-                assert (got.k, got.accumulated) == (ref.k, ref.accumulated)
+                assert got.k == ref.k
                 assert canonical_key(got) == canonical_key(ref)
                 assert induction_measure(got) == induction_measure(ref)
                 # new ids keep the old ids' order, so every id tie-break is unchanged
@@ -469,7 +457,7 @@ class TestConditionPairAgainstReference:
             (state(2, [[{0: 3 * half}, {1: third}], [{1: third}, {0: 3 * half}]],
                    {0: 2 * third, 1: 5 * half}), (0, 0), (0, 1)),
             (state(2, [[{0: 2, 1: 1}, {0: 1, 1: 3, 2: 1}], [{2: 1}, {3: 1}]],
-                   {0: 1, 1: 3, 2: 1, 3: 1}, accumulated=half), (0, 0), (0, 1)),
+                   {0: 1, 1: 3, 2: 1, 3: 1}), (0, 0), (0, 1)),
             (state(1, [[{0: 1, 2: 4}, {1: 1}], [{0: 3, 1: half}, {2: 1}]],
                    {0: 1, 1: 2, 2: third}), (0, 0), (1, 0)),
         ]
@@ -579,15 +567,13 @@ def _roots_with_lines_that_are_not_plain() -> list[ExpRapState]:
 
 
 class TestCarriedZeroGraph:
-    """States the oracle derives carry the zero graph a scan of their
-    entries would find."""
+    """Every state the oracle derives finds, from the zero graph it scans
+    from its entries, the cover lattice its zero pattern gives."""
 
     @staticmethod
     def _check(instances) -> Counter:
         seen = Counter()
         for parent, _, _, children in _reached_branchings(instances):
-            for child in children:
-                assert "_masks" in vars(child)  # carried, not yet scanned
             for s in (parent, *children, *map(reduce_state, children)):
                 assert s._masks == _scanned_masks(s)
                 assert s._covers == cover_lattice(s.zero_pattern())
@@ -604,7 +590,7 @@ class TestCarriedZeroGraph:
         zeros = [(0, 0), (1, 1), (1, 2), (2, 3), (3, 0)]
         s = reduce_state(make_initial_state(instance(4, 4, 4, zeros)))
         assert (s.k, s.m, s.n) == (2, 3, 3)
-        assert vars(s)["_masks"] == _scanned_masks(s) == {1: 0b100}
+        assert s._masks == _scanned_masks(s) == {1: 0b100}
 
 
 class TestOrbitsOfTwinLines:
@@ -618,7 +604,7 @@ class TestOrbitsOfTwinLines:
             if rule != "minimum":
                 continue
             before = induction_measure(s)
-            weights = [w for w, _ in condition_minimum(s)[1]]
+            weights = condition_minimum(s)[1]
             orbits = rapkit.oracle._member_orbits(cls)
             assert sorted(j for orbit in orbits for j in orbit) == list(range(len(children)))
             for orbit in orbits:
@@ -698,8 +684,9 @@ class TestOrbitsOfTwinLines:
 
 
 class TestUnchangedBehaviour:
-    """Inputs whose twin orbits were all cache hits evaluate the nodes, and
-    write the trace, that evaluating every child did."""
+    """Pinned node counts and trace digests.  The zero-free squares' twin
+    orbits were all cache hits, so they evaluate the nodes, and write the
+    trace, that evaluating every child did."""
 
     @pytest.mark.parametrize(
         "n, nodes, digest",
@@ -714,6 +701,66 @@ class TestUnchangedBehaviour:
         assert count == nodes == len(trace.getvalue().splitlines())
         assert hashlib.sha256(trace.getvalue().encode()).hexdigest() == digest
         assert value == reference_expected_value(make_initial_state(instance(n, n, n)), {})
+
+    @pytest.mark.parametrize(
+        "p, value, nodes, pairs, slack, digest",
+        [
+            (_pair_conditioning_instances()[0], Fraction(29, 48), 50, 3, 5,
+             "8dd9f214516313a201602bbcfefdf77d0bb64706d2943a4dd9e494268fbbcc22"),
+            (_pair_conditioning_instances()[1], Fraction(2369, 3600), 155, 20, 19,
+             "7d56bfb1821fd77965acb805f2a178ef6c45cbb7396d62bba50588dac118c04b"),
+        ],
+    )
+    def test_pair_and_slack_paths(self, monkeypatch, p, value, nodes, pairs, slack, digest):
+        """Runs that reach pair conditioning and the slack case of the
+        reduction (a forced-line test above the minimum cover size)."""
+        slack_calls = []
+
+        def counting(z, size):
+            slack_calls.append(size)
+            return forced_cover_lines(z, size)
+
+        monkeypatch.setattr(rapkit.oracle, "forced_cover_lines", counting)
+        trace = io.StringIO()
+        assert oracle_node_count(p, trace=trace) == (value, nodes)
+        lines = [json.loads(line) for line in trace.getvalue().splitlines()]
+        assert (len(lines), [line["rule"] for line in lines].count("pair")) == (nodes, pairs)
+        assert len(slack_calls) == slack
+        assert hashlib.sha256(trace.getvalue().encode()).hexdigest() == digest
+
+
+class TestBenchmarkSpans:
+    """Every oracle stage the benchmark's span recorder wraps by its
+    module-level name is entered through that name."""
+
+    # every rapkit.oracle target of perfbench/spans.py that exists
+    # (its rapkit.oracle.row_maximal_cover target is long gone)
+    WRAPPED = (
+        "canonical_key",
+        "classify_entries",
+        "condition_minimum",
+        "condition_pair",
+        "forced_cover_lines",
+        "induction_measure",
+        "max_independent_zeros",
+        "reduce_state",
+    )
+
+    def test_every_wrapped_stage_is_called(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in self.WRAPPED:
+            monkeypatch.setattr(rapkit.oracle, name, counting(name, getattr(rapkit.oracle, name)))
+        for p in (instance(3, 3, 3), *_pair_conditioning_instances()):
+            assert oracle_expected_value(p) == cover_formula_value(p)
+        assert {name: calls[name] > 0 for name in self.WRAPPED} == dict.fromkeys(self.WRAPPED, True)
 
 
 class TestOneLatticePerState:
@@ -753,7 +800,7 @@ class TestExactArithmetic:
         assert type(ExpVariable(0, Fraction(1, 2)).intensity) is Fraction
 
     def test_integral_division_stays_exact(self):
-        extracted, children = condition_minimum(make_initial_state(instance(2, 2, 2)))
+        extracted, children = every_child(condition_minimum(make_initial_state(instance(2, 2, 2))))
         assert type(extracted) is Fraction and extracted == Fraction(1, 2)
         assert all(type(w) is Fraction for w, _ in children)
         for _, child in children:
@@ -761,7 +808,7 @@ class TestExactArithmetic:
 
     def test_pair_with_fractional_coefficients_and_intensities(self):
         s = _fractional_pair_state()
-        branches = condition_pair(s, (0, 0), (0, 1))
+        _, branches = every_child(condition_pair(s, (0, 0), (0, 1)))
         assert all(type(w) is Fraction for w, _ in branches)
         # 3/2 X0 has intensity 4/9 and 1/3 X1 intensity 15/2
         assert [w for w, _ in branches] == [Fraction(8, 143), Fraction(135, 143)]
@@ -772,7 +819,7 @@ class TestExactArithmetic:
     def test_minimum_with_fractional_coefficients_and_intensities(self):
         s = _fractional_minimum_state()
         assert classify_entries(s).minimal == (0, 0)
-        extracted, children = condition_minimum(s)
+        extracted, children = every_child(condition_minimum(s))
         # members 3/2 X0, X1, X2 with intensities 4/9, 1, 1; total 22/9
         assert type(extracted) is Fraction and extracted == Fraction(9, 11)
         assert all(type(w) is Fraction for w, _ in children)
@@ -882,11 +929,6 @@ class TestCanonicalKey:
         b = make_initial_state(instance(3, 3, 2, [(0, 0), (1, 1)]))
         assert canonical_key(a) != canonical_key(b)
 
-    def test_excludes_accumulated(self):
-        s = make_initial_state(instance(2, 2, 2))
-        shifted = ExpRapState(s.k, s.entries, s.variables, Fraction(7, 2))
-        assert canonical_key(s) == canonical_key(shifted)
-
 
 class TestCanonicalKeyAgainstReference:
     """Keying zero- and one-term cells without sorting gives the key that
@@ -942,7 +984,6 @@ class TestSharedInitialState:
             s, ref = make_initial_state(p), reference_initial_state(p)
             assert (s.k, s.entries, s.variables) == (ref.k, ref.entries, ref.variables)
             assert vars(s)["_zeros"] is p.pattern  # primed, not scanned
-            assert vars(s)["_masks"] == _scanned_masks(ref)
             assert s.zero_pattern() == ref.zero_pattern()  # the scan of the entries
             checked += 1
         assert checked > 4000

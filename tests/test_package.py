@@ -28,7 +28,7 @@ from rapkit.montecarlo import (
     estimate_value,
     sample_matrix,
 )
-from rapkit.oracle import EntryClassification, oracle_expected_value, oracle_node_count
+from rapkit.oracle import EntryClassification, ExpRapState, oracle_expected_value, oracle_node_count
 from rapkit.solver import brute_force_k_assignment, solve_k_assignment
 
 # reference helpers that only the tests use; they live in tests/conftest.py
@@ -46,8 +46,11 @@ TEST_ONLY = (
 )
 
 # names the package no longer defines: cover_lattice and max_independent_zeros
-# are the whole König API, and Fractions are summed with sum()
-REMOVED = ("column_maximal_cover", "min_cover", "row_maximal_cover", "_pairwise_sum")
+# are the whole König API, Fractions are summed with sum(), and the oracle's
+# evaluator conditions through condition_minimum itself
+REMOVED = (
+    "column_maximal_cover", "min_cover", "row_maximal_cover", "_pairwise_sum", "_minimum_conditioning",
+)
 
 
 def _modules():
@@ -71,6 +74,7 @@ class TestPublicSurface:
         found = [f"{m.__name__}.{name}" for m in _modules() for name in REMOVED if hasattr(m, name)]
         assert found == []
         assert "labels" not in {field.name for field in dataclasses.fields(EntryClassification)}
+        assert "accumulated" not in {field.name for field in dataclasses.fields(ExpRapState)}
 
     def test_benchmark_imports_resolve(self):
         # the names the benchmark harness (perfbench/) imports from the package
