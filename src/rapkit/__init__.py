@@ -13,6 +13,7 @@ from .covers import (
     CoverLattice,
     CoverProfile,
     LineCover,
+    cover_coefficients,
     cover_lattice,
     cover_profile,
     forced_cover_lines,
@@ -77,6 +78,7 @@ __all__ = [
     "SolveResult",
     "ZeroPattern",
     "brute_force_k_assignment",
+    "cover_coefficients",
     "cover_formula_value",
     "cover_lattice",
     "cover_profile",

@@ -323,8 +323,7 @@ def _emit(result: CommandResult, pretty: bool, out: IO[str]) -> None:
     if pretty:
         _render_pretty(result, out)
     else:
-        json.dump(result.to_json_obj(), out)
-        out.write("\n")
+        out.write(json.dumps(result.to_json_obj()) + "\n")
 
 
 # ---------------------------------------------------------------------------

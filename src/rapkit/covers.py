@@ -30,14 +30,17 @@ no longer touch a residual zero are counted by C(free rows, x) *
 C(free columns, y), and only the lines still touching one are branched
 on, each branch with one residual matching.  A component that spans every
 line is still exponential in its size, so the enumeration is charged
-against a subset budget (BudgetExceededError when exceeded).
+against a subset budget (BudgetExceededError when exceeded); the
+per-component subset sums behind that verdict are taken only when 2^L
+plus the rows holding a zero, L the lines touching a zero, exceeds it.
 Deleting a line lowers a matching by at most one, so the lines a choice
 takes from a component plus the matching they leave there never fall
-below that component's own maximum matching.  Once the budget is
-checked, one matching per component bounds everything: a pattern with
-k independent zeros has no partial (k-1)-cover and costs nothing more,
-and otherwise each component is enumerated only as far as the others
-leave room for.
+below that component's own maximum matching.  One maximum matching of
+the whole pattern, maximum on each component, bounds everything: a
+pattern with k independent zeros has no partial (k-1)-cover and costs
+nothing more, and otherwise each component is enumerated only as far as
+the others leave room for.  cover_coefficients returns the nonzero
+d_{i,j} only; cover_profile is its dense table.
 Row-only counts need no enumeration at all when a maximum matching
 covers every row holding a zero.
 """
@@ -91,9 +94,6 @@ class CoverProfile:
             if (ci, cj) == (i, j):
                 return count
         return 0
-
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return {(i, j): count for i, j, count in self.coefficients}
 
     def to_json_obj(self) -> dict:
         return {"k": self.k, "d": [[i, j, str(count)] for i, j, count in self.coefficients]}
@@ -385,46 +385,53 @@ def _component_table(
 
 
 def _partial_cover_counts(
-    adj: dict[int, int], rows: int, cols: int, limit: int
+    adj: dict[int, int], match_col: dict[int, int], rows: int, cols: int, limit: int
 ) -> dict[tuple[int, int], int]:
     """(i, j) -> the choices of i lines of the row mask ``rows`` and j of
     the column mask ``cols`` that are partial covers of the zero graph
-    ``adj``: i + j plus the matching they leave is <= limit.
+    ``adj``: i + j plus the matching they leave is <= limit.  Only nonzero
+    counts are kept.  ``match_col`` is a maximum matching of ``adj``.
 
     The residual matching is a sum over the components of the zero graph,
     and a chosen line touching no zero only adds to i or j.  So the table
     T[(a, b, nu)] of the whole choice is the binomial table of the zero-free
     rows and columns convolved with one table per component
     (:func:`_component_table`), pruned to a + b + nu <= limit; the counts
-    are T summed over nu.  Raises BudgetExceededError before enumerating
-    anything when the components' subset counts (for each, the sum of
-    C(lines, s) over s <= limit, counting its lines in ``rows`` and
-    ``cols``) exceed SUBSET_BUDGET.
+    are T summed over nu.
+
+    Raises BudgetExceededError before anything else when the components'
+    subset counts (for each, the sum of C(lines, s) over s <= limit,
+    counting its lines in ``rows`` and ``cols``) exceed SUBSET_BUDGET.
+    Those sums are taken only when they could: a component with l >= 1
+    lines adds at most 2^l, 2^a + 2^b <= 2^(a+b) for a, b >= 1, and a
+    component with none adds 1, so with L lines touching a zero the total
+    is at most 2^L plus the number of rows holding a zero.
 
     Deleting a line lowers a matching by at most one, so every choice
     leaves component c with a_c + b_c + nu'_c >= nu_c, its own maximum
-    matching.  The other components therefore use at least the sum of
-    their nu_c, and only the slack, limit minus the sum of every nu_c, is
-    left over: none means no partial cover at all (so a pattern with
-    limit + 1 independent zeros costs one matching per component), and
-    otherwise component c is enumerated to slack + nu_c, its root taking
-    nu_c from that matching, and the zero-free lines to the slack.
+    matching.  A maximum matching of the whole graph is maximum on each
+    component, so nu_c is the number of c's rows that ``match_col``
+    covers, and only the slack, limit minus the whole matching, is left
+    over: none means no partial cover at all (a pattern with limit + 1
+    independent zeros costs no component work), and otherwise component c
+    is enumerated to slack + nu_c, its root taking nu_c from the matching,
+    and the zero-free lines to the slack.
     """
-    parts = _components(adj)
-    needed = 0
-    for part in parts:
-        part_rows, part_cols = _span(part)
-        lines = (part_rows & rows).bit_count() + (part_cols & cols).bit_count()
-        needed += sum(comb(lines, s) for s in range(limit + 1))
-    if needed > SUBSET_BUDGET:
-        raise BudgetExceededError(
-            f"cover profile needs up to {needed} line-subset tests, over the budget of {SUBSET_BUDGET}"
-        )
-    nus = [len(_max_matching(part)) for part in parts]
-    slack = limit - sum(nus)
+    zero_rows, zero_cols = _span(adj)
+    lines = (zero_rows & rows).bit_count() + (zero_cols & cols).bit_count()
+    if (1 << lines) + len(adj) > SUBSET_BUDGET:
+        needed = 0
+        for part in _components(adj):
+            part_rows, part_cols = _span(part)
+            part_lines = (part_rows & rows).bit_count() + (part_cols & cols).bit_count()
+            needed += sum(comb(part_lines, s) for s in range(limit + 1))
+        if needed > SUBSET_BUDGET:
+            raise BudgetExceededError(
+                f"cover profile needs up to {needed} line-subset tests, over the budget of {SUBSET_BUDGET}"
+            )
+    slack = limit - len(match_col)
     if slack < 0:
         return {}
-    zero_rows, zero_cols = _span(adj)
     m0 = (rows & ~zero_rows).bit_count()
     n0 = (cols & ~zero_cols).bit_count()
     total = {  # the zero-free lines alone leave nothing to match
@@ -432,7 +439,9 @@ def _partial_cover_counts(
         for a in range(min(m0, slack) + 1)
         for b in range(min(n0, slack - a) + 1)
     }
-    for part, nu in zip(parts, nus):
+    matched = set(match_col.values())
+    for part in _components(adj):
+        nu = sum(r in matched for r in part)
         table = _component_table(part, rows, cols, slack + nu, nu)
         merged: dict[tuple[int, int, int], int] = {}
         for (a1, b1, nu1), x1 in total.items():
@@ -448,8 +457,8 @@ def _partial_cover_counts(
     return counts
 
 
-def cover_profile(p: RapInstance) -> CoverProfile:
-    """Count partial (k-1)-covers, factored over the components of the zero graph.
+def cover_coefficients(p: RapInstance) -> dict[tuple[int, int], int]:
+    """The nonzero cover coefficients d_{i,j} of ``p``, keyed by (i, j).
 
     (R, C) is a partial (k-1)-cover iff |R| + |C| plus the maximum matching
     of the zeros it leaves uncovered is at most k - 1.  That matching is
@@ -457,10 +466,18 @@ def cover_profile(p: RapInstance) -> CoverProfile:
     zero change nothing but |R| + |C|, so the count is a convolution of
     small per-component tables with binomials (see _partial_cover_counts).
     Only the lines of each component are enumerated, and SUBSET_BUDGET
-    bounds the number of their subsets.
+    bounds the number of their subsets.  The result is empty exactly when
+    the zeros hold k independent entries, at the cost of one matching.
     """
+    adj = _row_masks(p.zeros)
+    return _partial_cover_counts(adj, _max_matching(adj), (1 << p.m) - 1, (1 << p.n) - 1, p.k - 1)
+
+
+def cover_profile(p: RapInstance) -> CoverProfile:
+    """The dense table of :func:`cover_coefficients`: every d_{i,j} with
+    i + j < k, i <= m and j <= n, zeros included."""
     limit = p.k - 1
-    counts = _partial_cover_counts(_row_masks(p.zeros), (1 << p.m) - 1, (1 << p.n) - 1, limit)
+    counts = cover_coefficients(p)
     return CoverProfile(p.k, tuple(
         (i, j, counts.get((i, j), 0))
         for i in range(min(p.m, limit) + 1)
@@ -477,12 +494,13 @@ def row_excluded_profile(p: RapInstance, r: int) -> tuple[int, ...]:
     choice is a partial cover iff nu + f <= k - 1 and the counts are
     binomial sums.  Otherwise they are counted like :func:`cover_profile`
     from row choices only, with row r never chosen (its zeros stay in the
-    residual).
+    residual), over the same matching.
     """
     r = checked_row(p, r)
     limit = p.k - 1
     adj = _row_masks(p.zeros)
-    nu = len(_max_matching(adj))
+    match_col = _max_matching(adj)
+    nu = len(match_col)
     if nu == len(adj):
         n_held = len(adj) - (r in adj)
         n_free = p.m - 1 - n_held
@@ -491,7 +509,7 @@ def row_excluded_profile(p: RapInstance, r: int) -> tuple[int, ...]:
             else sum(comb(n_held, i - f) * comb(n_free, f) for f in range(limit - nu + 1))
             for i in range(p.k)
         )
-    counts = _partial_cover_counts(adj, ((1 << p.m) - 1) & ~(1 << r), 0, limit)
+    counts = _partial_cover_counts(adj, match_col, ((1 << p.m) - 1) & ~(1 << r), 0, limit)
     return tuple(counts.get((i, 0), 0) for i in range(p.k))
 
 

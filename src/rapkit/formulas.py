@@ -1,7 +1,9 @@
 """Closed-form expected values and probabilities for standard RAPs.
 
 All probability and expectation formulas return exact fractions; only
-the asymptotic triangle integral is floating point.
+the asymptotic triangle integral is floating point.  The cover and row
+formulas sum exact integer numerators over one common denominator and
+build one Fraction per call.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covers import cover_profile, row_excluded_profile
+from .covers import cover_coefficients, row_excluded_profile
 from .model import RapInstance, checked_int, checked_zero_free_row, instance, rational_to_json
 
 METHODS = (
@@ -61,17 +63,19 @@ def cs_value(k: int, m: int, n: int) -> Fraction:
 
 
 def cover_formula_value(p: RapInstance) -> Fraction:
-    """E(P) = (1/mn) * sum of d_{i,j} / (C(m-1,i) * C(n-1,j))."""
-    profile = cover_profile(p)
-    total = sum(
-        (
-            Fraction(count, math.comb(p.m - 1, i) * math.comb(p.n - 1, j))
-            for i, j, count in profile.coefficients
-            if count
-        ),
-        Fraction(0),
+    """E(P) = (1/mn) * sum of d_{i,j} / (C(m-1,i) * C(n-1,j)).
+
+    Each weight 1/(mn * C(m-1,i) * C(n-1,j)) is i!(m-1-i)! * j!(n-1-j)!
+    over m! * n!, so the sum is one integer numerator over m! * n!, taken
+    over the nonzero coefficients only.
+    """
+    f = math.factorial
+    m, n = p.m, p.n
+    numerator = sum(
+        count * f(i) * f(m - 1 - i) * f(j) * f(n - 1 - j)
+        for (i, j), count in cover_coefficients(p).items()
     )
-    return total / (p.m * p.n)
+    return Fraction(numerator, f(m) * f(n))
 
 
 def row_inclusion_probability(p: RapInstance, r: int) -> Fraction:
@@ -80,14 +84,14 @@ def row_inclusion_probability(p: RapInstance, r: int) -> Fraction:
     q(P) = (1/m) * sum over i of dbar_{i,0} / C(m-1,i), where dbar_{i,0}
     counts i-row partial (k-1)-covers avoiding row r.  The formula requires
     row r to contain no zeros (usage is then invariant across optima).
+    Each weight 1/(m * C(m-1,i)) is i!(m-1-i)! / m!, so the sum is one
+    integer numerator over m!.
     """
     r = checked_zero_free_row(p, r)
-    dbar = row_excluded_profile(p, r)
-    total = sum(
-        (Fraction(count, math.comb(p.m - 1, i)) for i, count in enumerate(dbar) if count),
-        Fraction(0),
-    )
-    return total / p.m
+    f = math.factorial
+    m = p.m
+    numerator = sum(count * f(i) * f(m - 1 - i) for i, count in enumerate(row_excluded_profile(p, r)))
+    return Fraction(numerator, f(m))
 
 
 def min_entry_usage_probability(k: int, m: int, n: int) -> Fraction:

@@ -196,10 +196,6 @@ class Assignment:
     def __contains__(self, pos: Position) -> bool:
         return pos in set(self.positions)
 
-    @property
-    def position_set(self) -> frozenset[Position]:
-        return frozenset(self.positions)
-
 
 @dataclass(frozen=True)
 class SampledMatrix:

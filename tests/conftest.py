@@ -1,4 +1,5 @@
 """Shared helpers: random instance generation, brute-force cover references,
+the per-term Fraction sums the cover and row formulas are checked against,
 the slow oracle rules, initial state, canonical key and ungrouped evaluation
 that the fast ones are checked against, the heap-based assignment solver the
 dense one is checked against, and the instance transformations and
@@ -7,6 +8,7 @@ optimal-assignment structure that the identity checks use."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from heapq import heappop, heappush
 from dataclasses import dataclass
@@ -17,7 +19,14 @@ import pytest
 from hypothesis import strategies as st
 
 import rapkit.covers
-from rapkit.covers import CoverProfile, LineCover, forced_cover_lines, max_independent_zeros
+from rapkit.covers import (
+    CoverProfile,
+    LineCover,
+    cover_profile,
+    forced_cover_lines,
+    max_independent_zeros,
+    row_excluded_profile,
+)
 from rapkit.model import (
     Assignment,
     InvalidInstanceError,
@@ -179,6 +188,28 @@ def brute_force_cover_profile(p: RapInstance) -> CoverProfile:
             )
             coeffs.append((i, j, count))
     return CoverProfile(p.k, tuple(coeffs))
+
+
+def reference_cover_formula_value(p: RapInstance) -> Fraction:
+    """E(P) as one Fraction per nonzero d_{i,j} of the dense profile, divided by mn."""
+    total = sum(
+        (
+            Fraction(count, math.comb(p.m - 1, i) * math.comb(p.n - 1, j))
+            for i, j, count in cover_profile(p).coefficients
+            if count
+        ),
+        Fraction(0),
+    )
+    return total / (p.m * p.n)
+
+
+def reference_row_inclusion_probability(p: RapInstance, r: int) -> Fraction:
+    """q(P) as one Fraction per nonzero dbar_{i,0}, divided by m."""
+    total = sum(
+        (Fraction(count, math.comb(p.m - 1, i)) for i, count in enumerate(row_excluded_profile(p, r)) if count),
+        Fraction(0),
+    )
+    return total / p.m
 
 
 def reference_component_table(
@@ -463,6 +494,11 @@ def enumerate_optimal_assignments(matrix, k: int) -> list[Assignment]:
     if any(isinstance(x, float) for row in matrix for x in row):
         cutoff += abs(cutoff) * 1e-12
     return [Assignment(p) for p in sorted({p for cost, p in scored if cost <= cutoff})]
+
+
+def position_set(a: Assignment) -> frozenset[Position]:
+    """The positions of an assignment as a set."""
+    return frozenset(a.positions)
 
 
 def reference_solve_k_assignment(matrix, k: int) -> SolveResult:

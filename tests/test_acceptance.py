@@ -44,6 +44,7 @@ from conftest import (
     enumerate_optimal_assignments,
     is_partial_cover,
     pattern_classes,
+    position_set,
     random_fraction_matrix,
     random_instance,
     symmetric_difference_paths,
@@ -135,6 +136,19 @@ def test_oracle_equals_cover_formula_on_sampled_five_by_five_patterns():
         for k in (2, 3, 4):
             p = instance(5, 5, k, zeros)
             assert oracle_expected_value(p, cache=cache) == cover_formula_value(p), p
+
+
+def test_oracle_equals_cover_formula_on_every_five_by_four_class():
+    """Beside criterion 3: every 5x4 zero-pattern class and its 4x5
+    transpose at k=1..4, one oracle cache shared across them."""
+    classes = pattern_classes(5, 4)
+    assert len(classes) == 1053
+    cache: dict = {}
+    for zeros in classes:
+        transposed = [(c, r) for r, c in zeros]
+        for k in range(1, 5):
+            for p in (instance(5, 4, k, zeros), instance(4, 5, k, transposed)):
+                assert oracle_expected_value(p, cache=cache) == cover_formula_value(p), p
 
 
 def test_criterion_04_closed_form_spot_check(report):
@@ -324,14 +338,14 @@ def test_criterion_10_structural_property_suite(report):
             continue
         for mu in optima:
             for nu in optima:
-                for a in nu.position_set - mu.position_set:
+                for a in position_set(nu) - position_set(mu):
                     path_checks += 1
                     path_ok = path_ok and any(
                         len(paths) == 1
                         or (len(paths) == 2
                             and all(len(t.positions) % 2 == 1 for t in paths))
                         for cand in optima
-                        if a in cand.position_set
+                        if a in position_set(cand)
                         for paths in [symmetric_difference_paths(mu, cand)]
                     )
 

@@ -2,6 +2,7 @@
 
 import argparse
 import copy
+import io
 import json
 import time
 
@@ -393,6 +394,34 @@ class TestPrettyOutput:
                          "--seed", "3", "--pretty"])
         out = capsys.readouterr().out
         assert code == EXIT_OK and "mean" in out
+
+
+class TestEmittedLine:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["value", "full3"],
+            ["verify", "two", "--samples", "200", "--seed", "3"],
+            ["simulate", "two", "--samples", "200", "--seed", "3"],
+        ],
+        ids=["value", "verify", "simulate"],
+    )
+    def test_one_json_line_with_the_stream_encoders_bytes(self, capsys, inst_dir, monkeypatch, argv):
+        emitted = []
+        real = cli._emit
+
+        def recorded(result, pretty, out):
+            emitted.append(result)
+            real(result, pretty, out)
+
+        monkeypatch.setattr(cli, "_emit", recorded)
+        assert cli.main([argv[0], inst_dir[argv[1]], *argv[2:]]) == EXIT_OK
+        (result,) = emitted
+        line = capsys.readouterr().out
+        assert line == json.dumps(result.to_json_obj()) + "\n"
+        streamed = io.StringIO()
+        json.dump(result.to_json_obj(), streamed)
+        assert line == streamed.getvalue() + "\n"
 
 
 def _commands() -> list[str]:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from rapkit import covers
 from rapkit.covers import (
     LineCover,
+    cover_coefficients,
     cover_lattice,
     cover_profile,
     forced_cover_lines,
@@ -206,12 +207,11 @@ class TestCoverProfile:
                     assert profile[(i, j)] == math.comb(m, i) * math.comb(n, j)
 
     def test_single_zero_3x3_k2(self):
-        profile = cover_profile(instance(3, 3, 2, [(0, 0)]))
-        assert profile.as_dict() == {(0, 0): 1, (1, 0): 1, (0, 1): 1}
+        assert cover_coefficients(instance(3, 3, 2, [(0, 0)])) == {(0, 0): 1, (1, 0): 1, (0, 1): 1}
 
     def test_k_independent_zeros_all_vanish(self):
         profile = cover_profile(instance(2, 2, 2, [(0, 0), (1, 1)]))
-        assert all(count == 0 for count in profile.as_dict().values())
+        assert all(count == 0 for _, _, count in profile.coefficients)
 
     def test_out_of_range_indices_are_zero(self):
         profile = cover_profile(instance(2, 2, 2))
@@ -221,7 +221,7 @@ class TestCoverProfile:
     @settings(max_examples=60, deadline=None)
     def test_binomial_bound_and_d00(self, p):
         profile = cover_profile(p)
-        for (i, j), count in profile.as_dict().items():
+        for i, j, count in profile.coefficients:
             assert 0 <= count <= math.comb(p.m, i) * math.comb(p.n, j)
         d00 = profile[(0, 0)]
         assert d00 in (0, 1)
@@ -230,13 +230,33 @@ class TestCoverProfile:
     @given(instances(max_m=3, max_n=3))
     @settings(max_examples=40, deadline=None)
     def test_transpose_symmetry(self, p):
-        mine = cover_profile(p).as_dict()
-        theirs = cover_profile(transpose_instance(p)).as_dict()
+        mine = cover_coefficients(p)
+        theirs = cover_coefficients(transpose_instance(p))
         assert mine == {(j, i): count for (i, j), count in theirs.items()}
 
     def test_json_shape(self):
         doc = cover_profile(instance(2, 2, 2)).to_json_obj()
         assert doc == {"k": 2, "d": [[0, 0, "1"], [0, 1, "2"], [1, 0, "2"]]}
+
+
+class TestCoverCoefficients:
+    @staticmethod
+    def _check(p) -> None:
+        coefficients = cover_coefficients(p)
+        assert coefficients == {(i, j): count for i, j, count in cover_profile(p).coefficients if count}
+        assert (coefficients == {}) == (max_independent_zeros(p.pattern) >= p.k)
+
+    def test_nonzero_profile_entries_on_every_pattern_up_to_3x3(self):
+        for m in range(1, 4):
+            for n in range(1, 4):
+                for z in all_patterns(m, n):
+                    for k in range(1, min(m, n) + 1):
+                        self._check(instance(m, n, k, z.zeros))
+
+    def test_nonzero_profile_entries_on_every_4x4_class(self):
+        for zeros in pattern_classes(4, 4):
+            for k in range(1, 5):
+                self._check(instance(4, 4, k, zeros))
 
 
 class TestRowExcludedProfile:
@@ -306,8 +326,8 @@ class TestFactoredProfileAgainstBruteForce:
         rows, cols = rng.sample(range(12), 12), rng.sample(range(12), 12)
         relabelled = instance(12, 12, 12, [(rows[r], cols[c]) for r, c in zeros])
         assert cover_profile(relabelled) == profile
-        theirs = cover_profile(transpose_instance(p)).as_dict()
-        assert profile.as_dict() == {(j, i): count for (i, j), count in theirs.items()}
+        theirs = cover_coefficients(transpose_instance(p))
+        assert cover_coefficients(p) == {(j, i): count for (i, j), count in theirs.items()}
 
 
 @st.composite
@@ -332,12 +352,13 @@ def _components(p) -> list[tuple]:
 
 
 def _no_table(*args):
-    raise AssertionError("a component was enumerated")
+    raise AssertionError("a component was found or enumerated")
 
 
 class TestMatchingBound:
     """Each component c leaves a_c + b_c + nu'_c >= nu_c, so only the slack
-    k - 1 - sum(nu_c) is left for the rest of a choice."""
+    k - 1 - nu, nu the whole pattern's matching, is left for the rest of a
+    choice; one matching of the pattern gives every nu_c."""
 
     @given(block_patterns())
     @settings(max_examples=60, deadline=None)
@@ -353,22 +374,23 @@ class TestMatchingBound:
 
     def test_k_independent_zeros_cost_one_matching_per_component(self, matchings, monkeypatch):
         monkeypatch.setattr(covers, "_component_table", _no_table)
+        monkeypatch.setattr(covers, "_components", _no_table)
         for k in range(1, 7):  # nu = 6 >= k
             p = instance(7, 7, k, self.ZEROS)
             matchings.clear()
             profile = cover_profile(p)
-            assert len(matchings) == 4
-            assert sorted(tuple(sorted(zeros)) for zeros in matchings) == _components(p)
+            assert matchings == [p.zeros]  # one matching, over the whole pattern
             assert all(count == 0 for _, _, count in profile.coefficients)
             assert profile == brute_force_cover_profile(p)
 
     def test_rows_only_count_also_stops_at_the_bound(self, matchings, monkeypatch):
         monkeypatch.setattr(covers, "_component_table", _no_table)
+        monkeypatch.setattr(covers, "_components", _no_table)
         # two rows share each of columns 0 and 1, so the rows are enumerated;
-        # four components of nu 1 against k - 1 = 2
+        # a matching of 4 against k - 1 = 2
         p = instance(7, 4, 3, [(0, 0), (1, 0), (2, 1), (3, 1), (4, 2), (5, 3)])
         assert row_excluded_profile(p, 6) == (0, 0, 0)
-        assert len(matchings) == 1 + 4  # the whole pattern's, then one per component
+        assert matchings == [p.zeros]  # the whole pattern's, and no other
 
     def test_component_root_reuses_the_given_matching(self, matchings):
         zeros = self.ZEROS[:7]  # the block and the path, nu = 4
@@ -378,8 +400,9 @@ class TestMatchingBound:
             matchings.clear()
             assert cover_profile(p) == expected
             found = [tuple(sorted(zeros)) for zeros in matchings]
-            for part in _components(p):  # once for the slack, never again at the root
-                assert found.count(part) == 1, part
+            assert found.count(tuple(sorted(p.zeros))) == 1  # the pattern's, made once
+            for part in _components(p):  # never one over a whole component
+                assert part not in found, part
 
 
 def _bits(mask: int) -> set[int]:
@@ -447,8 +470,8 @@ class TestFreeLineBinomials:
 
     def test_transposed_band_has_the_transposed_table(self):
         p = instance(10, 10, 10, band(6, 1))
-        theirs = cover_profile(transpose_instance(p)).as_dict()
-        assert cover_profile(p).as_dict() == {(j, i): x for (i, j), x in theirs.items()}
+        theirs = cover_coefficients(transpose_instance(p))
+        assert cover_coefficients(p) == {(j, i): x for (i, j), x in theirs.items()}
 
 
 class TestSubsetBudget:
@@ -480,6 +503,16 @@ class TestSubsetBudget:
         monkeypatch.setattr(covers, "SUBSET_BUDGET", 7)
         assert row_excluded_profile(p, 0) == brute_force_row_excluded_profile(p, 0)
         monkeypatch.setattr(covers, "SUBSET_BUDGET", 6)
+        with pytest.raises(BudgetExceededError):
+            row_excluded_profile(p, 0)
+
+    def test_bound_counts_a_component_with_no_line(self, monkeypatch):
+        # row 0 is excluded and a component on its own, so it adds 1 to the
+        # 2^2 subsets of rows 1 and 2 (both k - 1 = 2 or fewer): 5 in all
+        p = instance(3, 3, 3, [(0, 1), (1, 0), (2, 0)])
+        monkeypatch.setattr(covers, "SUBSET_BUDGET", 5)
+        assert row_excluded_profile(p, 0) == brute_force_row_excluded_profile(p, 0)
+        monkeypatch.setattr(covers, "SUBSET_BUDGET", 4)
         with pytest.raises(BudgetExceededError):
             row_excluded_profile(p, 0)
 

@@ -19,7 +19,15 @@ from rapkit.formulas import (
 from rapkit.covers import forced_cover_lines, max_independent_zeros
 from rapkit.model import insert_zero, instance
 
-from conftest import delete_column, random_instance, transpose_instance
+from conftest import (
+    all_patterns,
+    delete_column,
+    pattern_classes,
+    random_instance,
+    reference_cover_formula_value,
+    reference_row_inclusion_probability,
+    transpose_instance,
+)
 
 
 def gcd_group_sum(k: int, d: int) -> Fraction:
@@ -146,6 +154,32 @@ class TestCoverFormula:
                 cover_formula_value(insert_zero(p, (r, t))) for t in range(n)
             )
             assert drops == row_inclusion_probability(p, r)
+
+
+def _small_instances():
+    """Every 2x2 and 3x3 pattern and every 4x4 class, at every k."""
+    for m in (2, 3):
+        for z in all_patterns(m, m):
+            for k in range(1, m + 1):
+                yield instance(m, m, k, z.zeros)
+    for zeros in pattern_classes(4, 4):
+        for k in range(1, 5):
+            yield instance(4, 4, k, zeros)
+
+
+class TestAgainstPerTermReference:
+    """One integer numerator over m!n! (or m!) equals the per-term Fraction sums."""
+
+    def test_cover_formula(self):
+        for p in _small_instances():
+            assert cover_formula_value(p) == reference_cover_formula_value(p), p
+
+    def test_row_inclusion_on_every_zero_free_row(self):
+        for p in _small_instances():
+            held = {r for r, _ in p.zeros}
+            for r in range(p.m):
+                if r not in held:
+                    assert row_inclusion_probability(p, r) == reference_row_inclusion_probability(p, r), (p, r)
 
 
 class TestRowInclusion:

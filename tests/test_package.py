@@ -75,6 +75,9 @@ class TestPublicSurface:
         assert found == []
         assert "labels" not in {field.name for field in dataclasses.fields(EntryClassification)}
         assert "accumulated" not in {field.name for field in dataclasses.fields(ExpRapState)}
+        # test-only accessors: the tests build these from coefficients and positions
+        assert not hasattr(rapkit.CoverProfile, "as_dict")
+        assert not hasattr(rapkit.Assignment, "position_set")
 
     def test_benchmark_imports_resolve(self):
         # the names the benchmark harness (perfbench/) imports from the package

@@ -13,6 +13,7 @@ from rapkit.solver import brute_force_k_assignment, solve_k_assignment
 
 from conftest import (
     enumerate_optimal_assignments,
+    position_set,
     random_fraction_matrix,
     reference_solve_k_assignment,
     symmetric_difference_paths,
@@ -245,7 +246,7 @@ class TestEnumerateOptima:
             optima = enumerate_optimal_assignments(matrix, k)
             for a in optima:
                 for b in optima:
-                    diff = a.position_set ^ b.position_set
+                    diff = position_set(a) ^ position_set(b)
                     assert all(matrix[r][c] == 0 for r, c in diff)
 
 
@@ -268,7 +269,7 @@ class TestAlternatingPaths:
         mu = Assignment(((0, 0), (1, 1), (2, 2)))
         nu = Assignment(((0, 1), (1, 0), (2, 2)))
         for path in symmetric_difference_paths(mu, nu):
-            sides = [pos in mu.position_set for pos in path.positions]
+            sides = [pos in mu for pos in path.positions]
             assert all(sides[i] != sides[i + 1] for i in range(len(sides) - 1))
 
     def test_partition_covers_symmetric_difference(self):
@@ -276,7 +277,7 @@ class TestAlternatingPaths:
         nu = Assignment(((0, 2), (1, 1), (3, 0)))
         paths = symmetric_difference_paths(mu, nu)
         scattered = [pos for path in paths for pos in path.positions]
-        assert sorted(scattered) == sorted(mu.position_set ^ nu.position_set)
+        assert sorted(scattered) == sorted(position_set(mu) ^ position_set(nu))
 
     def test_optimal_families_decompose_into_few_paths(self):
         # any element of an optimum can be reached from any other optimum
@@ -292,13 +293,13 @@ class TestAlternatingPaths:
                 continue
             for mu in optima:
                 for nu in optima:
-                    for a in nu.position_set - mu.position_set:
+                    for a in position_set(nu) - position_set(mu):
                         assert any(
                             len(paths) == 1
                             or (len(paths) == 2
                                 and all(len(t.positions) % 2 == 1 for t in paths))
                             for cand in optima
-                            if a in cand.position_set
+                            if a in position_set(cand)
                             for paths in [symmetric_difference_paths(mu, cand)]
                         )
 
