@@ -17,7 +17,8 @@ every question here.
 The minimum covers form a lattice (Dulmage & Mendelsohn).  One maximum
 matching and two alternating searches, from the unmatched rows and from
 the unmatched columns, give both its ends and the lines common to all
-minimum covers; lines forced into every larger cover are tested one by one.
+minimum covers.  The lattice keeps the row masks it was built from, and
+lines forced into every larger cover are tested one by one on them.
 
 Everything here is exact integer work on desk-scale patterns.  The
 coefficients are counted over the connected components of the zero graph:
@@ -47,7 +48,7 @@ covers every row holding a zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable
 
@@ -246,12 +247,14 @@ class CoverLattice:
     """Both ends of the lattice of minimum covers of a zero pattern.
 
     ``size`` is their common size, the maximum number of independent
-    zeros (König).
+    zeros (König).  ``masks`` is the zero graph the lattice was built
+    from, as row bitmasks; it takes no part in equality, hash or repr.
     """
 
     row_max: LineCover
     col_max: LineCover
     size: int
+    masks: dict[int, int] = field(compare=False, repr=False)
 
     @property
     def common_lines(self) -> tuple[frozenset[int], frozenset[int]]:
@@ -274,7 +277,7 @@ def mask_cover_lattice(masks: dict[int, int]) -> CoverLattice:
     """:func:`cover_lattice` of a zero graph given as row masks: each row
     holding a zero maps to the bitmask of its zero columns."""
     match_col = _max_matching(masks)
-    return CoverLattice(*_extreme_covers(masks, match_col), len(match_col))
+    return CoverLattice(*_extreme_covers(masks, match_col), len(match_col), masks)
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +536,11 @@ def _min_cover_avoiding(adj: dict[int, int], row: int | None, col: int | None) -
     return len(adj) - len(residual) + len(_max_matching(residual))
 
 
-def forced_cover_lines(z: ZeroPattern, size: int) -> tuple[frozenset[int], frozenset[int]]:
-    """Rows and columns that belong to every cover of at most ``size`` lines.
+def forced_cover_lines(lattice: CoverLattice, size: int) -> tuple[frozenset[int], frozenset[int]]:
+    """Rows and columns that belong to every cover of at most ``size`` lines,
+    for the zero graph of ``lattice`` (a pattern's is ``cover_lattice(z)``).
 
-    Meaningful only when such a cover exists (max_independent_zeros <= size);
+    Meaningful only when such a cover exists (lattice.size <= size);
     raises ValueError otherwise, since membership would be vacuous.
 
     At the minimum size these are the lines common to all minimum covers:
@@ -544,13 +548,12 @@ def forced_cover_lines(z: ZeroPattern, size: int) -> tuple[frozenset[int], froze
     one.  A larger size forces a subset of them, each tested on its own.
     """
     size = checked_int(size, "size")
-    lattice = cover_lattice(z)
     if lattice.size > size:
         raise ValueError(f"no {size}-cover exists")
     common_rows, common_cols = lattice.common_lines
     if lattice.size == size:
         return common_rows, common_cols
-    adj = _row_masks(z.zeros)
+    adj = lattice.masks
     rows = frozenset(r for r in common_rows if _min_cover_avoiding(adj, r, None) > size)
     cols = frozenset(c for c in common_cols if _min_cover_avoiding(adj, None, c) > size)
     return rows, cols

@@ -4,11 +4,11 @@ States carry an m x n matrix whose entries are linear combinations of
 independent exponential variables with nonnegative rational
 coefficients.  Three exact rewrites drive the evaluation:
 
-* reduce: delete any line contained in every (k-1)-cover of the zeros
-  (decrementing k), and stop a branch once k independent zeros exist.
-  The deletion identity holds pointwise for every nonnegative matrix
-  with that zero pattern, so it is valid for arbitrary entry
-  distributions.
+* reduce: delete every line contained in every (k-1)-cover of the zeros
+  (decrementing k) in one pass, which is already the fixed point, and
+  stop a branch once k independent zeros exist.  The deletion identity
+  holds pointwise for every nonnegative matrix with that zero pattern,
+  so it is valid for arbitrary entry distributions.
 * pair conditioning: when no minimal non-covered nonstandard entry
   exists, pick the first two incomparable potentially minimal ones and
   apply minimum conditioning to their two scaled disagreement variables,
@@ -26,16 +26,17 @@ they are all ints, so the canonical key sorts and compares ints.  Every
 division goes through Fraction, so branch weights, extracted costs and
 the final value are exact Fractions.  Each state finds both ends of its
 minimum-cover lattice once, from one maximum matching over its zero
-graph held as row bitmasks; the terminal test, the reduction and the
-classification all read that one result.  Every state scans its own
-entries for that zero graph on first use: the ends of the lattice are
-unique (Dulmage & Mendelsohn), so no matching a parent found could give
-a child a different answer.  Only a caller of zero_pattern() (the slack
-case of the reduction, through forced_cover_lines) builds a ZeroPattern.
+graph held as row bitmasks, which it scans from its own entries on first
+use; the terminal test, the reduction (through forced_cover_lines, which
+reads the masks the lattice keeps) and the classification all read that
+one result.  The ends of the lattice are unique (Dulmage & Mendelsohn),
+so no matching a parent found could give a child a different answer.
 An instance already terminal at the root (k independent zeros) is
 answered from one matching, before its state is built.  Each state also
 classifies its entries once, on first use, and the termination measure
-and the conditioning rules read that classification.
+and the conditioning rules read that classification.  A state's variable
+table holds only the variables its entries use: its constructor drops
+the rest.
 
 Both conditioning rules return the cost they extract, the weight of each
 child and a function that builds child j, so the evaluator builds only
@@ -54,10 +55,8 @@ evaluates both of its children.
 
 The root state costs no per-cell construction: its standard cells are
 shared immutable objects, each built (and validated) once per variable
-id for the whole process, and it takes its ZeroPattern from the
-instance instead of scanning its entries for one.  The canonical key
-encodes zero- and one-term cells directly and sorts only the terms of
-cells with two or more.
+id for the whole process.  The canonical key encodes zero- and one-term
+cells directly and sorts only the terms of cells with two or more.
 
 A lexicographic 5-part measure (zeros, cover rows, potentially minimal
 count, disagreement variables, variable count of the minimal entry)
@@ -82,14 +81,8 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import IO, Callable, Iterable, Mapping
 
-from .covers import (
-    CoverLattice,
-    LineCover,
-    forced_cover_lines,
-    mask_cover_lattice,
-    max_independent_zeros,
-)
-from .model import BudgetExceededError, Position, RapInstance, ZeroPattern, checked_int
+from .covers import CoverLattice, forced_cover_lines, mask_cover_lattice, max_independent_zeros
+from .model import BudgetExceededError, Position, RapInstance, checked_int
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -142,10 +135,6 @@ class LinearEntry:
     def of(cls, mapping: Mapping[int, Rational]) -> "LinearEntry":
         return cls(tuple((v, c) for v, c in mapping.items() if c))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coeff(self, vid: int) -> Rational:
         for v, c in self.terms:
             if v == vid:
@@ -167,7 +156,11 @@ class LinearEntry:
 @dataclass(frozen=True)
 class ExpRapState:
     """A RAP over exponential linear-combination entries; its value is the
-    expected optimal k-assignment cost of the symbolic matrix."""
+    expected optimal k-assignment cost of the symbolic matrix.
+
+    The variable table may name variables no entry uses; the constructor
+    drops them, keeping the others in their order.
+    """
 
     k: int
     entries: tuple[tuple[LinearEntry, ...], ...]
@@ -180,10 +173,13 @@ class ExpRapState:
         ids = {v.id for v in self.variables}
         if len(ids) != len(self.variables):
             raise ValueError("duplicate variable id in table")
-        unknown = _collect(self.entries) - ids
+        used = {v for row in self.entries for e in row for v, _ in e.terms}
+        unknown = used - ids
         if unknown:
             first = next(v for row in self.entries for e in row for v, _ in e.terms if v in unknown)
             raise ValueError(f"entry references unknown variable {first}")
+        if len(used) < len(ids):
+            object.__setattr__(self, "variables", tuple(v for v in self.variables if v.id in used))
 
     @property
     def m(self) -> int:
@@ -199,24 +195,18 @@ class ExpRapState:
         return {v.id: v.intensity for v in self.variables}
 
     @cached_property
-    def _masks(self) -> dict[int, int]:
-        """The zero graph as row -> bitmask of its zero columns, scanned
-        from the entries."""
-        return _zero_masks(self.entries)
-
-    @cached_property
-    def _zeros(self) -> ZeroPattern:
-        zeros = tuple(
-            (r, c)
-            for r, row in enumerate(self.entries)
-            for c, e in enumerate(row)
-            if e.is_zero
-        )
-        return ZeroPattern(self.m, self.n, zeros)
-
-    @cached_property
     def _covers(self) -> CoverLattice:
-        return mask_cover_lattice(self._masks)
+        """The cover lattice of the zero graph, scanned from the entries as
+        row -> bitmask of its zero columns, for each row holding a zero."""
+        masks = {}
+        for r, row in enumerate(self.entries):
+            mask = 0
+            for c, e in enumerate(row):
+                if not e.terms:
+                    mask |= 1 << c
+            if mask:
+                masks[r] = mask
+        return mask_cover_lattice(masks)
 
     @cached_property
     def _classification(self) -> EntryClassification:
@@ -225,14 +215,11 @@ class ExpRapState:
     def intensity(self, vid: int) -> Rational:
         return self._intensities[vid]
 
-    def zero_pattern(self) -> ZeroPattern:
-        return self._zeros
-
 
 @dataclass(frozen=True)
 class EntryClassification:
-    """The entries outside the cover, split by kind, plus the bookkeeping the
-    conditioning rules need.
+    """The entries outside the state's row-maximal minimum cover, split by
+    kind, plus the bookkeeping the conditioning rules need.
 
     An entry is standard when it is one coefficient-1 term of a
     unit-intensity variable that occurs nowhere else, and nonstandard
@@ -246,7 +233,6 @@ class EntryClassification:
     the columns; a line that is not plain is a class of its own.
     """
 
-    cover: LineCover  # row-maximal optimal cover of the zeros
     non_covered_standard: tuple[Position, ...]
     non_covered_nonstandard: tuple[Position, ...]
     potentially_minimal: tuple[Position, ...]
@@ -281,33 +267,7 @@ def make_initial_state(p: RapInstance) -> ExpRapState:
                 row.append(cell)
                 variables.append(variable)
         rows.append(tuple(row))
-    s = ExpRapState(p.k, tuple(rows), tuple(variables))
-    vars(s)["_zeros"] = p.pattern  # the validated, sorted zeros the scan would find
-    return s
-
-
-def _collect(entries: Iterable[Iterable[LinearEntry]]) -> set[int]:
-    return {v for row in entries for e in row for v, _ in e.terms}
-
-
-def _zero_masks(entries: Iterable[Iterable[LinearEntry]]) -> dict[int, int]:
-    """Row -> bitmask of the zero columns, for each row holding a zero."""
-    masks = {}
-    for r, row in enumerate(entries):
-        mask = 0
-        for c, e in enumerate(row):
-            if not e.terms:
-                mask |= 1 << c
-        if mask:
-            masks[r] = mask
-    return masks
-
-
-def _gc(
-    entries: tuple[tuple[LinearEntry, ...], ...], variables: tuple[ExpVariable, ...]
-) -> tuple[ExpVariable, ...]:
-    used = _collect(entries)
-    return tuple(v for v in variables if v.id in used)
+    return ExpRapState(p.k, tuple(rows), tuple(variables))
 
 
 def is_terminal(s: ExpRapState) -> bool:
@@ -316,33 +276,30 @@ def is_terminal(s: ExpRapState) -> bool:
 
 
 def reduce_state(s: ExpRapState) -> ExpRapState:
-    """Delete lines contained in every (k-1)-cover until a fixed point.
+    """Delete every line contained in every (k-1)-cover of the zeros, and
+    lower k by their number; a terminal state is returned as it is.
 
-    Each pass deletes every such line at once and lowers k by their
-    number: a line in every (k-1)-cover stays in every (k-2)-cover once
-    another such line is deleted, so deleting them one at a time would
-    reach the same state.  Stops when the state is terminal.  Deleting
-    such a line and decrementing k leaves the optimal cost of every
-    realization unchanged, so the expected value is preserved exactly.
+    Deleting such a line and decrementing k leaves the optimal cost of
+    every realization unchanged, so the expected value is preserved
+    exactly.  One pass is the fixed point.  With F the forced lines, the
+    covers of the zero graph G of at most k-1 lines are exactly F u C',
+    with C' running over the covers of G - F of at most k-1-|F| lines.  So
+    G - F has no forced line of its own, and as one such C' exists, its
+    minimum cover is smaller than k-|F| and the reduced state is never
+    terminal.
     """
-    while True:
-        lattice = s._covers
-        if lattice.size >= s.k:
-            return s
-        # when k-1 is the minimum cover size, the forced lines are the lines
-        # common to all minimum covers; above it they are some of those lines
-        rows, cols = lattice.common_lines
-        if (rows or cols) and lattice.size < s.k - 1:
-            rows, cols = forced_cover_lines(s.zero_pattern(), s.k - 1)
-        if not rows and not cols:
-            return s
-        entries = tuple(
-            tuple(e for c, e in enumerate(row) if c not in cols)
-            for r, row in enumerate(s.entries)
-            if r not in rows
-        )
-        k = s.k - len(rows) - len(cols)
-        s = ExpRapState(k, entries, _gc(entries, s.variables))
+    lattice = s._covers
+    if lattice.size >= s.k:
+        return s
+    rows, cols = forced_cover_lines(lattice, s.k - 1)
+    if not rows and not cols:
+        return s
+    entries = tuple(
+        tuple(e for c, e in enumerate(row) if c not in cols)
+        for r, row in enumerate(s.entries)
+        if r not in rows
+    )
+    return ExpRapState(s.k - len(rows) - len(cols), entries, s.variables)
 
 
 def classify_entries(s: ExpRapState) -> EntryClassification:
@@ -411,7 +368,7 @@ def classify_entries(s: ExpRapState) -> EntryClassification:
             if pair:
                 break
     return EntryClassification(
-        cover, standard, ncn, pm, minimal, pair,
+        standard, ncn, pm, minimal, pair,
         _twins(plain_rows, row_zeros), _twins(plain_cols, col_zeros),
     )
 
@@ -511,11 +468,10 @@ def _condition_on_minimum(
     y_id, z_ids = fresh[0], fresh[1:]
     rules = {v: ((y_id, scale), (z_id, scale)) for (v, scale), z_id in zip(members, z_ids)}
     template = _substitute(s.entries, rules, y_id, shift)
-    template_vars = _gc(
-        template,
+    variables = (
         tuple(v for v in s.variables if v.id not in rules)
         + (ExpVariable(y_id, total),)
-        + tuple(ExpVariable(z_id, i) for z_id, i in zip(z_ids, member_intensities)),
+        + tuple(ExpVariable(z_id, i) for z_id, i in zip(z_ids, member_intensities))
     )
     holding: dict[int, list[Position]] = {z_id: [] for z_id in z_ids}
     for r, row in enumerate(template):
@@ -530,7 +486,6 @@ def _condition_on_minimum(
         for r, c in holding[z_id]:
             e = LinearEntry(tuple(t for t in rows[r][c].terms if t[0] != z_id))
             rows[r] = (*rows[r][:c], e, *rows[r][c + 1:])
-        variables = tuple(v for v in template_vars if v.id != z_id)
         return ExpRapState(s.k, tuple(rows), variables)
 
     weights = [Fraction(i) / total for i in member_intensities]
@@ -580,7 +535,7 @@ def condition_minimum(s: ExpRapState) -> Conditioning:
     covered ones.
     """
     cls = s._classification
-    cover = cls.cover
+    cover = s._covers.row_max
     size = len(cover)
     assert size < s.k, "caller must reduce the state first"
     if cls.non_covered_nonstandard and cls.minimal is None:

@@ -2,8 +2,10 @@
 the per-term Fraction sums the cover and row formulas are checked against,
 the slow oracle rules, initial state, canonical key and ungrouped evaluation
 that the fast ones are checked against, the heap-based assignment solver the
-dense one is checked against, and the instance transformations and
-optimal-assignment structure that the identity checks use."""
+dense one is checked against, the vectorised pattern-class generator and
+the one-at-a-time loop it is checked against, and the instance
+transformations and optimal-assignment structure that the identity
+checks use."""
 
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Container, Iterable
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -22,6 +25,7 @@ import rapkit.covers
 from rapkit.covers import (
     CoverProfile,
     LineCover,
+    cover_lattice,
     cover_profile,
     forced_cover_lines,
     max_independent_zeros,
@@ -42,7 +46,6 @@ from rapkit.oracle import (
     ExpVariable,
     LinearEntry,
     _fresh_ids,
-    _gc,
     _substitute,
     canonical_key,
     classify_entries,
@@ -252,12 +255,18 @@ def brute_force_row_excluded_profile(p: RapInstance, r: int) -> tuple[int, ...]:
     )
 
 
+def scanned_pattern(s: ExpRapState) -> ZeroPattern:
+    """The zero pattern of a state's entries."""
+    zeros = tuple((r, c) for r, row in enumerate(s.entries) for c, e in enumerate(row) if not e.terms)
+    return ZeroPattern(s.m, s.n, zeros)
+
+
 def reference_reduce_state(s: ExpRapState) -> ExpRapState:
     """Delete one line contained in every (k-1)-cover per pass, the smallest
     forced row first, then the smallest forced column, until a fixed point."""
     while True:
         try:
-            rows, cols = forced_cover_lines(s.zero_pattern(), s.k - 1)
+            rows, cols = forced_cover_lines(cover_lattice(scanned_pattern(s)), s.k - 1)
         except ValueError:  # no (k-1)-cover: k independent zeros exist
             return s
         if rows:
@@ -270,7 +279,7 @@ def reference_reduce_state(s: ExpRapState) -> ExpRapState:
             )
         else:
             return s
-        s = ExpRapState(s.k - 1, entries, _gc(entries, s.variables))
+        s = ExpRapState(s.k - 1, entries, s.variables)
 
 
 def reference_condition_minimum(
@@ -283,7 +292,7 @@ def reference_condition_minimum(
     """
     if cls is None:
         cls = classify_entries(s)
-    cover = cls.cover
+    cover = s._covers.row_max
     size = len(cover)
     assert size < s.k, "caller must reduce the state first"
     if cls.non_covered_nonstandard and cls.minimal is None:
@@ -342,7 +351,7 @@ def reference_condition_minimum(
                     new_vars.append(ExpVariable(z_id, Fraction(1)))
         new_entries = _substitute(s.entries, rules, y_id, shift)
         variables = tuple(v for v in s.variables if v.id not in rules) + tuple(new_vars)
-        children.append((weight, ExpRapState(s.k, new_entries, _gc(new_entries, variables))))
+        children.append((weight, ExpRapState(s.k, new_entries, variables)))
     assert sum(w for w, _ in children) == 1 and all(w > 0 for w, _ in children)
     return extracted, children
 
@@ -382,7 +391,7 @@ def reference_condition_pair(
             ExpVariable(y_id, total),
             ExpVariable(z_id, z_intensity),
         )
-        return weight, ExpRapState(s.k, entries, _gc(entries, variables))
+        return weight, ExpRapState(s.k, entries, variables)
 
     first, second = child(True), child(False)
     assert first[0] + second[0] == 1 and first[0] > 0 and second[0] > 0
@@ -668,8 +677,33 @@ def pattern_classes(m: int, n: int) -> list[tuple[Position, ...]]:
     """One zero set per m x n zero pattern up to row and column permutation.
 
     A pattern is a multiset of row bitmasks; its class representative is
-    the smallest sorted row tuple over all column permutations.
+    the smallest sorted row tuple over all column permutations.  Every
+    sorted row multiset is handled at once: each column permutation maps
+    the masks through a lookup table, each permuted multiset is sorted and
+    encoded as an (m*n)-bit integer, first row most significant, so the
+    smallest code is the smallest sorted row tuple.
     """
+    assert m * n < 63, "each code must fit an int64"
+    count = math.comb((1 << n) + m - 1, m)
+    multisets = itertools.combinations_with_replacement(range(1 << n), m)
+    rows = np.fromiter(itertools.chain.from_iterable(multisets), np.int64, count * m).reshape(count, m)
+    masks = np.arange(1 << n, dtype=np.int64)
+    best = None
+    for perm in itertools.permutations(range(n)):
+        table = sum(((masks >> c) & 1) << to for c, to in enumerate(perm))
+        moved = np.sort(table[rows], axis=1)
+        codes = moved[:, 0]
+        for i in range(1, m):
+            codes = codes << n | moved[:, i]
+        best = codes if best is None else np.minimum(best, codes)
+    return sorted(
+        tuple((r, c) for r in range(m) for c in range(n) if code >> (n * (m - 1 - r) + c) & 1)
+        for code in np.unique(best).tolist()
+    )
+
+
+def reference_pattern_classes(m: int, n: int) -> list[tuple[Position, ...]]:
+    """:func:`pattern_classes`, one row multiset and one column permutation at a time."""
     moved = [
         [sum(1 << perm[c] for c in range(n) if mask >> c & 1) for mask in range(1 << n)]
         for perm in itertools.permutations(range(n))

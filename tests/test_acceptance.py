@@ -47,6 +47,7 @@ from conftest import (
     position_set,
     random_fraction_matrix,
     random_instance,
+    reference_pattern_classes,
     symmetric_difference_paths,
 )
 
@@ -149,6 +150,23 @@ def test_oracle_equals_cover_formula_on_every_five_by_four_class():
         for k in range(1, 5):
             for p in (instance(5, 4, k, zeros), instance(4, 5, k, transposed)):
                 assert oracle_expected_value(p, cache=cache) == cover_formula_value(p), p
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (3, 4), (4, 4), (5, 4)])
+def test_pattern_classes_equal_the_one_at_a_time_generator(m, n):
+    assert pattern_classes(m, n) == reference_pattern_classes(m, n)
+
+
+def test_oracle_equals_cover_formula_on_every_five_by_five_class():
+    """Beside criterion 3: every 5x5 zero-pattern class (OEIS A002724) at
+    k=1..5, one oracle cache shared across them."""
+    classes = pattern_classes(5, 5)
+    assert len(classes) == 5624
+    cache: dict = {}
+    for zeros in classes:
+        for k in range(1, 6):
+            p = instance(5, 5, k, zeros)
+            assert oracle_expected_value(p, cache=cache) == cover_formula_value(p), p
 
 
 def test_criterion_04_closed_form_spot_check(report):
@@ -293,7 +311,7 @@ def test_criterion_10_structural_property_suite(report):
         p = random_instance(rng, min_k=2)
         if p.k > min(p.m, p.n - 1) or max_independent_zeros(p.pattern) > p.k - 1:
             continue
-        _, forced_cols = forced_cover_lines(p.pattern, p.k - 1)
+        _, forced_cols = forced_cover_lines(cover_lattice(p.pattern), p.k - 1)
         if not forced_cols:
             continue
         before = cover_profile(p)

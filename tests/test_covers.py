@@ -1,5 +1,6 @@
 """König machinery: matchings, covers, lattice extremes, cover coefficients."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -524,28 +525,28 @@ class TestSubsetBudget:
 class TestForcedCoverLines:
     def test_column_with_k_zeros_forced(self):
         p = instance(3, 3, 2, [(0, 0), (1, 0)])
-        rows, cols = forced_cover_lines(p.pattern, p.k - 1)
+        rows, cols = forced_cover_lines(cover_lattice(p.pattern), p.k - 1)
         assert cols == frozenset({0}) and rows == frozenset()
 
     def test_nothing_forced_on_single_zero(self):
         p = instance(3, 3, 2, [(0, 0)])
-        assert forced_cover_lines(p.pattern, p.k - 1) == (frozenset(), frozenset())
+        assert forced_cover_lines(cover_lattice(p.pattern), p.k - 1) == (frozenset(), frozenset())
 
     def test_no_cover_of_requested_size(self):
         z = ZeroPattern(2, 2, ((0, 0), (1, 1)))
         with pytest.raises(ValueError):
-            forced_cover_lines(z, 1)
+            forced_cover_lines(cover_lattice(z), 1)
 
     def test_slack_size_still_forces_a_full_row(self):
         # nu = 1, and the only 2-covers are row 0 plus one more line
         z = ZeroPattern(3, 4, ((0, 0), (0, 1), (0, 2)))
-        assert forced_cover_lines(z, 2) == (frozenset({0}), frozenset())
+        assert forced_cover_lines(cover_lattice(z), 2) == (frozenset({0}), frozenset())
 
     @pytest.mark.parametrize("size", [True, 1.5, 2.0, "2"])
     def test_size_must_be_an_integer(self, size):
         z = ZeroPattern(3, 4, ((0, 0), (0, 1), (0, 2)))
         with pytest.raises(ValueError, match="size must be an integer"):
-            forced_cover_lines(z, size)
+            forced_cover_lines(cover_lattice(z), size)
 
 
 def _agrees_with_per_line_reference(z: ZeroPattern) -> bool:
@@ -558,8 +559,8 @@ def _agrees_with_per_line_reference(z: ZeroPattern) -> bool:
     assert lattice.size == nu
     assert lattice.common_lines == reference_forced_cover_lines(z, nu)
     for size in range(nu, nu + 3):
-        assert forced_cover_lines(z, size) == reference_forced_cover_lines(z, size), size
-    return forced_cover_lines(z, nu + 1) != (frozenset(), frozenset())
+        assert forced_cover_lines(lattice, size) == reference_forced_cover_lines(z, size), size
+    return forced_cover_lines(lattice, nu + 1) != (frozenset(), frozenset())
 
 
 class TestAgainstPerLineReference:
@@ -605,7 +606,7 @@ class TestOneMatchingPerPattern:
     def test_forced_lines_at_the_minimum_size(self, matchings):
         assert max_independent_zeros(self.Z) == 3
         matchings.clear()
-        assert forced_cover_lines(self.Z, 3) == (frozenset(), frozenset({1, 2}))
+        assert forced_cover_lines(cover_lattice(self.Z), 3) == (frozenset(), frozenset({1, 2}))
         assert len(matchings) == 1
 
 
@@ -623,6 +624,17 @@ class TestCoverLattice:
         assert len(calls) == 1
         assert lattice.size == len(lattice.row_max) == len(lattice.col_max) == 3
         assert lattice.common_lines == (frozenset(), frozenset({1, 2}))
+
+    def test_masks_are_kept_outside_equality_hash_and_repr(self):
+        z = ZeroPattern(3, 4, ((0, 0), (0, 1), (0, 2)))
+        lattice = cover_lattice(z)
+        assert lattice.masks == {0: 0b111}
+        other = dataclasses.replace(lattice, masks={})
+        assert other == lattice and hash(other) == hash(lattice)
+        assert "masks" not in repr(lattice)
+        # the slack size tests the common lines on the kept masks
+        assert forced_cover_lines(lattice, 2) == (frozenset({0}), frozenset())
+        assert forced_cover_lines(other, 2) == (frozenset(), frozenset())
 
 
 def _dbar(p, r, i, j):
@@ -645,7 +657,7 @@ class TestSectionIdentities:
                 continue
             if max_independent_zeros(p.pattern) > p.k - 1:
                 continue
-            _, forced_cols = forced_cover_lines(p.pattern, p.k - 1)
+            _, forced_cols = forced_cover_lines(cover_lattice(p.pattern), p.k - 1)
             for c in forced_cols:
                 before = cover_profile(p)
                 after = cover_profile(delete_column(p, c))

@@ -16,7 +16,7 @@ from rapkit.formulas import (
     row_inclusion_probability,
     triangle_integral,
 )
-from rapkit.covers import forced_cover_lines, max_independent_zeros
+from rapkit.covers import cover_lattice, forced_cover_lines, max_independent_zeros
 from rapkit.model import insert_zero, instance
 
 from conftest import (
@@ -135,7 +135,7 @@ class TestCoverFormula:
                 continue
             if max_independent_zeros(p.pattern) > p.k - 1:
                 continue
-            _, forced_cols = forced_cover_lines(p.pattern, p.k - 1)
+            _, forced_cols = forced_cover_lines(cover_lattice(p.pattern), p.k - 1)
             for c in forced_cols:
                 assert cover_formula_value(p) == cover_formula_value(delete_column(p, c))
                 checked += 1

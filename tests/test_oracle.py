@@ -46,6 +46,7 @@ from conftest import (
     reference_expected_value,
     reference_initial_state,
     reference_reduce_state,
+    scanned_pattern,
 )
 
 
@@ -109,13 +110,13 @@ class TestLinearEntry:
         assert not entry({1: 1}).incomparable(entry({1: 1, 2: 1}))
 
     def test_zero_entry(self):
-        assert LinearEntry().is_zero
+        assert LinearEntry().terms == ()
         assert LinearEntry().le(entry({1: 1}))
 
     def test_rejects_nonpositive_coefficients(self):
         with pytest.raises(ValueError):
             LinearEntry(((1, Fraction(-1)),))
-        assert entry({1: 0}).is_zero  # zero coefficients dropped by .of
+        assert entry({1: 0}) == LinearEntry()  # zero coefficients dropped by .of
 
 
 class TestExpRapState:
@@ -127,6 +128,11 @@ class TestExpRapState:
         entries = ((entry({0: 1}),),)
         with pytest.raises(ValueError, match="duplicate variable id in table"):
             ExpRapState(1, entries, (ExpVariable(0, 1), ExpVariable(0, 2)))
+
+    def test_unused_variables_dropped_in_order(self):
+        s = state(1, [[{3: 1}, {0: 1}], [{}, {3: 2}]], {2: 1, 3: 4, 1: 1, 0: 2})
+        assert s.variables == (ExpVariable(3, 4), ExpVariable(0, 2))
+        assert state(1, [[{0: 1}]], {0: 1}).variables == (ExpVariable(0, 1),)
 
     def test_unknown_variable_named_first_in_row_major_order(self):
         # ids 3, 5 and 7 are unknown; 5 comes first in row-major order
@@ -140,7 +146,7 @@ class TestReduce:
         s = make_initial_state(instance(3, 3, 2, [(0, 0), (1, 0)]))
         reduced = reduce_state(s)
         assert (reduced.k, reduced.m, reduced.n) == (1, 3, 2)
-        assert all(not e.is_zero for row in reduced.entries for e in row)
+        assert all(e.terms for row in reduced.entries for e in row)
 
     def test_terminal_state_returned_as_is(self):
         s = make_initial_state(instance(2, 2, 2, [(0, 0), (1, 1)]))
@@ -173,10 +179,12 @@ class TestReduce:
 
     def test_lines_forced_together_go_in_one_pass(self, matchings):
         # rows 0 and 1 are the only 2-cover; one at a time takes one more pass.
-        # Each pass matches the zeros of the state it starts from once.
+        # The one pass matches the zeros of the state it starts from once,
+        # and leaves the reduced state's lattice unbuilt; the reference
+        # matches the zeros of each state it passes through.
         s = make_initial_state(instance(3, 3, 3, [(r, c) for r in range(2) for c in range(3)]))
         reduced = reduce_state(s)
-        assert [len(zeros) for zeros in matchings] == [6, 0]
+        assert [len(zeros) for zeros in matchings] == [6]
         matchings.clear()
         assert reference_reduce_state(s) == reduced
         assert [len(zeros) for zeros in matchings] == [6, 3, 0]
@@ -191,8 +199,9 @@ class TestClassify:
 
     def test_zero_label(self):
         # the zero's row is the cover, so the zero is in neither tuple
-        cls = classify_entries(make_initial_state(instance(2, 2, 2, [(1, 0)])))
-        assert cls.cover == LineCover(frozenset({1}), frozenset())
+        s = make_initial_state(instance(2, 2, 2, [(1, 0)]))
+        cls = classify_entries(s)
+        assert s._covers.row_max == LineCover(frozenset({1}), frozenset())
         assert cls.non_covered_standard == ((0, 0), (0, 1))
         assert cls.non_covered_nonstandard == ()
 
@@ -295,7 +304,7 @@ class TestConditionMinimum:
         _, children = every_child(condition_minimum(make_initial_state(instance(2, 2, 2))))
         positions = [(r, c) for r in range(2) for c in range(2)]
         for (weight, child), pos in zip(children, positions):
-            assert child.entries[pos[0]][pos[1]].is_zero
+            assert child.entries[pos[0]][pos[1]] == LinearEntry()
 
     def test_weights_sum_to_one(self):
         _, weights, _ = condition_minimum(make_initial_state(instance(3, 4, 2, [(1, 2)])))
@@ -307,7 +316,7 @@ class TestConditionMinimum:
         # cover of {(0,0)} is {row 0}; no doubly covered cells (no cols);
         # a state with both a row and a column in the cover:
         s2 = make_initial_state(instance(3, 3, 3, [(0, 0), (0, 1), (1, 0), (2, 0)]))
-        cover = classify_entries(s2).cover
+        cover = s2._covers.row_max
         assert cover.rows and cover.cols
         _, children = every_child(condition_minimum(s2))
         for _, child in children:
@@ -385,6 +394,39 @@ def _by_rank(s: ExpRapState):
     rank = {v: i for i, v in enumerate(sorted(v.id for v in s.variables))}
     entries = tuple(tuple(tuple((rank[v], c) for v, c in e.terms) for e in row) for row in s.entries)
     return entries, tuple((rank[v.id], v.intensity) for v in s.variables)
+
+
+class TestOnePassIsTheFixedPoint:
+    """Reduction deletes every forced line in one pass: the state it leaves
+    has no forced line of its own and is never terminal."""
+
+    @staticmethod
+    def _check(instances) -> Counter:
+        instances = list(instances)
+
+        def states():
+            yield from map(make_initial_state, instances)
+            for parent, _, _, children in _reached_branchings(instances):
+                yield parent
+                yield from children
+
+        seen = Counter()
+        for s in states():
+            r = reduce_state(s)
+            assert reduce_state(r) is r
+            if r is not s:
+                assert not is_terminal(r)
+                seen["reduced"] += 1
+            seen["states"] += 1
+        return seen
+
+    def test_every_two_by_two_and_three_by_three_instance(self):
+        seen = self._check(_every_small_instance())
+        assert seen["states"] > 4000 and seen["reduced"] > 700
+
+    def test_every_four_by_four_class(self):
+        seen = self._check(_every_four_by_four_class())
+        assert seen["states"] > 6000 and seen["reduced"] > 1500
 
 
 class TestConditionMinimumAgainstReference:
@@ -471,12 +513,13 @@ class TestClassificationPartition:
     def _check(instances) -> int:
         checked = 0
         for s, cls in _reached_minimum_states(instances):
+            cover = s._covers.row_max
             outside = [
                 (r, c)
                 for r in range(s.m)
-                if r not in cls.cover.rows
+                if r not in cover.rows
                 for c in range(s.n)
-                if c not in cls.cover.cols
+                if c not in cover.cols
             ]
             standard, nonstandard = cls.non_covered_standard, cls.non_covered_nonstandard
             assert list(standard) == sorted(standard) and list(nonstandard) == sorted(nonstandard)
@@ -551,7 +594,7 @@ class TestLazyMeasure:
 
 def _scanned_masks(s: ExpRapState) -> dict[int, int]:
     """Row -> bitmask of the zero columns, from the entries."""
-    masks = {r: sum(1 << c for c, e in enumerate(row) if e.is_zero) for r, row in enumerate(s.entries)}
+    masks = {r: sum(1 << c for c, e in enumerate(row) if not e.terms) for r, row in enumerate(s.entries)}
     return {r: mask for r, mask in masks.items() if mask}
 
 
@@ -575,8 +618,8 @@ class TestCarriedZeroGraph:
         seen = Counter()
         for parent, _, _, children in _reached_branchings(instances):
             for s in (parent, *children, *map(reduce_state, children)):
-                assert s._masks == _scanned_masks(s)
-                assert s._covers == cover_lattice(s.zero_pattern())
+                assert s._covers.masks == _scanned_masks(s)
+                assert s._covers == cover_lattice(scanned_pattern(s))
                 seen["states"] += 1
         return seen
 
@@ -590,7 +633,7 @@ class TestCarriedZeroGraph:
         zeros = [(0, 0), (1, 1), (1, 2), (2, 3), (3, 0)]
         s = reduce_state(make_initial_state(instance(4, 4, 4, zeros)))
         assert (s.k, s.m, s.n) == (2, 3, 3)
-        assert s._masks == _scanned_masks(s) == {1: 0b100}
+        assert s._covers.masks == _scanned_masks(s) == {1: 0b100}
 
 
 class TestOrbitsOfTwinLines:
@@ -713,12 +756,15 @@ class TestUnchangedBehaviour:
     )
     def test_pair_and_slack_paths(self, monkeypatch, p, value, nodes, pairs, slack, digest):
         """Runs that reach pair conditioning and the slack case of the
-        reduction (a forced-line test above the minimum cover size)."""
+        reduction (a forced-line test above the minimum cover size).  Every
+        non-terminal reduction asks for its forced lines; only the slack
+        calls are counted."""
         slack_calls = []
 
-        def counting(z, size):
-            slack_calls.append(size)
-            return forced_cover_lines(z, size)
+        def counting(lattice, size):
+            if size > lattice.size:
+                slack_calls.append(size)
+            return forced_cover_lines(lattice, size)
 
         monkeypatch.setattr(rapkit.oracle, "forced_cover_lines", counting)
         trace = io.StringIO()
@@ -770,9 +816,9 @@ class TestOneLatticePerState:
         s = make_initial_state(instance(3, 3, 2, [(0, 0)]))
         assert not is_terminal(s)
         assert reduce_state(s) is s
-        cls = classify_entries(s)
+        classify_entries(s)
         induction_measure(s)
-        assert cls.cover == LineCover(frozenset({0}), frozenset())
+        assert s._covers.row_max == LineCover(frozenset({0}), frozenset())
         assert len(matchings) == 1
 
 
@@ -965,8 +1011,7 @@ class TestCanonicalKeyAgainstReference:
 
 
 class TestSharedInitialState:
-    """Shared standard cells and the instance's zero pattern give the state
-    the per-cell builder gave."""
+    """Shared standard cells give the state the per-cell builder gave."""
 
     @staticmethod
     def _instances():
@@ -983,8 +1028,7 @@ class TestSharedInitialState:
         for p in self._instances():
             s, ref = make_initial_state(p), reference_initial_state(p)
             assert (s.k, s.entries, s.variables) == (ref.k, ref.entries, ref.variables)
-            assert vars(s)["_zeros"] is p.pattern  # primed, not scanned
-            assert s.zero_pattern() == ref.zero_pattern()  # the scan of the entries
+            assert scanned_pattern(s) == p.pattern
             checked += 1
         assert checked > 4000
 

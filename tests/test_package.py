@@ -18,7 +18,7 @@ import pytest
 import rapkit
 import rapkit.covers
 import rapkit.montecarlo
-from rapkit.covers import forced_cover_lines, row_excluded_profile
+from rapkit.covers import cover_lattice, forced_cover_lines, row_excluded_profile
 from rapkit.formulas import cs_value, min_entry_usage_probability, parisi_value, row_inclusion_probability
 from rapkit.model import ZeroPattern, insert_zero, instance, serialize_instance
 from rapkit.montecarlo import (
@@ -28,7 +28,7 @@ from rapkit.montecarlo import (
     estimate_value,
     sample_matrix,
 )
-from rapkit.oracle import EntryClassification, ExpRapState, oracle_expected_value, oracle_node_count
+from rapkit.oracle import EntryClassification, ExpRapState, LinearEntry, oracle_expected_value, oracle_node_count
 from rapkit.solver import brute_force_k_assignment, solve_k_assignment
 
 # reference helpers that only the tests use; they live in tests/conftest.py
@@ -46,10 +46,11 @@ TEST_ONLY = (
 )
 
 # names the package no longer defines: cover_lattice and max_independent_zeros
-# are the whole König API, Fractions are summed with sum(), and the oracle's
-# evaluator conditions through condition_minimum itself
+# are the whole König API, Fractions are summed with sum(), the oracle's
+# evaluator conditions through condition_minimum itself, and a state's
+# constructor drops the variables its entries do not use
 REMOVED = (
-    "column_maximal_cover", "min_cover", "row_maximal_cover", "_pairwise_sum", "_minimum_conditioning",
+    "column_maximal_cover", "min_cover", "row_maximal_cover", "_pairwise_sum", "_minimum_conditioning", "_gc",
 )
 
 
@@ -75,6 +76,10 @@ class TestPublicSurface:
         assert found == []
         assert "labels" not in {field.name for field in dataclasses.fields(EntryClassification)}
         assert "accumulated" not in {field.name for field in dataclasses.fields(ExpRapState)}
+        # a state's zero graph lives only in its cover lattice, read through _covers
+        assert not any(hasattr(ExpRapState, name) for name in ("zero_pattern", "_masks", "_zeros"))
+        assert "cover" not in {field.name for field in dataclasses.fields(EntryClassification)}
+        assert not hasattr(LinearEntry, "is_zero")
         # test-only accessors: the tests build these from coefficients and positions
         assert not hasattr(rapkit.CoverProfile, "as_dict")
         assert not hasattr(rapkit.Assignment, "position_set")
@@ -256,7 +261,7 @@ INTEGER_ARGUMENTS = {
     "estimate_row_usage.row": lambda v: estimate_row_usage(_P, v, 20, 1),
     "insert_zero.pos": lambda v: insert_zero(_P, (v, 1)),
     "estimate_entry_usage.pos": lambda v: estimate_entry_usage(_P, (1, v), 20, 1),
-    "forced_cover_lines.size": lambda v: forced_cover_lines(_Z, v),
+    "forced_cover_lines.size": lambda v: forced_cover_lines(cover_lattice(_Z), v),
     "oracle_expected_value.budget": lambda v: oracle_expected_value(_TWO_NODES, budget=v),
     "oracle_node_count.budget": lambda v: oracle_node_count(_TWO_NODES, budget=v),
     "estimate_value.samples": lambda v: estimate_value(_P, v, 1),
