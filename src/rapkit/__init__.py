@@ -21,7 +21,6 @@ from .covers import (
     row_excluded_profile,
 )
 from .formulas import (
-    FormulaReport,
     cover_formula_value,
     cs_value,
     min_entry_usage_probability,
@@ -69,7 +68,6 @@ __all__ = [
     "CoverProfile",
     "DEFAULT_NODE_BUDGET",
     "EstimateReport",
-    "FormulaReport",
     "InvalidInstanceError",
     "LineCover",
     "RapError",

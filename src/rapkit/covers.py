@@ -89,13 +89,6 @@ class CoverProfile:
     k: int
     coefficients: tuple[tuple[int, int, int], ...]  # sorted (i, j, count)
 
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        for ci, cj, count in self.coefficients:
-            if (ci, cj) == (i, j):
-                return count
-        return 0
-
     def to_json_obj(self) -> dict:
         return {"k": self.k, "d": [[i, j, str(count)] for i, j, count in self.coefficients]}
 

@@ -9,42 +9,10 @@ build one Fraction per call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .covers import cover_coefficients, row_excluded_profile
-from .model import RapInstance, checked_int, checked_zero_free_row, instance, rational_to_json
-
-METHODS = (
-    "parisi",
-    "coppersmith-sorkin",
-    "cover-formula",
-    "row-inclusion",
-    "min-entry-usage",
-)
-
-
-@dataclass(frozen=True)
-class FormulaReport:
-    """A computed value tagged with the formula that produced it."""
-
-    method: str
-    k: int
-    m: int
-    n: int
-    value: Fraction | float
-
-    def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-
-    def to_json_obj(self) -> dict:
-        payload = (
-            rational_to_json(self.value)
-            if isinstance(self.value, Fraction)
-            else self.value
-        )
-        return {"method": self.method, "k": self.k, "m": self.m, "n": self.n, "value": payload}
+from .model import RapInstance, checked_int, checked_zero_free_row, instance
 
 
 def parisi_value(k: int) -> Fraction:

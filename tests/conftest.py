@@ -673,6 +673,31 @@ def all_patterns(m: int, n: int):
         yield ZeroPattern(m, n, tuple(cells[i] for i in range(m * n) if bits >> i & 1))
 
 
+def _class_codes(rows: np.ndarray, n: int) -> np.ndarray:
+    """The class code of each row multiset in ``rows`` (one multiset of n-bit
+    masks per array row): over all column permutations, the smallest of its
+    sorted permuted masks encoded as one integer, first row most significant."""
+    m = rows.shape[1]
+    masks = np.arange(1 << n, dtype=np.int64)
+    best = None
+    for perm in itertools.permutations(range(n)):
+        table = sum(((masks >> c) & 1) << to for c, to in enumerate(perm))
+        moved = np.sort(table[rows], axis=1)
+        codes = moved[:, 0]
+        for i in range(1, m):
+            codes = codes << n | moved[:, i]
+        best = codes if best is None else np.minimum(best, codes)
+    return best
+
+
+def _zero_sets(codes: np.ndarray, m: int, n: int) -> list[tuple[Position, ...]]:
+    """The zero set of each class code, sorted."""
+    return sorted(
+        tuple((r, c) for r in range(m) for c in range(n) if code >> (n * (m - 1 - r) + c) & 1)
+        for code in np.unique(codes).tolist()
+    )
+
+
 def pattern_classes(m: int, n: int) -> list[tuple[Position, ...]]:
     """One zero set per m x n zero pattern up to row and column permutation.
 
@@ -687,19 +712,29 @@ def pattern_classes(m: int, n: int) -> list[tuple[Position, ...]]:
     count = math.comb((1 << n) + m - 1, m)
     multisets = itertools.combinations_with_replacement(range(1 << n), m)
     rows = np.fromiter(itertools.chain.from_iterable(multisets), np.int64, count * m).reshape(count, m)
+    return _zero_sets(_class_codes(rows, n), m, n)
+
+
+def extended_pattern_classes(m: int, n: int) -> list[tuple[Position, ...]]:
+    """:func:`pattern_classes`, built one row at a time from the classes of fewer rows.
+
+    Delete any row x of a pattern with r rows and permute the other r - 1
+    to their class representative, carrying x along: the result is in the
+    same class.  So each of the 2^n masks added to each (r-1)-row
+    representative reaches every r-row class, and the same canonical code
+    sorts the candidates into classes.  This is canonical augmentation
+    (McKay, "Isomorph-free exhaustive generation", 1998) with a
+    brute-force canonical form, and it canonicalises far fewer multisets
+    than :func:`pattern_classes` enumerates.
+    """
+    assert m * n < 63, "each code must fit an int64"
     masks = np.arange(1 << n, dtype=np.int64)
-    best = None
-    for perm in itertools.permutations(range(n)):
-        table = sum(((masks >> c) & 1) << to for c, to in enumerate(perm))
-        moved = np.sort(table[rows], axis=1)
-        codes = moved[:, 0]
-        for i in range(1, m):
-            codes = codes << n | moved[:, i]
-        best = codes if best is None else np.minimum(best, codes)
-    return sorted(
-        tuple((r, c) for r in range(m) for c in range(n) if code >> (n * (m - 1 - r) + c) & 1)
-        for code in np.unique(best).tolist()
-    )
+    reps = np.zeros((1, 0), dtype=np.int64)  # the one class of zero rows
+    for r in range(1, m + 1):
+        candidates = np.column_stack([np.repeat(reps, len(masks), axis=0), np.tile(masks, len(reps))])
+        codes = np.unique(_class_codes(candidates, n))
+        reps = (codes[:, None] >> (n * np.arange(r - 1, -1, -1))) & ((1 << n) - 1)
+    return _zero_sets(codes, m, n)
 
 
 def reference_pattern_classes(m: int, n: int) -> list[tuple[Position, ...]]:

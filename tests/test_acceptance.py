@@ -14,8 +14,8 @@ import pytest
 from scipy.integrate import quad
 
 from rapkit.covers import (
+    cover_coefficients,
     cover_lattice,
-    cover_profile,
     forced_cover_lines,
     max_independent_zeros,
 )
@@ -42,6 +42,7 @@ from conftest import (
     brute_force_min_cover_size,
     delete_column,
     enumerate_optimal_assignments,
+    extended_pattern_classes,
     is_partial_cover,
     pattern_classes,
     position_set,
@@ -157,15 +158,33 @@ def test_pattern_classes_equal_the_one_at_a_time_generator(m, n):
     assert pattern_classes(m, n) == reference_pattern_classes(m, n)
 
 
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(1, 6) for n in range(1, 6) if (m, n) != (5, 5)])
+def test_one_row_extension_gives_every_class(m, n):
+    assert extended_pattern_classes(m, n) == pattern_classes(m, n)
+
+
 def test_oracle_equals_cover_formula_on_every_five_by_five_class():
     """Beside criterion 3: every 5x5 zero-pattern class (OEIS A002724) at
     k=1..5, one oracle cache shared across them."""
-    classes = pattern_classes(5, 5)
+    classes = extended_pattern_classes(5, 5)
     assert len(classes) == 5624
     cache: dict = {}
     for zeros in classes:
         for k in range(1, 6):
             p = instance(5, 5, k, zeros)
+            assert oracle_expected_value(p, cache=cache) == cover_formula_value(p), p
+
+
+def test_oracle_equals_cover_formula_on_every_five_by_six_class():
+    """Beside criterion 3: every 5x6 zero-pattern class, the transposes of
+    the 6x5 classes, at k=1..5, one oracle cache shared across them."""
+    classes = extended_pattern_classes(6, 5)
+    assert len(classes) == 28576
+    cache: dict = {}
+    for zeros in classes:
+        transposed = [(c, r) for r, c in zeros]
+        for k in range(1, 6):
+            p = instance(5, 6, k, transposed)
             assert oracle_expected_value(p, cache=cache) == cover_formula_value(p), p
 
 
@@ -314,12 +333,12 @@ def test_criterion_10_structural_property_suite(report):
         _, forced_cols = forced_cover_lines(cover_lattice(p.pattern), p.k - 1)
         if not forced_cols:
             continue
-        before = cover_profile(p)
-        after = cover_profile(delete_column(p, min(forced_cols)))
+        before = cover_coefficients(p)
+        after = cover_coefficients(delete_column(p, min(forced_cols)))
         for i in range(p.k):
             for j in range(p.k - i):
-                expected = (after[(i, j - 1)] if j >= 1 else 0) + after[(i, j)]
-                identity_ok = identity_ok and before[(i, j)] == expected
+                expected = after.get((i, j - 1), 0) + after.get((i, j), 0)
+                identity_ok = identity_ok and before.get((i, j), 0) == expected
         deletion_checked += 1
 
     def dbar(p, r, i, j):

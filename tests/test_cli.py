@@ -2,9 +2,12 @@
 
 import argparse
 import copy
+import hashlib
 import io
 import json
+import os
 import time
+from collections import Counter
 
 import jsonschema
 import pytest
@@ -410,17 +413,18 @@ class TestEmittedLine:
         emitted = []
         real = cli._emit
 
-        def recorded(result, pretty, out):
-            emitted.append(result)
-            real(result, pretty, out)
+        def recorded(envelope, pretty, out):
+            emitted.append(envelope)
+            real(envelope, pretty, out)
 
         monkeypatch.setattr(cli, "_emit", recorded)
         assert cli.main([argv[0], inst_dir[argv[1]], *argv[2:]]) == EXIT_OK
-        (result,) = emitted
+        (envelope,) = emitted
+        assert list(envelope) == ["command", "inputs", "outputs", "elapsed_ms"]
         line = capsys.readouterr().out
-        assert line == json.dumps(result.to_json_obj()) + "\n"
+        assert line == json.dumps(envelope) + "\n"
         streamed = io.StringIO()
-        json.dump(result.to_json_obj(), streamed)
+        json.dump(envelope, streamed)
         assert line == streamed.getvalue() + "\n"
 
 
@@ -505,3 +509,96 @@ class TestSchemaRejects:
             bad = copy.deepcopy(env)
             list(_rationals(bad))[i]["den"] = "-1"
             assert not valid(bad)
+
+
+def _pinned_envelope(env: dict) -> bytes:
+    """The envelope less its elapsed_ms, with inputs.path reduced to the file name."""
+    env = {key: value for key, value in env.items() if key != "elapsed_ms"}
+    if "path" in env["inputs"]:
+        env["inputs"] = {**env["inputs"], "path": os.path.basename(env["inputs"]["path"])}
+    return json.dumps(env).encode()
+
+
+def _pinned_pretty(out: str) -> bytes:
+    """The --pretty table less its elapsed_ms line."""
+    lines = out.splitlines(keepends=True)
+    return "".join(line for line in lines if not line.startswith("  elapsed_ms: ")).encode()
+
+
+class TestPinnedEnvelopes:
+    """SHA-256 digests of every ENVELOPE_ARGV envelope and of three --pretty
+    tables, recorded before the envelope code was last rewritten; they pin
+    key order and values, which the schema tests do not."""
+
+    ENVELOPES = {
+        "cs": "727758c788ba8bca2a2eed4b66689543659db0996fcd5694c879571eb9060efe",
+        "integral": "468e2817466cf7bca87ddc746dbff80e17ed2eaf1f5bb7f5c3449a19c57800b6",
+        "minprob": "c12a108d3d141fe20e8f1ded77cac35ac791f1454a17c5160b5c7663cfb73e4e",
+        "oracle": "dd063e3b6fbcad57e1b3da2f4137dfc09483d2f15db156594e315307fd176d18",
+        "parisi": "2daca0bb04d987bbfb8718883764edc081e7ecf3acde943934f7bf9226e07a40",
+        "profile": "cf5df15ae9f8a3cc3f91cd72f77780a21d838c9bb776e57354c7cd65846bc0ec",
+        "rowprob": "7271c906a6e29ee97671efe3a2744aacf5112500d55663d7471dfa4d933987f0",
+        "simulate": "189e4dc49b3daa275d95e5a32156d9af1ab8ba6d3c973f39dc10e5cbf5b3f50a",
+        "value": "ab9e9c3089cf8f48d66848ca4691244c1d594b28c64d2ba8b3c1fa762613557b",
+        "verify": "6e67a1e53b2695dd020494977f9835f9994af86ed58b6a2e95cc99c64efee942",
+    }
+    PRETTY = {
+        "profile": "0fd08d3f460574b1d82243f585765f7a1c6430a50573346cdec56601dae196f7",
+        "value": "6494b4fb0bdf2c052bd898e72e2cbdc191b615d7afe18117884598e88e520821",
+        "verify": "8bab90258bd406b0b22896a5186174c08461832e38d0bcc707053430807fc398",
+    }
+
+    @pytest.mark.parametrize("command", sorted(ENVELOPES))
+    def test_envelope(self, capsys, inst_dir, command):
+        code, env = run(capsys, [arg.format(**inst_dir) for arg in ENVELOPE_ARGV[command]])
+        assert code == EXIT_OK
+        assert hashlib.sha256(_pinned_envelope(env)).hexdigest() == self.ENVELOPES[command]
+
+    @pytest.mark.parametrize("command", sorted(PRETTY))
+    def test_pretty(self, capsys, inst_dir, command):
+        assert cli.main([arg.format(**inst_dir) for arg in ENVELOPE_ARGV[command]] + ["--pretty"]) == EXIT_OK
+        assert hashlib.sha256(_pinned_pretty(capsys.readouterr().out)).hexdigest() == self.PRETTY[command]
+
+
+class TestBenchmarkSpans:
+    """Every name the benchmark's span recorder wraps in ``rapkit.cli``
+    (perfbench/spans.py, all but ``main``) is looked up there at call time,
+    so a wrapper installed on it sees the calls."""
+
+    WRAPPED = (
+        "cover_formula_value",
+        "cover_profile",
+        "cs_value",
+        "estimate_entry_usage",
+        "estimate_min_entry_usage",
+        "estimate_row_usage",
+        "estimate_value",
+        "load_instance",
+        "min_entry_usage_probability",
+        "oracle_node_count",
+        "parisi_value",
+        "rational_to_json",
+        "row_inclusion_probability",
+    )
+
+    def test_every_wrapped_name_is_called(self, capsys, inst_dir, monkeypatch):
+        calls = Counter()
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in self.WRAPPED:
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        simulate = ENVELOPE_ARGV["simulate"]
+        argvs = [*ENVELOPE_ARGV.values()] + [
+            [*simulate, "--what", *what]
+            for what in (["row", "--row", "1"], ["entry", "--pos", "0", "1"], ["min"])
+        ]
+        for argv in argvs:
+            code, _ = run(capsys, [arg.format(**inst_dir) for arg in argv])
+            assert code == EXIT_OK
+        assert {name: calls[name] > 0 for name in self.WRAPPED} == dict.fromkeys(self.WRAPPED, True)

@@ -202,10 +202,10 @@ class TestIsPartialCover:
 class TestCoverProfile:
     def test_no_zeros_binomial_products(self):
         for (m, n, k) in [(2, 2, 2), (3, 3, 2), (3, 4, 3)]:
-            profile = cover_profile(instance(m, n, k))
-            for i in range(k):
-                for j in range(k - i):
-                    assert profile[(i, j)] == math.comb(m, i) * math.comb(n, j)
+            expected = tuple(
+                (i, j, math.comb(m, i) * math.comb(n, j)) for i in range(k) for j in range(k - i)
+            )
+            assert cover_profile(instance(m, n, k)).coefficients == expected
 
     def test_single_zero_3x3_k2(self):
         assert cover_coefficients(instance(3, 3, 2, [(0, 0)])) == {(0, 0): 1, (1, 0): 1, (0, 1): 1}
@@ -215,8 +215,9 @@ class TestCoverProfile:
         assert all(count == 0 for _, _, count in profile.coefficients)
 
     def test_out_of_range_indices_are_zero(self):
-        profile = cover_profile(instance(2, 2, 2))
-        assert profile[(1, 1)] == 0 and profile[(5, 5)] == 0
+        """d_{i,j} with i + j >= k is identically zero, and the profile stores none."""
+        for p in (instance(2, 2, 2), instance(3, 4, 3, [(0, 0), (1, 2)]), instance(4, 3, 1)):
+            assert all(i + j < p.k for i, j, _ in cover_profile(p).coefficients)
 
     @given(instances(max_m=3, max_n=3))
     @settings(max_examples=60, deadline=None)
@@ -224,7 +225,7 @@ class TestCoverProfile:
         profile = cover_profile(p)
         for i, j, count in profile.coefficients:
             assert 0 <= count <= math.comb(p.m, i) * math.comb(p.n, j)
-        d00 = profile[(0, 0)]
+        d00 = cover_coefficients(p).get((0, 0), 0)
         assert d00 in (0, 1)
         assert (d00 == 0) == (max_independent_zeros(p.pattern) >= p.k)
 
@@ -519,7 +520,7 @@ class TestSubsetBudget:
 
     def test_zero_free_lines_cost_nothing(self, monkeypatch):
         monkeypatch.setattr(covers, "SUBSET_BUDGET", 1)
-        assert cover_profile(instance(30, 30, 30))[(29, 0)] == 30
+        assert cover_coefficients(instance(30, 30, 30))[(29, 0)] == 30
 
 
 class TestForcedCoverLines:
@@ -659,12 +660,12 @@ class TestSectionIdentities:
                 continue
             _, forced_cols = forced_cover_lines(cover_lattice(p.pattern), p.k - 1)
             for c in forced_cols:
-                before = cover_profile(p)
-                after = cover_profile(delete_column(p, c))
+                before = cover_coefficients(p)
+                after = cover_coefficients(delete_column(p, c))
                 for i in range(p.k):
                     for j in range(p.k - i):
-                        expected = (after[(i, j - 1)] if j >= 1 else 0) + after[(i, j)]
-                        assert before[(i, j)] == expected
+                        expected = after.get((i, j - 1), 0) + after.get((i, j), 0)
+                        assert before.get((i, j), 0) == expected
                 checked += 1
 
     def test_zero_insertion_identity(self):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from rapkit.formulas import (
-    FormulaReport,
     cover_formula_value,
     cs_value,
     min_entry_usage_probability,
@@ -249,23 +248,3 @@ class TestTriangleIntegral:
         with pytest.raises(ValueError):
             triangle_integral(0.5, 2.0)
 
-
-class TestFormulaReport:
-    def test_json(self):
-        doc = FormulaReport("parisi", 2, 2, 2, Fraction(5, 4)).to_json_obj()
-        assert doc == {
-            "method": "parisi",
-            "k": 2,
-            "m": 2,
-            "n": 2,
-            "value": {"num": "5", "den": "4", "approx": "1.25"},
-        }
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            FormulaReport("guesswork", 1, 1, 1, Fraction(1))
-
-    def test_retired_methods_rejected(self):
-        for method in ("gcd-group", "triangle-integral", "oracle"):
-            with pytest.raises(ValueError):
-                FormulaReport(method, 1, 1, 1, Fraction(1))

@@ -47,10 +47,12 @@ TEST_ONLY = (
 
 # names the package no longer defines: cover_lattice and max_independent_zeros
 # are the whole König API, Fractions are summed with sum(), the oracle's
-# evaluator conditions through condition_minimum itself, and a state's
-# constructor drops the variables its entries do not use
+# evaluator conditions through condition_minimum itself, a state's
+# constructor drops the variables its entries do not use, and the CLI
+# builds each envelope from plain values in one place
 REMOVED = (
     "column_maximal_cover", "min_cover", "row_maximal_cover", "_pairwise_sum", "_minimum_conditioning", "_gc",
+    "FormulaReport", "METHODS", "CommandResult", "_Timer", "_default_threads",
 )
 
 
@@ -82,6 +84,7 @@ class TestPublicSurface:
         assert not hasattr(LinearEntry, "is_zero")
         # test-only accessors: the tests build these from coefficients and positions
         assert not hasattr(rapkit.CoverProfile, "as_dict")
+        assert not hasattr(rapkit.CoverProfile, "__getitem__")
         assert not hasattr(rapkit.Assignment, "position_set")
 
     def test_benchmark_imports_resolve(self):
