@@ -22,27 +22,35 @@ coefficients.  Three exact rewrites drive the evaluation:
 Arithmetic is exact.  Coefficients and intensities are stored as ints
 when integral and as Fractions otherwise; on every standard instance
 tried (all 2x2 and 3x3 patterns, every 4x4 class, sampled 5x5 patterns)
-they are all ints, so the canonical key sorts and compares ints.  Every
-division goes through Fraction, so branch weights, extracted costs and
-the final value are exact Fractions.  Each state finds both ends of its
-minimum-cover lattice once, from one maximum matching over its zero
-graph held as row bitmasks, which it scans from its own entries on first
-use; the terminal test, the reduction (through forced_cover_lines, which
-reads the masks the lattice keeps) and the classification all read that
-one result.  The ends of the lattice are unique (Dulmage & Mendelsohn),
-so no matching a parent found could give a child a different answer.
-An instance already terminal at the root (k independent zeros) is
-answered from one matching, before its state is built.  Each state also
-classifies its entries once, on first use, and the termination measure
-and the conditioning rules read that classification.  A state's variable
-table holds only the variables its entries use: its constructor drops
-the rest.
+they are all ints, so the canonical key sorts and compares ints.  A
+node's value is (k - |cover| + the sum of I_o * V_o over its orbits) / T,
+with I_o an orbit's summed member intensity, V_o the value of its child
+and T the total intensity: one Fraction division per node.  Weights
+I_j / T and extracted costs are formed only for trace lines.
 
-Both conditioning rules return the cost they extract, the weight of each
-child and a function that builds child j, so the evaluator builds only
-the children it evaluates or checks.  A state holds no record of the
-cost extracted above it: the evaluator adds each node's extracted cost
-to the weighted values of its children.
+Both conditioning rules return a Conditioning: the step's cost, each
+member's intensity and the template every child comes from.  A child's
+zeros are the template's plus the cells whose only term is its residual,
+so the evaluator finds a child's cover lattice (one maximum matching
+over its zero graph, held as row bitmasks) before building it.  A
+terminal child is worth 0 and is never built.  Any other child is built
+once, already reduced: its forced lines, read off that lattice by
+forced_cover_lines, are left out as it is built.  Those lines lie in
+every minimum cover, so the minimum covers of what is left are exactly
+the old ones less those lines (Dulmage & Mendelsohn), and the reduced
+child inherits its lattice without a matching; it forms the lattice
+only on first use, so a child found in the cache never does.  The root
+is reduced by reduce_state, and an instance already terminal at the
+root (k independent zeros) is answered from one matching, before its
+state is built.  Each state classifies its entries once, on first use,
+and the termination measure and the conditioning rules read that
+classification.
+
+A state's variable table holds only the variables its entries use.  The
+public constructors check every entry and state; the states the oracle
+derives, and the entries its substitution rewrites, are built from
+checked ones by steps that keep those invariants, without the checks.
+A state holds no record of the cost extracted above it.
 
 A line is plain when each of its cells is a zero or a standard entry,
 and two plain lines with the same zeros are twins: swapping them, and
@@ -61,12 +69,13 @@ cells directly and sorts only the terms of cells with two or more.
 A lexicographic 5-part measure (zeros, cover rows, potentially minimal
 count, disagreement variables, variable count of the minimal entry)
 strictly decreases at every branching step, which is asserted at
-runtime part by part: each child's first two parts come from its cover
-lattice, which its reduction reads anyway, and the child is classified
-for the other three only when those two tie with the parent's.  The
-first two parts are the same for isomorphic states, so when they differ
-from the parent's one child decides for its whole orbit; when they tie,
-every member of the orbit is built and checked in full.
+runtime part by part: each child's first two parts come from the
+lattice of its zero graph, found before it is built, and the child is
+built and classified for the other three only when those two tie with
+the parent's.  The first two parts are the same for isomorphic states,
+so when they differ from the parent's one lattice decides for the whole
+orbit; when they tie, every member of the orbit is built and checked in
+full, and the evaluation goes on from the member already built.
 
 The evaluator never touches the cover-coefficient formula; it shares
 only the Koenig machinery with the rest of the package, which is what
@@ -79,7 +88,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import IO, Callable, Iterable, Mapping
+from typing import IO, Mapping
 
 from .covers import CoverLattice, forced_cover_lines, mask_cover_lattice, max_independent_zeros
 from .model import BudgetExceededError, Position, RapInstance, checked_int
@@ -131,10 +140,6 @@ class LinearEntry:
         if len({v for v, _ in normalized}) != len(normalized):
             raise ValueError("duplicate variable in entry")
 
-    @classmethod
-    def of(cls, mapping: Mapping[int, Rational]) -> "LinearEntry":
-        return cls(tuple((v, c) for v, c in mapping.items() if c))
-
     def coeff(self, vid: int) -> Rational:
         for v, c in self.terms:
             if v == vid:
@@ -159,7 +164,8 @@ class ExpRapState:
     expected optimal k-assignment cost of the symbolic matrix.
 
     The variable table may name variables no entry uses; the constructor
-    drops them, keeping the others in their order.
+    drops them, keeping the others in their order.  The oracle builds the
+    states it derives without the constructor's checks (see _trusted).
     """
 
     k: int
@@ -189,6 +195,10 @@ class ExpRapState:
     def n(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
+    # not a field: a state derived by deleting lines from a state whose
+    # lattice is known holds (that lattice, the rows, the columns deleted)
+    _inherited = None
+
     # per-state data computed on first use; the state is immutable, so it never goes stale
     @cached_property
     def _intensities(self) -> dict[int, Rational]:
@@ -196,8 +206,12 @@ class ExpRapState:
 
     @cached_property
     def _covers(self) -> CoverLattice:
-        """The cover lattice of the zero graph, scanned from the entries as
-        row -> bitmask of its zero columns, for each row holding a zero."""
+        """The cover lattice of the zero graph: the inherited one less the
+        deleted lines, or else one scanned from the entries as row ->
+        bitmask of its zero columns, for each row holding a zero."""
+        if self._inherited is not None:
+            lattice, rows, cols = self._inherited
+            return lattice.without_lines(rows, cols)
         masks = {}
         for r, row in enumerate(self.entries):
             mask = 0
@@ -243,6 +257,15 @@ class EntryClassification:
 
 
 _ZERO = LinearEntry()
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
+    given, without running ``__post_init__``.  Only for values derived from
+    checked ones by steps that keep every invariant the checks enforce."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @cache
@@ -300,6 +323,39 @@ def reduce_state(s: ExpRapState) -> ExpRapState:
         if r not in rows
     )
     return ExpRapState(s.k - len(rows) - len(cols), entries, s.variables)
+
+
+def _without_lines(
+    k: int,
+    entries: tuple[tuple[LinearEntry, ...], ...],
+    variables: tuple[ExpVariable, ...],
+    covers: CoverLattice,
+    rows: frozenset[int],
+    cols: frozenset[int],
+) -> ExpRapState:
+    """:func:`reduce_state`'s deletion for a state the oracle derives, built
+    trusted from its parts: the state (k, entries, variables), whose zero
+    graph has the lattice ``covers``, less the given lines.
+
+    The lines lie in every minimum cover of the zeros (forced lines do), so
+    the state left inherits ``covers`` less those lines (see
+    CoverLattice.without_lines) and needs no matching; that lattice is
+    formed on first use, so a state found in the cache never forms it.  Its
+    variable table keeps, in order, the variables its entries still use.
+    """
+    entries = tuple(
+        tuple(e for c, e in enumerate(row) if c not in cols)
+        for r, row in enumerate(entries)
+        if r not in rows
+    )
+    used = {v for row in entries for e in row for v, _ in e.terms}
+    return _trusted(
+        ExpRapState,
+        k=k - len(rows) - len(cols),
+        entries=entries,
+        variables=tuple(v for v in variables if v.id in used),
+        _inherited=(covers, rows, cols),
+    )
 
 
 def classify_entries(s: ExpRapState) -> EntryClassification:
@@ -380,10 +436,9 @@ def _twins(plain: list[bool], zeros: list[int]) -> tuple[int, ...]:
     return tuple(first.setdefault(z, i) if p else i for i, (p, z) in enumerate(zip(plain, zeros)))
 
 
-def _cover_parts(s: ExpRapState) -> tuple[int, int]:
-    """The measure's first two parts, read from the state's cover lattice:
+def _cover_parts(lattice: CoverLattice) -> tuple[int, int]:
+    """The measure's first two parts, read from a state's cover lattice:
     -(minimum cover size) and the rows of the row-maximal cover."""
-    lattice = s._covers
     return -lattice.size, len(lattice.row_max.rows)
 
 
@@ -399,14 +454,13 @@ def induction_measure(s: ExpRapState) -> tuple[int, int, int, int, int]:
     minimal_vars = 0
     if cls.minimal is not None:
         minimal_vars = len(s.entries[cls.minimal[0]][cls.minimal[1]].terms)
-    return (*_cover_parts(s), len(cls.potentially_minimal), disagreements, minimal_vars)
+    return (*_cover_parts(s._covers), len(cls.potentially_minimal), disagreements, minimal_vars)
 
 
 def _measure_drops(child: ExpRapState, parent_measure: tuple[int, ...]) -> bool:
     """``induction_measure(child) < parent_measure``, classifying the child
-    only when the two cover parts tie; its reduction reads the lattice
-    they come from anyway."""
-    head = _cover_parts(child)
+    only when the two cover parts tie."""
+    head = _cover_parts(child._covers)
     if head != parent_measure[:2]:
         return head < parent_measure[:2]
     return induction_measure(child) < parent_measure
@@ -424,7 +478,8 @@ def _substitute(
     shift: Mapping[Position, int],
 ) -> tuple[tuple[LinearEntry, ...], ...]:
     """Replace each variable in `rules` by a nonnegative combination, then
-    add `shift[(r, c)]` times variable `y_id` to entry (r, c)."""
+    add `shift[(r, c)]` times variable `y_id` to entry (r, c).  The entries
+    it rewrites are built trusted, in LinearEntry's normal form."""
 
     def rewrite(e: LinearEntry, delta: int) -> LinearEntry:
         if not delta and not any(v in rules for v, _ in e.terms):
@@ -439,7 +494,7 @@ def _substitute(
         if delta:
             acc[y_id] = acc.get(y_id, 0) + delta
             assert acc[y_id] >= 0, "every non-covered entry must contain the minimum"
-        return LinearEntry.of(acc)
+        return _trusted(LinearEntry, terms=tuple(sorted((v, _exact(c)) for v, c in acc.items() if c)))
 
     return tuple(
         tuple(rewrite(e, shift.get((r, c), 0)) for c, e in enumerate(row))
@@ -447,56 +502,121 @@ def _substitute(
     )
 
 
+@dataclass(frozen=True)
+class Conditioning:
+    """One conditioning step: independent scaled exponentials, the members,
+    race for the minimum Y, and child j is the state in which member j
+    wins.
+
+    Member j has intensity ``intensities[j]``; ``total`` is their sum, the
+    intensity of Y, so child j has weight intensities[j] / total.  The step
+    extracts expected cost ``cost`` / total, with ``cost`` = k - |cover| for
+    minimum conditioning and 0 for pair conditioning.  The evaluator keeps
+    to integers where it can and divides once per node: its value is
+    (cost + sum of intensities[j] * value of child j) / total.
+
+    ``template`` is the matrix with every member written as Y plus its
+    residual Z_j, and child j is the template with Z_j = 0: its zeros are
+    the template's ``masks`` plus the cells whose only term is Z_j, so its
+    zero graph is known before it is built.
+    """
+
+    k: int
+    cost: int
+    intensities: tuple[Rational, ...]
+    total: Rational
+    template: tuple[tuple[LinearEntry, ...], ...]
+    variables: tuple[ExpVariable, ...]  # the template's, every one used
+    residuals: tuple[int, ...]  # the variable id of each Z_j
+    holding: Mapping[int, list[Position]]  # Z_j -> the cells whose terms hold it
+    masks: Mapping[int, int]  # the template's zero graph, row -> mask of its zero columns
+
+    @property
+    def extracted(self) -> Fraction:
+        return Fraction(self.cost) / self.total
+
+    @property
+    def weights(self) -> list[Fraction]:
+        return [Fraction(i) / self.total for i in self.intensities]
+
+    def zero_masks(self, j: int) -> dict[int, int]:
+        """Child j's zero graph as row -> mask of its zero columns."""
+        masks = dict(self.masks)
+        for r, c in self.holding[self.residuals[j]]:
+            if len(self.template[r][c].terms) == 1:
+                masks[r] = masks.get(r, 0) | 1 << c
+        return masks
+
+    def build(
+        self,
+        j: int,
+        covers: CoverLattice | None = None,
+        rows: frozenset[int] = frozenset(),
+        cols: frozenset[int] = frozenset(),
+    ) -> ExpRapState:
+        """Child j, built trusted.  ``covers``, when given, is the cover
+        lattice of its zero graph (see zero_masks), and the child keeps it;
+        lines given with it, each in every minimum cover, are left out of
+        the child as it is built (see _without_lines)."""
+        z_id = self.residuals[j]
+        entries = list(self.template)
+        for r, c in self.holding[z_id]:
+            terms = entries[r][c].terms
+            e = _trusted(LinearEntry, terms=tuple(t for t in terms if t[0] != z_id)) if len(terms) > 1 else _ZERO
+            entries[r] = (*entries[r][:c], e, *entries[r][c + 1:])
+        variables = tuple(v for v in self.variables if v.id != z_id)
+        if rows or cols:
+            return _without_lines(self.k, entries, variables, covers, rows, cols)
+        child = _trusted(ExpRapState, k=self.k, entries=tuple(entries), variables=variables)
+        if covers is not None:
+            child.__dict__["_covers"] = covers
+        return child
+
+
 def _condition_on_minimum(
     s: ExpRapState,
     members: list[tuple[int, Rational]],
     shift: Mapping[Position, int],
-) -> tuple[list[Fraction], Callable[[int], ExpRapState]]:
+    cost: int,
+) -> Conditioning:
     """Condition on which of `members`, independent scaled exponentials
     given as (variable, 1/coefficient), is the minimum Y.
 
     Every member becomes Y plus its residual Z_j (the variable becomes
     (Y + Z_j) * scale) and entry (r, c) gains `shift[(r, c)]` times Y;
     the child in which member j is the minimum is this template with
-    Z_j = 0, weighted by member j's intensity over the total.  Fresh ids
-    are Y, then Z_1, Z_2, ..., above every existing id.  Returns the
-    weights, which sum to 1, and a function that builds child j.
+    Z_j = 0.  Fresh ids are Y, then Z_1, Z_2, ..., above every existing id.
+    One pass over the template finds its zeros and the cells holding each
+    fresh variable.
     """
-    member_intensities = [s.intensity(v) * scale for v, scale in members]
+    member_intensities = tuple(s.intensity(v) * scale for v, scale in members)
+    # each weight I_j / T is positive, and as T is their sum the weights sum to 1
+    assert all(i > 0 for i in member_intensities)
     total = sum(member_intensities)
     fresh = _fresh_ids(s, 1 + len(members))
-    y_id, z_ids = fresh[0], fresh[1:]
+    y_id, z_ids = fresh[0], tuple(fresh[1:])
     rules = {v: ((y_id, scale), (z_id, scale)) for (v, scale), z_id in zip(members, z_ids)}
     template = _substitute(s.entries, rules, y_id, shift)
-    variables = (
-        tuple(v for v in s.variables if v.id not in rules)
-        + (ExpVariable(y_id, total),)
-        + tuple(ExpVariable(z_id, i) for z_id, i in zip(z_ids, member_intensities))
-    )
-    holding: dict[int, list[Position]] = {z_id: [] for z_id in z_ids}
+    holding: dict[int, list[Position]] = {v: [] for v in fresh}
+    masks = {}
     for r, row in enumerate(template):
+        mask = 0
         for c, e in enumerate(row):
+            if not e.terms:
+                mask |= 1 << c
             for v, _ in e.terms:
                 if v in holding:
                     holding[v].append((r, c))
-
-    def child(j: int) -> ExpRapState:
-        z_id = z_ids[j]
-        rows = list(template)
-        for r, c in holding[z_id]:
-            e = LinearEntry(tuple(t for t in rows[r][c].terms if t[0] != z_id))
-            rows[r] = (*rows[r][:c], e, *rows[r][c + 1:])
-        return ExpRapState(s.k, tuple(rows), variables)
-
-    weights = [Fraction(i) / total for i in member_intensities]
-    assert sum(weights) == 1 and all(w > 0 for w in weights)
-    return weights, child
-
-
-# a conditioning step: the cost it extracts, each child's weight (they sum
-# to 1) and a function that builds child j, so a caller builds only the
-# children it needs
-Conditioning = tuple[Fraction, list[Fraction], Callable[[int], ExpRapState]]
+        if mask:
+            masks[r] = mask
+    # Y drops out when every cell that held a member lost it to the shift
+    y = (ExpVariable(y_id, total),) if holding.pop(y_id) else ()
+    variables = (
+        tuple(v for v in s.variables if v.id not in rules)
+        + y
+        + tuple(ExpVariable(z_id, i) for z_id, i in zip(z_ids, member_intensities))
+    )
+    return Conditioning(s.k, cost, member_intensities, total, template, variables, z_ids, holding, masks)
 
 
 def condition_pair(s: ExpRapState, u1: Position, u2: Position) -> Conditioning:
@@ -517,7 +637,7 @@ def condition_pair(s: ExpRapState, u1: Position, u2: Position) -> Conditioning:
     a = e1.coeff(i) - e2.coeff(i)  # scale of Xi's excess in e1
     b = e2.coeff(j) - e1.coeff(j)  # scale of Xj's excess in e2
     members = [(i, _exact(Fraction(1) / a)), (j, _exact(Fraction(1) / b))]
-    return (Fraction(0), *_condition_on_minimum(s, members, {}))
+    return _condition_on_minimum(s, members, {}, 0)
 
 
 def condition_minimum(s: ExpRapState) -> Conditioning:
@@ -551,8 +671,6 @@ def condition_minimum(s: ExpRapState) -> Conditioning:
     # each member of S as (variable, 1/coefficient): term a*Xi, then the standard entries
     members = [(term[0], _exact(Fraction(1) / term[1]))] if term is not None else []
     members.extend((v, 1) for v in std_vars)
-    total = sum(s.intensity(v) * scale for v, scale in members)
-    extracted = Fraction(s.k - size) / total
 
     # the minimum Y leaves every non-covered entry and joins every doubly covered one
     shift = {
@@ -562,7 +680,7 @@ def condition_minimum(s: ExpRapState) -> Conditioning:
         for c in range(s.n)
         if c not in cover.cols
     } | {(r, c): 1 for r in cover.rows for c in cover.cols}
-    return (extracted, *_condition_on_minimum(s, members, shift))
+    return _condition_on_minimum(s, members, shift, s.k - size)
 
 
 def _member_orbits(cls: EntryClassification) -> list[list[int]]:
@@ -657,15 +775,7 @@ class _OracleRun:
         self.nodes = 0
         self.state_ids: dict = {}
 
-    def emit(
-        self,
-        key,
-        parent: int | None,
-        depth: int,
-        rule: str,
-        weights: Iterable[Fraction],
-        extracted: Fraction,
-    ) -> None:
+    def emit(self, key, parent: int | None, depth: int, rule: str, step: Conditioning) -> None:
         if self.trace is None:
             return
         line = {
@@ -674,8 +784,8 @@ class _OracleRun:
             "depth": depth,
             "state": self.state_ids.setdefault(key, len(self.state_ids)),
             "rule": rule,
-            "weights": [str(w) for w in weights],
-            "extracted": str(extracted),
+            "weights": [str(w) for w in step.weights],
+            "extracted": str(step.extracted),
         }
         self.trace.write(json.dumps(line) + "\n")
 
@@ -683,11 +793,18 @@ class _OracleRun:
 def _evaluate(
     s: ExpRapState, run: _OracleRun, parent: int | None = None, depth: int = 0
 ) -> Fraction:
-    """Expected cost of the state: the cost its rule extracts plus the
-    weighted values of its children."""
+    """Expected cost of the state: 0 once reduced to a terminal state, else
+    the value of the reduced state."""
     s = reduce_state(s)
     if is_terminal(s):
         return Fraction(0)
+    return _evaluate_reduced(s, run, parent, depth)
+
+
+def _evaluate_reduced(s: ExpRapState, run: _OracleRun, parent: int | None, depth: int) -> Fraction:
+    """Expected cost of a reduced, non-terminal state: (cost + the sum over
+    orbits of I_o * V_o) / T, with I_o the orbit's summed member intensity,
+    V_o the value of its one evaluated child and T the total intensity."""
     key = canonical_key(s)
     hit = run.cache.get(key)
     if hit is not None:
@@ -702,27 +819,54 @@ def _evaluate(
     parent_measure = induction_measure(s)
     if cls.non_covered_nonstandard and cls.minimal is None:
         assert cls.first_incomparable_pair is not None
-        extracted, weights, build = condition_pair(s, *cls.first_incomparable_pair)
+        step = condition_pair(s, *cls.first_incomparable_pair)
         orbits = [[0], [1]]
         rule = "pair"
     else:
-        extracted, weights, build = condition_minimum(s)
+        step = condition_minimum(s)
         orbits = _member_orbits(cls)
         rule = "minimum"
-    run.emit(key, parent, depth, rule, weights, extracted)
-    value = extracted
+    run.emit(key, parent, depth, rule, step)
+    numerator = Fraction(step.cost)
     for orbit in orbits:
-        # one child stands for its orbit; the head of the measure is the same
-        # for isomorphic states, so a head that ties the parent's is the only
-        # case where the other members must be built and checked in full
-        child = build(orbit[0])
-        checked = [child]
-        if _cover_parts(child) == parent_measure[:2]:
-            checked += map(build, orbit[1:])
-        assert all(_measure_drops(c, parent_measure) for c in checked), "termination measure must drop"
-        value += sum(weights[j] for j in orbit) * _evaluate(child, run, node, depth + 1)
+        child = _orbit_child(step, orbit, parent_measure)
+        if child is not None:
+            intensity = sum(step.intensities[j] for j in orbit)
+            numerator += intensity * _evaluate_reduced(child, run, node, depth + 1)
+    value = numerator / step.total
     run.cache[key] = value
     return value
+
+
+def _orbit_child(step: Conditioning, orbit: list[int], parent_measure: tuple[int, ...]) -> ExpRapState | None:
+    """The reduced child that stands for ``orbit``, or None when it is
+    terminal (worth 0), decided from its zero graph before it is built.
+
+    The head of the measure is read from that graph's lattice, and it is
+    the same for isomorphic states: only a head that ties the parent's
+    needs every member of the orbit built and checked in full.  Otherwise
+    a terminal child is never built, and the others are built with their
+    forced lines left out, keeping their lattice less those lines.
+    """
+    j = orbit[0]
+    lattice = mask_cover_lattice(step.zero_masks(j))
+    head = _cover_parts(lattice)
+    child = None
+    if head == parent_measure[:2]:
+        child = step.build(j, lattice)
+        members = [child, *map(step.build, orbit[1:])]
+        assert all(_measure_drops(c, parent_measure) for c in members), "termination measure must drop"
+    else:
+        assert head < parent_measure[:2], "termination measure must drop"
+    if lattice.size >= step.k:
+        return None
+    rows, cols = forced_cover_lines(lattice, step.k - 1)
+    if child is None:
+        return step.build(j, lattice, rows, cols)
+    # a tie: go on from the member already built, classified by its check
+    if rows or cols:
+        return _without_lines(child.k, child.entries, child.variables, lattice, rows, cols)
+    return child
 
 
 def oracle_expected_value(

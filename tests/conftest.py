@@ -403,8 +403,7 @@ def every_child(
 ) -> tuple[Fraction, list[tuple[Fraction, ExpRapState]]]:
     """A conditioning rule's extracted cost, and each child's weight with
     the child built."""
-    extracted, weights, build = conditioning
-    return extracted, [(w, build(j)) for j, w in enumerate(weights)]
+    return conditioning.extracted, [(w, conditioning.build(j)) for j, w in enumerate(conditioning.weights)]
 
 
 def reference_expected_value(s: ExpRapState, cache: dict) -> Fraction:

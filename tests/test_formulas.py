@@ -50,6 +50,38 @@ def gcd_group_sum(k: int, d: int) -> Fraction:
     )
 
 
+def reference_parisi_value(k: int) -> Fraction:
+    """Sum of 1/d^2 for d = 1..k, one Fraction addition per term."""
+    return sum((Fraction(1, d * d) for d in range(1, k + 1)), Fraction(0))
+
+
+def reference_cs_value(k: int, m: int, n: int) -> Fraction:
+    """Sum of 1/((m-i)(n-j)) over i + j < k, one Fraction addition per term."""
+    return sum((Fraction(1, (m - i) * (n - j)) for i in range(k) for j in range(k - i)), Fraction(0))
+
+
+class TestCommonDenominator:
+    """One numerator over one denominator gives the Fraction that adding
+    the terms one by one gave."""
+
+    def test_parisi_value(self):
+        for k in (*range(1, 61), 100, 257):
+            assert parisi_value(k) == reference_parisi_value(k)
+
+    def test_cs_value(self):
+        checked = 0
+        for m in range(1, 13):
+            for n in range(1, 13):
+                for k in range(1, min(m, n) + 1):
+                    assert cs_value(k, m, n) == reference_cs_value(k, m, n)
+                    checked += 1
+        assert checked == 650
+
+    def test_large_arguments(self):
+        assert cs_value(40, 100, 60) == reference_cs_value(40, 100, 60)
+        assert cs_value(100, 100, 100) == reference_cs_value(100, 100, 100) == parisi_value(100)
+
+
 class TestParisi:
     def test_small_values(self):
         assert parisi_value(1) == 1

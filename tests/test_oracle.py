@@ -15,8 +15,8 @@ import pytest
 import rapkit.cli
 import rapkit.montecarlo
 import rapkit.oracle
-from rapkit.covers import LineCover, cover_lattice, forced_cover_lines
-from rapkit.formulas import cover_formula_value
+from rapkit.covers import LineCover, cover_lattice, forced_cover_lines, mask_cover_lattice
+from rapkit.formulas import cover_formula_value, parisi_value
 from rapkit.model import BudgetExceededError, instance
 from rapkit.oracle import (
     DEFAULT_NODE_BUDGET,
@@ -51,7 +51,7 @@ from conftest import (
 
 
 def entry(mapping) -> LinearEntry:
-    return LinearEntry.of({v: Fraction(c) for v, c in mapping.items()})
+    return LinearEntry(tuple((v, Fraction(c)) for v, c in mapping.items() if c))
 
 
 def state(k, rows, intensities) -> ExpRapState:
@@ -256,13 +256,13 @@ class TestConditionPair:
     def test_equal_scaled_intensities_split_evenly(self):
         rows = [[{0: 2}, {1: 2}], [{1: 2}, {0: 2}]]
         s = state(2, rows, {0: 1, 1: 1})
-        _, weights, _ = condition_pair(s, (0, 0), (0, 1))
+        weights = condition_pair(s, (0, 0), (0, 1)).weights
         assert weights == [Fraction(1, 2)] * 2
 
     def test_intensity_ratio_two_to_one(self):
         rows = [[{0: 1}, {1: 2}], [{1: 2}, {0: 1}]]
         s = state(2, rows, {0: 1, 1: 1})
-        _, weights, _ = condition_pair(s, (0, 0), (0, 1))
+        weights = condition_pair(s, (0, 0), (0, 1)).weights
         assert weights == [Fraction(2, 3), Fraction(1, 3)]
 
     def test_children_share_y_coefficient(self):
@@ -281,7 +281,8 @@ class TestConditionPair:
 
     def test_no_cost_extracted(self):
         rows = [[{0: 2}, {1: 2}], [{1: 2}, {0: 2}]]
-        extracted, weights, _ = condition_pair(state(2, rows, {0: 1, 1: 1}), (0, 0), (0, 1))
+        extracted, children = every_child(condition_pair(state(2, rows, {0: 1, 1: 1}), (0, 0), (0, 1)))
+        weights = [w for w, _ in children]
         assert type(extracted) is Fraction and extracted == 0
         assert all(w > 0 for w in weights)
 
@@ -296,7 +297,8 @@ class TestConditionMinimum:
         assert is_terminal(reduce_state(child))
 
     def test_two_by_two_intensity_four(self):
-        extracted, weights, _ = condition_minimum(make_initial_state(instance(2, 2, 2)))
+        step = condition_minimum(make_initial_state(instance(2, 2, 2)))
+        extracted, weights = step.extracted, step.weights
         assert extracted == Fraction(1, 2)  # (k - |cover|) / I = 2/4
         assert weights == [Fraction(1, 4)] * 4
 
@@ -307,7 +309,7 @@ class TestConditionMinimum:
             assert child.entries[pos[0]][pos[1]] == LinearEntry()
 
     def test_weights_sum_to_one(self):
-        _, weights, _ = condition_minimum(make_initial_state(instance(3, 4, 2, [(1, 2)])))
+        weights = condition_minimum(make_initial_state(instance(3, 4, 2, [(1, 2)]))).weights
         assert sum(weights) == 1
 
     def test_doubly_covered_entries_gain_the_minimum(self):
@@ -636,6 +638,59 @@ class TestCarriedZeroGraph:
         assert s._covers.masks == _scanned_masks(s) == {1: 0b100}
 
 
+class TestTrustedChildren:
+    """The evaluator decides each child from its zero graph, builds the
+    children it keeps without the constructors' checks, and drops a child's
+    forced lines as it builds it, keeping its lattice less those lines.
+    Each such child is the one the checked constructors and reduce_state
+    give, and its lattice is the one its own zero graph gives."""
+
+    @staticmethod
+    def _check(roots) -> Counter:
+        seen = Counter()
+        for s, cls, rule, _ in _branchings_below(roots):
+            step = condition_pair(s, *cls.first_incomparable_pair) if rule == "pair" else condition_minimum(s)
+            measure = induction_measure(s)
+            for j in range(len(step.intensities)):
+                child = step.build(j)
+                assert step.zero_masks(j) == _scanned_masks(child)
+                checked = ExpRapState(child.k, tuple(tuple(map(_checked_entry, row)) for row in child.entries),
+                                      child.variables)
+                assert (checked.entries, checked.variables) == (child.entries, child.variables)
+                reduced = rapkit.oracle._orbit_child(step, [j], measure)
+                if reduced is None:
+                    assert is_terminal(checked)
+                    seen["terminal"] += 1
+                    continue
+                ref = reduce_state(checked)
+                assert (reduced.k, reduced.entries, reduced.variables) == (ref.k, ref.entries, ref.variables)
+                assert canonical_key(reduced) == canonical_key(ref)
+                masks = _scanned_masks(reduced)
+                assert reduced._covers == mask_cover_lattice(masks) and reduced._covers.masks == masks
+                seen["inherited" if reduced._inherited else "unreduced"] += 1
+        return seen
+
+    def test_every_four_by_four_class(self):
+        seen = self._check(map(make_initial_state, _every_four_by_four_class()))
+        assert seen["terminal"] > 2000 and seen["inherited"] > 1300 and seen["unreduced"] > 800
+
+    def test_pair_conditioning_instances(self):
+        seen = self._check(map(make_initial_state, _pair_conditioning_instances()))
+        assert seen["terminal"] > 300 and seen["inherited"] > 800 and seen["unreduced"] > 200
+
+    def test_zero_free_five_by_five(self):
+        seen = self._check([make_initial_state(instance(5, 5, 5))])
+        assert seen["terminal"] > 3000 and seen["inherited"] > 11000 and seen["unreduced"] > 3000
+
+
+def _checked_entry(e: LinearEntry) -> LinearEntry:
+    """The entry rebuilt through the checking constructor, which also
+    brings its terms into normal form."""
+    checked = LinearEntry(e.terms)
+    assert checked.terms == e.terms
+    return checked
+
+
 class TestOrbitsOfTwinLines:
     """Swapping twin lines maps a state to itself, so the minimum-conditioning
     children of one orbit are isomorphic: the oracle evaluates one of them."""
@@ -647,7 +702,7 @@ class TestOrbitsOfTwinLines:
             if rule != "minimum":
                 continue
             before = induction_measure(s)
-            weights = condition_minimum(s)[1]
+            weights = condition_minimum(s).weights
             orbits = rapkit.oracle._member_orbits(cls)
             assert sorted(j for orbit in orbits for j in orbit) == list(range(len(children)))
             for orbit in orbits:
@@ -657,7 +712,7 @@ class TestOrbitsOfTwinLines:
                     child = children[j]
                     assert weights[j] == weights[orbit[0]]
                     assert reference_expected_value(child, cache) == value
-                    assert rapkit.oracle._cover_parts(child) == rapkit.oracle._cover_parts(first)
+                    assert rapkit.oracle._cover_parts(child._covers) == rapkit.oracle._cover_parts(first._covers)
                     assert induction_measure(child) < before
                 seen["later members"] += len(orbit) - 1
             seen["states"] += 1
@@ -736,6 +791,7 @@ class TestUnchangedBehaviour:
         [
             (3, 7, "04169dbe5b449b302fae924ad5d76ebb763c227a9217296cc8c175128a0ef81c"),
             (4, 34, "7cbaa0266d6202f259d2a069a4d8a05f89e130bb2638d514766bc95cb71fe7c4"),
+            (5, 2699, "2eaac7a77e42ee0a5561b4517e9f9bde42447d61fe3f4ba75ad51d746bed5109"),
         ],
     )
     def test_zero_free_square_at_k_equal_n(self, n, nodes, digest):
@@ -743,7 +799,7 @@ class TestUnchangedBehaviour:
         value, count = oracle_node_count(instance(n, n, n), trace=trace)
         assert count == nodes == len(trace.getvalue().splitlines())
         assert hashlib.sha256(trace.getvalue().encode()).hexdigest() == digest
-        assert value == reference_expected_value(make_initial_state(instance(n, n, n)), {})
+        assert value == parisi_value(n)
 
     @pytest.mark.parametrize(
         "p, value, nodes, pairs, slack, digest",
@@ -773,6 +829,33 @@ class TestUnchangedBehaviour:
         assert (len(lines), [line["rule"] for line in lines].count("pair")) == (nodes, pairs)
         assert len(slack_calls) == slack
         assert hashlib.sha256(trace.getvalue().encode()).hexdigest() == digest
+
+
+class TestWorkDone:
+    def test_zero_free_four_by_four(self, matchings, monkeypatch):
+        """Zero-free 4x4 at k=4.  A child is decided from its zero graph
+        before it is built, and a reduced child keeps its parent's lattice
+        less the deleted lines: the evaluator once ran 212 matchings and
+        built 188 checked states here."""
+        checked, built = [], []
+        check, trusted = ExpRapState.__post_init__, rapkit.oracle._trusted
+
+        def counting(s):
+            checked.append(s)
+            check(s)
+
+        def recording(cls, **fields):
+            obj = trusted(cls, **fields)
+            if cls is ExpRapState:
+                built.append(obj)
+            return obj
+
+        monkeypatch.setattr(ExpRapState, "__post_init__", counting)
+        monkeypatch.setattr(rapkit.oracle, "_trusted", recording)
+        assert oracle_node_count(instance(4, 4, 4)) == (Fraction(205, 144), 34)
+        assert (len(matchings), len(checked), len(built)) == (146, 1, 99)
+        # no state is built for a terminal child
+        assert all(mask_cover_lattice(_scanned_masks(s)).size < s.k for s in built)
 
 
 class TestBenchmarkSpans:

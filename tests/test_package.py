@@ -275,6 +275,29 @@ INTEGER_ARGUMENTS = {
 }
 
 
+# load rapkit.oracle and what it imports, without the package's __init__
+# (which loads Monte Carlo and numpy); print every module that loads
+_ORACLE_IMPORTS = """
+import json, sys, types
+package = types.ModuleType("rapkit")
+package.__path__ = [sys.argv[1]]
+sys.modules["rapkit"] = package
+before = set(sys.modules)
+import rapkit.oracle
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+class TestOracleStartUp:
+    def test_oracle_loads_only_the_standard_library_and_rapkit(self):
+        """Every benchmark workload times its start-up, and the oracle is
+        imported by each; it must bring in no third-party package."""
+        loaded = _run_fresh(_ORACLE_IMPORTS, str(Path(rapkit.__file__).resolve().parent))
+        assert {"rapkit.covers", "rapkit.model", "rapkit.oracle"} <= set(loaded)
+        outside = [m for m in loaded if m.split(".")[0] not in (*sys.stdlib_module_names, "rapkit")]
+        assert outside == []
+
+
 class TestOneIntegerRule:
     """Every integer argument follows ``rapkit.model.checked_int``: an int or
     an integer type such as numpy.int64, never a bool, float or string."""
