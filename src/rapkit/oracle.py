@@ -34,15 +34,15 @@ zeros are the template's plus the cells whose only term is its residual,
 so the evaluator finds a child's cover lattice (one maximum matching
 over its zero graph, held as row bitmasks) before building it.  A
 terminal child is worth 0 and is never built.  Any other child is built
-once, already reduced: its forced lines, read off that lattice by
-forced_cover_lines, are left out as it is built.  Those lines lie in
-every minimum cover, so the minimum covers of what is left are exactly
-the old ones less those lines (Dulmage & Mendelsohn), and the reduced
-child inherits its lattice without a matching; it forms the lattice
-only on first use, so a child found in the cache never does.  The root
-is reduced by reduce_state, and an instance already terminal at the
-root (k independent zeros) is answered from one matching, before its
-state is built.  Each state classifies its entries once, on first use,
+with that lattice and reduced by reduce_state, as the root is: its
+forced lines, read off the lattice by forced_cover_lines, are deleted.
+Those lines lie in every minimum cover, so the minimum covers of what
+is left are exactly the old ones less those lines (Dulmage &
+Mendelsohn), and the reduced state inherits its lattice without a
+matching; it forms the lattice only on first use, so a child found in
+the cache never does.  An instance already terminal at the root (k
+independent zeros) is answered from one matching, before its state is
+built.  Each state classifies its entries once, on first use,
 and the termination measure and the conditioning rules read that
 classification.
 
@@ -310,6 +310,12 @@ def reduce_state(s: ExpRapState) -> ExpRapState:
     G - F has no forced line of its own, and as one such C' exists, its
     minimum cover is smaller than k-|F| and the reduced state is never
     terminal.
+
+    The reduced state is built from s without the constructor's checks,
+    and its variable table keeps, in order, the variables its entries still
+    use.  F lies in every minimum cover, so the state inherits s's lattice
+    less F (see CoverLattice.without_lines) with no matching; that lattice
+    is formed on first use, so a state found in the cache never forms it.
     """
     lattice = s._covers
     if lattice.size >= s.k:
@@ -322,39 +328,13 @@ def reduce_state(s: ExpRapState) -> ExpRapState:
         for r, row in enumerate(s.entries)
         if r not in rows
     )
-    return ExpRapState(s.k - len(rows) - len(cols), entries, s.variables)
-
-
-def _without_lines(
-    k: int,
-    entries: tuple[tuple[LinearEntry, ...], ...],
-    variables: tuple[ExpVariable, ...],
-    covers: CoverLattice,
-    rows: frozenset[int],
-    cols: frozenset[int],
-) -> ExpRapState:
-    """:func:`reduce_state`'s deletion for a state the oracle derives, built
-    trusted from its parts: the state (k, entries, variables), whose zero
-    graph has the lattice ``covers``, less the given lines.
-
-    The lines lie in every minimum cover of the zeros (forced lines do), so
-    the state left inherits ``covers`` less those lines (see
-    CoverLattice.without_lines) and needs no matching; that lattice is
-    formed on first use, so a state found in the cache never forms it.  Its
-    variable table keeps, in order, the variables its entries still use.
-    """
-    entries = tuple(
-        tuple(e for c, e in enumerate(row) if c not in cols)
-        for r, row in enumerate(entries)
-        if r not in rows
-    )
     used = {v for row in entries for e in row for v, _ in e.terms}
     return _trusted(
         ExpRapState,
-        k=k - len(rows) - len(cols),
+        k=s.k - len(rows) - len(cols),
         entries=entries,
-        variables=tuple(v for v in variables if v.id in used),
-        _inherited=(covers, rows, cols),
+        variables=tuple(v for v in s.variables if v.id in used),
+        _inherited=(lattice, rows, cols),
     )
 
 
@@ -547,17 +527,9 @@ class Conditioning:
                 masks[r] = masks.get(r, 0) | 1 << c
         return masks
 
-    def build(
-        self,
-        j: int,
-        covers: CoverLattice | None = None,
-        rows: frozenset[int] = frozenset(),
-        cols: frozenset[int] = frozenset(),
-    ) -> ExpRapState:
+    def build(self, j: int, covers: CoverLattice | None = None) -> ExpRapState:
         """Child j, built trusted.  ``covers``, when given, is the cover
-        lattice of its zero graph (see zero_masks), and the child keeps it;
-        lines given with it, each in every minimum cover, are left out of
-        the child as it is built (see _without_lines)."""
+        lattice of its zero graph (see zero_masks), and the child keeps it."""
         z_id = self.residuals[j]
         entries = list(self.template)
         for r, c in self.holding[z_id]:
@@ -565,8 +537,6 @@ class Conditioning:
             e = _trusted(LinearEntry, terms=tuple(t for t in terms if t[0] != z_id)) if len(terms) > 1 else _ZERO
             entries[r] = (*entries[r][:c], e, *entries[r][c + 1:])
         variables = tuple(v for v in self.variables if v.id != z_id)
-        if rows or cols:
-            return _without_lines(self.k, entries, variables, covers, rows, cols)
         child = _trusted(ExpRapState, k=self.k, entries=tuple(entries), variables=variables)
         if covers is not None:
             child.__dict__["_covers"] = covers
@@ -844,15 +814,17 @@ def _orbit_child(step: Conditioning, orbit: list[int], parent_measure: tuple[int
 
     The head of the measure is read from that graph's lattice, and it is
     the same for isomorphic states: only a head that ties the parent's
-    needs every member of the orbit built and checked in full.  Otherwise
-    a terminal child is never built, and the others are built with their
-    forced lines left out, keeping their lattice less those lines.
+    needs every member of the orbit built and checked in full.  A
+    terminal child is never built; any other is built once, with that
+    lattice, and reduced by reduce_state, which keeps the lattice less the
+    deleted lines.
     """
     j = orbit[0]
     lattice = mask_cover_lattice(step.zero_masks(j))
     head = _cover_parts(lattice)
     child = None
     if head == parent_measure[:2]:
+        # a tie: go on from the member already built, classified by its check
         child = step.build(j, lattice)
         members = [child, *map(step.build, orbit[1:])]
         assert all(_measure_drops(c, parent_measure) for c in members), "termination measure must drop"
@@ -860,13 +832,7 @@ def _orbit_child(step: Conditioning, orbit: list[int], parent_measure: tuple[int
         assert head < parent_measure[:2], "termination measure must drop"
     if lattice.size >= step.k:
         return None
-    rows, cols = forced_cover_lines(lattice, step.k - 1)
-    if child is None:
-        return step.build(j, lattice, rows, cols)
-    # a tie: go on from the member already built, classified by its check
-    if rows or cols:
-        return _without_lines(child.k, child.entries, child.variables, lattice, rows, cols)
-    return child
+    return reduce_state(child if child is not None else step.build(j, lattice))
 
 
 def oracle_expected_value(

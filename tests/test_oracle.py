@@ -640,10 +640,12 @@ class TestCarriedZeroGraph:
 
 class TestTrustedChildren:
     """The evaluator decides each child from its zero graph, builds the
-    children it keeps without the constructors' checks, and drops a child's
-    forced lines as it builds it, keeping its lattice less those lines.
-    Each such child is the one the checked constructors and reduce_state
-    give, and its lattice is the one its own zero graph gives."""
+    children it keeps without the constructors' checks, and deletes a
+    child's forced lines once it is built, keeping its lattice less those
+    lines.
+    Each such child is the one the checked constructors and the
+    one-line-per-pass reference reduction give, and its lattice is the one
+    its own zero graph gives."""
 
     @staticmethod
     def _check(roots) -> Counter:
@@ -662,7 +664,7 @@ class TestTrustedChildren:
                     assert is_terminal(checked)
                     seen["terminal"] += 1
                     continue
-                ref = reduce_state(checked)
+                ref = reference_reduce_state(checked)
                 assert (reduced.k, reduced.entries, reduced.variables) == (ref.k, ref.entries, ref.variables)
                 assert canonical_key(reduced) == canonical_key(ref)
                 masks = _scanned_masks(reduced)
@@ -834,7 +836,7 @@ class TestUnchangedBehaviour:
 class TestWorkDone:
     def test_zero_free_four_by_four(self, matchings, monkeypatch):
         """Zero-free 4x4 at k=4.  A child is decided from its zero graph
-        before it is built, and a reduced child keeps its parent's lattice
+        before it is built, and a reduced child keeps its unreduced lattice
         less the deleted lines: the evaluator once ran 212 matchings and
         built 188 checked states here."""
         checked, built = [], []
@@ -853,7 +855,7 @@ class TestWorkDone:
         monkeypatch.setattr(ExpRapState, "__post_init__", counting)
         monkeypatch.setattr(rapkit.oracle, "_trusted", recording)
         assert oracle_node_count(instance(4, 4, 4)) == (Fraction(205, 144), 34)
-        assert (len(matchings), len(checked), len(built)) == (146, 1, 99)
+        assert (len(matchings), len(checked), len(built)) == (146, 1, 165)
         # no state is built for a terminal child
         assert all(mask_cover_lattice(_scanned_masks(s)).size < s.k for s in built)
 
