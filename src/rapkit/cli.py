@@ -341,9 +341,7 @@ def _add_threads(sp: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    style = common.add_mutually_exclusive_group()
-    style.add_argument("--json", action="store_true", default=True, help="JSON envelope output (default)")
-    style.add_argument("--pretty", action="store_true", help="human-readable tables instead of JSON")
+    common.add_argument("--pretty", action="store_true", help="human-readable tables instead of JSON")
 
     parser = _Parser(prog="rapkit", description="Exact and simulated random-assignment values.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

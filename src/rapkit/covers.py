@@ -19,8 +19,6 @@ matching and two alternating searches, from the unmatched rows and from
 the unmatched columns, give both its ends and the lines common to all
 minimum covers.  The lattice keeps the row masks it was built from, and
 lines forced into every larger cover are tested one by one on them.
-Deleting lines that lie in every minimum cover leaves a graph whose
-lattice is the old one less those lines, found without a matching.
 
 Everything here is exact integer work on desk-scale patterns.  The
 coefficients are counted over the connected components of the zero graph:
@@ -256,36 +254,6 @@ class CoverLattice:
         """Rows and columns in every minimum cover: the rows of the
         column-maximal cover and the columns of the row-maximal one."""
         return self.col_max.rows, self.row_max.cols
-
-    def without_lines(self, rows: frozenset[int], cols: frozenset[int]) -> CoverLattice:
-        """The lattice of the zero graph less the given lines, each of which
-        lies in every minimum cover, with the lines left renumbered in order.
-
-        With F those lines, a cover C' of G - F gives the cover C' u F of G,
-        and a minimum cover C of G gives C - F, so tau(G - F) = tau(G) - |F|
-        and the minimum covers of G - F are exactly the C - F.  Both ends
-        are therefore this lattice's ends less F, and no matching is needed.
-        """
-        common_rows, common_cols = self.common_lines
-        assert rows <= common_rows and cols <= common_cols, "every deleted line must be in every minimum cover"
-        row_gaps, col_gaps = sorted(rows, reverse=True), sorted(cols, reverse=True)
-
-        def renumber(lines: Iterable[int], gaps: list[int]) -> Iterable[int]:
-            for g in gaps:  # the last gap first, so the earlier ones keep their numbers
-                lines = [i - (i > g) for i in lines if i != g]
-            return lines
-
-        def cover(c: LineCover) -> LineCover:
-            return LineCover(renumber(c.rows, row_gaps), renumber(c.cols, col_gaps))
-
-        masks = {}
-        for r, mask in self.masks.items():
-            if r not in rows:
-                for c in col_gaps:
-                    mask = mask & ((1 << c) - 1) | (mask >> (c + 1)) << c
-                if mask:
-                    masks[r - sum(r > g for g in row_gaps)] = mask
-        return CoverLattice(cover(self.row_max), cover(self.col_max), self.size - len(rows) - len(cols), masks)
 
 
 def cover_lattice(z: ZeroPattern) -> CoverLattice:

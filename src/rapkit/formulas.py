@@ -1,9 +1,9 @@
 """Closed-form expected values and probabilities for standard RAPs.
 
 All probability and expectation formulas return exact fractions; only
-the asymptotic triangle integral is floating point.  The Parisi, CS,
-cover and row formulas sum exact integer numerators over one common
-denominator and build one Fraction per call.
+the asymptotic triangle integral is floating point.  The cover and row
+formulas sum exact integer numerators over one common denominator and
+build one Fraction per call.
 """
 
 from __future__ import annotations
@@ -16,29 +16,18 @@ from .model import RapInstance, checked_int, checked_zero_free_row, instance
 
 
 def parisi_value(k: int) -> Fraction:
-    """Exact sum of 1/d^2 for d = 1..k, as one integer numerator over
-    lcm(1..k)^2."""
+    """Exact sum of 1/d^2 for d = 1..k."""
     k = checked_int(k, "k", 1)
-    den = math.lcm(*range(1, k + 1)) ** 2
-    return Fraction(sum(den // (d * d) for d in range(1, k + 1)), den)
+    return sum((Fraction(1, d * d) for d in range(1, k + 1)), Fraction(0))
 
 
 def cs_value(k: int, m: int, n: int) -> Fraction:
-    """Exact sum of 1/((m-i)(n-j)) over i, j >= 0 with i+j < k.
-
-    The sum is over i of 1/(m-i) times the first k-i terms of the sum over
-    j of 1/(n-j).  Over a, the lcm of the m-i, and b, the lcm of the n-j,
-    those are integers, so the value is one numerator over a*b built from
-    the running sums of b/(n-j).
-    """
+    """Exact sum of 1/((m-i)(n-j)) over i, j >= 0 with i+j < k."""
     p = instance(m, n, k)
     k, m, n = p.k, p.m, p.n
-    a = math.lcm(*range(m - k + 1, m + 1))
-    b = math.lcm(*range(n - k + 1, n + 1))
-    running = [0]  # running[t] = b * (sum of 1/(n-j) over j < t)
-    for j in range(k):
-        running.append(running[-1] + b // (n - j))
-    return Fraction(sum(a // (m - i) * running[k - i] for i in range(k)), a * b)
+    return sum(
+        (Fraction(1, (m - i) * (n - j)) for i in range(k) for j in range(k - i)), Fraction(0)
+    )
 
 
 def cover_formula_value(p: RapInstance) -> Fraction:

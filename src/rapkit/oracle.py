@@ -36,21 +36,18 @@ over its zero graph, held as row bitmasks) before building it.  A
 terminal child is worth 0 and is never built.  Any other child is built
 with that lattice and reduced by reduce_state, as the root is: its
 forced lines, read off the lattice by forced_cover_lines, are deleted.
-Those lines lie in every minimum cover, so the minimum covers of what
-is left are exactly the old ones less those lines (Dulmage &
-Mendelsohn), and the reduced state inherits its lattice without a
-matching; it forms the lattice only on first use, so a child found in
-the cache never does.  An instance already terminal at the root (k
-independent zeros) is answered from one matching, before its state is
-built.  Each state classifies its entries once, on first use,
-and the termination measure and the conditioning rules read that
-classification.
+A reduced state scans its own entries for its lattice on first use, so
+a child found in the cache never forms one.  An instance already
+terminal at the root (k independent zeros) is answered from one
+matching, before its state is built.  Each state classifies its entries
+once, on first use, and the termination measure and the conditioning
+rules read that classification.
 
-A state's variable table holds only the variables its entries use.  The
-public constructors check every entry and state; the states the oracle
-derives, and the entries its substitution rewrites, are built from
-checked ones by steps that keep those invariants, without the checks.
-A state holds no record of the cost extracted above it.
+A state's variable table holds only the variables its entries use.
+Every entry is built by LinearEntry's checking constructor.  The states
+the oracle derives are built from checked ones by steps that keep the
+state invariants, without the state constructor's checks.  A state
+holds no record of the cost extracted above it.
 
 A line is plain when each of its cells is a zero or a standard entry,
 and two plain lines with the same zeros are twins: swapping them, and
@@ -195,10 +192,6 @@ class ExpRapState:
     def n(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    # not a field: a state derived by deleting lines from a state whose
-    # lattice is known holds (that lattice, the rows, the columns deleted)
-    _inherited = None
-
     # per-state data computed on first use; the state is immutable, so it never goes stale
     @cached_property
     def _intensities(self) -> dict[int, Rational]:
@@ -206,12 +199,8 @@ class ExpRapState:
 
     @cached_property
     def _covers(self) -> CoverLattice:
-        """The cover lattice of the zero graph: the inherited one less the
-        deleted lines, or else one scanned from the entries as row ->
-        bitmask of its zero columns, for each row holding a zero."""
-        if self._inherited is not None:
-            lattice, rows, cols = self._inherited
-            return lattice.without_lines(rows, cols)
+        """The cover lattice of the zero graph, scanned from the entries as
+        row -> bitmask of its zero columns, for each row holding a zero."""
         masks = {}
         for r, row in enumerate(self.entries):
             mask = 0
@@ -262,7 +251,8 @@ _ZERO = LinearEntry()
 def _trusted(cls, **fields):
     """An instance of the frozen dataclass ``cls`` holding ``fields`` as
     given, without running ``__post_init__``.  Only for values derived from
-    checked ones by steps that keep every invariant the checks enforce."""
+    checked ones by steps that keep every invariant the checks enforce; the
+    oracle uses it for derived states only, never for entries."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -313,9 +303,8 @@ def reduce_state(s: ExpRapState) -> ExpRapState:
 
     The reduced state is built from s without the constructor's checks,
     and its variable table keeps, in order, the variables its entries still
-    use.  F lies in every minimum cover, so the state inherits s's lattice
-    less F (see CoverLattice.without_lines) with no matching; that lattice
-    is formed on first use, so a state found in the cache never forms it.
+    use.  It scans its own entries for its lattice on first use, so a state
+    found in the cache never forms it.
     """
     lattice = s._covers
     if lattice.size >= s.k:
@@ -334,7 +323,6 @@ def reduce_state(s: ExpRapState) -> ExpRapState:
         k=s.k - len(rows) - len(cols),
         entries=entries,
         variables=tuple(v for v in s.variables if v.id in used),
-        _inherited=(lattice, rows, cols),
     )
 
 
@@ -458,8 +446,7 @@ def _substitute(
     shift: Mapping[Position, int],
 ) -> tuple[tuple[LinearEntry, ...], ...]:
     """Replace each variable in `rules` by a nonnegative combination, then
-    add `shift[(r, c)]` times variable `y_id` to entry (r, c).  The entries
-    it rewrites are built trusted, in LinearEntry's normal form."""
+    add `shift[(r, c)]` times variable `y_id` to entry (r, c)."""
 
     def rewrite(e: LinearEntry, delta: int) -> LinearEntry:
         if not delta and not any(v in rules for v, _ in e.terms):
@@ -474,7 +461,7 @@ def _substitute(
         if delta:
             acc[y_id] = acc.get(y_id, 0) + delta
             assert acc[y_id] >= 0, "every non-covered entry must contain the minimum"
-        return _trusted(LinearEntry, terms=tuple(sorted((v, _exact(c)) for v, c in acc.items() if c)))
+        return LinearEntry(tuple((v, c) for v, c in acc.items() if c))
 
     return tuple(
         tuple(rewrite(e, shift.get((r, c), 0)) for c, e in enumerate(row))
@@ -528,13 +515,14 @@ class Conditioning:
         return masks
 
     def build(self, j: int, covers: CoverLattice | None = None) -> ExpRapState:
-        """Child j, built trusted.  ``covers``, when given, is the cover
-        lattice of its zero graph (see zero_masks), and the child keeps it."""
+        """Child j, built without the state constructor's checks.  ``covers``,
+        when given, is the cover lattice of its zero graph (see zero_masks),
+        and the child keeps it."""
         z_id = self.residuals[j]
         entries = list(self.template)
         for r, c in self.holding[z_id]:
             terms = entries[r][c].terms
-            e = _trusted(LinearEntry, terms=tuple(t for t in terms if t[0] != z_id)) if len(terms) > 1 else _ZERO
+            e = LinearEntry(tuple(t for t in terms if t[0] != z_id)) if len(terms) > 1 else _ZERO
             entries[r] = (*entries[r][:c], e, *entries[r][c + 1:])
         variables = tuple(v for v in self.variables if v.id != z_id)
         child = _trusted(ExpRapState, k=self.k, entries=tuple(entries), variables=variables)
@@ -816,8 +804,7 @@ def _orbit_child(step: Conditioning, orbit: list[int], parent_measure: tuple[int
     the same for isomorphic states: only a head that ties the parent's
     needs every member of the orbit built and checked in full.  A
     terminal child is never built; any other is built once, with that
-    lattice, and reduced by reduce_state, which keeps the lattice less the
-    deleted lines.
+    lattice, and reduced by reduce_state.
     """
     j = orbit[0]
     lattice = mask_cover_lattice(step.zero_masks(j))

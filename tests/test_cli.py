@@ -355,11 +355,6 @@ class TestUsageErrors:
             cli.main(["simulate", inst_dir["two"], "--samples", "10"])
         assert exc.value.code == EXIT_USAGE
 
-    def test_json_and_pretty_are_exclusive(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["parisi", "--k", "2", "--json", "--pretty"])
-        assert exc.value.code == EXIT_USAGE
-
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_one_sample_is_a_parse_error(self, capsys, inst_dir, command):
         with pytest.raises(SystemExit) as exc:

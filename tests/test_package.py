@@ -18,6 +18,7 @@ import pytest
 import rapkit
 import rapkit.covers
 import rapkit.montecarlo
+import rapkit.oracle
 from rapkit.covers import cover_lattice, forced_cover_lines, row_excluded_profile
 from rapkit.formulas import cs_value, min_entry_usage_probability, parisi_value, row_inclusion_probability
 from rapkit.model import ZeroPattern, insert_zero, instance, serialize_instance
@@ -82,6 +83,9 @@ class TestPublicSurface:
         assert not any(hasattr(ExpRapState, name) for name in ("zero_pattern", "_masks", "_zeros"))
         assert "cover" not in {field.name for field in dataclasses.fields(EntryClassification)}
         assert not hasattr(LinearEntry, "is_zero")
+        # a reduced state scans its own entries for its lattice: no inherited one
+        assert not hasattr(rapkit.covers.CoverLattice, "without_lines")
+        assert not hasattr(ExpRapState, "_inherited")
         # test-only accessors: the tests build these from coefficients and positions
         assert not hasattr(rapkit.CoverProfile, "as_dict")
         assert not hasattr(rapkit.CoverProfile, "__getitem__")
@@ -371,3 +375,19 @@ class TestOneMatchingRoutine:
             for alias in node.names
         ]
         assert not [name for name in imported if re.search("match|assignment|networkx|scipy", name)]
+
+
+class TestCheckedEntries:
+    """The oracle builds only states without their constructor's checks:
+    every ``_trusted`` call in ``oracle.py`` builds an ``ExpRapState``, so
+    each ``LinearEntry`` goes through its checking constructor."""
+
+    TREE = ast.parse(Path(rapkit.oracle.__file__).read_text(encoding="utf-8"))
+
+    def test_only_states_are_built_trusted(self):
+        built = [
+            ast.unparse(node.args[0]) if node.args else None
+            for node in ast.walk(self.TREE)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_trusted"
+        ]
+        assert built and set(built) == {"ExpRapState"}
