@@ -355,6 +355,12 @@ class TestUsageErrors:
             cli.main(["simulate", inst_dir["two"], "--samples", "10"])
         assert exc.value.code == EXIT_USAGE
 
+    def test_json_is_an_unknown_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["parisi", "--k", "2", "--json"])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --json" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_one_sample_is_a_parse_error(self, capsys, inst_dir, command):
         with pytest.raises(SystemExit) as exc:

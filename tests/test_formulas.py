@@ -50,6 +50,49 @@ def gcd_group_sum(k: int, d: int) -> Fraction:
     )
 
 
+def common_denominator_parisi_value(k: int) -> Fraction:
+    """Sum of 1/d^2 for d = 1..k as one integer numerator over lcm(1..k)^2."""
+    den = math.lcm(*range(1, k + 1)) ** 2
+    return Fraction(sum(den // (d * d) for d in range(1, k + 1)), den)
+
+
+def common_denominator_cs_value(k: int, m: int, n: int) -> Fraction:
+    """Sum of 1/((m-i)(n-j)) over i + j < k as one numerator over a*b.
+
+    a is the lcm of the m-i and b the lcm of the n-j; the value is the sum
+    over i of a/(m-i) times the running sum of b/(n-j) over its first k-i
+    terms.
+    """
+    a = math.lcm(*range(m - k + 1, m + 1))
+    b = math.lcm(*range(n - k + 1, n + 1))
+    running = [0]  # running[t] = b * (sum of 1/(n-j) over j < t)
+    for j in range(k):
+        running.append(running[-1] + b // (n - j))
+    return Fraction(sum(a // (m - i) * running[k - i] for i in range(k)), a * b)
+
+
+class TestCommonDenominator:
+    """Adding the terms one Fraction at a time gives the Fraction that one
+    integer numerator over one common denominator gives."""
+
+    def test_parisi_value(self):
+        for k in (*range(1, 61), 100, 257):
+            assert parisi_value(k) == common_denominator_parisi_value(k)
+
+    def test_cs_value(self):
+        checked = 0
+        for m in range(1, 13):
+            for n in range(1, 13):
+                for k in range(1, min(m, n) + 1):
+                    assert cs_value(k, m, n) == common_denominator_cs_value(k, m, n)
+                    checked += 1
+        assert checked == 650
+
+    def test_large_arguments(self):
+        assert cs_value(40, 100, 60) == common_denominator_cs_value(40, 100, 60)
+        assert cs_value(100, 100, 100) == common_denominator_cs_value(100, 100, 100) == parisi_value(100)
+
+
 class TestParisi:
     def test_small_values(self):
         assert parisi_value(1) == 1
