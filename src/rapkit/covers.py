@@ -38,12 +38,19 @@ Deleting a line lowers a matching by at most one, so the lines a choice
 takes from a component plus the matching they leave there never fall
 below that component's own maximum matching.  One maximum matching of
 the whole pattern, maximum on each component, bounds everything: a
-pattern with k independent zeros has no partial (k-1)-cover and costs
-nothing more, and otherwise each component is enumerated only as far as
-the others leave room for.  cover_coefficients returns the nonzero
-d_{i,j} only; cover_profile is its dense table.
+pattern with k independent zeros has no partial (k-1)-cover, so it is
+answered before the subset budget is consulted and costs nothing more,
+and otherwise each component is enumerated only as far as the others
+leave room for.  cover_coefficients returns the nonzero d_{i,j} only;
+cover_profile is its dense table.
 Row-only counts need no enumeration at all when a maximum matching
 covers every row holding a zero.
+
+A pattern keeps the size of its first maximum matching, the int nu, in
+its own ``__dict__`` (not a dataclass field, so equality, hash, repr and
+pickling ignore it; no table outside the pattern holds it).  Both exact
+routes ask for nu at the door, so a pattern with k independent zeros is
+answered from one matching, whichever route runs first.
 """
 
 from __future__ import annotations
@@ -164,22 +171,38 @@ def _augment(root: int, adj: dict[int, int], match_col: dict[int, int]) -> int:
     return 0
 
 
+def _kept_nu(z: ZeroPattern, match_col: dict[int, int] | None = None) -> int | None:
+    """nu, the maximum number of independent zeros of ``z``, as kept on the
+    pattern; None before any is kept.  ``match_col``, a maximum matching of
+    the zero graph of ``z``, keeps its size first.
+
+    Only the int is kept, in the pattern's ``__dict__``: the pattern is
+    immutable, so nu never goes stale, and it lives and dies with it.
+    """
+    if match_col is not None:
+        z.__dict__["_nu"] = len(match_col)
+    return z.__dict__.get("_nu")
+
+
 def max_independent_zeros(z: ZeroPattern | Iterable[Position]) -> int:
     """Size of the largest set of zeros, no two in the same row or column.
 
+    A pattern's size is computed once and kept on it (see _kept_nu).
     Positions given as an iterable are checked like those of a pattern:
     pairs of nonnegative integers (InvalidInstanceError otherwise).
     """
     if isinstance(z, ZeroPattern):
-        zeros = z.zeros
-    else:
-        zeros = []
-        labels: dict[int, int] = {}  # columns relabelled densely, so a mask has a bit per distinct column
-        for pos in z:
-            r, c = checked_position(pos)
-            if r < 0 or c < 0:
-                raise InvalidInstanceError(f"position {pos!r} has a negative coordinate")
-            zeros.append((r, labels.setdefault(c, len(labels))))
+        nu = _kept_nu(z)
+        if nu is None:
+            nu = _kept_nu(z, _max_matching(_row_masks(z.zeros)))
+        return nu
+    zeros = []
+    labels: dict[int, int] = {}  # columns relabelled densely, so a mask has a bit per distinct column
+    for pos in z:
+        r, c = checked_position(pos)
+        if r < 0 or c < 0:
+            raise InvalidInstanceError(f"position {pos!r} has a negative coordinate")
+        zeros.append((r, labels.setdefault(c, len(labels))))
     return len(_max_matching(_row_masks(zeros)))
 
 
@@ -395,24 +418,28 @@ def _partial_cover_counts(
     (:func:`_component_table`), pruned to a + b + nu <= limit; the counts
     are T summed over nu.
 
-    Raises BudgetExceededError before anything else when the components'
-    subset counts (for each, the sum of C(lines, s) over s <= limit,
-    counting its lines in ``rows`` and ``cols``) exceed SUBSET_BUDGET.
-    Those sums are taken only when they could: a component with l >= 1
-    lines adds at most 2^l, 2^a + 2^b <= 2^(a+b) for a, b >= 1, and a
-    component with none adds 1, so with L lines touching a zero the total
-    is at most 2^L plus the number of rows holding a zero.
-
     Deleting a line lowers a matching by at most one, so every choice
     leaves component c with a_c + b_c + nu'_c >= nu_c, its own maximum
     matching.  A maximum matching of the whole graph is maximum on each
     component, so nu_c is the number of c's rows that ``match_col``
     covers, and only the slack, limit minus the whole matching, is left
-    over: none means no partial cover at all (a pattern with limit + 1
-    independent zeros costs no component work), and otherwise component c
-    is enumerated to slack + nu_c, its root taking nu_c from the matching,
-    and the zero-free lines to the slack.
+    over.  None means no partial cover at all: a pattern with limit + 1
+    independent zeros gets ``{}`` first, costs no component work and is
+    never refused.  Otherwise component c is enumerated to slack + nu_c,
+    its root taking nu_c from the matching, and the zero-free lines to
+    the slack.
+
+    Short of that, raises BudgetExceededError before any enumeration when
+    the components' subset counts (for each, the sum of C(lines, s) over
+    s <= limit, counting its lines in ``rows`` and ``cols``) exceed
+    SUBSET_BUDGET.  Those sums are taken only when they could: a component
+    with l >= 1 lines adds at most 2^l, 2^a + 2^b <= 2^(a+b) for a, b >= 1,
+    and a component with none adds 1, so with L lines touching a zero the
+    total is at most 2^L plus the number of rows holding a zero.
     """
+    slack = limit - len(match_col)
+    if slack < 0:
+        return {}
     zero_rows, zero_cols = _span(adj)
     lines = (zero_rows & rows).bit_count() + (zero_cols & cols).bit_count()
     if (1 << lines) + len(adj) > SUBSET_BUDGET:
@@ -425,9 +452,6 @@ def _partial_cover_counts(
             raise BudgetExceededError(
                 f"cover profile needs up to {needed} line-subset tests, over the budget of {SUBSET_BUDGET}"
             )
-    slack = limit - len(match_col)
-    if slack < 0:
-        return {}
     m0 = (rows & ~zero_rows).bit_count()
     n0 = (cols & ~zero_cols).bit_count()
     total = {  # the zero-free lines alone leave nothing to match
@@ -463,10 +487,17 @@ def cover_coefficients(p: RapInstance) -> dict[tuple[int, int], int]:
     small per-component tables with binomials (see _partial_cover_counts).
     Only the lines of each component are enumerated, and SUBSET_BUDGET
     bounds the number of their subsets.  The result is empty exactly when
-    the zeros hold k independent entries, at the cost of one matching.
+    the zeros hold k independent entries: then it is ``{}`` at once when
+    the pattern keeps nu (see _kept_nu), and otherwise after the one
+    matching, whose size the pattern then keeps; it is never refused.
     """
+    nu = _kept_nu(p.pattern)
+    if nu is not None and nu >= p.k:
+        return {}
     adj = _row_masks(p.zeros)
-    return _partial_cover_counts(adj, _max_matching(adj), (1 << p.m) - 1, (1 << p.n) - 1, p.k - 1)
+    match_col = _max_matching(adj)
+    _kept_nu(p.pattern, match_col)
+    return _partial_cover_counts(adj, match_col, (1 << p.m) - 1, (1 << p.n) - 1, p.k - 1)
 
 
 def cover_profile(p: RapInstance) -> CoverProfile:

@@ -3,7 +3,9 @@
 All probability and expectation formulas return exact fractions; only
 the asymptotic triangle integral is floating point.  The cover and row
 formulas sum exact integer numerators over one common denominator and
-build one Fraction per call.
+build one Fraction per call.  An instance whose zeros hold k independent
+entries has no cover coefficient, and its cover formula value is 0 from
+one matching of its pattern (see covers.cover_coefficients).
 """
 
 from __future__ import annotations
@@ -35,13 +37,17 @@ def cover_formula_value(p: RapInstance) -> Fraction:
 
     Each weight 1/(mn * C(m-1,i) * C(n-1,j)) is i!(m-1-i)! * j!(n-1-j)!
     over m! * n!, so the sum is one integer numerator over m! * n!, taken
-    over the nonzero coefficients only.
+    over the nonzero coefficients only.  With none (k independent zeros)
+    the value is 0.
     """
+    coefficients = cover_coefficients(p)
+    if not coefficients:
+        return Fraction(0)
     f = math.factorial
     m, n = p.m, p.n
     numerator = sum(
         count * f(i) * f(m - 1 - i) * f(j) * f(n - 1 - j)
-        for (i, j), count in cover_coefficients(p).items()
+        for (i, j), count in coefficients.items()
     )
     return Fraction(numerator, f(m) * f(n))
 

@@ -146,6 +146,11 @@ class ZeroPattern:
     def zero_set(self) -> frozenset[Position]:
         return frozenset(self.zeros)
 
+    def __getstate__(self) -> dict:
+        # The fields only: the matching size covers keeps in __dict__ is
+        # derived from them, so pickles and copies leave it out.
+        return {"m": self.m, "n": self.n, "zeros": self.zeros}
+
 
 @dataclass(frozen=True)
 class RapInstance:

@@ -172,23 +172,28 @@ class TestVerifyCommand:
         assert env["outputs"]["status"] == "budget-exhausted"
 
 
+BAND16 = [[i, j] for i in range(16) for j in (i, i + 1) if j < 16]
+"""Staircase zeros (i, i), (i, i+1) for i < 16: one component over 32
+lines, with 16 independent zeros."""
+
+
 class TestCoverBudget:
     """A cover profile over its subset budget exits 3 before any work."""
 
     @pytest.mark.parametrize("argv", [
-        ["value", "band16"],
-        ["profile", "band16"],
-        ["verify", "band16"],
-        ["simulate", "band16", "--samples", "10", "--seed", "1"],
+        ["value", "band17"],
+        ["profile", "band17"],
+        ["verify", "band17"],
+        ["simulate", "band17", "--samples", "10", "--seed", "1"],
         ["rowprob", "wrap26", "--row", "25"],
     ])
     def test_exit_code(self, capsys, tmp_path, argv):
-        # band16: staircase zeros (i, i), (i, i+1), one component over every
-        # line.  wrap26: rows 0..24 hold (i, i mod 13), (i, i+1 mod 13), so
-        # at most 13 of them are matched and all 25 are enumerated; row 25
-        # is zero-free.
+        # band17: BAND16 in a 17x17 instance, k = 17, so its 16 independent
+        # zeros leave partial covers to count over all 32 lines.  wrap26:
+        # rows 0..24 hold (i, i mod 13), (i, i+1 mod 13), so at most 13 of
+        # them are matched and all 25 are enumerated; row 25 is zero-free.
         bands = {
-            "band16": (16, [[i, j] for i in range(16) for j in (i, i + 1) if j < 16]),
+            "band17": (17, BAND16),
             "wrap26": (26, [[i, j % 13] for i in range(25) for j in (i, i + 1)]),
         }
         for name, (m, zeros) in bands.items():
@@ -201,6 +206,37 @@ class TestCoverBudget:
         assert code == EXIT_BUDGET and captured.out == ""
         assert "budget" in captured.err
         assert elapsed < 1.0
+
+
+class TestIndependentZerosAnswered:
+    """A pattern with k independent zeros is answered with 0 from one
+    matching, never refused, however many subsets its lines have."""
+
+    @pytest.mark.parametrize("command", [
+        ["value"],
+        ["profile"],
+        ["verify"],
+        ["simulate", "--samples", "10", "--seed", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_band16_is_zero(self, capsys, tmp_path, matchings, command):
+        path = tmp_path / "band16.json"
+        path.write_text(json.dumps({"m": 16, "n": 16, "k": 16, "zeros": BAND16}))
+        t0 = time.perf_counter()
+        code, env = run(capsys, [command[0], str(path), *command[1:]])
+        elapsed = time.perf_counter() - t0
+        assert code == EXIT_OK
+        out = env["outputs"]
+        if command[0] == "value":
+            assert rational(out["value"]) == 0
+        elif command[0] == "profile":
+            assert len(out["d"]) == 136 and {count for _, _, count in out["d"]} == {"0"}
+        elif command[0] == "verify":
+            assert rational(out["formula"]) == rational(out["oracle"]) == 0
+            assert out["oracle_nodes"] == 0 and out["agree"] is True
+        else:
+            assert rational(out["target"]) == 0 and out["mean"] == 0
+        assert elapsed < 1.0
+        assert len(matchings) == 1
 
 
 class TestSimulateCommand:
@@ -270,14 +306,13 @@ class TestSimulateCommand:
         (["{rect32}", "--what", "min", "--samples", "100"], EXIT_USAGE),
         (["{rect32}", "--what", "row", "--row", "0", "--samples", "100"], EXIT_USAGE),
         (["{two}", "--samples", "1"], EXIT_USAGE),
-        (["{band16}", "--samples", "100"], EXIT_BUDGET),
+        (["{band17}", "--samples", "100"], EXIT_BUDGET),
     ], ids=["row-missing", "min-with-zeros", "row-holds-a-zero", "one-sample", "target-over-budget"])
     def test_failure_leaves_no_csv(self, capsys, inst_dir, tmp_path, args, code):
-        band16 = tmp_path / "band16.json"  # one component over every line (see TestCoverBudget)
-        zeros = [[i, j] for i in range(16) for j in (i, i + 1) if j < 16]
-        band16.write_text(json.dumps({"m": 16, "n": 16, "k": 16, "zeros": zeros}))
+        band17 = tmp_path / "band17.json"  # over the subset budget (see TestCoverBudget)
+        band17.write_text(json.dumps({"m": 17, "n": 17, "k": 17, "zeros": BAND16}))
         csv = tmp_path / "out.csv"
-        argv = ["simulate", *(a.format(**inst_dir, band16=band16) for a in args),
+        argv = ["simulate", *(a.format(**inst_dir, band17=band17) for a in args),
                 "--seed", "1", "--csv", str(csv)]
         try:
             got = cli.main(argv)

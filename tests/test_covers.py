@@ -1,10 +1,13 @@
 """König machinery: matchings, covers, lattice extremes, cover coefficients."""
 
 import dataclasses
+import gc
 import itertools
 import math
+import pickle
 import random
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from rapkit.covers import (
     max_independent_zeros,
     row_excluded_profile,
 )
-from rapkit.formulas import cover_formula_value
+from rapkit.formulas import cover_formula_value, row_inclusion_probability
 from rapkit.model import (
     BudgetExceededError,
     InvalidInstanceError,
@@ -29,6 +32,7 @@ from rapkit.model import (
     insert_zero,
     instance,
 )
+from rapkit.oracle import oracle_expected_value
 
 from conftest import (
     all_patterns,
@@ -481,20 +485,32 @@ class TestSubsetBudget:
         assert covers.SUBSET_BUDGET >= sum(math.comb(24, s) for s in range(12))
 
     def test_one_component_over_32_lines_raises_at_once(self):
-        p = instance(16, 16, 16, staircase_band(16))
-        # k independent zeros: the budget is checked before the matching bound
-        assert max_independent_zeros(p.pattern) >= p.k
+        # the 16-step band in a 17x17 instance: 16 independent zeros < k = 17,
+        # so the partial covers must be counted, over all 32 lines
+        p = instance(17, 17, 17, staircase_band(16))
+        assert max_independent_zeros(p.pattern) < p.k
         for compute in (cover_profile, cover_formula_value):
             t0 = time.perf_counter()
             with pytest.raises(BudgetExceededError):
                 compute(p)
             assert time.perf_counter() - t0 < 1.0
 
+    def test_k_independent_zeros_are_never_refused(self, matchings):
+        # 16 independent zeros at k = 16: no partial 15-cover, whatever the budget
+        p = instance(16, 16, 16, staircase_band(16))
+        t0 = time.perf_counter()
+        assert cover_coefficients(p) == {}
+        assert cover_formula_value(p) == 0
+        assert all(count == 0 for _, _, count in cover_profile(p).coefficients)
+        assert time.perf_counter() - t0 < 1.0
+        assert len(matchings) == 1
+
     def test_budget_threshold(self, monkeypatch):
-        p = instance(4, 4, 3, staircase_band(4))  # 8 lines, sum of C(8, s) for s <= 2 is 37
-        monkeypatch.setattr(covers, "SUBSET_BUDGET", 37)
+        p = instance(5, 5, 5, staircase_band(4))  # 4 independent zeros < k = 5
+        # 8 lines touch a zero, sum of C(8, s) for s <= 4 is 163
+        monkeypatch.setattr(covers, "SUBSET_BUDGET", 163)
         assert cover_profile(p) == brute_force_cover_profile(p)
-        monkeypatch.setattr(covers, "SUBSET_BUDGET", 36)
+        monkeypatch.setattr(covers, "SUBSET_BUDGET", 162)
         with pytest.raises(BudgetExceededError):
             cover_profile(p)
         with pytest.raises(BudgetExceededError):
@@ -521,6 +537,12 @@ class TestSubsetBudget:
     def test_zero_free_lines_cost_nothing(self, monkeypatch):
         monkeypatch.setattr(covers, "SUBSET_BUDGET", 1)
         assert cover_coefficients(instance(30, 30, 30))[(29, 0)] == 30
+
+    def test_slack_is_tested_before_the_budget(self, monkeypatch):
+        monkeypatch.setattr(covers, "SUBSET_BUDGET", 1)
+        p = instance(4, 4, 3, staircase_band(4))  # 4 independent zeros, k = 3
+        assert cover_profile(p) == brute_force_cover_profile(p)
+        assert cover_formula_value(p) == 0
 
 
 class TestForcedCoverLines:
@@ -609,6 +631,74 @@ class TestOneMatchingPerPattern:
         matchings.clear()
         assert forced_cover_lines(cover_lattice(self.Z), 3) == (frozenset(), frozenset({1, 2}))
         assert len(matchings) == 1
+
+
+def _small_patterns():
+    """Every 2x2 and 3x3 pattern and every 4x4 class, as (m, n, zeros)."""
+    for side in (2, 3):
+        for z in all_patterns(side, side):
+            yield side, side, z.zeros
+    for zeros in pattern_classes(4, 4):
+        yield 4, 4, zeros
+
+
+class TestKeptMatchingSize:
+    """A pattern keeps the size nu of its first maximum matching: every
+    route reads the same nu whichever runs first, and the kept int takes no
+    part in the pattern's value."""
+
+    def test_equals_the_reference_whichever_route_runs_first(self, oracle_cache):
+        def formula(p):
+            return cover_formula_value(p)
+
+        def oracle(p):
+            return oracle_expected_value(p, cache=oracle_cache)
+
+        def row(p):
+            free = [r for r in range(p.m) if all(zr != r for zr, _ in p.zeros)]
+            return row_inclusion_probability(p, free[0]) if free else None
+
+        for m, n, zeros in _small_patterns():
+            nu = brute_force_min_cover_size(ZeroPattern(m, n, zeros))
+            for k in range(1, min(m, n) + 1):
+                answers = []
+                for routes in ((formula, oracle, row), (row, oracle, formula)):
+                    p = instance(m, n, k, zeros)
+                    assert covers._kept_nu(p.pattern) is None
+                    got = {}
+                    for route in routes:
+                        got[route.__name__] = route(p)
+                        kept = covers._kept_nu(p.pattern)
+                        assert kept == (None if got.keys() == {"row"} else nu)
+                    assert max_independent_zeros(p.pattern) == nu
+                    answers.append(got)
+                assert answers[0] == answers[1]
+                assert answers[0]["formula"] == answers[0]["oracle"]
+
+    def test_takes_no_part_in_equality_hash_repr_or_pickle(self):
+        for m, n, zeros in _small_patterns():
+            for k in range(1, min(m, n) + 1):
+                plain, kept = instance(m, n, k, zeros), instance(m, n, k, zeros)
+                cover_formula_value(kept)
+                assert covers._kept_nu(plain.pattern) is None
+                assert covers._kept_nu(kept.pattern) is not None
+                for a, b in ((plain.pattern, kept.pattern), (plain, kept)):
+                    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+                    assert pickle.dumps(a) == pickle.dumps(b)
+                    assert pickle.loads(pickle.dumps(b)) == b
+                assert covers._kept_nu(pickle.loads(pickle.dumps(kept.pattern))) is None
+
+    def test_a_dropped_pattern_is_freed(self):
+        refs = []
+        for k in (2, 3):  # 2 independent zeros: terminal at k = 2, not at k = 3
+            p = instance(3, 3, k, [(0, 0), (1, 1)])
+            cover_formula_value(p)
+            oracle_expected_value(p)
+            assert max_independent_zeros(p.pattern) == 2
+            refs.append(weakref.ref(p.pattern))
+        del p
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]  # no table outside the pattern holds it
 
 
 class TestCoverLattice:

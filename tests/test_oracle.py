@@ -1027,7 +1027,32 @@ class TestIndependentZerosAtTheRoot:
         assert oracle_node_count(p, cache=cache, trace=trace) == (0, 0)
         assert oracle_expected_value(p, budget=1) == 0
         assert trace.getvalue() == "" and cache == {}
-        assert len(matchings) == 2  # one per call
+        assert len(matchings) == 1  # one per pattern: the second call reads the kept size
+
+    def test_formula_then_oracle_makes_one_matching(self, matchings, monkeypatch):
+        def no_state(p):
+            raise AssertionError("built the symbolic state")
+
+        monkeypatch.setattr(rapkit.oracle, "make_initial_state", no_state)
+        p = instance(4, 5, 3, [(0, 0), (1, 1), (3, 0), (3, 2)])
+        assert cover_formula_value(p) == 0
+        assert oracle_node_count(p) == (0, 0)
+        assert matchings == [p.zeros]
+
+    def test_door_check_adds_no_matching_after_the_formula(self, matchings, monkeypatch):
+        class AtTheDoor(Exception):
+            pass
+
+        def stop(p):
+            raise AtTheDoor
+
+        monkeypatch.setattr(rapkit.oracle, "make_initial_state", stop)
+        p = instance(4, 5, 4, [(0, 0), (1, 1), (3, 0), (3, 2)])  # 3 independent zeros, k = 4
+        assert cover_formula_value(p) > 0
+        made = len(matchings)
+        with pytest.raises(AtTheDoor):  # past the door check, at the state
+            oracle_node_count(p)
+        assert len(matchings) == made
 
     def test_agrees_with_the_full_evaluation(self):
         """Value, node count, trace and cache equal those of evaluating the
