@@ -306,35 +306,37 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _integer(low: int | None = None, high: int | None = None, out_of_range: str = ""):
+    """The argparse type of an integer argument in [low, high), either end
+    open when None.  A non-integer reads "expected an integer, got 'abc'";
+    an integer out of range reads ``out_of_range``, then what was given."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if (low is not None and value < low) or (high is not None and value >= high):
+            raise argparse.ArgumentTypeError(f"{out_of_range}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _sample_count(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 samples for a standard error, got {text!r}")
-    return value
-
-
-def _seed_int(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must fit in 64 bits, got {text!r}")
-    return value
+_POSITIVE = _integer(1, out_of_range="expected a positive integer")
+_SAMPLES = _integer(2, out_of_range="need at least 2 samples for a standard error")
+_SEED = _integer(0, 2**64, "seed must fit in 64 bits")
+_INDEX = _integer()  # checked against the instance later
 
 
 def _add_sizes(sp: argparse.ArgumentParser, *names: str) -> None:
     """The required dimensions ``names`` of a zero-free instance, among k, m and n."""
     for name in names:
-        sp.add_argument(f"--{name}", type=_positive_int, required=True)
+        sp.add_argument(f"--{name}", type=_POSITIVE, required=True)
 
 
 def _add_threads(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--threads", type=_positive_int,
+    sp.add_argument("--threads", type=_POSITIVE,
                     help="cap on sampling threads (default RAP_THREADS, else every usable CPU); "
                          "small matrices always run on one")
 
@@ -360,10 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("verify", cmd_verify, "cross-check formula, oracle, Monte Carlo")
     sp.add_argument("--oracle", action=argparse.BooleanOptionalAction, default=True,
                     help="run the symbolic oracle (default on)")
-    sp.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET,
+    sp.add_argument("--budget", type=_POSITIVE, default=DEFAULT_NODE_BUDGET,
                     help="oracle recursion-node budget")
-    sp.add_argument("--samples", type=_sample_count, help="add a Monte Carlo check with this many samples")
-    sp.add_argument("--seed", type=_seed_int, help="seed for the Monte Carlo check")
+    sp.add_argument("--samples", type=_SAMPLES, help="add a Monte Carlo check with this many samples")
+    sp.add_argument("--seed", type=_SEED, help="seed for the Monte Carlo check")
     _add_threads(sp)
 
     sp = command("parisi", cmd_parisi, "zero-free k-by-k expected cost", instance=False)
@@ -373,23 +375,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sizes(sp, "k", "m", "n")
 
     sp = command("rowprob", cmd_rowprob, "probability a zero-free row is used")
-    sp.add_argument("--row", type=int, required=True)
+    sp.add_argument("--row", type=_INDEX, required=True)
 
     sp = command("minprob", cmd_minprob, "probability the smallest entry is used", instance=False)
     _add_sizes(sp, "k", "m", "n")
 
     sp = command("simulate", cmd_simulate, "Monte Carlo estimate with exact target")
     sp.add_argument("--what", choices=("value", "row", "entry", "min"), default="value")
-    sp.add_argument("--samples", type=_sample_count, required=True)
-    sp.add_argument("--seed", type=_seed_int, required=True,
+    sp.add_argument("--samples", type=_SAMPLES, required=True)
+    sp.add_argument("--seed", type=_SEED, required=True,
                     help="explicit 64-bit seed (no wall-clock seeding)")
-    sp.add_argument("--row", type=int, help="row index for --what row")
-    sp.add_argument("--pos", type=int, nargs=2, metavar=("R", "C"), help="position for --what entry")
+    sp.add_argument("--row", type=_INDEX, help="row index for --what row")
+    sp.add_argument("--pos", type=_INDEX, nargs=2, metavar=("R", "C"), help="position for --what entry")
     sp.add_argument("--csv", help="write per-sample statistics to this CSV file")
     _add_threads(sp)
 
     sp = command("oracle", cmd_oracle, "exact value by symbolic conditioning")
-    sp.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
+    sp.add_argument("--budget", type=_POSITIVE, default=DEFAULT_NODE_BUDGET)
     sp.add_argument("--trace", help="write one JSON line per branching node to this file")
 
     sp = command("integral", cmd_integral, "limiting triangular-support integral", instance=False)
@@ -417,8 +419,8 @@ def main(argv: list[str] | None = None) -> int:
         raw = os.environ.get("RAP_THREADS")
         if raw is not None:
             try:
-                args.threads = _positive_int(raw)
-            except (ValueError, argparse.ArgumentTypeError):
+                args.threads = _POSITIVE(raw)
+            except argparse.ArgumentTypeError:
                 parser.error(f"RAP_THREADS: expected a positive integer, got {raw!r}")
     try:
         inputs, outputs, elapsed_ms, code = args.run(args)

@@ -46,11 +46,13 @@ cover_profile is its dense table.
 Row-only counts need no enumeration at all when a maximum matching
 covers every row holding a zero.
 
-A pattern keeps the size of its first maximum matching, the int nu, in
-its own ``__dict__`` (not a dataclass field, so equality, hash, repr and
-pickling ignore it; no table outside the pattern holds it).  Both exact
-routes ask for nu at the door, so a pattern with k independent zeros is
-answered from one matching, whichever route runs first.
+A pattern keeps its zero graph, the row masks and their first maximum
+matching, in its own ``__dict__`` (not a dataclass field, so equality,
+hash, repr and pickling ignore it; no table outside the pattern holds
+it).  Every question asked of a pattern reads that one graph: nu, the
+cover coefficients, the row counts and the cover lattice the oracle's
+root starts from.  So a pattern is matched once, whichever route runs
+first, and one with k independent zeros costs that matching alone.
 """
 
 from __future__ import annotations
@@ -171,31 +173,30 @@ def _augment(root: int, adj: dict[int, int], match_col: dict[int, int]) -> int:
     return 0
 
 
-def _kept_nu(z: ZeroPattern, match_col: dict[int, int] | None = None) -> int | None:
-    """nu, the maximum number of independent zeros of ``z``, as kept on the
-    pattern; None before any is kept.  ``match_col``, a maximum matching of
-    the zero graph of ``z``, keeps its size first.
+def _zero_graph(z: ZeroPattern) -> tuple[dict[int, int], dict[int, int]]:
+    """The zero graph of ``z`` as row masks, and its first maximum matching
+    (column bit -> row), as kept on the pattern.
 
-    Only the int is kept, in the pattern's ``__dict__``: the pattern is
-    immutable, so nu never goes stale, and it lives and dies with it.
+    Both are made on the first call and kept in the pattern's ``__dict__``:
+    the pattern is immutable, so they never go stale, and they live and die
+    with it.  Every caller only reads them.
     """
-    if match_col is not None:
-        z.__dict__["_nu"] = len(match_col)
-    return z.__dict__.get("_nu")
+    graph = z.__dict__.get("_zero_graph")
+    if graph is None:
+        masks = _row_masks(z.zeros)
+        graph = z.__dict__["_zero_graph"] = (masks, _max_matching(masks))
+    return graph
 
 
 def max_independent_zeros(z: ZeroPattern | Iterable[Position]) -> int:
     """Size of the largest set of zeros, no two in the same row or column.
 
-    A pattern's size is computed once and kept on it (see _kept_nu).
+    A pattern's is the size of its kept matching (see _zero_graph).
     Positions given as an iterable are checked like those of a pattern:
     pairs of nonnegative integers (InvalidInstanceError otherwise).
     """
     if isinstance(z, ZeroPattern):
-        nu = _kept_nu(z)
-        if nu is None:
-            nu = _kept_nu(z, _max_matching(_row_masks(z.zeros)))
-        return nu
+        return len(_zero_graph(z)[1])
     zeros = []
     labels: dict[int, int] = {}  # columns relabelled densely, so a mask has a bit per distinct column
     for pos in z:
@@ -286,13 +287,19 @@ def cover_lattice(z: ZeroPattern) -> CoverLattice:
     The rows of ``row_max`` contain the rows of every minimum cover, and
     the columns of ``col_max`` the columns of every minimum cover.
     """
-    return mask_cover_lattice(_row_masks(z.zeros))
+    masks, match_col = _zero_graph(z)
+    return _lattice(dict(masks), match_col)  # a copy: the lattice's masks are its own
 
 
 def mask_cover_lattice(masks: dict[int, int]) -> CoverLattice:
     """:func:`cover_lattice` of a zero graph given as row masks: each row
     holding a zero maps to the bitmask of its zero columns."""
-    match_col = _max_matching(masks)
+    return _lattice(masks, _max_matching(masks))
+
+
+def _lattice(masks: dict[int, int], match_col: dict[int, int]) -> CoverLattice:
+    """The cover lattice of the row masks ``masks`` from their maximum
+    matching ``match_col``; the lattice keeps ``masks``."""
     return CoverLattice(*_extreme_covers(masks, match_col), len(match_col), masks)
 
 
@@ -487,16 +494,10 @@ def cover_coefficients(p: RapInstance) -> dict[tuple[int, int], int]:
     small per-component tables with binomials (see _partial_cover_counts).
     Only the lines of each component are enumerated, and SUBSET_BUDGET
     bounds the number of their subsets.  The result is empty exactly when
-    the zeros hold k independent entries: then it is ``{}`` at once when
-    the pattern keeps nu (see _kept_nu), and otherwise after the one
-    matching, whose size the pattern then keeps; it is never refused.
+    the zeros hold k independent entries: then it is ``{}`` from the
+    pattern's kept matching alone (see _zero_graph), and never refused.
     """
-    nu = _kept_nu(p.pattern)
-    if nu is not None and nu >= p.k:
-        return {}
-    adj = _row_masks(p.zeros)
-    match_col = _max_matching(adj)
-    _kept_nu(p.pattern, match_col)
+    adj, match_col = _zero_graph(p.pattern)
     return _partial_cover_counts(adj, match_col, (1 << p.m) - 1, (1 << p.n) - 1, p.k - 1)
 
 
@@ -525,8 +526,7 @@ def row_excluded_profile(p: RapInstance, r: int) -> tuple[int, ...]:
     """
     r = checked_row(p, r)
     limit = p.k - 1
-    adj = _row_masks(p.zeros)
-    match_col = _max_matching(adj)
+    adj, match_col = _zero_graph(p.pattern)
     nu = len(match_col)
     if nu == len(adj):
         n_held = len(adj) - (r in adj)

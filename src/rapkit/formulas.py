@@ -2,15 +2,18 @@
 
 All probability and expectation formulas return exact fractions; only
 the asymptotic triangle integral is floating point.  The cover and row
-formulas sum exact integer numerators over one common denominator and
-build one Fraction per call.  An instance whose zeros hold k independent
-entries has no cover coefficient, and its cover formula value is 0 from
-one matching of its pattern (see covers.cover_coefficients).
+formulas sum exact integer numerators over one common denominator, the
+falling factorials (m)_k = m(m-1)...(m-k+1) and (n)_k, and build one
+Fraction per call, so their cost follows k, not m and n.  An instance
+whose zeros hold k independent entries has no cover coefficient, and its
+cover formula value is 0 from the pattern's one kept matching (see
+covers.cover_coefficients).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .covers import cover_coefficients, row_excluded_profile
@@ -32,24 +35,26 @@ def cs_value(k: int, m: int, n: int) -> Fraction:
     )
 
 
+def _weights(size: int, k: int) -> list[int]:
+    """i! * (size-1-i)_(k-1-i) for each i < k: 1/(size * C(size-1, i)) times
+    the falling factorial (size)_k = size(size-1)...(size-k+1)."""
+    return [math.factorial(i) * math.perm(size - 1 - i, k - 1 - i) for i in range(k)]
+
+
 def cover_formula_value(p: RapInstance) -> Fraction:
     """E(P) = (1/mn) * sum of d_{i,j} / (C(m-1,i) * C(n-1,j)).
 
-    Each weight 1/(mn * C(m-1,i) * C(n-1,j)) is i!(m-1-i)! * j!(n-1-j)!
-    over m! * n!, so the sum is one integer numerator over m! * n!, taken
-    over the nonzero coefficients only.  With none (k independent zeros)
-    the value is 0.
+    Each weight 1/(m * C(m-1,i)) is i! * (m-1-i)_(k-1-i) over (m)_k, with
+    (m)_k = m(m-1)...(m-k+1), and likewise for n and j, so the sum is one
+    integer numerator over (m)_k * (n)_k, taken over the nonzero
+    coefficients only.  With none (k independent zeros) the value is 0.
     """
     coefficients = cover_coefficients(p)
     if not coefficients:
         return Fraction(0)
-    f = math.factorial
-    m, n = p.m, p.n
-    numerator = sum(
-        count * f(i) * f(m - 1 - i) * f(j) * f(n - 1 - j)
-        for (i, j), count in coefficients.items()
-    )
-    return Fraction(numerator, f(m) * f(n))
+    row_weights, col_weights = _weights(p.m, p.k), _weights(p.n, p.k)
+    numerator = sum(count * row_weights[i] * col_weights[j] for (i, j), count in coefficients.items())
+    return Fraction(numerator, math.perm(p.m, p.k) * math.perm(p.n, p.k))
 
 
 def row_inclusion_probability(p: RapInstance, r: int) -> Fraction:
@@ -58,14 +63,12 @@ def row_inclusion_probability(p: RapInstance, r: int) -> Fraction:
     q(P) = (1/m) * sum over i of dbar_{i,0} / C(m-1,i), where dbar_{i,0}
     counts i-row partial (k-1)-covers avoiding row r.  The formula requires
     row r to contain no zeros (usage is then invariant across optima).
-    Each weight 1/(m * C(m-1,i)) is i!(m-1-i)! / m!, so the sum is one
-    integer numerator over m!.
+    Each weight 1/(m * C(m-1,i)) is i! * (m-1-i)_(k-1-i) / (m)_k, so the
+    sum is one integer numerator over (m)_k.
     """
     r = checked_zero_free_row(p, r)
-    f = math.factorial
-    m = p.m
-    numerator = sum(count * f(i) * f(m - 1 - i) for i, count in enumerate(row_excluded_profile(p, r)))
-    return Fraction(numerator, f(m))
+    numerator = sum(map(operator.mul, row_excluded_profile(p, r), _weights(p.m, p.k)))
+    return Fraction(numerator, math.perm(p.m, p.k))
 
 
 def min_entry_usage_probability(k: int, m: int, n: int) -> Fraction:

@@ -147,7 +147,7 @@ class ZeroPattern:
         return frozenset(self.zeros)
 
     def __getstate__(self) -> dict:
-        # The fields only: the matching size covers keeps in __dict__ is
+        # The fields only: the zero graph covers keeps in __dict__ is
         # derived from them, so pickles and copies leave it out.
         return {"m": self.m, "n": self.n, "zeros": self.zeros}
 

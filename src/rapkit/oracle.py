@@ -36,12 +36,14 @@ over its zero graph, held as row bitmasks) before building it.  A
 terminal child is worth 0 and is never built.  Any other child is built
 with that lattice and reduced by reduce_state, as the root is: its
 forced lines, read off the lattice by forced_cover_lines, are deleted.
-A reduced state scans its own entries for its lattice on first use, so
-a child found in the cache never forms one.  An instance already
-terminal at the root (k independent zeros) is answered from one
-matching, before its state is built.  Each state classifies its entries
-once, on first use, and the termination measure and the conditioning
-rules read that classification.
+The root is built with its pattern's lattice (see covers.cover_lattice),
+from the matching the pattern keeps.  A reduced state scans its own
+entries for its lattice on first use, so a child found in the cache
+never forms one.  An instance already terminal at the root (k
+independent zeros) is answered from the pattern's one matching, before
+its state is built or any cover is searched.  Each state classifies its
+entries once, on first use, and the termination measure and the
+conditioning rules read that classification.
 
 A state's variable table holds only the variables its entries use.
 Every entry is built by LinearEntry's checking constructor.  The states
@@ -87,7 +89,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import IO, Mapping
 
-from .covers import CoverLattice, forced_cover_lines, mask_cover_lattice, max_independent_zeros
+from .covers import CoverLattice, cover_lattice, forced_cover_lines, mask_cover_lattice, max_independent_zeros
 from .model import BudgetExceededError, Position, RapInstance, checked_int
 
 DEFAULT_NODE_BUDGET = 10**6
@@ -266,7 +268,12 @@ def _unit(vid: int) -> tuple[LinearEntry, ExpVariable]:
 
 
 def make_initial_state(p: RapInstance) -> ExpRapState:
-    """The standard RAP as a symbolic state: one unit variable per nonzero."""
+    """The standard RAP as a symbolic state: one unit variable per nonzero.
+
+    The state keeps the cover lattice of its pattern (see cover_lattice),
+    as a child keeps the one it was decided by, so it never scans its own
+    entries for it.
+    """
     zeros = p.pattern.zero_set
     variables = []
     rows = []
@@ -280,7 +287,9 @@ def make_initial_state(p: RapInstance) -> ExpRapState:
                 row.append(cell)
                 variables.append(variable)
         rows.append(tuple(row))
-    return ExpRapState(p.k, tuple(rows), tuple(variables))
+    state = ExpRapState(p.k, tuple(rows), tuple(variables))
+    state.__dict__["_covers"] = cover_lattice(p.pattern)
+    return state
 
 
 def is_terminal(s: ExpRapState) -> bool:
@@ -846,8 +855,9 @@ def oracle_node_count(
     """Value plus the number of evaluated nodes, for budget reporting.
 
     An instance whose zeros hold k independent entries is terminal at the
-    root, so it is answered from one matching: value 0, no node, no trace
-    line and no cache entry, without building the symbolic state.
+    root, so it is answered from its pattern's one matching: value 0, no
+    node, no trace line and no cache entry, without building the symbolic
+    state.
     """
     budget = checked_int(budget, "budget", 1)
     if max_independent_zeros(p.pattern) >= p.k:

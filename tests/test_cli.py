@@ -408,6 +408,41 @@ class TestUsageErrors:
             cli.main(["simulate", inst_dir["two"], "--samples", "10", "--seed", "-4"])
         assert exc.value.code == EXIT_USAGE
 
+    # each integer option: its command line with {} for the value, and a value out of range
+    INTEGER_OPTIONS = {
+        "--k": (["parisi", "--k", "{}"], "0", "expected a positive integer"),
+        "--budget": (["oracle", "{two}", "--budget", "{}"], "0", "expected a positive integer"),
+        "--samples": (["simulate", "{two}", "--samples", "{}", "--seed", "1"], "1",
+                      "need at least 2 samples for a standard error"),
+        "--seed": (["simulate", "{two}", "--samples", "10", "--seed", "{}"], str(2**64),
+                   "seed must fit in 64 bits"),
+        "--threads": (["simulate", "{two}", "--samples", "10", "--seed", "1", "--threads", "{}"], "-1",
+                      "expected a positive integer"),
+        # indices are checked against the instance, not by the parser
+        "--row": (["rowprob", "{two}", "--row", "{}"], None, None),
+        "--pos": (["simulate", "{two}", "--what", "entry", "--samples", "10", "--seed", "1", "--pos", "0", "{}"],
+                  None, None),
+    }
+
+    def _last_error_line(self, capsys, inst_dir, argv, text) -> str:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([a.format(text, **inst_dir) for a in argv])
+        assert exc.value.code == EXIT_USAGE
+        return capsys.readouterr().err.splitlines()[-1]
+
+    @pytest.mark.parametrize("option", INTEGER_OPTIONS)
+    @pytest.mark.parametrize("text", ["abc", "1.5", "", "0x10"])
+    def test_non_integer_names_what_was_expected(self, capsys, inst_dir, option, text):
+        argv = self.INTEGER_OPTIONS[option][0]
+        last = self._last_error_line(capsys, inst_dir, argv, text)
+        assert last == f"rapkit {argv[0]}: error: argument {option}: expected an integer, got {text!r}"
+
+    @pytest.mark.parametrize("option", [name for name, (_, text, _) in INTEGER_OPTIONS.items() if text])
+    def test_out_of_range_keeps_its_message(self, capsys, inst_dir, option):
+        argv, text, message = self.INTEGER_OPTIONS[option]
+        last = self._last_error_line(capsys, inst_dir, argv, text)
+        assert last == f"rapkit {argv[0]}: error: argument {option}: {message}, got {text!r}"
+
     def test_missing_file(self, capsys):
         code = cli.main(["value", "/nonexistent/instance.json"])
         assert code == EXIT_USAGE

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import rapkit.oracle
 from rapkit import covers
 from rapkit.covers import (
     LineCover,
@@ -608,6 +609,16 @@ class TestAgainstPerLineReference:
         _agrees_with_per_line_reference(p.pattern)
 
 
+def _fresh(z: ZeroPattern) -> ZeroPattern:
+    """An equal pattern that keeps no zero graph yet."""
+    return ZeroPattern(z.m, z.n, z.zeros)
+
+
+def _kept(z: ZeroPattern):
+    """The zero graph kept on ``z`` (see covers._zero_graph), or None."""
+    return z.__dict__.get("_zero_graph")
+
+
 class TestOneMatchingPerPattern:
     # one component over 7 lines with nu = 3, so per-line tests take 5, 4 and 8 matchings
     Z = ZeroPattern(4, 3, ((0, 0), (0, 1), (1, 1), (2, 1), (2, 2), (3, 2)))
@@ -622,15 +633,18 @@ class TestOneMatchingPerPattern:
         ],
     )
     def test_extreme_covers(self, matchings, end, reference):
-        lattice = cover_lattice(self.Z)
-        assert len(matchings) == 1
-        assert getattr(lattice, end) == reference(self.Z)
+        z = _fresh(self.Z)
+        lattice = cover_lattice(z)
+        assert cover_lattice(z) == lattice
+        assert len(matchings) == 1  # the second lattice reads the kept matching
+        assert getattr(lattice, end) == reference(z)
 
     def test_forced_lines_at_the_minimum_size(self, matchings):
-        assert max_independent_zeros(self.Z) == 3
+        z = _fresh(self.Z)
+        assert max_independent_zeros(z) == 3
         matchings.clear()
-        assert forced_cover_lines(cover_lattice(self.Z), 3) == (frozenset(), frozenset({1, 2}))
-        assert len(matchings) == 1
+        assert forced_cover_lines(cover_lattice(z), 3) == (frozenset(), frozenset({1, 2}))
+        assert len(matchings) == 0  # the matching nu was read from serves the lattice
 
 
 def _small_patterns():
@@ -642,57 +656,140 @@ def _small_patterns():
         yield 4, 4, zeros
 
 
-class TestKeptMatchingSize:
-    """A pattern keeps the size nu of its first maximum matching: every
-    route reads the same nu whichever runs first, and the kept int takes no
-    part in the pattern's value."""
+class TestKeptZeroGraph:
+    """A pattern keeps its zero graph, row masks and first maximum
+    matching: every consumer reads it whichever runs first, none changes
+    it, and it takes no part in the pattern's value."""
 
-    def test_equals_the_reference_whichever_route_runs_first(self, oracle_cache):
-        def formula(p):
+    @staticmethod
+    def _routes(oracle_cache):
+        """Each consumer of the kept graph, by name, on an instance."""
+
+        def value(p):
             return cover_formula_value(p)
+
+        def rowprob(p):
+            free = [r for r in range(p.m) if all(zr != r for zr, _ in p.zeros)]
+            return row_inclusion_probability(p, free[0]) if free else None
+
+        def lattice(p):
+            return cover_lattice(p.pattern)
 
         def oracle(p):
             return oracle_expected_value(p, cache=oracle_cache)
 
-        def row(p):
-            free = [r for r in range(p.m) if all(zr != r for zr, _ in p.zeros)]
-            return row_inclusion_probability(p, free[0]) if free else None
+        return value, rowprob, lattice, oracle
 
+    def test_equals_the_reference_whichever_route_runs_first(self, oracle_cache):
+        value, rowprob, _, oracle = self._routes(oracle_cache)
         for m, n, zeros in _small_patterns():
             nu = brute_force_min_cover_size(ZeroPattern(m, n, zeros))
             for k in range(1, min(m, n) + 1):
                 answers = []
-                for routes in ((formula, oracle, row), (row, oracle, formula)):
+                for routes in ((value, oracle, rowprob), (rowprob, oracle, value)):
                     p = instance(m, n, k, zeros)
-                    assert covers._kept_nu(p.pattern) is None
+                    assert _kept(p.pattern) is None
                     got = {}
                     for route in routes:
                         got[route.__name__] = route(p)
-                        kept = covers._kept_nu(p.pattern)
-                        assert kept == (None if got.keys() == {"row"} else nu)
+                        if _kept(p.pattern) is None:  # only rowprob ran, with no zero-free row
+                            assert got == {"rowprob": None}
+                            continue
+                        masks, match_col = _kept(p.pattern)
+                        assert zeros_of(masks) == p.zeros and len(match_col) == nu
                     assert max_independent_zeros(p.pattern) == nu
                     answers.append(got)
                 assert answers[0] == answers[1]
-                assert answers[0]["formula"] == answers[0]["oracle"]
+                assert answers[0]["value"] == answers[0]["oracle"]
+
+    def test_every_route_order_matches_the_pattern_once(self, oracle_cache, monkeypatch):
+        """Formula then oracle on a non-terminal instance, or any order of
+        the four routes, makes one maximum matching of the whole pattern.
+
+        A state deep in the oracle may hold the pattern's zeros at the same
+        positions, so only the matchings made outside the oracle's recursion
+        are counted; those hold every zero of the pattern only for the
+        pattern and its root state.
+        """
+        whole, depth = [], [0]
+        matching, evaluate = covers._max_matching, rapkit.oracle._evaluate_reduced
+
+        def counted_matching(masks):
+            if not depth[0]:
+                whole.append(tuple(sorted(zeros_of(masks))))
+            return matching(masks)
+
+        def counted_evaluate(*args):
+            depth[0] += 1
+            try:
+                return evaluate(*args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(covers, "_max_matching", counted_matching)
+        monkeypatch.setattr(rapkit.oracle, "_evaluate_reduced", counted_evaluate)
+        routes = self._routes(oracle_cache)
+        orders = list(itertools.permutations(routes))
+        for t, (m, n, zeros) in enumerate(_small_patterns()):
+            nu = brute_force_min_cover_size(ZeroPattern(m, n, zeros))
+            for k in range(nu + 1, min(m, n) + 1):
+                for order in ((routes[0], routes[3]), orders[(t + k) % len(orders)]):
+                    p = instance(m, n, k, zeros)
+                    whole.clear()
+                    for route in order:
+                        route(p)
+                    assert whole.count(p.zeros) == 1, (p, [route.__name__ for route in order])
+
+    def test_no_consumer_changes_the_kept_graph(self, oracle_cache):
+        for m, n, zeros in _small_patterns():
+            for k in range(1, min(m, n) + 1):
+                p = instance(m, n, k, zeros)
+                max_independent_zeros(p.pattern)
+                graph = _kept(p.pattern)
+                masks, match_col = graph
+                before = (dict(masks), dict(match_col))
+                for route in self._routes(oracle_cache):
+                    route(p)
+                lattice = cover_lattice(p.pattern)
+                for size in range(lattice.size, min(m, n) + 1):
+                    forced_cover_lines(lattice, size)
+                cover_profile(p)
+                for r in range(m):
+                    row_excluded_profile(p, r)
+                assert _kept(p.pattern) is graph
+                assert (masks, match_col) == before
+
+    def test_changing_the_lattice_masks_changes_no_later_answer(self, oracle_cache):
+        for m, n, zeros in _small_patterns():
+            for k in range(1, min(m, n) + 1):
+                routes = self._routes(oracle_cache)
+                expected = [route(instance(m, n, k, zeros)) for route in routes]
+                p = instance(m, n, k, zeros)
+                masks = cover_lattice(p.pattern).masks
+                masks.clear()
+                masks[0] = (1 << n) - 1  # a full row 0, whatever the pattern holds
+                assert [route(p) for route in routes] == expected
+                assert cover_lattice(p.pattern).masks == covers._row_masks(p.zeros)
 
     def test_takes_no_part_in_equality_hash_repr_or_pickle(self):
         for m, n, zeros in _small_patterns():
             for k in range(1, min(m, n) + 1):
                 plain, kept = instance(m, n, k, zeros), instance(m, n, k, zeros)
                 cover_formula_value(kept)
-                assert covers._kept_nu(plain.pattern) is None
-                assert covers._kept_nu(kept.pattern) is not None
+                assert _kept(plain.pattern) is None
+                assert _kept(kept.pattern) is not None
                 for a, b in ((plain.pattern, kept.pattern), (plain, kept)):
                     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
                     assert pickle.dumps(a) == pickle.dumps(b)
                     assert pickle.loads(pickle.dumps(b)) == b
-                assert covers._kept_nu(pickle.loads(pickle.dumps(kept.pattern))) is None
+                assert _kept(pickle.loads(pickle.dumps(kept.pattern))) is None
 
     def test_a_dropped_pattern_is_freed(self):
         refs = []
         for k in (2, 3):  # 2 independent zeros: terminal at k = 2, not at k = 3
             p = instance(3, 3, k, [(0, 0), (1, 1)])
             cover_formula_value(p)
+            row_inclusion_probability(p, 2)
             oracle_expected_value(p)
             assert max_independent_zeros(p.pattern) == 2
             refs.append(weakref.ref(p.pattern))
@@ -711,10 +808,13 @@ class TestCoverLattice:
             return real(zeros)
 
         monkeypatch.setattr(covers, "_max_matching", counted)
-        lattice = cover_lattice(TestOneMatchingPerPattern.Z)
+        z = _fresh(TestOneMatchingPerPattern.Z)
+        lattice = cover_lattice(z)
         assert len(calls) == 1
         assert lattice.size == len(lattice.row_max) == len(lattice.col_max) == 3
         assert lattice.common_lines == (frozenset(), frozenset({1, 2}))
+        assert cover_lattice(z) == lattice
+        assert len(calls) == 1  # the second reads the kept matching
 
     def test_masks_are_kept_outside_equality_hash_and_repr(self):
         z = ZeroPattern(3, 4, ((0, 0), (0, 1), (0, 2)))

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -211,7 +212,7 @@ def _small_instances():
 
 
 class TestAgainstPerTermReference:
-    """One integer numerator over m!n! (or m!) equals the per-term Fraction sums."""
+    """One integer numerator over (m)_k (n)_k (or (m)_k) equals the per-term Fraction sums."""
 
     def test_cover_formula(self):
         for p in _small_instances():
@@ -223,6 +224,31 @@ class TestAgainstPerTermReference:
             for r in range(p.m):
                 if r not in held:
                     assert row_inclusion_probability(p, r) == reference_row_inclusion_probability(p, r), (p, r)
+
+
+class TestFallingFactorialDenominator:
+    """The cover and row formulas divide by (m)_k * (n)_k, not m! * n!, so
+    a large instance at small k costs what its k terms cost."""
+
+    def test_zero_free_100000_square_at_k_2(self):
+        p = instance(100000, 100000, 2)
+        start = time.perf_counter()
+        value = cover_formula_value(p)
+        row = row_inclusion_probability(p, 4)
+        elapsed = time.perf_counter() - start
+        assert value == cs_value(2, 100000, 100000)
+        assert row == Fraction(2, 100000)
+        assert elapsed < 0.5  # about 2 s over m! * n!
+
+    def test_large_sparse_instances_match_the_per_term_reference(self):
+        rng = random.Random(32)
+        for m, n, k in ((30, 40, 3), (200, 150, 2), (64, 64, 4)):
+            zeros = {(rng.randrange(m), rng.randrange(n)) for _ in range(k + 2)}
+            p = instance(m, n, k, zeros)
+            assert cover_formula_value(p) == reference_cover_formula_value(p), p
+            held = {r for r, _ in p.zeros}
+            r = next(r for r in range(m) if r not in held)
+            assert row_inclusion_probability(p, r) == reference_row_inclusion_probability(p, r), p
 
 
 class TestRowInclusion:

@@ -853,7 +853,7 @@ class TestWorkDone:
         monkeypatch.setattr(ExpRapState, "__post_init__", counting)
         monkeypatch.setattr(rapkit.oracle, "_trusted", recording)
         assert oracle_node_count(instance(4, 4, 4)) == (Fraction(205, 144), 34)
-        assert (len(matchings), len(checked), len(built)) == (153, 1, 165)
+        assert (len(matchings), len(checked), len(built)) == (152, 1, 165)
         # no state is built for a terminal child
         assert all(mask_cover_lattice(_scanned_masks(s)).size < s.k for s in built)
 

@@ -391,3 +391,75 @@ class TestCheckedEntries:
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_trusted"
         ]
         assert built and set(built) == {"ExpRapState"}
+
+
+def _dict_writers(path: Path) -> list[str]:
+    """The functions of the module at ``path``, by qualified name, that write
+    one key into an object's ``__dict__``: ``x.__dict__[key] = ...`` or
+    ``vars(x)[key] = ...``, or ``setdefault`` on either."""
+
+    def is_dict(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr == "__dict__") or (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "vars"
+        )
+
+    def writes(node: ast.AST) -> bool:
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            return any(
+                isinstance(t, ast.Subscript) and is_dict(t.value)
+                for target in targets
+                for t in ast.walk(target)
+            )
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "setdefault"
+            and is_dict(node.func.value)
+        )
+
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+            else:
+                if writes(child):
+                    found.append(".".join((path.stem, *scope)))
+                visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    return found
+
+
+class TestOneKeeperPerKey:
+    """A value keeps derived data in its own ``__dict__`` from one place
+    each: the pattern its zero graph, and a root or child state its cover
+    lattice.  (``oracle._trusted`` fills a new state's fields in bulk; see
+    TestCheckedEntries.)"""
+
+    KEEPERS = ["covers._zero_graph", "oracle.Conditioning.build", "oracle.make_initial_state"]
+
+    def test_only_the_keepers_write_into_a_dict(self):
+        writers = [
+            name
+            for path in sorted(Path(rapkit.__file__).parent.glob("*.py"))
+            for name in _dict_writers(path)
+        ]
+        assert sorted(writers) == self.KEEPERS
+
+    def test_a_second_writer_is_found(self, tmp_path):
+        module = tmp_path / "keeper.py"
+        module.write_text(
+            "def kept(z):\n"
+            "    z.__dict__['_a'] = 1\n"
+            "class Step:\n"
+            "    def build(self, s):\n"
+            "        vars(s)['_b'] = 2\n"
+            "        return s.__dict__.setdefault('_c', 3)\n"
+            "def reads(z):\n"
+            "    return z.__dict__.get('_a'), vars(z)['_b']\n",
+            encoding="utf-8",
+        )
+        assert _dict_writers(module) == ["keeper.kept", "keeper.Step.build", "keeper.Step.build"]
