@@ -449,9 +449,10 @@ def _partial_cover_counts(
         return {}
     zero_rows, zero_cols = _span(adj)
     lines = (zero_rows & rows).bit_count() + (zero_cols & cols).bit_count()
+    parts = _components(adj)
     if (1 << lines) + len(adj) > SUBSET_BUDGET:
         needed = 0
-        for part in _components(adj):
+        for part in parts:
             part_rows, part_cols = _span(part)
             part_lines = (part_rows & rows).bit_count() + (part_cols & cols).bit_count()
             needed += sum(comb(part_lines, s) for s in range(limit + 1))
@@ -467,7 +468,7 @@ def _partial_cover_counts(
         for b in range(min(n0, slack - a) + 1)
     }
     matched = set(match_col.values())
-    for part in _components(adj):
+    for part in parts:
         nu = sum(r in matched for r in part)
         table = _component_table(part, rows, cols, slack + nu, nu)
         merged: dict[tuple[int, int, int], int] = {}

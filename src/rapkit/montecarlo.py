@@ -1,12 +1,12 @@
 """Seeded Monte Carlo estimation for standard RAPs.
 
 Sampling is reproducible and thread-count independent.  Samples are
-drawn in chunks whose length is set by the shape (m, n) alone: at most
-512 samples and at most 2^16 entries.  Chunk j draws all its matrices
-in one call from its own counter-based stream (Philox keyed by the
-seed, counter j * 2^128), so any assignment of chunks to threads gives
-bit-identical per-sample results, and reduction merges the chunks in
-index order.
+drawn in chunks whose length is set by the shape (m, n) alone:
+min(512, max(1, 2^16 // (m * n))) samples (see `_chunk_length`).
+Chunk j draws all its matrices in one call from its own counter-based
+stream (Philox keyed by the seed, counter j * 2^128), so any assignment
+of chunks to threads gives bit-identical per-sample results, and
+reduction merges the chunks in index order.
 
 The pool is sized from the shape.  Threads pay only where the
 assignment solver dominates: it releases the GIL, the rest of a chunk
@@ -165,7 +165,14 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chunk_length(m: int, n: int) -> int:
-    """Samples per chunk: at most 512, and at most 2^16 sampled entries (512 KB)."""
+    """Samples per chunk: min(512, max(1, 2^16 // (m * n))).
+
+    The bound counts m x n entries, but `_draw_chunk` draws the padded
+    m x (n + m - k) matrices, so a chunk can draw more than 2^16 values:
+    100 x 100 at k=1 draws 6 x 100 x 199 = 119,400 (955 KB), and a shape
+    of more than 2^16 entries draws one sample per chunk.  The length stays
+    as it is, because every seeded result depends on it.
+    """
     return min(512, max(1, 2**16 // (m * n)))
 
 

@@ -29,21 +29,30 @@ and T the total intensity: one Fraction division per node.  Weights
 I_j / T and extracted costs are formed only for trace lines.
 
 Both conditioning rules return a Conditioning: the step's cost, each
-member's intensity and the template every child comes from.  A child's
-zeros are the template's plus the cells whose only term is its residual,
-so the evaluator finds a child's cover lattice (one maximum matching
-over its zero graph, held as row bitmasks) before building it.  A
-terminal child is worth 0 and is never built.  Any other child is built
-with that lattice and reduced by reduce_state, as the root is: its
-forced lines, read off the lattice by forced_cover_lines, are deleted.
-The root is built with its pattern's lattice (see covers.cover_lattice),
-from the matching the pattern keeps.  A reduced state scans its own
-entries for its lattice on first use, so a child found in the cache
-never forms one.  An instance already terminal at the root (k
-independent zeros) is answered from the pattern's one matching, before
-its state is built or any cover is searched.  Each state classifies its
-entries once, on first use, and the termination measure and the
-conditioning rules read that classification.
+member's intensity and the template every child comes from.  One pass
+over the state's cells writes the template and records its zero masks
+and the cells holding each fresh variable.  In that pass minimum
+conditioning shifts cell (r, c) by (row r covered) + (column c covered)
+- 1 times Y, and pair conditioning shifts no cell.  A child's zeros are
+the template's plus the cells whose only term is its residual, so the
+evaluator finds a child's cover lattice (one maximum matching over its
+zero graph, held as row bitmasks) before building it.  A terminal child
+is worth 0 and is never built.  Any other child is built with that
+lattice and reduced by reduce_state, as the root is: its forced lines,
+read off the lattice by forced_cover_lines, are deleted.  The pair rule
+and the termination measure read one record of a pair's disagreements:
+the coefficient differences of its two entries.
+
+An instance already terminal at the root (k independent zeros) is
+answered from the pattern's one matching, before its state is built or
+any cover is searched.  Any other root is built with its pattern's
+lattice (see covers.cover_lattice), from the matching the pattern keeps,
+reduced, and handed to the one recursive evaluator as every kept child
+is; the door check and reduce_state show that it is not terminal.  A
+reduced state scans its own entries for its lattice on first use, so a
+state found in the cache, root or child, never forms one.  Each state
+classifies its entries once, on first use, and the termination measure
+and the conditioning rules read that classification.
 
 A state's variable table holds only the variables its entries use.
 Every entry is built by LinearEntry's checking constructor.  The states
@@ -89,7 +98,14 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import IO, Mapping
 
-from .covers import CoverLattice, cover_lattice, forced_cover_lines, mask_cover_lattice, max_independent_zeros
+from .covers import (
+    CoverLattice,
+    LineCover,
+    cover_lattice,
+    forced_cover_lines,
+    mask_cover_lattice,
+    max_independent_zeros,
+)
 from .model import BudgetExceededError, Position, RapInstance, checked_int
 
 DEFAULT_NODE_BUDGET = 10**6
@@ -138,15 +154,6 @@ class LinearEntry:
                 raise ValueError(f"coefficients must be positive, got {c}")
         if len({v for v, _ in normalized}) != len(normalized):
             raise ValueError("duplicate variable in entry")
-
-    def coeff(self, vid: int) -> Rational:
-        for v, c in self.terms:
-            if v == vid:
-                return c
-        return 0
-
-    def variables(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.terms)
 
     def le(self, other: "LinearEntry") -> bool:
         """Componentwise comparison: every coefficient at most the other's."""
@@ -292,11 +299,6 @@ def make_initial_state(p: RapInstance) -> ExpRapState:
     return state
 
 
-def is_terminal(s: ExpRapState) -> bool:
-    """True when k independent zeros exist; the state's value is then 0."""
-    return s._covers.size >= s.k
-
-
 def reduce_state(s: ExpRapState) -> ExpRapState:
     """Delete every line contained in every (k-1)-cover of the zeros, and
     lower k by their number; a terminal state is returned as it is.
@@ -419,15 +421,23 @@ def _cover_parts(lattice: CoverLattice) -> tuple[int, int]:
     return -lattice.size, len(lattice.row_max.rows)
 
 
+def _differences(s: ExpRapState, u1: Position, u2: Position) -> dict[int, Rational]:
+    """The coefficients of entry u1 minus those of entry u2, at each variable
+    where the two differ: the disagreement variables of the pair."""
+    diff = dict(s.entries[u1[0]][u1[1]].terms)
+    for v, c in s.entries[u2[0]][u2[1]].terms:
+        d = diff.pop(v, 0) - c
+        if d:
+            diff[v] = d
+    return diff
+
+
 def induction_measure(s: ExpRapState) -> tuple[int, int, int, int, int]:
     """The 5-part lexicographic termination measure, smaller is simpler."""
     cls = s._classification
     disagreements = 0
     if cls.first_incomparable_pair is not None:
-        (r1, c1), (r2, c2) = cls.first_incomparable_pair
-        e1, e2 = s.entries[r1][c1], s.entries[r2][c2]
-        allv = set(e1.variables()) | set(e2.variables())
-        disagreements = sum(1 for v in allv if e1.coeff(v) != e2.coeff(v))
+        disagreements = len(_differences(s, *cls.first_incomparable_pair))
     minimal_vars = 0
     if cls.minimal is not None:
         minimal_vars = len(s.entries[cls.minimal[0]][cls.minimal[1]].terms)
@@ -441,41 +451,6 @@ def _measure_drops(child: ExpRapState, parent_measure: tuple[int, ...]) -> bool:
     if head != parent_measure[:2]:
         return head < parent_measure[:2]
     return induction_measure(child) < parent_measure
-
-
-def _fresh_ids(s: ExpRapState, count: int) -> list[int]:
-    start = max((v.id for v in s.variables), default=-1) + 1
-    return list(range(start, start + count))
-
-
-def _substitute(
-    entries: tuple[tuple[LinearEntry, ...], ...],
-    rules: Mapping[int, tuple[tuple[int, Rational], ...]],
-    y_id: int,
-    shift: Mapping[Position, int],
-) -> tuple[tuple[LinearEntry, ...], ...]:
-    """Replace each variable in `rules` by a nonnegative combination, then
-    add `shift[(r, c)]` times variable `y_id` to entry (r, c)."""
-
-    def rewrite(e: LinearEntry, delta: int) -> LinearEntry:
-        if not delta and not any(v in rules for v, _ in e.terms):
-            return e
-        acc: dict[int, Rational] = {}
-        for v, c in e.terms:
-            if v in rules:
-                for w, d in rules[v]:
-                    acc[w] = acc.get(w, 0) + c * d
-            else:
-                acc[v] = acc.get(v, 0) + c
-        if delta:
-            acc[y_id] = acc.get(y_id, 0) + delta
-            assert acc[y_id] >= 0, "every non-covered entry must contain the minimum"
-        return LinearEntry(tuple((v, c) for v, c in acc.items() if c))
-
-    return tuple(
-        tuple(rewrite(e, shift.get((r, c), 0)) for c, e in enumerate(row))
-        for r, row in enumerate(entries)
-    )
 
 
 @dataclass(frozen=True)
@@ -541,49 +516,72 @@ class Conditioning:
 
 
 def _condition_on_minimum(
-    s: ExpRapState,
-    members: list[tuple[int, Rational]],
-    shift: Mapping[Position, int],
-    cost: int,
+    s: ExpRapState, members: list[tuple[int, Rational]], cover: LineCover | None
 ) -> Conditioning:
     """Condition on which of `members`, independent scaled exponentials
     given as (variable, 1/coefficient), is the minimum Y.
 
     Every member becomes Y plus its residual Z_j (the variable becomes
-    (Y + Z_j) * scale) and entry (r, c) gains `shift[(r, c)]` times Y;
-    the child in which member j is the minimum is this template with
-    Z_j = 0.  Fresh ids are Y, then Z_1, Z_2, ..., above every existing id.
-    One pass over the template finds its zeros and the cells holding each
-    fresh variable.
+    (Y + Z_j) * scale); the child in which member j is the minimum is this
+    template with Z_j = 0.  Minimum conditioning passes the state's
+    ``cover``: cell (r, c) gains (row r covered) + (column c covered) - 1
+    times Y, so Y leaves every non-covered cell and joins every doubly
+    covered one, and the step's cost is k - |cover|.  Pair conditioning
+    passes None: no shift and no cost.  Fresh ids are Y, then Z_1, Z_2,
+    ..., above every existing id.  One pass rewrites each cell and records
+    the template's zeros and the cells holding each fresh variable.
     """
     member_intensities = tuple(s.intensity(v) * scale for v, scale in members)
     # each weight I_j / T is positive, and as T is their sum the weights sum to 1
     assert all(i > 0 for i in member_intensities)
     total = sum(member_intensities)
-    fresh = _fresh_ids(s, 1 + len(members))
-    y_id, z_ids = fresh[0], tuple(fresh[1:])
-    rules = {v: ((y_id, scale), (z_id, scale)) for (v, scale), z_id in zip(members, z_ids)}
-    template = _substitute(s.entries, rules, y_id, shift)
-    holding: dict[int, list[Position]] = {v: [] for v in fresh}
+    y_id = max((v.id for v in s.variables), default=-1) + 1
+    z_ids = tuple(range(y_id + 1, y_id + 1 + len(members)))
+    rules = {v: (z_id, scale) for (v, scale), z_id in zip(members, z_ids)}
+    if cover is None:
+        cost, row_shift, col_shift = 0, [0] * s.m, [0] * s.n
+    else:
+        cost = s.k - len(cover)
+        row_shift = [(r in cover.rows) - 1 for r in range(s.m)]
+        col_shift = [int(c in cover.cols) for c in range(s.n)]
+    holding: dict[int, list[Position]] = {v: [] for v in (y_id, *z_ids)}
+    template = []
     masks = {}
-    for r, row in enumerate(template):
+    for r, row in enumerate(s.entries):
+        cells = []
         mask = 0
         for c, e in enumerate(row):
+            y = row_shift[r] + col_shift[c]  # Y's coefficient in the rewritten cell
+            if y or any(v in rules for v, _ in e.terms):
+                acc: dict[int, Rational] = {}
+                for v, coeff in e.terms:
+                    if v in rules:
+                        z_id, scale = rules[v]
+                        acc[z_id] = coeff * scale
+                        y += coeff * scale
+                    else:
+                        acc[v] = coeff
+                assert y >= 0, "every non-covered entry must contain the minimum"
+                if y:
+                    acc[y_id] = y
+                e = LinearEntry(tuple(acc.items()))
+                for v, _ in e.terms:
+                    if v >= y_id:
+                        holding[v].append((r, c))
             if not e.terms:
                 mask |= 1 << c
-            for v, _ in e.terms:
-                if v in holding:
-                    holding[v].append((r, c))
+            cells.append(e)
+        template.append(tuple(cells))
         if mask:
             masks[r] = mask
     # Y drops out when every cell that held a member lost it to the shift
-    y = (ExpVariable(y_id, total),) if holding.pop(y_id) else ()
+    y_var = (ExpVariable(y_id, total),) if holding.pop(y_id) else ()
     variables = (
         tuple(v for v in s.variables if v.id not in rules)
-        + y
+        + y_var
         + tuple(ExpVariable(z_id, i) for z_id, i in zip(z_ids, member_intensities))
     )
-    return Conditioning(s.k, cost, member_intensities, total, template, variables, z_ids, holding, masks)
+    return Conditioning(s.k, cost, member_intensities, total, tuple(template), variables, z_ids, holding, masks)
 
 
 def condition_pair(s: ExpRapState, u1: Position, u2: Position) -> Conditioning:
@@ -592,19 +590,18 @@ def condition_pair(s: ExpRapState, u1: Position, u2: Position) -> Conditioning:
     With e1 = a1*Xi + b1*Xj + ... and e2 = a2*Xi + b2*Xj + ... where
     a1 > a2 and b2 > b1, this is minimum conditioning of the two scaled
     disagreement variables (a1-a2)Xi and (b2-b1)Xj, with no cost extracted
-    and no shift; in each child e1 and e2 share their Y-coefficient.
-    Child 0 is the one in which (a1-a2)Xi is the minimum.
+    and no shift; in each child e1 and e2 share their Y-coefficient.  Xi
+    and Xj are the lowest-id such variables.  Child 0 is the one in which
+    (a1-a2)Xi is the minimum.
     """
-    e1 = s.entries[u1[0]][u1[1]]
-    e2 = s.entries[u2[0]][u2[1]]
-    if not e1.incomparable(e2):
+    diff = _differences(s, u1, u2)
+    excess = [v for v, d in diff.items() if d > 0]  # e1's larger coefficients
+    deficit = [v for v, d in diff.items() if d < 0]  # e2's larger coefficients
+    if not excess or not deficit:
         raise ValueError("entries must be incomparable to pair-condition")
-    i = min(v for v in set(e1.variables()) | set(e2.variables()) if e1.coeff(v) > e2.coeff(v))
-    j = min(v for v in set(e1.variables()) | set(e2.variables()) if e2.coeff(v) > e1.coeff(v))
-    a = e1.coeff(i) - e2.coeff(i)  # scale of Xi's excess in e1
-    b = e2.coeff(j) - e1.coeff(j)  # scale of Xj's excess in e2
-    members = [(i, _exact(Fraction(1) / a)), (j, _exact(Fraction(1) / b))]
-    return _condition_on_minimum(s, members, {}, 0)
+    i, j = min(excess), min(deficit)
+    members = [(i, _exact(Fraction(1) / diff[i])), (j, _exact(Fraction(-1) / diff[j]))]
+    return _condition_on_minimum(s, members, None)
 
 
 def condition_minimum(s: ExpRapState) -> Conditioning:
@@ -623,8 +620,7 @@ def condition_minimum(s: ExpRapState) -> Conditioning:
     """
     cls = s._classification
     cover = s._covers.row_max
-    size = len(cover)
-    assert size < s.k, "caller must reduce the state first"
+    assert len(cover) < s.k, "caller must reduce the state first"
     if cls.non_covered_nonstandard and cls.minimal is None:
         raise ValueError("no minimal non-covered nonstandard entry; pair-condition instead")
 
@@ -638,16 +634,7 @@ def condition_minimum(s: ExpRapState) -> Conditioning:
     # each member of S as (variable, 1/coefficient): term a*Xi, then the standard entries
     members = [(term[0], _exact(Fraction(1) / term[1]))] if term is not None else []
     members.extend((v, 1) for v in std_vars)
-
-    # the minimum Y leaves every non-covered entry and joins every doubly covered one
-    shift = {
-        (r, c): -1
-        for r in range(s.m)
-        if r not in cover.rows
-        for c in range(s.n)
-        if c not in cover.cols
-    } | {(r, c): 1 for r in cover.rows for c in cover.cols}
-    return _condition_on_minimum(s, members, shift, s.k - size)
+    return _condition_on_minimum(s, members, cover)
 
 
 def _member_orbits(cls: EntryClassification) -> list[list[int]]:
@@ -757,21 +744,11 @@ class _OracleRun:
         self.trace.write(json.dumps(line) + "\n")
 
 
-def _evaluate(
-    s: ExpRapState, run: _OracleRun, parent: int | None = None, depth: int = 0
-) -> Fraction:
-    """Expected cost of the state: 0 once reduced to a terminal state, else
-    the value of the reduced state."""
-    s = reduce_state(s)
-    if is_terminal(s):
-        return Fraction(0)
-    return _evaluate_reduced(s, run, parent, depth)
-
-
-def _evaluate_reduced(s: ExpRapState, run: _OracleRun, parent: int | None, depth: int) -> Fraction:
-    """Expected cost of a reduced, non-terminal state: (cost + the sum over
-    orbits of I_o * V_o) / T, with I_o the orbit's summed member intensity,
-    V_o the value of its one evaluated child and T the total intensity."""
+def _evaluate(s: ExpRapState, run: _OracleRun, parent: int | None = None, depth: int = 0) -> Fraction:
+    """Expected cost of a reduced, non-terminal state, the root or a kept
+    child: (cost + the sum over orbits of I_o * V_o) / T, with I_o the
+    orbit's summed member intensity, V_o the value of its one evaluated
+    child and T the total intensity."""
     key = canonical_key(s)
     hit = run.cache.get(key)
     if hit is not None:
@@ -799,7 +776,7 @@ def _evaluate_reduced(s: ExpRapState, run: _OracleRun, parent: int | None, depth
         child = _orbit_child(step, orbit, parent_measure)
         if child is not None:
             intensity = sum(step.intensities[j] for j in orbit)
-            numerator += intensity * _evaluate_reduced(child, run, node, depth + 1)
+            numerator += intensity * _evaluate(child, run, node, depth + 1)
     value = numerator / step.total
     run.cache[key] = value
     return value
@@ -857,11 +834,12 @@ def oracle_node_count(
     An instance whose zeros hold k independent entries is terminal at the
     root, so it is answered from its pattern's one matching: value 0, no
     node, no trace line and no cache entry, without building the symbolic
-    state.
+    state.  Any other instance's reduced root goes to the evaluator.
     """
     budget = checked_int(budget, "budget", 1)
     if max_independent_zeros(p.pattern) >= p.k:
         return Fraction(0), 0
     run = _OracleRun(budget, cache, trace)
-    value = _evaluate(make_initial_state(p), run)
+    # past the door check the reduced root is not terminal (see reduce_state)
+    value = _evaluate(reduce_state(make_initial_state(p)), run)
     return value, run.nodes

@@ -1,7 +1,7 @@
 """Shared helpers: random instance generation, brute-force cover references,
 the per-term Fraction sums the cover and row formulas are checked against,
 the slow oracle rules, initial state, canonical key and ungrouped evaluation
-that the fast ones are checked against, the heap-based assignment solver the
+that the fast ones are checked against, the oracle's terminal test, the heap-based assignment solver the
 dense one is checked against, the vectorised pattern-class generator and
 the one-at-a-time loop it is checked against, and the instance
 transformations and optimal-assignment structure that the identity
@@ -45,13 +45,10 @@ from rapkit.oracle import (
     ExpRapState,
     ExpVariable,
     LinearEntry,
-    _fresh_ids,
-    _substitute,
     canonical_key,
     classify_entries,
     condition_minimum,
     condition_pair,
-    is_terminal,
     reduce_state,
 )
 from rapkit.solver import SolveResult, _as_matrix, _check_k
@@ -282,6 +279,38 @@ def reference_reduce_state(s: ExpRapState) -> ExpRapState:
         s = ExpRapState(s.k - 1, entries, s.variables)
 
 
+def is_terminal(s: ExpRapState) -> bool:
+    """True when k independent zeros exist; the state's value is then 0."""
+    return s._covers.size >= s.k
+
+
+def _fresh_variable_ids(s: ExpRapState, count: int) -> list[int]:
+    """``count`` consecutive ids above every id in the state's variable table."""
+    start = 1 + max((v.id for v in s.variables), default=-1)
+    return [start + i for i in range(count)]
+
+
+def _substitute_matrix(
+    s: ExpRapState, rules: dict[int, tuple[tuple[int, Fraction], ...]], y_id: int, shift: dict[Position, int]
+) -> tuple[tuple[LinearEntry, ...], ...]:
+    """Every entry of the state rebuilt: each variable in ``rules`` replaced
+    by its combination, and entry (r, c) given ``shift.get((r, c), 0)``
+    more of variable ``y_id``."""
+    rows = []
+    for r, row in enumerate(s.entries):
+        cells = []
+        for c, e in enumerate(row):
+            coeffs: dict[int, Fraction] = {}
+            for v, x in e.terms:
+                for w, scale in rules.get(v, ((v, 1),)):
+                    coeffs[w] = coeffs.get(w, 0) + x * scale
+            coeffs[y_id] = coeffs.get(y_id, 0) + shift.get((r, c), 0)
+            assert coeffs[y_id] >= 0, "every non-covered entry must contain the minimum"
+            cells.append(LinearEntry(tuple((v, x) for v, x in coeffs.items() if x)))
+        rows.append(tuple(cells))
+    return tuple(rows)
+
+
 def reference_condition_minimum(
     s: ExpRapState, cls: EntryClassification | None = None
 ) -> tuple[Fraction, list[tuple[Fraction, ExpRapState]]]:
@@ -326,7 +355,7 @@ def reference_condition_minimum(
         members.append(("term", term[0]))
     members.extend(("std", v) for v in std_vars)
 
-    fresh = _fresh_ids(s, len(members))
+    fresh = _fresh_variable_ids(s, len(members))
     children: list[tuple[Fraction, ExpRapState]] = []
     for idx, (kind, vid) in enumerate(members):
         weight = member_intensities[idx] / total
@@ -349,7 +378,7 @@ def reference_condition_minimum(
                 else:
                     rules[ovid] = ((y_id, Fraction(1)), (z_id, Fraction(1)))
                     new_vars.append(ExpVariable(z_id, Fraction(1)))
-        new_entries = _substitute(s.entries, rules, y_id, shift)
+        new_entries = _substitute_matrix(s, rules, y_id, shift)
         variables = tuple(v for v in s.variables if v.id not in rules) + tuple(new_vars)
         children.append((weight, ExpRapState(s.k, new_entries, variables)))
     assert sum(w for w, _ in children) == 1 and all(w > 0 for w, _ in children)
@@ -364,18 +393,20 @@ def reference_condition_pair(
     The winner of the two scaled disagreement variables becomes the minimum
     Y, the loser Y plus the residual Z; both children number Y and Z alike.
     """
-    e1 = s.entries[u1[0]][u1[1]]
-    e2 = s.entries[u2[0]][u2[1]]
-    if not e1.incomparable(e2):
+    c1 = dict(s.entries[u1[0]][u1[1]].terms)
+    c2 = dict(s.entries[u2[0]][u2[1]].terms)
+    ids = sorted(c1.keys() | c2.keys())
+    larger_in_e1 = [v for v in ids if c1.get(v, 0) > c2.get(v, 0)]
+    larger_in_e2 = [v for v in ids if c2.get(v, 0) > c1.get(v, 0)]
+    if not larger_in_e1 or not larger_in_e2:
         raise ValueError("entries must be incomparable to pair-condition")
-    i = min(v for v in set(e1.variables()) | set(e2.variables()) if e1.coeff(v) > e2.coeff(v))
-    j = min(v for v in set(e1.variables()) | set(e2.variables()) if e2.coeff(v) > e1.coeff(v))
-    a = e1.coeff(i) - e2.coeff(i)  # scale of Xi's excess in e1
-    b = e2.coeff(j) - e1.coeff(j)  # scale of Xj's excess in e2
+    i, j = larger_in_e1[0], larger_in_e2[0]
+    a = c1.get(i, 0) - c2.get(i, 0)  # scale of Xi's excess in e1
+    b = c2.get(j, 0) - c1.get(j, 0)  # scale of Xj's excess in e2
     ia = Fraction(s.intensity(i)) / a  # intensity of a*Xi
     ib = Fraction(s.intensity(j)) / b  # intensity of b*Xj
     total = ia + ib
-    y_id, z_id = _fresh_ids(s, 2)
+    y_id, z_id = _fresh_variable_ids(s, 2)
 
     def child(first_is_i: bool) -> tuple[Fraction, ExpRapState]:
         # minimum Y of the two scaled variables, residual Z on the loser
@@ -386,7 +417,7 @@ def reference_condition_pair(
             rules = {i: ((y_id, inv_a),), j: ((y_id, inv_b), (z_id, inv_b))}
         else:
             rules = {j: ((y_id, inv_b),), i: ((y_id, inv_a), (z_id, inv_a))}
-        entries = _substitute(s.entries, rules, y_id, {})
+        entries = _substitute_matrix(s, rules, y_id, {})
         variables = tuple(v for v in s.variables if v.id not in (i, j)) + (
             ExpVariable(y_id, total),
             ExpVariable(z_id, z_intensity),

@@ -712,7 +712,7 @@ class TestKeptZeroGraph:
         pattern and its root state.
         """
         whole, depth = [], [0]
-        matching, evaluate = covers._max_matching, rapkit.oracle._evaluate_reduced
+        matching, evaluate = covers._max_matching, rapkit.oracle._evaluate
 
         def counted_matching(masks):
             if not depth[0]:
@@ -727,7 +727,7 @@ class TestKeptZeroGraph:
                 depth[0] -= 1
 
         monkeypatch.setattr(covers, "_max_matching", counted_matching)
-        monkeypatch.setattr(rapkit.oracle, "_evaluate_reduced", counted_evaluate)
+        monkeypatch.setattr(rapkit.oracle, "_evaluate", counted_evaluate)
         routes = self._routes(oracle_cache)
         orders = list(itertools.permutations(routes))
         for t, (m, n, zeros) in enumerate(_small_patterns()):

@@ -49,11 +49,14 @@ TEST_ONLY = (
 # names the package no longer defines: cover_lattice and max_independent_zeros
 # are the whole König API, Fractions are summed with sum(), the oracle's
 # evaluator conditions through condition_minimum itself, a state's
-# constructor drops the variables its entries do not use, and the CLI
-# builds each envelope from plain values in one place
+# constructor drops the variables its entries do not use, the CLI builds
+# each envelope from plain values in one place, a conditioning step writes
+# its template in one pass, the root enters the one recursive evaluator
+# reduced, and the terminal test lives in the tests
 REMOVED = (
     "column_maximal_cover", "min_cover", "row_maximal_cover", "_pairwise_sum", "_minimum_conditioning", "_gc",
     "FormulaReport", "METHODS", "CommandResult", "_Timer", "_default_threads",
+    "_substitute", "_fresh_ids", "_evaluate_reduced", "is_terminal",
 )
 
 
@@ -83,6 +86,8 @@ class TestPublicSurface:
         assert not any(hasattr(ExpRapState, name) for name in ("zero_pattern", "_masks", "_zeros"))
         assert "cover" not in {field.name for field in dataclasses.fields(EntryClassification)}
         assert not hasattr(LinearEntry, "is_zero")
+        # the pair rule and the measure read one record of coefficient differences
+        assert not any(hasattr(LinearEntry, name) for name in ("coeff", "variables"))
         # a reduced state scans its own entries for its lattice: no inherited one
         assert not hasattr(rapkit.covers.CoverLattice, "without_lines")
         assert not hasattr(ExpRapState, "_inherited")
