@@ -4,11 +4,15 @@ Every subcommand prints one JSON envelope on stdout:
 
     {"command": ..., "inputs": ..., "outputs": ..., "elapsed_ms": ...}
 
-or, with ``--pretty``, a small human-readable table.  Each ``cmd_*``
-function takes the parsed arguments and returns plain values: the
-``inputs`` and ``outputs`` dicts, the milliseconds its computation took
-and the exit code.  ``main`` adds the command name and hands that one
-envelope dict to ``_emit``, the only code that writes it.  Exit codes:
+or, with ``--pretty``, a small human-readable table.  ``main`` loads the
+instance file of the commands that take one and reads the clock; each
+``cmd_*`` function takes the parsed arguments and that instance (None for
+the commands without one) and returns plain values: the ``inputs`` and
+``outputs`` dicts and the exit code.  ``elapsed_ms`` is the time of the
+command call, so it leaves out argument parsing, loading the instance file
+and writing the envelope.  ``main`` adds the command name and the time
+and hands that one envelope dict to ``_emit``, the only code that writes
+it.  Exit codes:
 0 success, 1 usage or parse error, 2 verification mismatch, 3 oracle
 node budget or cover-profile subset budget exhausted.  Randomized
 subcommands require an explicit ``--seed``; ``--threads`` falls back to
@@ -59,8 +63,8 @@ EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_BUDGET = 3
 
-# what every cmd_* returns: inputs, outputs, elapsed_ms, exit code
-Result = tuple[dict, dict, float, int]
+# what every cmd_* returns: inputs, outputs, exit code
+Result = tuple[dict, dict, int]
 
 
 def load_schema(command: str) -> dict:
@@ -101,29 +105,21 @@ def _formula(method: str, k: int, m: int, n: int, value: Fraction) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations (pure: parsed arguments in, envelope parts and exit code out)
+# Command implementations (parsed arguments and instance in, envelope parts and exit code out)
 # ---------------------------------------------------------------------------
 
 
-def cmd_value(args: argparse.Namespace) -> Result:
+def cmd_value(args: argparse.Namespace, p: RapInstance) -> Result:
     """Exact expected optimal cost of the instance, by the cover formula."""
-    p = load_instance(args.instance)
-    start = time.perf_counter()
-    value = cover_formula_value(p)
-    elapsed = _elapsed_ms(start)
-    return _echo_instance(args, p), _formula("cover-formula", p.k, p.m, p.n, value), elapsed, EXIT_OK
+    return _echo_instance(args, p), _formula("cover-formula", p.k, p.m, p.n, cover_formula_value(p)), EXIT_OK
 
 
-def cmd_profile(args: argparse.Namespace) -> Result:
+def cmd_profile(args: argparse.Namespace, p: RapInstance) -> Result:
     """Cover-coefficient table d_{i,j} of the instance."""
-    p = load_instance(args.instance)
-    start = time.perf_counter()
-    profile = cover_profile(p)
-    elapsed = _elapsed_ms(start)
-    return _echo_instance(args, p), {"m": p.m, "n": p.n, **profile.to_json_obj()}, elapsed, EXIT_OK
+    return _echo_instance(args, p), {"m": p.m, "n": p.n, **cover_profile(p).to_json_obj()}, EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> Result:
+def cmd_verify(args: argparse.Namespace, p: RapInstance) -> Result:
     """Cross-check the cover formula against the oracle and optionally Monte Carlo.
 
     The exit code is 0 when all enabled checks agree, 2 on an exact
@@ -131,9 +127,7 @@ def cmd_verify(args: argparse.Namespace) -> Result:
     """
     if args.samples is not None and args.seed is None:
         raise ValueError("--samples requires an explicit --seed")
-    p = load_instance(args.instance)
     code = EXIT_OK
-    start = time.perf_counter()
     formula = cover_formula_value(p)
     outputs: dict = {
         "status": "ok",
@@ -165,56 +159,42 @@ def cmd_verify(args: argparse.Namespace) -> Result:
         est = estimate_value(p, args.samples, args.seed, threads=args.threads, target=formula)
         outputs["montecarlo"] = est.to_json_obj()
         outputs["mc_within_3_sigma"] = est.within_3_sigma()
-    elapsed = _elapsed_ms(start)
-    return _echo_instance(args, p, "oracle", "budget", "samples", "seed"), outputs, elapsed, code
+    return _echo_instance(args, p, "oracle", "budget", "samples", "seed"), outputs, code
 
 
-def cmd_parisi(args: argparse.Namespace) -> Result:
+def cmd_parisi(args: argparse.Namespace, p: None) -> Result:
     """Exact expected cost of the zero-free k-by-k instance."""
     k = args.k
-    start = time.perf_counter()
-    value = parisi_value(k)
-    elapsed = _elapsed_ms(start)
-    return {"k": k}, _formula("parisi", k, k, k, value), elapsed, EXIT_OK
+    return {"k": k}, _formula("parisi", k, k, k, parisi_value(k)), EXIT_OK
 
 
-def cmd_cs(args: argparse.Namespace) -> Result:
+def cmd_cs(args: argparse.Namespace, p: None) -> Result:
     """Exact expected cost of the zero-free m-by-n instance with k assigned."""
     k, m, n = args.k, args.m, args.n
-    start = time.perf_counter()
-    value = cs_value(k, m, n)
-    elapsed = _elapsed_ms(start)
-    return {"k": k, "m": m, "n": n}, _formula("coppersmith-sorkin", k, m, n, value), elapsed, EXIT_OK
+    return {"k": k, "m": m, "n": n}, _formula("coppersmith-sorkin", k, m, n, cs_value(k, m, n)), EXIT_OK
 
 
-def cmd_rowprob(args: argparse.Namespace) -> Result:
+def cmd_rowprob(args: argparse.Namespace, p: RapInstance) -> Result:
     """Exact probability that the optimal assignment uses zero-free row r."""
-    p = load_instance(args.instance)
-    start = time.perf_counter()
     value = row_inclusion_probability(p, args.row)
-    elapsed = _elapsed_ms(start)
     outputs = {"row": args.row, **_formula("row-inclusion", p.k, p.m, p.n, value)}
-    return _echo_instance(args, p, "row"), outputs, elapsed, EXIT_OK
+    return _echo_instance(args, p, "row"), outputs, EXIT_OK
 
 
-def cmd_minprob(args: argparse.Namespace) -> Result:
+def cmd_minprob(args: argparse.Namespace, p: None) -> Result:
     """Exact probability that the smallest entry of a zero-free instance is used."""
     k, m, n = args.k, args.m, args.n
-    start = time.perf_counter()
     value = min_entry_usage_probability(k, m, n)
-    elapsed = _elapsed_ms(start)
-    return {"k": k, "m": m, "n": n}, _formula("min-entry-usage", k, m, n, value), elapsed, EXIT_OK
+    return {"k": k, "m": m, "n": n}, _formula("min-entry-usage", k, m, n, value), EXIT_OK
 
 
-def cmd_simulate(args: argparse.Namespace) -> Result:
+def cmd_simulate(args: argparse.Namespace, p: RapInstance) -> Result:
     """Monte Carlo estimate of a cost or usage statistic, with exact target.
 
     The arguments are checked and the exact target computed before the
     CSV file is opened, so a command that fails there leaves no file.
     """
-    p = load_instance(args.instance)
     what, row, pos = args.what, args.row, args.pos
-    start = time.perf_counter()
     if what == "value":
         target = cover_formula_value(p)
         estimate = functools.partial(estimate_value, p)
@@ -235,35 +215,25 @@ def cmd_simulate(args: argparse.Namespace) -> Result:
         estimate = functools.partial(estimate_min_entry_usage, p.k, p.m, p.n)
     with open(args.csv, "w", encoding="utf-8") if args.csv is not None else nullcontext() as csv_out:
         est = estimate(args.samples, args.seed, threads=args.threads, csv_out=csv_out, target=target)
-    elapsed = _elapsed_ms(start)
     inputs = _echo_instance(args, p, "what", "samples", "seed", "row", "pos", "csv")
-    outputs = {"what": what, **est.to_json_obj(), "within_3_sigma": est.within_3_sigma()}
-    return inputs, outputs, elapsed, EXIT_OK
+    return inputs, {"what": what, **est.to_json_obj(), "within_3_sigma": est.within_3_sigma()}, EXIT_OK
 
 
-def cmd_oracle(args: argparse.Namespace) -> Result:
+def cmd_oracle(args: argparse.Namespace, p: RapInstance) -> Result:
     """Exact expected cost by symbolic conditioning, with node accounting."""
-    p = load_instance(args.instance)
     with open(args.trace, "w", encoding="utf-8") if args.trace is not None else nullcontext() as trace:
-        start = time.perf_counter()
         try:
             value, nodes = oracle_node_count(p, budget=args.budget, trace=trace)
-            outputs = {"status": "ok", "value": rational_to_json(value), "nodes": nodes}
-            code = EXIT_OK
+            outputs, code = {"status": "ok", "value": rational_to_json(value), "nodes": nodes}, EXIT_OK
         except BudgetExceededError as exc:
-            outputs = {"status": "budget-exhausted", "value": None, "nodes": exc.nodes}
-            code = EXIT_BUDGET
-        elapsed = _elapsed_ms(start)
-    return _echo_instance(args, p, "budget", "trace"), outputs, elapsed, code
+            outputs, code = {"status": "budget-exhausted", "value": None, "nodes": exc.nodes}, EXIT_BUDGET
+    return _echo_instance(args, p, "budget", "trace"), outputs, code
 
 
-def cmd_integral(args: argparse.Namespace) -> Result:
+def cmd_integral(args: argparse.Namespace, p: None) -> Result:
     """Numeric value of the limiting triangular-support integral."""
     inputs = {"alpha": args.alpha, "beta": args.beta}
-    start = time.perf_counter()
-    value = triangle_integral(args.alpha, args.beta)
-    elapsed = _elapsed_ms(start)
-    return inputs, {**inputs, "value": value}, elapsed, EXIT_OK
+    return inputs, {**inputs, "value": triangle_integral(args.alpha, args.beta)}, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name: str, run, help: str, instance: bool = True) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, parents=[common], help=help)
-        sp.set_defaults(run=run)
+        sp.set_defaults(run=run, instance=None)
         if instance:
             sp.add_argument("instance", help="instance JSON file")
         return sp
@@ -423,7 +393,10 @@ def main(argv: list[str] | None = None) -> int:
             except argparse.ArgumentTypeError:
                 parser.error(f"RAP_THREADS: expected a positive integer, got {raw!r}")
     try:
-        inputs, outputs, elapsed_ms, code = args.run(args)
+        p = load_instance(args.instance) if args.instance is not None else None
+        start = time.perf_counter()
+        inputs, outputs, code = args.run(args, p)
+        elapsed_ms = _elapsed_ms(start)
     except BudgetExceededError as exc:  # the oracle's is reported in its envelope
         print(f"rapkit: error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

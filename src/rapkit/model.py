@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import re
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -312,12 +313,21 @@ def rational_to_json(value: Fraction) -> dict[str, str]:
     }
 
 
+# the shipped schema's patterns for num and den (its $defs.rational)
+_NUM = re.compile("^-?[0-9]+$")
+_DEN = re.compile("^[0-9]+$")
+
+
 def rational_from_json(doc: dict) -> Fraction:
-    """The Fraction of a wire object; num and den must be integer strings, den nonzero."""
+    """The Fraction of a wire object.
+
+    num and den must each match the schema's pattern in full, so they are
+    ASCII digits with at most a leading minus on num; den must be nonzero.
+    """
     try:
         num, den = doc["num"], doc["den"]
-        if isinstance(num, str) and isinstance(den, str):
+        if isinstance(num, str) and isinstance(den, str) and _NUM.fullmatch(num) and _DEN.fullmatch(den):
             return Fraction(int(num), int(den))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+    except (KeyError, TypeError, ZeroDivisionError):
         pass
     raise InvalidInstanceError(f"malformed rational object: {doc!r}")

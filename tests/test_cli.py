@@ -631,6 +631,38 @@ class TestPinnedEnvelopes:
         assert hashlib.sha256(_pinned_pretty(capsys.readouterr().out)).hexdigest() == self.PRETTY[command]
 
 
+class TestInstanceLoadedOnce:
+    """``main`` loads the instance file, once, before the clock starts; the
+    commands without one load nothing."""
+
+    INSTANCE_COMMANDS = ("oracle", "profile", "rowprob", "simulate", "value", "verify")
+
+    @pytest.mark.parametrize("command", _commands())
+    def test_load_count(self, capsys, inst_dir, monkeypatch, command):
+        loaded = []
+        load_instance = cli.load_instance
+
+        def spy(path):
+            loaded.append(path)
+            return load_instance(path)
+
+        monkeypatch.setattr(cli, "load_instance", spy)
+        argv = [arg.format(**inst_dir) for arg in ENVELOPE_ARGV[command]]
+        assert run(capsys, argv)[0] == EXIT_OK
+        assert loaded == ([argv[1]] if command in self.INSTANCE_COMMANDS else [])
+
+    def test_elapsed_ms_leaves_out_the_load(self, capsys, inst_dir, monkeypatch):
+        load_instance = cli.load_instance
+
+        def slow(path):
+            time.sleep(0.2)
+            return load_instance(path)
+
+        monkeypatch.setattr(cli, "load_instance", slow)
+        code, env = run(capsys, ["value", inst_dir["rect32"]])
+        assert code == EXIT_OK and 0 <= env["elapsed_ms"] < 200
+
+
 class TestBenchmarkSpans:
     """Every name the benchmark's span recorder wraps in ``rapkit.cli``
     (perfbench/spans.py, all but ``main``) is looked up there at call time,

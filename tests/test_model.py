@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given
 
 from rapkit.model import (
+    _DEN,
+    _NUM,
     Assignment,
     InvalidInstanceError,
     RapInstance,
@@ -23,6 +25,7 @@ from rapkit.model import (
     serialize_instance,
 )
 
+from rapkit.cli import load_schema
 from rapkit.formulas import row_inclusion_probability
 from rapkit.montecarlo import estimate_row_usage
 
@@ -307,6 +310,14 @@ class TestRationalWireFormat:
             {"num": "1.5", "den": "1"},
             {"num": "1", "den": "0"},
             {"num": "0", "den": "0"},
+            {"num": "1", "den": "-4"},
+            {"num": " 7", "den": "1"},
+            {"num": "+5", "den": "1"},
+            {"num": "1_0", "den": "1"},
+            {"num": "\u0663", "den": "1"},
+            {"num": "4\n", "den": "1"},
+            {"num": "1", "den": "4\n"},
+            {"num": "1", "den": "+4"},
             ["1", "2"],
             None,
         ],
@@ -316,6 +327,11 @@ class TestRationalWireFormat:
         a zero denominator is a malformed object, not a ZeroDivisionError."""
         with pytest.raises(InvalidInstanceError, match="malformed rational object"):
             rational_from_json(doc)
+
+    def test_patterns_are_the_schemas(self):
+        rational = load_schema("value")["$defs"]["rational"]["properties"]
+        assert _NUM.pattern == rational["num"]["pattern"]
+        assert _DEN.pattern == rational["den"]["pattern"]
 
     def test_negative_and_unreduced_strings_read_exactly(self):
         assert rational_from_json({"num": "-6", "den": "4"}) == Fraction(-3, 2)

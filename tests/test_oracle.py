@@ -515,6 +515,17 @@ class TestConditionPairAgainstReference:
         ]
         assert self._check(cases) == 3
 
+    def test_lowest_id_disagreement_variable(self):
+        # e1 = X0 + 2*X1 against e2 = X2, then the same pair swapped: the
+        # entry with two excess variables gives the lowest-id one, X0, whose
+        # scale and intensity both differ from X1's
+        entries = [{0: 1, 1: 2}, {2: 1}]
+        cases = [
+            (state(2, [row, [{3: 1}, {4: 1}]], {0: 1, 1: 3, 2: 1, 3: 1, 4: 1}), (0, 0), (0, 1))
+            for row in (entries, entries[::-1])
+        ]
+        assert self._check(cases) == 2
+
 
 class TestClassificationPartition:
     """The two position tuples split the cells outside the cover by kind."""

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import rapkit
+import rapkit.cli
 import rapkit.covers
 import rapkit.montecarlo
 import rapkit.oracle
@@ -380,6 +381,28 @@ class TestOneMatchingRoutine:
             for alias in node.names
         ]
         assert not [name for name in imported if re.search("match|assignment|networkx|scipy", name)]
+
+
+class TestCommandsOnlyCompute:
+    """``main`` loads the instance file and reads the clock, once each; no
+    ``cmd_*`` in ``cli.py`` does either, so neither decision is written
+    once per command."""
+
+    TREE = ast.parse(Path(rapkit.cli.__file__).read_text(encoding="utf-8"))
+    FUNCTIONS = [node for node in TREE.body if isinstance(node, ast.FunctionDef)]
+
+    def _callers(self, name: str) -> list[str]:
+        return sorted(
+            f.name
+            for f in self.FUNCTIONS
+            if any(isinstance(node, ast.Call) and ast.unparse(node.func) == name for node in ast.walk(f))
+        )
+
+    def test_no_command_loads_or_reads_the_clock(self):
+        assert len([f for f in self.FUNCTIONS if f.name.startswith("cmd_")]) == 10
+        assert self._callers("load_instance") == ["main"]
+        assert self._callers("_elapsed_ms") == ["main"]
+        assert self._callers("time.perf_counter") == ["_elapsed_ms", "main"]
 
 
 class TestCheckedEntries:
