@@ -1,12 +1,17 @@
 """Monte Carlo estimation: sampling contract, determinism, and calibration."""
 
+import importlib.util
 import io
 import random
+import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from rapkit.formulas import (
     cover_formula_value,
@@ -450,3 +455,148 @@ class TestSolverAgreement:
                 assert len({c for _, c in chosen}) == len(chosen) >= p.k
                 assert positive == {pos for pos in exact.positions if a[pos] > 0}
                 assert abs(float(exact.cost) - cost) < 1e-9 * max(1.0, cost)
+
+
+def _same_solve(solver, public, cost: np.ndarray) -> None:
+    """`solver` and `public` give identical (rows, cols), or raise the same exception type."""
+    try:
+        expected = public(cost)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            solver(cost)
+        return
+    got = solver(cost)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.fixture()
+def unloaded(monkeypatch):
+    """No solver loaded yet, and scipy's extension module out of sys.modules;
+    both are put back after the test."""
+    monkeypatch.setattr(montecarlo, "_scipy_lsa", None)
+    monkeypatch.delitem(sys.modules, montecarlo._LSAP)  # imported with scipy.optimize above
+
+
+class TestSolverLoad:
+    """`linear_sum_assignment` loads scipy's assignment extension on its
+    first call; it must solve exactly as scipy.optimize's public function."""
+
+    TIES = [
+        np.zeros((4, 6)),
+        np.zeros((6, 4)),
+        np.full((5, 5), 3.0),
+        np.full((3, 7), 0.25),
+        np.random.default_rng(1).integers(0, 3, size=(7, 7)).astype(float),
+        np.random.default_rng(2).integers(0, 3, size=(5, 9)).astype(float),
+        np.random.default_rng(3).integers(0, 3, size=(9, 5)).astype(float),
+    ]
+
+    def test_hand_loaded_solver_matches_the_public_one(self, unloaded):
+        solver = montecarlo._load_solver()
+        public = scipy.optimize.linear_sum_assignment
+        gen = np.random.default_rng(11)
+        for cost in [gen.random((5, 8)), gen.random((8, 5)), gen.exponential(size=(50, 60)), *self.TIES]:
+            _same_solve(solver, public, cost)
+        rng = random.Random(23)
+        for _ in range(40):
+            p = random_instance(rng, max_m=6, max_n=6)
+            mask = montecarlo._zero_mask(p, p.n + p.m - p.k)
+            for padded in montecarlo._draw_chunk(mask, 4, substream(rng.randrange(2**64), rng.randrange(8))):
+                _same_solve(solver, public, padded)
+
+    def test_infeasible_matrix_raises_as_the_public_one_does(self, unloaded):
+        cost = np.ones((3, 4))
+        cost[1] = np.inf
+        with pytest.raises(ValueError):
+            scipy.optimize.linear_sum_assignment(cost)
+        _same_solve(montecarlo._load_solver(), scipy.optimize.linear_sum_assignment, cost)
+
+    def test_loaded_extension_is_not_left_in_sys_modules(self, unloaded):
+        assert montecarlo._lsap_spec() is not None
+        montecarlo.linear_sum_assignment(np.ones((2, 2)))
+        assert montecarlo._LSAP not in sys.modules
+        assert montecarlo._scipy_lsa is scipy.optimize.linear_sum_assignment
+
+    def test_module_already_imported_is_reused(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_scipy_lsa", None)
+        monkeypatch.setattr(montecarlo, "_lsap_spec", lambda: pytest.fail("looked up a loaded module"))
+        imported = sys.modules[montecarlo._LSAP]
+        montecarlo.linear_sum_assignment(np.ones((2, 2)))
+        assert montecarlo._scipy_lsa is imported.linear_sum_assignment
+        assert sys.modules[montecarlo._LSAP] is imported
+
+    @pytest.fixture(params=["file missing", "no callable"])
+    def hide_extension(self, request, monkeypatch, tmp_path):
+        """A function that makes the solver's lookup find no extension file,
+        or a module without the solver."""
+
+        def hide():
+            if request.param == "file missing":
+                scipy_spec = importlib.util.spec_from_loader("scipy", None, is_package=True)
+                scipy_spec.submodule_search_locations = [str(tmp_path)]  # holds no optimize/_lsap
+                find_spec = importlib.util.find_spec
+                monkeypatch.setattr(importlib.util, "find_spec",
+                                    lambda name, package=None: scipy_spec if name == "scipy" else find_spec(name, package))
+                assert montecarlo._lsap_spec() is None
+            else:
+                stand_in = tmp_path / "_lsap.py"
+                stand_in.write_text("linear_sum_assignment = None\n")
+                monkeypatch.setattr(montecarlo, "_lsap_spec",
+                                    lambda: importlib.util.spec_from_file_location(montecarlo._LSAP, stand_in))
+
+        return hide
+
+    def test_falls_back_to_the_public_function(self, unloaded, monkeypatch, hide_extension):
+        fast = estimate_value(instance(4, 4, 4), 2000, 1)
+        assert montecarlo._scipy_lsa is scipy.optimize.linear_sum_assignment
+        montecarlo._scipy_lsa = None
+        hide_extension()
+        calls = []
+        solver = scipy.optimize.linear_sum_assignment
+
+        def public(cost):
+            calls.append(1)
+            return solver(cost)
+
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", public)
+        assert estimate_value(instance(4, 4, 4), 2000, 1) == fast
+        assert montecarlo._scipy_lsa is public and len(calls) == 2000
+
+    def test_first_call_from_many_threads_loads_once(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_scipy_lsa", None)
+        loads, used, results = [], {}, {}
+        load = montecarlo._load_solver
+
+        def counted():
+            loads.append(threading.get_ident())
+            time.sleep(0.05)  # keep the load open while the other threads arrive
+            solver = load()
+
+            def watched(cost):
+                used[threading.get_ident()] = watched
+                return solver(cost)
+
+            return watched
+
+        monkeypatch.setattr(montecarlo, "_load_solver", counted)
+        barrier = threading.Barrier(4, timeout=10)
+        cost = np.random.default_rng(5).random((6, 8))
+
+        def first_call():
+            barrier.wait()
+            results[threading.get_ident()] = montecarlo.linear_sum_assignment(cost)
+
+        threads = [threading.Thread(target=first_call) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert len(loads) == 1
+        assert len(used) == 4 and {id(s) for s in used.values()} == {id(montecarlo._scipy_lsa)}
+        expected = scipy.optimize.linear_sum_assignment(cost)
+        for rows, cols in results.values():
+            np.testing.assert_array_equal(rows, expected[0])
+            np.testing.assert_array_equal(cols, expected[1])

@@ -140,8 +140,9 @@ class TestPublicSurface:
         assert (solver.__module__, solver.__qualname__) == ("rapkit.montecarlo", "linear_sum_assignment")
 
     def test_solver_name_is_never_rebound(self, monkeypatch):
-        """The first solve imports scipy's solver without replacing the
-        module attribute, so a wrapper installed on it stays in place."""
+        """The first solve loads scipy's solver from its extension module
+        without replacing the module attribute, so a wrapper installed on
+        it stays in place."""
         monkeypatch.setattr(rapkit.montecarlo, "_scipy_lsa", None)
         solver = rapkit.montecarlo.linear_sum_assignment
         estimate_value(instance(3, 3, 3), 10, 1)
@@ -197,6 +198,14 @@ print(json.dumps({{
 }}))
 """
 
+# solve once, then import the solver's module as scipy's own users would
+_LATER_IMPORT = """
+import json, numpy as np, rapkit.montecarlo as mc
+mc.linear_sum_assignment(np.ones((2, 2)))
+import scipy.optimize._lsap
+print(json.dumps(scipy.optimize._lsap.linear_sum_assignment is mc._scipy_lsa is scipy.optimize.linear_sum_assignment))
+"""
+
 # the envelopes' outputs as the package gave them with scipy imported at start-up
 _INTEGRAL_OUTPUTS = {"alpha": 1.0, "beta": 2.0, "value": 0.5822405264650125}
 _SIMULATE_OUTPUTS = {
@@ -230,6 +239,23 @@ class TestScipyLoadedOnlyWhereCalled:
         assert loaded == [["import", 0, []]] + [[argv[0], 0, []] for argv in commands]
         assert Path(trace).read_text().count("\n") > 0
 
+    def test_sampling_commands_load_the_assignment_extension_alone(self, tmp_path):
+        """Monte Carlo needs one function of scipy.optimize, and loads only
+        the C extension that holds it, which it leaves out of sys.modules;
+        the public fallback would list every scipy.optimize module here."""
+        large, small = tmp_path / "large.json", tmp_path / "small.json"
+        large.write_text(serialize_instance(instance(32, 32, 32)))  # pads to 1024 entries: the pool runs
+        small.write_text(serialize_instance(instance(3, 3, 2, [(0, 0), (0, 2)])))
+        commands = [
+            ["simulate", str(large), "--samples", "200", "--seed", "7", "--threads", "2"],
+            ["verify", str(small), "--samples", "200", "--seed", "7"],
+        ]
+        loaded = _run_fresh(_GUARD, json.dumps(commands))
+        assert loaded == [["import", 0, []], ["simulate", 0, []], ["verify", 0, []]]
+
+    def test_a_later_scipy_import_holds_the_same_solver(self):
+        assert _run_fresh(_LATER_IMPORT) is True
+
     @pytest.mark.parametrize(
         "argv, outputs",
         [
@@ -246,7 +272,7 @@ class TestScipyLoadedOnlyWhereCalled:
         assert got["before"] == [] and got["code"] == 0
         assert got["outputs"] == outputs
         if argv[0] == "simulate" and got["cpus"] > 1:
-            assert got["main_thread"] is False  # scipy was first imported on a pool thread
+            assert got["main_thread"] is False  # the solver was first loaded on a pool thread
 
 
 _P = instance(3, 3, 2, [(0, 0)])
