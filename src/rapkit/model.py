@@ -298,10 +298,10 @@ def load_instance(path: str) -> RapInstance:
 APPROX_DIGITS = 12
 
 
-def rational_approx(value: Fraction, digits: int = APPROX_DIGITS) -> str:
-    """Decimal string of ``value`` with the given number of significant digits."""
+def rational_approx(value: Fraction) -> str:
+    """Decimal string of ``value`` with APPROX_DIGITS significant digits."""
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = APPROX_DIGITS
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 

@@ -54,11 +54,12 @@ state found in the cache, root or child, never forms one.  Each state
 classifies its entries once, on first use, and the termination measure
 and the conditioning rules read that classification.
 
-A state's variable table holds only the variables its entries use.
-Every entry is built by LinearEntry's checking constructor.  The states
-the oracle derives are built from checked ones by steps that keep the
-state invariants, without the state constructor's checks.  A state
-holds no record of the cost extracted above it.
+A state's variable table maps each variable its entries use, and no
+other, to its intensity.  Every entry is built by LinearEntry's checking
+constructor.  The states the oracle derives are built from checked ones
+by steps that keep the state invariants, without the state
+constructor's checks.  A state holds no record of the cost extracted
+above it.
 
 A line is plain when each of its cells is a zero or a standard entry,
 and two plain lines with the same zeros are twins: swapping them, and
@@ -69,9 +70,11 @@ one child per such orbit and weights its value by the orbit's summed
 weight.  The term member is an orbit of its own, and pair conditioning
 evaluates both of its children.
 
-The root state costs no per-cell construction: its standard cells are
-shared immutable objects, each built (and validated) once per variable
-id for the whole process.  The canonical key encodes zero- and one-term
+The root state costs little per-cell construction: its standard cells
+are shared immutable objects, each built (and validated) once per
+variable id and kept in a cache of a fixed size, _UNIT_CELLS: a root of
+up to that many nonzeros shares every one, and a larger root leaves no
+more than that many held.  The canonical key encodes zero- and one-term
 cells directly and sorts only the terms of cells with two or more.
 
 A lexicographic 5-part measure (zeros, cover rows, potentially minimal
@@ -95,7 +98,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from typing import IO, Mapping
 
 from .covers import (
@@ -109,6 +112,7 @@ from .covers import (
 from .model import BudgetExceededError, Position, RapInstance, checked_int
 
 DEFAULT_NODE_BUDGET = 10**6
+_UNIT_CELLS = 1024  # shared standard cells kept (see _unit)
 
 Rational = int | Fraction  # an int when integral (see _exact)
 
@@ -119,19 +123,6 @@ def _exact(x) -> Rational:
         return x
     x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
-
-
-@dataclass(frozen=True)
-class ExpVariable:
-    """An exponential variable: opaque integer id and positive intensity."""
-
-    id: int
-    intensity: Rational
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "intensity", _exact(self.intensity))
-        if self.intensity <= 0:
-            raise ValueError(f"intensity must be positive, got {self.intensity}")
 
 
 @dataclass(frozen=True)
@@ -169,29 +160,34 @@ class ExpRapState:
     """A RAP over exponential linear-combination entries; its value is the
     expected optimal k-assignment cost of the symbolic matrix.
 
-    The variable table may name variables no entry uses; the constructor
-    drops them, keeping the others in their order.  The oracle builds the
+    ``intensities`` is the variable table: each exponential variable's
+    opaque integer id mapped to its positive intensity.  The constructor
+    stores every intensity exactly (see _exact) and drops the variables no
+    entry uses, keeping the others in their order.  The oracle builds the
     states it derives without the constructor's checks (see _trusted).
     """
 
     k: int
     entries: tuple[tuple[LinearEntry, ...], ...]
-    variables: tuple[ExpVariable, ...]
+    intensities: Mapping[int, Rational]
 
     def __post_init__(self) -> None:
         n = self.n
         if any(len(row) != n for row in self.entries):
             raise ValueError("every row of entries must have the same length")
-        ids = {v.id for v in self.variables}
-        if len(ids) != len(self.variables):
-            raise ValueError("duplicate variable id in table")
         used = {v for row in self.entries for e in row for v, _ in e.terms}
-        unknown = used - ids
+        unknown = used - self.intensities.keys()
         if unknown:
             first = next(v for row in self.entries for e in row for v, _ in e.terms if v in unknown)
             raise ValueError(f"entry references unknown variable {first}")
-        if len(used) < len(ids):
-            object.__setattr__(self, "variables", tuple(v for v in self.variables if v.id in used))
+        table = {}
+        for v, i in self.intensities.items():
+            i = _exact(i)
+            if i <= 0:
+                raise ValueError(f"intensity must be positive, got {i}")
+            if v in used:
+                table[v] = i
+        object.__setattr__(self, "intensities", table)
 
     @property
     def m(self) -> int:
@@ -202,10 +198,6 @@ class ExpRapState:
         return len(self.entries[0]) if self.entries else 0
 
     # per-state data computed on first use; the state is immutable, so it never goes stale
-    @cached_property
-    def _intensities(self) -> dict[int, Rational]:
-        return {v.id: v.intensity for v in self.variables}
-
     @cached_property
     def _covers(self) -> CoverLattice:
         """The cover lattice of the zero graph, scanned from the entries as
@@ -223,9 +215,6 @@ class ExpRapState:
     @cached_property
     def _classification(self) -> EntryClassification:
         return classify_entries(self)
-
-    def intensity(self, vid: int) -> Rational:
-        return self._intensities[vid]
 
 
 @dataclass(frozen=True)
@@ -267,11 +256,11 @@ def _trusted(cls, **fields):
     return obj
 
 
-@cache
-def _unit(vid: int) -> tuple[LinearEntry, ExpVariable]:
-    """The standard cell of variable `vid` and its unit variable, built once
-    and shared by every initial state; both are immutable."""
-    return LinearEntry(((vid, 1),)), ExpVariable(vid, 1)
+@lru_cache(maxsize=_UNIT_CELLS)
+def _unit(vid: int) -> LinearEntry:
+    """The standard cell of variable `vid`, shared by the initial states
+    while it stays in the cache; it is immutable."""
+    return LinearEntry(((vid, 1),))
 
 
 def make_initial_state(p: RapInstance) -> ExpRapState:
@@ -282,7 +271,7 @@ def make_initial_state(p: RapInstance) -> ExpRapState:
     entries for it.
     """
     zeros = p.pattern.zero_set
-    variables = []
+    vid = 0
     rows = []
     for r in range(p.m):
         row = []
@@ -290,11 +279,10 @@ def make_initial_state(p: RapInstance) -> ExpRapState:
             if (r, c) in zeros:
                 row.append(_ZERO)
             else:
-                cell, variable = _unit(len(variables))
-                row.append(cell)
-                variables.append(variable)
+                row.append(_unit(vid))
+                vid += 1
         rows.append(tuple(row))
-    state = ExpRapState(p.k, tuple(rows), tuple(variables))
+    state = ExpRapState(p.k, tuple(rows), dict.fromkeys(range(vid), 1))
     state.__dict__["_covers"] = cover_lattice(p.pattern)
     return state
 
@@ -333,7 +321,7 @@ def reduce_state(s: ExpRapState) -> ExpRapState:
         ExpRapState,
         k=s.k - len(rows) - len(cols),
         entries=entries,
-        variables=tuple(v for v in s.variables if v.id in used),
+        intensities={v: i for v, i in s.intensities.items() if v in used},
     )
 
 
@@ -350,7 +338,7 @@ def classify_entries(s: ExpRapState) -> EntryClassification:
         for e in row:
             for v, _ in e.terms:
                 occurrences[v] = occurrences.get(v, 0) + 1
-    intensity = s._intensities
+    intensity = s.intensities
 
     nonstandard = set()  # nonzero cells that are not standard
     row_zeros, col_zeros = [0] * s.m, [0] * s.n
@@ -477,7 +465,7 @@ class Conditioning:
     intensities: tuple[Rational, ...]
     total: Rational
     template: tuple[tuple[LinearEntry, ...], ...]
-    variables: tuple[ExpVariable, ...]  # the template's, every one used
+    table: Mapping[int, Rational]  # the template's variable table, every variable used
     residuals: tuple[int, ...]  # the variable id of each Z_j
     holding: Mapping[int, list[Position]]  # Z_j -> the cells whose terms hold it
     masks: Mapping[int, int]  # the template's zero graph, row -> mask of its zero columns
@@ -508,8 +496,9 @@ class Conditioning:
             terms = entries[r][c].terms
             e = LinearEntry(tuple(t for t in terms if t[0] != z_id)) if len(terms) > 1 else _ZERO
             entries[r] = (*entries[r][:c], e, *entries[r][c + 1:])
-        variables = tuple(v for v in self.variables if v.id != z_id)
-        child = _trusted(ExpRapState, k=self.k, entries=tuple(entries), variables=variables)
+        intensities = dict(self.table)
+        del intensities[z_id]
+        child = _trusted(ExpRapState, k=self.k, entries=tuple(entries), intensities=intensities)
         if covers is not None:
             child.__dict__["_covers"] = covers
         return child
@@ -531,11 +520,11 @@ def _condition_on_minimum(
     ..., above every existing id.  One pass rewrites each cell and records
     the template's zeros and the cells holding each fresh variable.
     """
-    member_intensities = tuple(s.intensity(v) * scale for v, scale in members)
+    member_intensities = tuple(s.intensities[v] * scale for v, scale in members)
     # each weight I_j / T is positive, and as T is their sum the weights sum to 1
     assert all(i > 0 for i in member_intensities)
     total = sum(member_intensities)
-    y_id = max((v.id for v in s.variables), default=-1) + 1
+    y_id = max(s.intensities, default=-1) + 1
     z_ids = tuple(range(y_id + 1, y_id + 1 + len(members)))
     rules = {v: (z_id, scale) for (v, scale), z_id in zip(members, z_ids)}
     if cover is None:
@@ -574,14 +563,12 @@ def _condition_on_minimum(
         template.append(tuple(cells))
         if mask:
             masks[r] = mask
+    table = {v: i for v, i in s.intensities.items() if v not in rules}
     # Y drops out when every cell that held a member lost it to the shift
-    y_var = (ExpVariable(y_id, total),) if holding.pop(y_id) else ()
-    variables = (
-        tuple(v for v in s.variables if v.id not in rules)
-        + y_var
-        + tuple(ExpVariable(z_id, i) for z_id, i in zip(z_ids, member_intensities))
-    )
-    return Conditioning(s.k, cost, member_intensities, total, tuple(template), variables, z_ids, holding, masks)
+    if holding.pop(y_id):
+        table[y_id] = total
+    table.update(zip(z_ids, member_intensities))
+    return Conditioning(s.k, cost, member_intensities, total, tuple(template), table, z_ids, holding, masks)
 
 
 def condition_pair(s: ExpRapState, u1: Position, u2: Position) -> Conditioning:
@@ -677,7 +664,7 @@ def canonical_key(s: ExpRapState):
     fall in different index orders get distinct keys, which merely costs a
     cache miss.
     """
-    intensity = s._intensities
+    intensity = s.intensities
     sig = []
     for row in s.entries:
         row_sig = []

@@ -43,7 +43,6 @@ from rapkit.oracle import (
     Conditioning,
     EntryClassification,
     ExpRapState,
-    ExpVariable,
     LinearEntry,
     canonical_key,
     classify_entries,
@@ -276,7 +275,7 @@ def reference_reduce_state(s: ExpRapState) -> ExpRapState:
             )
         else:
             return s
-        s = ExpRapState(s.k - 1, entries, s.variables)
+        s = ExpRapState(s.k - 1, entries, s.intensities)
 
 
 def is_terminal(s: ExpRapState) -> bool:
@@ -286,7 +285,7 @@ def is_terminal(s: ExpRapState) -> bool:
 
 def _fresh_variable_ids(s: ExpRapState, count: int) -> list[int]:
     """``count`` consecutive ids above every id in the state's variable table."""
-    start = 1 + max((v.id for v in s.variables), default=-1)
+    start = 1 + max(s.intensities, default=-1)
     return [start + i for i in range(count)]
 
 
@@ -337,7 +336,7 @@ def reference_condition_minimum(
     member_intensities: list[Fraction] = []
     if term is not None:
         vid, coeff = term
-        member_intensities.append(Fraction(s.intensity(vid)) / coeff)
+        member_intensities.append(Fraction(s.intensities[vid]) / coeff)
     member_intensities.extend(Fraction(1) for _ in std_vars)
     total = sum(member_intensities, Fraction(0))
     extracted = Fraction(s.k - size, 1) / total
@@ -360,7 +359,7 @@ def reference_condition_minimum(
     for idx, (kind, vid) in enumerate(members):
         weight = member_intensities[idx] / total
         y_id = fresh[0]
-        new_vars: list[ExpVariable] = [ExpVariable(y_id, total)]
+        new_vars: dict[int, Fraction] = {y_id: total}
         rules: dict[int, tuple[tuple[int, Fraction], ...]] = {}
         for jdx, (okind, ovid) in enumerate(members):
             if jdx == idx:
@@ -374,13 +373,13 @@ def reference_condition_minimum(
                 if okind == "term":
                     a = term[1]
                     rules[ovid] = ((y_id, Fraction(1) / a), (z_id, Fraction(1) / a))
-                    new_vars.append(ExpVariable(z_id, member_intensities[jdx]))
+                    new_vars[z_id] = member_intensities[jdx]
                 else:
                     rules[ovid] = ((y_id, Fraction(1)), (z_id, Fraction(1)))
-                    new_vars.append(ExpVariable(z_id, Fraction(1)))
+                    new_vars[z_id] = Fraction(1)
         new_entries = _substitute_matrix(s, rules, y_id, shift)
-        variables = tuple(v for v in s.variables if v.id not in rules) + tuple(new_vars)
-        children.append((weight, ExpRapState(s.k, new_entries, variables)))
+        intensities = {v: i for v, i in s.intensities.items() if v not in rules} | new_vars
+        children.append((weight, ExpRapState(s.k, new_entries, intensities)))
     assert sum(w for w, _ in children) == 1 and all(w > 0 for w, _ in children)
     return extracted, children
 
@@ -403,8 +402,8 @@ def reference_condition_pair(
     i, j = larger_in_e1[0], larger_in_e2[0]
     a = c1.get(i, 0) - c2.get(i, 0)  # scale of Xi's excess in e1
     b = c2.get(j, 0) - c1.get(j, 0)  # scale of Xj's excess in e2
-    ia = Fraction(s.intensity(i)) / a  # intensity of a*Xi
-    ib = Fraction(s.intensity(j)) / b  # intensity of b*Xj
+    ia = Fraction(s.intensities[i]) / a  # intensity of a*Xi
+    ib = Fraction(s.intensities[j]) / b  # intensity of b*Xj
     total = ia + ib
     y_id, z_id = _fresh_variable_ids(s, 2)
 
@@ -418,11 +417,9 @@ def reference_condition_pair(
         else:
             rules = {j: ((y_id, inv_b),), i: ((y_id, inv_a), (z_id, inv_a))}
         entries = _substitute_matrix(s, rules, y_id, {})
-        variables = tuple(v for v in s.variables if v.id not in (i, j)) + (
-            ExpVariable(y_id, total),
-            ExpVariable(z_id, z_intensity),
-        )
-        return weight, ExpRapState(s.k, entries, variables)
+        intensities = {v: x for v, x in s.intensities.items() if v not in (i, j)}
+        intensities |= {y_id: total, z_id: z_intensity}
+        return weight, ExpRapState(s.k, entries, intensities)
 
     first, second = child(True), child(False)
     assert first[0] + second[0] == 1 and first[0] > 0 and second[0] > 0
@@ -458,7 +455,7 @@ def reference_expected_value(s: ExpRapState, cache: dict) -> Fraction:
 def reference_initial_state(p: RapInstance) -> ExpRapState:
     """The standard RAP as a symbolic state, every cell and variable built afresh."""
     zeros = set(p.zeros)
-    variables = []
+    intensities = {}
     rows = []
     vid = 0
     for r in range(p.m):
@@ -467,16 +464,16 @@ def reference_initial_state(p: RapInstance) -> ExpRapState:
             if (r, c) in zeros:
                 row.append(LinearEntry())
             else:
-                variables.append(ExpVariable(vid, 1))
+                intensities[vid] = 1
                 row.append(LinearEntry(((vid, 1),)))
                 vid += 1
         rows.append(tuple(row))
-    return ExpRapState(p.k, tuple(rows), tuple(variables))
+    return ExpRapState(p.k, tuple(rows), intensities)
 
 
 def reference_canonical_key(s: ExpRapState):
     """The canonical key with every cell's terms sorted, one-term cells included."""
-    intensity = s._intensities
+    intensity = s.intensities
     sig = [[tuple(sorted((c, intensity[v]) for v, c in e.terms)) for e in row] for row in s.entries]
     row_order = sorted(range(s.m), key=lambda r: sorted(sig[r]))
     col_order = sorted(range(s.n), key=lambda c: sorted(row[c] for row in sig))

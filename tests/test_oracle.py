@@ -22,7 +22,6 @@ from rapkit.model import BudgetExceededError, instance
 from rapkit.oracle import (
     DEFAULT_NODE_BUDGET,
     ExpRapState,
-    ExpVariable,
     LinearEntry,
     canonical_key,
     classify_entries,
@@ -56,9 +55,13 @@ def entry(mapping) -> LinearEntry:
 
 
 def state(k, rows, intensities) -> ExpRapState:
-    variables = tuple(ExpVariable(v, Fraction(i)) for v, i in intensities.items())
     entries = tuple(tuple(entry(e) for e in row) for row in rows)
-    return ExpRapState(k, entries, variables)
+    return ExpRapState(k, entries, {v: Fraction(i) for v, i in intensities.items()})
+
+
+def _fields(s: ExpRapState):
+    """k, the entries and the variable table in its order."""
+    return s.k, s.entries, list(s.intensities.items())
 
 
 class TestGoldenValues:
@@ -123,17 +126,17 @@ class TestLinearEntry:
 class TestExpRapState:
     def test_ragged_entries_rejected(self):
         with pytest.raises(ValueError, match="same length"):
-            ExpRapState(1, ((LinearEntry(),), (LinearEntry(), LinearEntry())), ())
-
-    def test_duplicate_variable_id_rejected(self):
-        entries = ((entry({0: 1}),),)
-        with pytest.raises(ValueError, match="duplicate variable id in table"):
-            ExpRapState(1, entries, (ExpVariable(0, 1), ExpVariable(0, 2)))
+            ExpRapState(1, ((LinearEntry(),), (LinearEntry(), LinearEntry())), {})
 
     def test_unused_variables_dropped_in_order(self):
         s = state(1, [[{3: 1}, {0: 1}], [{}, {3: 2}]], {2: 1, 3: 4, 1: 1, 0: 2})
-        assert s.variables == (ExpVariable(3, 4), ExpVariable(0, 2))
-        assert state(1, [[{0: 1}]], {0: 1}).variables == (ExpVariable(0, 1),)
+        assert list(s.intensities.items()) == [(3, 4), (0, 2)]
+        assert list(state(1, [[{0: 1}]], {0: 1}).intensities.items()) == [(0, 1)]
+
+    @pytest.mark.parametrize("intensity", [0, -1, Fraction(-1, 2)])
+    def test_nonpositive_intensity_rejected(self, intensity):
+        with pytest.raises(ValueError, match=r"^intensity must be positive, got "):
+            ExpRapState(1, ((entry({0: 1}),),), {0: intensity})
 
     def test_unknown_variable_named_first_in_row_major_order(self):
         # ids 3, 5 and 7 are unknown; 5 comes first in row-major order
@@ -176,7 +179,7 @@ class TestReduce:
             for k in range(1, min(m, n) + 1):
                 s = make_initial_state(instance(m, n, k, zeros))
                 got, ref = reduce_state(s), reference_reduce_state(s)
-                assert (got.k, got.entries, got.variables) == (ref.k, ref.entries, ref.variables)
+                assert _fields(got) == _fields(ref)
 
     def test_lines_forced_together_go_in_one_pass(self, matchings):
         # rows 0 and 1 are the only 2-cover; one at a time takes one more pass.
@@ -270,7 +273,7 @@ class TestConditionPair:
         rows = [[{0: 2}, {1: 2}], [{1: 2}, {0: 2}]]
         s = state(2, rows, {0: 1, 1: 1})
         for _, child in every_child(condition_pair(s, (0, 0), (0, 1)))[1]:
-            y_id = min(v.id for v in child.variables if v.id >= 2)
+            y_id = min(v for v in child.intensities if v >= 2)
             e1 = child.entries[0][0]
             e2 = child.entries[0][1]
             assert dict(e1.terms).get(y_id, 0) == dict(e2.terms).get(y_id, 0) > 0
@@ -401,9 +404,9 @@ def _every_four_by_four_class():
 
 def _by_rank(s: ExpRapState):
     """The state with each variable id replaced by its rank among the ids."""
-    rank = {v: i for i, v in enumerate(sorted(v.id for v in s.variables))}
+    rank = {v: i for i, v in enumerate(sorted(s.intensities))}
     entries = tuple(tuple(tuple((rank[v], c) for v, c in e.terms) for e in row) for row in s.entries)
-    return entries, tuple((rank[v.id], v.intensity) for v in s.variables)
+    return entries, tuple((rank[v], i) for v, i in s.intensities.items())
 
 
 class TestOnePassIsTheFixedPoint:
@@ -551,7 +554,7 @@ class TestClassificationPartition:
                 is_standard = (
                     len(terms) == 1
                     and terms[0][1] == 1
-                    and s.intensity(terms[0][0]) == 1
+                    and s.intensities[terms[0][0]] == 1
                     and occurrences[terms[0][0]] == 1
                 )
                 assert ((r, c) in standard) == is_standard
@@ -675,15 +678,15 @@ class TestTrustedChildren:
                 child = step.build(j)
                 assert step.zero_masks(j) == _scanned_masks(child)
                 checked = ExpRapState(child.k, tuple(tuple(map(_checked_entry, row)) for row in child.entries),
-                                      child.variables)
-                assert (checked.entries, checked.variables) == (child.entries, child.variables)
+                                      child.intensities)
+                assert _fields(checked) == _fields(child)
                 reduced = rapkit.oracle._orbit_child(step, [j], measure)
                 if reduced is None:
                     assert is_terminal(checked)
                     seen["terminal"] += 1
                     continue
                 ref = reference_reduce_state(checked)
-                assert (reduced.k, reduced.entries, reduced.variables) == (ref.k, ref.entries, ref.variables)
+                assert _fields(reduced) == _fields(ref)
                 assert canonical_key(reduced) == canonical_key(ref)
                 masks = _scanned_masks(reduced)
                 assert reduced._covers == mask_cover_lattice(masks) and reduced._covers.masks == masks
@@ -955,7 +958,7 @@ class TestOneLatticePerState:
 def _rationals(state: ExpRapState):
     """Every coefficient and intensity of the state."""
     coefficients = [c for row in state.entries for e in row for _, c in e.terms]
-    return coefficients + [v.intensity for v in state.variables]
+    return coefficients + list(state.intensities.values())
 
 
 def _fractional_pair_state() -> ExpRapState:
@@ -971,9 +974,9 @@ def _fractional_minimum_state() -> ExpRapState:
 class TestExactArithmetic:
     def test_integral_values_stored_as_ints(self):
         assert type(LinearEntry(((0, Fraction(2)),)).terms[0][1]) is int
-        assert type(ExpVariable(0, Fraction(2)).intensity) is int
+        assert type(ExpRapState(1, ((entry({0: 1}),),), {0: Fraction(2)}).intensities[0]) is int
         assert type(LinearEntry(((0, Fraction(1, 2)),)).terms[0][1]) is Fraction
-        assert type(ExpVariable(0, Fraction(1, 2)).intensity) is Fraction
+        assert type(ExpRapState(1, ((entry({0: 1}),),), {0: Fraction(1, 2)}).intensities[0]) is Fraction
 
     def test_integral_division_stays_exact(self):
         extracted, children = every_child(condition_minimum(make_initial_state(instance(2, 2, 2))))
@@ -1182,7 +1185,7 @@ class TestSharedInitialState:
         checked = 0
         for p in self._instances():
             s, ref = make_initial_state(p), reference_initial_state(p)
-            assert (s.k, s.entries, s.variables) == (ref.k, ref.entries, ref.variables)
+            assert _fields(s) == _fields(ref)
             assert scanned_pattern(s) == p.pattern
             checked += 1
         assert checked > 4000
@@ -1192,6 +1195,16 @@ class TestSharedInitialState:
         a, b = make_initial_state(p), make_initial_state(p)
         assert a == b and canonical_key(a) == canonical_key(b)
         assert all(x is y for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb))
+
+    def test_a_large_root_leaves_the_cache_at_its_bound(self):
+        """A root with more nonzeros than _UNIT_CELLS leaves that many shared
+        cells held, and the bound covers a zero-free 6x6 root, larger than
+        any the tests evaluate."""
+        bound = rapkit.oracle._UNIT_CELLS
+        assert bound >= 6 * 6
+        make_initial_state(instance(300, 300, 2))
+        assert rapkit.oracle._unit.cache_info().currsize == bound
+        self.test_same_instance_twice()
 
 
 def _imports(module) -> list[str]:

@@ -57,7 +57,7 @@ TEST_ONLY = (
 REMOVED = (
     "column_maximal_cover", "min_cover", "row_maximal_cover", "_pairwise_sum", "_minimum_conditioning", "_gc",
     "FormulaReport", "METHODS", "CommandResult", "_Timer", "_default_threads",
-    "_substitute", "_fresh_ids", "_evaluate_reduced", "is_terminal",
+    "_substitute", "_fresh_ids", "_evaluate_reduced", "is_terminal", "ExpVariable",
 )
 
 
@@ -82,7 +82,9 @@ class TestPublicSurface:
         found = [f"{m.__name__}.{name}" for m in _modules() for name in REMOVED if hasattr(m, name)]
         assert found == []
         assert "labels" not in {field.name for field in dataclasses.fields(EntryClassification)}
-        assert "accumulated" not in {field.name for field in dataclasses.fields(ExpRapState)}
+        assert not {"accumulated", "variables"} & {field.name for field in dataclasses.fields(ExpRapState)}
+        # a state's variable table is one id -> intensity map, its intensities field
+        assert not any(hasattr(ExpRapState, name) for name in ("_intensities", "intensity"))
         # a state's zero graph lives only in its cover lattice, read through _covers
         assert not any(hasattr(ExpRapState, name) for name in ("zero_pattern", "_masks", "_zeros"))
         assert "cover" not in {field.name for field in dataclasses.fields(EntryClassification)}
