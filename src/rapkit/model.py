@@ -305,10 +305,35 @@ def rational_approx(value: Fraction) -> str:
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
+# CPython refuses str(int) and int(str) past sys.get_int_max_str_digits()
+# digits (4300 by default, never set below 640).  Values here can be longer,
+# so a long one is split at a power of ten into halves that each convert
+# alone; no process-wide setting is touched.
+_PLAIN_DIGITS = 600
+
+
+def _int_to_decimal(n: int) -> str:
+    """The decimal digits of ``n`` (at least 0), whatever their number."""
+    if n.bit_length() < 3 * _PLAIN_DIGITS:  # under 10^(0.9 * _PLAIN_DIGITS)
+        return str(n)
+    half = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 0.3
+    high, low = divmod(n, 10**half)
+    return _int_to_decimal(high) + _int_to_decimal(low).zfill(half)
+
+
+def _decimal_to_int(digits: str) -> int:
+    """The int of a string of ASCII decimal digits, whatever its length."""
+    if len(digits) <= _PLAIN_DIGITS:
+        return int(digits)
+    half = len(digits) // 2
+    return _decimal_to_int(digits[:-half]) * 10**half + _decimal_to_int(digits[-half:])
+
+
 def rational_to_json(value: Fraction) -> dict[str, str]:
+    num = _int_to_decimal(abs(value.numerator))
     return {
-        "num": str(value.numerator),
-        "den": str(value.denominator),
+        "num": "-" + num if value < 0 else num,
+        "den": _int_to_decimal(value.denominator),
         "approx": rational_approx(value),
     }
 
@@ -327,7 +352,8 @@ def rational_from_json(doc: dict) -> Fraction:
     try:
         num, den = doc["num"], doc["den"]
         if isinstance(num, str) and isinstance(den, str) and _NUM.fullmatch(num) and _DEN.fullmatch(den):
-            return Fraction(int(num), int(den))
+            magnitude = _decimal_to_int(num.lstrip("-"))
+            return Fraction(-magnitude if num[0] == "-" else magnitude, _decimal_to_int(den))
     except (KeyError, TypeError, ZeroDivisionError):
         pass
     raise InvalidInstanceError(f"malformed rational object: {doc!r}")

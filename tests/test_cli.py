@@ -14,6 +14,8 @@ import pytest
 
 import rapkit.cli as cli
 from rapkit.cli import EXIT_BUDGET, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, load_schema
+from rapkit.formulas import parisi_value
+from rapkit.model import rational_from_json
 
 
 @pytest.fixture()
@@ -65,6 +67,15 @@ class TestFormulaCommands:
         assert code == EXIT_OK
         assert env["outputs"]["value"] == {"num": "49", "den": "36",
                                            "approx": env["outputs"]["value"]["approx"]}
+
+    def test_parisi_value_past_4300_digits(self, capsys):
+        """The k = 5000 value's numerator and denominator each run past
+        CPython's default 4300-digit limit for int-to-str conversion."""
+        code, env = run(capsys, ["parisi", "--k", "5000"])
+        assert code == EXIT_OK
+        value = env["outputs"]["value"]
+        assert len(value["num"]) > 4300 and len(value["den"]) > 4300
+        assert rational_from_json(value) == parisi_value(5000)
 
     def test_cs_golden(self, capsys):
         code, env = run(capsys, ["cs", "--k", "2", "--m", "2", "--n", "3"])

@@ -466,19 +466,127 @@ class TestFreeLineBinomials:
         cols &= (1 << p.n) - 1
         _assert_tables_match_reference(p.zeros, rows, cols, [slack])
 
-    def test_band_profile_makes_at_most_2753_matchings(self, matchings, monkeypatch):
+    def test_band_profile_makes_no_component_matching(self, matchings, monkeypatch):
         p = instance(10, 10, 10, band(6, 1))
         with monkeypatch.context() as patched:
             patched.setattr(covers, "_component_table", _reference_component_table)
             expected = cover_profile(p)
         matchings.clear()
         assert cover_profile(p) == expected
-        assert len(matchings) <= 2753  # 7,744 with a matching for every subset
+        # the band is a path, counted by the tree DP: the enumeration made
+        # 2,753 matchings, and 7,744 with a matching for every subset
+        assert matchings == []
 
     def test_transposed_band_has_the_transposed_table(self):
         p = instance(10, 10, 10, band(6, 1))
         theirs = cover_coefficients(transpose_instance(p))
         assert cover_coefficients(p) == {(j, i): x for (i, j), x in theirs.items()}
+
+
+def _acyclic(part: dict[int, int]) -> bool:
+    """Whether the zero graph ``part`` has no cycle, by union-find over its
+    rows and columns: a zero joining two lines already connected closes one."""
+    boss: dict = {}
+
+    def find(x):
+        while boss.setdefault(x, x) != x:
+            x = boss[x]
+        return x
+
+    for r, c in zeros_of(part):
+        a, b = find(("row", r)), find(("col", c))
+        if a == b:
+            return False
+        boss[a] = b
+    return True
+
+
+@pytest.fixture()
+def table_paths(monkeypatch) -> dict[str, list[dict[int, int]]]:
+    """The components each path of _component_table counted while the test runs."""
+    taken: dict[str, list[dict[int, int]]] = {"_tree_table": [], "_enumerated_table": []}
+    for name, parts in taken.items():
+        real = getattr(covers, name)
+
+        def counted(part, *args, real=real, parts=parts):
+            parts.append(dict(part))
+            return real(part, *args)
+
+        monkeypatch.setattr(covers, name, counted)
+    return taken
+
+
+def _enumerated_component_table(part, rows, cols, limit, nu):
+    """_component_table by the enumeration alone, whatever the component."""
+    part_rows, part_cols = covers._span(part)
+    return covers._enumerated_table(part, part_rows & rows, part_cols & cols, limit, nu)
+
+
+def cross(n: int) -> list[tuple[int, int]]:
+    """Row 0 and column 0 all zeros: one tree of 2n - 1 zeros over every line."""
+    return [(0, c) for c in range(n)] + [(r, 0) for r in range(1, n)]
+
+
+class TestTreeDispatch:
+    """Acyclic components go to the tree DP and the others to the enumeration;
+    on larger trees the DP's tables equal the enumeration's."""
+
+    def _assert_each_path_has_its_kind(self, taken) -> None:
+        assert taken["_tree_table"] and taken["_enumerated_table"]
+        assert all(_acyclic(part) for part in taken["_tree_table"])
+        assert not any(_acyclic(part) for part in taken["_enumerated_table"])
+
+    def test_every_pattern_up_to_3x3(self, table_paths):
+        for m in range(1, 4):
+            for n in range(1, 4):
+                for z in all_patterns(m, n):
+                    for k in range(1, min(m, n) + 1):
+                        p = instance(m, n, k, z.zeros)
+                        cover_profile(p)
+                        for r in range(m):
+                            row_excluded_profile(p, r)
+        self._assert_each_path_has_its_kind(table_paths)
+
+    def test_every_4x4_class(self, table_paths):
+        for zeros in pattern_classes(4, 4):
+            for k in range(1, 5):
+                p = instance(4, 4, k, zeros)
+                cover_profile(p)
+                for r in range(4):
+                    row_excluded_profile(p, r)
+        self._assert_each_path_has_its_kind(table_paths)
+
+    @pytest.mark.parametrize("slack", range(5))
+    def test_band_at_every_slack(self, slack, table_paths):
+        (part,) = covers._components(covers._row_masks(band(6, 1)))
+        nu = len(covers._max_matching(part))
+        full = (1 << 10) - 1
+        got = covers._component_table(part, full, full, nu + slack, nu)
+        assert got == _enumerated_component_table(part, full, full, nu + slack, nu)
+        assert table_paths["_tree_table"] == [part]
+
+    @pytest.mark.parametrize("n", range(6, 10))
+    def test_cross(self, n, table_paths, monkeypatch):
+        p = instance(n, n, n, cross(n))
+        with monkeypatch.context() as patched:
+            patched.setattr(covers, "_component_table", _enumerated_component_table)
+            expected = cover_profile(p)
+        table_paths["_enumerated_table"].clear()
+        assert cover_profile(instance(n, n, n, cross(n))) == expected
+        assert len(table_paths["_tree_table"]) == 1 and not table_paths["_enumerated_table"]
+
+    def test_rows_only(self, table_paths):
+        # a matching of 2 leaves rows holding a zero unmatched, so the row
+        # counts of row_excluded_profile are taken from rows-only tables
+        p = instance(7, 7, 6, cross(7))
+        for r in range(7):
+            assert row_excluded_profile(p, r) == brute_force_row_excluded_profile(p, r)
+        assert len(table_paths["_tree_table"]) == 7 and not table_paths["_enumerated_table"]
+        (part,) = covers._components(covers._row_masks(band(6, 1)))
+        for slack in range(4):
+            for rows in (0b111111, 0b101101):
+                got = covers._component_table(part, rows, 0, 6 + slack, 6)
+                assert got == _enumerated_component_table(part, rows, 0, 6 + slack, 6)
 
 
 class TestSubsetBudget:

@@ -1,6 +1,7 @@
 """Domain types, validation, transformations, and the instance file format."""
 
 import json
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -338,3 +339,19 @@ class TestRationalWireFormat:
 
     def test_approx_significant_digits(self):
         assert rational_approx(Fraction(1, 3)) == "0.333333333333"
+
+    @pytest.mark.parametrize("digits", [640, 4300, 4301, 14000])
+    def test_round_trip_past_the_interpreter_digit_limit(self, digits):
+        """str(int) and int(str) refuse more than 4300 digits by default;
+        the wire converts any length and leaves that limit as it was."""
+        limit = sys.get_int_max_str_digits()
+        value = Fraction(-(10 ** (digits - 1) + 1), 2 ** (4 * digits))  # odd over a power of two: reduced
+        doc = rational_to_json(value)
+        assert doc["num"] == "-1" + "0" * (digits - 2) + "1"
+        assert len(doc["den"]) > digits
+        assert rational_from_json(doc) == value
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_long_strings_are_read(self):
+        assert rational_from_json({"num": "1" * 4400, "den": "3"}) == Fraction((10**4400 - 1) // 9, 3)
+        assert rational_from_json({"num": "-" + "9" * 5000, "den": "1" + "0" * 5000}) == Fraction(1 - 10**5000, 10**5000)
