@@ -313,8 +313,10 @@ _PLAIN_DIGITS = 600
 
 
 def _int_to_decimal(n: int) -> str:
-    """The decimal digits of ``n`` (at least 0), whatever their number."""
-    if n.bit_length() < 3 * _PLAIN_DIGITS:  # under 10^(0.9 * _PLAIN_DIGITS)
+    """``str(n)``, whatever the number of digits."""
+    if n < 0:
+        return "-" + _int_to_decimal(-n)
+    if n.bit_length() < 3 * _PLAIN_DIGITS:  # 2^1800 < 10^542: fewer digits than _PLAIN_DIGITS
         return str(n)
     half = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 0.3
     high, low = divmod(n, 10**half)
@@ -322,7 +324,10 @@ def _int_to_decimal(n: int) -> str:
 
 
 def _decimal_to_int(digits: str) -> int:
-    """The int of a string of ASCII decimal digits, whatever its length."""
+    """``int(digits)`` of ASCII decimal digits with an optional leading
+    minus, whatever their number."""
+    if digits.startswith("-"):
+        return -_decimal_to_int(digits[1:])
     if len(digits) <= _PLAIN_DIGITS:
         return int(digits)
     half = len(digits) // 2
@@ -330,9 +335,8 @@ def _decimal_to_int(digits: str) -> int:
 
 
 def rational_to_json(value: Fraction) -> dict[str, str]:
-    num = _int_to_decimal(abs(value.numerator))
     return {
-        "num": "-" + num if value < 0 else num,
+        "num": _int_to_decimal(value.numerator),
         "den": _int_to_decimal(value.denominator),
         "approx": rational_approx(value),
     }
@@ -352,8 +356,7 @@ def rational_from_json(doc: dict) -> Fraction:
     try:
         num, den = doc["num"], doc["den"]
         if isinstance(num, str) and isinstance(den, str) and _NUM.fullmatch(num) and _DEN.fullmatch(den):
-            magnitude = _decimal_to_int(num.lstrip("-"))
-            return Fraction(-magnitude if num[0] == "-" else magnitude, _decimal_to_int(den))
+            return Fraction(_decimal_to_int(num), _decimal_to_int(den))
     except (KeyError, TypeError, ZeroDivisionError):
         pass
     raise InvalidInstanceError(f"malformed rational object: {doc!r}")
