@@ -24,26 +24,29 @@ Everything here is exact integer work on desk-scale patterns.  The
 coefficients are counted over the connected components of the zero graph:
 lines touching no zero contribute binomial factors, the residual matching
 number is a sum over components, so d_{i,j} is a convolution of small
-per-component tables.  A component without a cycle (its zeros number its
-lines less one) is counted in polynomial time by a dynamic programme over
-the tree, which needs no residual matching.  Any other component is
-counted by a pruned depth-first enumeration of its lines, which extends
-the binomials to the lines a partial choice has emptied: at each visit
-the candidate lines that no longer touch a residual zero are counted by
-C(free rows, x) * C(free columns, y), and only the lines still touching
-one are branched on, each branch with one residual matching.  Such a
-component is exponential in its size (counting partial covers is #P-hard
-in general), so every component, trees included, is charged against a
-subset budget (BudgetExceededError when exceeded); the per-component
-subset sums behind that verdict are taken only when 2^L plus the rows
-holding a zero, L the lines touching a zero, exceeds it.
+per-component tables.  The lines touching no zero enter as two counts,
+never as masks, so no mask grows with m or n.  A component without a
+cycle (its zeros number its lines less one) is a tree, counted in
+polynomial time by one dynamic programme: leaves first, each line's table
+is made from the product of its children's, and no residual matching is
+needed.  Any other component is counted by a pruned depth-first
+enumeration of its lines, which extends the binomials to the lines a
+partial choice has emptied: at each visit the candidate lines that no
+longer touch a residual zero are counted by C(free rows, x) * C(free
+columns, y), and only the lines still touching one are branched on, each
+branch with one residual matching.  Such a component is exponential in
+its size (counting partial covers is #P-hard in general), so every
+component, trees included, is charged against a subset budget
+(BudgetExceededError when exceeded); the per-component subset sums
+behind that verdict are taken only when 2^L plus the rows holding a
+zero, L the lines touching a zero, exceeds it.
 Deleting a line lowers a matching by at most one, so the lines a choice
 takes from a component plus the matching they leave there never fall
 below that component's own maximum matching.  One maximum matching of
 the whole pattern, maximum on each component, bounds everything: a
 pattern with k independent zeros has no partial (k-1)-cover, so it is
 answered before the subset budget is consulted and costs nothing more,
-and otherwise each component is enumerated only as far as the others
+and otherwise each component is counted only as far as the others
 leave room for.  cover_coefficients returns the nonzero d_{i,j} only;
 cover_profile is its dense table.
 Row-only counts need no enumeration at all when a maximum matching
@@ -363,9 +366,11 @@ def _component_table(
     caller passes a limit of at least ``nu``, so the table always holds
     the entry of the empty choice.
 
-    A connected component is a tree exactly when its zeros number its
-    rows plus its columns less one; a tree is counted by
-    :func:`_tree_table` in polynomial time, any other component by
+    The masks may hold lines of other components, which are ignored.  A
+    connected component is a tree exactly when its zeros number its rows
+    plus its columns less one.  Every tree, whatever its shape, is counted
+    by the one dynamic programme of :func:`_tree_table`, in time
+    polynomial in its size; any other component by
     :func:`_enumerated_table`.
     """
     masks = part.values()
@@ -384,16 +389,12 @@ def _tree_table(
     with a child line when some child is present and unmatched, working
     up from the leaves.  So a subtree's choices are counted by (a, b,
     a + b + nu') and by the state of its root line: taken, present and
-    matched to a child, or present and unmatched.  A line's counts are the
-    product of its children's, split by whether some child is left
-    unmatched.  Leaf children are folded in by binomials: taking y of the
-    c candidate leaves of a line can be done in C(c, y) ways, and leaves
-    one of them unmatched unless y is all of them.  A tree with at most
-    one row and one column of two or more zeros, a star or two joined
-    stars, has a closed form (:func:`_two_centre_table`).  Any other tree
-    is rooted at the neighbour of a leaf, so a path has no line with two
-    children that are not leaves, and its lines are visited leaves first
-    from one breadth-first order, with no recursion.
+    matched to a child, or present and unmatched.  A line's table is made
+    from the product of its children's tables, split by whether some child
+    is left unmatched; a leaf's product is empty, and a line with one child
+    takes that child's table as it is.  The tree is rooted at its first
+    row, and its lines are visited leaves first, from one breadth-first
+    order, with no recursion.
 
     Each part of a + b + nu' is final once counted, and the rest of the
     tree adds at least its own maximum matching.  That is ``nu`` less the
@@ -401,7 +402,9 @@ def _tree_table(
     in a maximum matching of the whole, and so only when the subtree's
     root is unmatched in the subtree's.  So a subtree keeps only the
     entries at most the slack ``limit - nu`` over its own maximum
-    matching, plus one if its root is unmatched there.
+    matching, plus one if its root is unmatched there: the slack plus one
+    over the maximum matchings of its children's subtrees, which one pass
+    up the tree sums before any table is made.
 
     A table is a dict from a packed key to its count.  The key's fields
     are, from the top, the number of children left unmatched (unbounded),
@@ -409,100 +412,57 @@ def _tree_table(
     key is the sum of its factors' keys, and no field passes 2 * limit
     before it is checked.
     """
-    # the lines of two or more zeros; the others are leaves
-    inner_rows = leaf_rows = once = twice = 0
-    for r, row_cols in part.items():
-        if row_cols & row_cols - 1:
-            inner_rows |= 1 << r
-        else:
-            leaf_rows |= 1 << r
-        twice |= once & row_cols
-        once |= row_cols
-    # Most small components are stars or joined stars: on the 407 such
-    # tables of the sweep's patterns (every 2x2 and 3x3, every 4x4 class)
-    # the closed form took 4.8 us a call, the DP below 7.8 and the
-    # enumeration 7.6 (best of 15 alternated replays, 2-CPU box).
-    if not inner_rows & inner_rows - 1 and not twice & twice - 1:
-        return _two_centre_table(part, rows, cols, limit, inner_rows, twice)
-    leaf_cols = once & ~twice
     width = limit.bit_length() + 1
     top = (1 << width) - 1
     row_unit, col_unit = 1 << 2 * width | 1, 1 << width | 1
-    # the root is a leaf's neighbour; row r is line r, column c is line ~c
-    if leaf_rows:
-        root = ~(part[(leaf_rows & -leaf_rows).bit_length() - 1].bit_length() - 1)
-    else:
-        bit = leaf_cols & -leaf_cols
-        root = next(r for r, row_cols in part.items() if row_cols & bit)
-    # the inner lines breadth first: each with its parent's place, the
-    # mask of its parent line, and its leaf children and candidate ones
-    lines, ups, above, leaves = [root], [-1], [0], []
+    free = 1 << 3 * width  # one unmatched child
+    low = free - 1
+    # the lines breadth first, each with its parent's place and the key it
+    # adds when taken (0 if it may not be); row r is line r, column c is ~c
+    root = next(iter(part))
+    lines, ups, units = [root], [0], [row_unit if rows >> root & 1 else 0]
+    seen_rows, seen_cols = 1 << root, 0
     for i, v in enumerate(lines):
         if v >= 0:
-            below = part[v] & ~above[i]
-            leaf = below & leaf_cols
-            leaves.append((leaf.bit_count(), (leaf & cols).bit_count()))
-            below &= ~leaf_cols
+            below = part[v] & ~seen_cols
+            seen_cols |= below
             while below:
                 bit = below & -below
                 below ^= bit
                 lines.append(~(bit.bit_length() - 1))
                 ups.append(i)
-                above.append(1 << v)
+                units.append(col_unit if cols & bit else 0)
         else:
             bit = 1 << ~v
-            below = 0
             for r, row_cols in part.items():
-                if row_cols & bit:
-                    below |= 1 << r
-            below &= ~above[i]
-            leaf = below & leaf_rows
-            leaves.append((leaf.bit_count(), (leaf & rows).bit_count()))
-            below &= ~leaf_rows
-            while below:
-                low = below & -below
-                below ^= low
-                lines.append(low.bit_length() - 1)
-                ups.append(i)
-                above.append(bit)
+                if row_cols & bit and not seen_rows >> r & 1:
+                    seen_rows |= 1 << r
+                    lines.append(r)
+                    ups.append(i)
+                    units.append(row_unit if rows >> r & 1 else 0)
+    # each line's cap, from the maximum matchings of its children's subtrees
+    # (owns) and whether some child is left unmatched in its own (opens)
     slack = limit - nu
-    free = 1 << 3 * width  # one unmatched child
-    low = free - 1
-    # each inner line's children's results: the child's table, its
-    # subtree's own maximum matching, and whether that matching leaves the
-    # child unmatched
-    results: list[list] = [[] for _ in lines]
-    for i in range(len(lines) - 1, -1, -1):
-        v = lines[i]
-        unit, takeable, leaf_unit = (row_unit, rows >> v & 1, col_unit) if v >= 0 else (col_unit, cols >> ~v & 1, row_unit)
-        count, takeable_leaves = leaves[i]
-        inner = results[i]
-        own = 0
-        unmatched = not count
-        for child in inner:
-            own += child[1]
-            unmatched &= not child[2]
-        own += not unmatched
-        cap = min(limit, slack + own + unmatched) if i else limit
-        # every choice below v, keyed also by the number of v's children it
-        # leaves unmatched; a child's table is within the cap, which never
-        # falls going up
-        if count:
-            every = {
-                y * leaf_unit + (y < count) * free: comb(takeable_leaves, y)
-                for y in range(min(takeable_leaves, cap) + 1)
-            }
-        else:
-            every = inner.pop()[0]
-        for child, _, _ in inner:
-            every = _times(every, child, cap, top)
-        # v taken; v matched to an unmatched child, or else unmatched
+    count = len(lines)
+    owns, opens, caps = [0] * count, [False] * count, [limit] * count
+    for i in range(count - 1, 0, -1):
+        caps[i] = min(limit, slack + owns[i] + 1)
+        up = ups[i]
+        owns[up] += owns[i] + opens[i]
+        opens[up] |= not opens[i]
+    # products[i] holds every choice below line i, keyed also by the number
+    # of its children left unmatched; a child's table is within the cap,
+    # which never falls going up
+    products: list = [None] * count
+    for i in range(count - 1, -1, -1):
+        cap, unit = caps[i], units[i]
+        # line i taken; matched to an unmatched child, or else unmatched
         table = {}
         unmatched_key = free if i else 0
-        for key, x in every.items():
+        for key, x in (products[i] or {0: 1}).items():
             base = key & low
             room = key & top < cap
-            if room and takeable:
+            if room and unit:
                 table[base + unit] = table.get(base + unit, 0) + x
             if key > low:
                 if room:
@@ -510,65 +470,13 @@ def _tree_table(
             else:
                 table[base + unmatched_key] = table.get(base + unmatched_key, 0) + x
         if i:
-            results[ups[i]].append((table, own, unmatched))
+            up = ups[i]
+            products[up] = table if products[up] is None else _times(products[up], table, caps[up], top)
     out = {}
     for key, x in table.items():
         a, b = key >> 2 * width, key >> width & top
         out[a, b, (key & top) - a - b] = x
     return out
-
-
-def _two_centre_table(
-    part: dict[int, int], rows: int, cols: int, limit: int, inner_rows: int, inner_cols: int
-) -> dict[tuple[int, int, int], int]:
-    """:func:`_tree_table` of a tree with at most one row and one column
-    of two or more zeros (``inner_rows`` and ``inner_cols``, as masks).
-
-    Such a tree is a row u and a column w sharing a zero, u's other zeros
-    each alone in its column and w's each alone in its row; a star, or a
-    single zero, is one with no leaves on one side.  Taking x of u's
-    candidate leaves and y of w's leaves u matched to a leaf while one is
-    left, w likewise, and u matched to w if neither is; a taken centre
-    leaves the other's side alone.
-    """
-    if inner_rows:
-        u = inner_rows.bit_length() - 1
-        w_bit = inner_cols or part[u] & -part[u]
-    else:  # every row holds one zero: a star around its column, or one zero
-        w_bit = inner_cols or next(iter(part.values()))
-        u = next(r for r, row_cols in part.items() if row_cols & w_bit)
-    u_leaves = part[u] & ~w_bit
-    w_leaves = 0
-    for r, row_cols in part.items():
-        if row_cols & w_bit:
-            w_leaves |= 1 << r
-    w_leaves &= ~(1 << u)
-    u_count, w_count = u_leaves.bit_count(), w_leaves.bit_count()
-    u_takeable, w_takeable = (u_leaves & cols).bit_count(), (w_leaves & rows).bit_count()
-    take_u, take_w = rows >> u & 1, cols & w_bit
-    table: dict[tuple[int, int, int], int] = {}
-    get = table.get
-    for y in range(min(w_takeable, limit) + 1):  # rows taken from w's leaves
-        w_kept = 1 if y < w_count else 0
-        ways = comb(w_takeable, y)
-        for x in range(min(u_takeable, limit - y) + 1):  # columns taken from u's leaves
-            u_kept = 1 if x < u_count else 0
-            count = ways * comb(u_takeable, x)
-            room = limit - x - y
-            nu = 1 + (u_kept & w_kept)
-            if nu <= room:
-                key = y, x, nu
-                table[key] = get(key, 0) + count
-            if room > w_kept and take_u:
-                key = y + 1, x, w_kept
-                table[key] = get(key, 0) + count
-            if room > u_kept and take_w:
-                key = y, x + 1, u_kept
-                table[key] = get(key, 0) + count
-            if room > 1 and take_u and take_w:
-                key = y + 1, x + 1, 0
-                table[key] = get(key, 0) + count
-    return table
 
 
 def _times(left: dict[int, int], right: dict[int, int], cap: int, top: int) -> dict[int, int]:
@@ -644,18 +552,21 @@ def _enumerated_table(
 
 
 def _partial_cover_counts(
-    adj: dict[int, int], match_col: dict[int, int], rows: int, cols: int, limit: int
+    adj: dict[int, int], match_col: dict[int, int], rows: int, cols: int, m0: int, n0: int, limit: int
 ) -> dict[tuple[int, int], int]:
-    """(i, j) -> the choices of i lines of the row mask ``rows`` and j of
-    the column mask ``cols`` that are partial covers of the zero graph
-    ``adj``: i + j plus the matching they leave is <= limit.  Only nonzero
-    counts are kept.  ``match_col`` is a maximum matching of ``adj``.
+    """(i, j) -> the choices of i rows and j columns that are partial covers
+    of the zero graph ``adj``: i + j plus the matching they leave is <=
+    limit.  Only nonzero counts are kept.  ``match_col`` is a maximum
+    matching of ``adj``.  The rows that may be chosen are those of the mask
+    ``rows`` and ``m0`` rows holding no zero, the columns those of ``cols``
+    and ``n0`` columns holding no zero; both masks hold lines touching a
+    zero only, so no mask grows with the size of the instance.
 
     The residual matching is a sum over the components of the zero graph,
     and a chosen line touching no zero only adds to i or j.  So the table
     T[(a, b, nu)] of the whole choice is the binomial table of the zero-free
     rows and columns convolved with one table per component
-    (:func:`_component_table`: a tree DP for a component without a cycle,
+    (:func:`_component_table`: the tree DP for a component without a cycle,
     the enumeration for any other), pruned to a + b + nu <= limit; the
     counts are T summed over nu.
 
@@ -666,25 +577,25 @@ def _partial_cover_counts(
     covers, and only the slack, limit minus the whole matching, is left
     over.  None means no partial cover at all: a pattern with limit + 1
     independent zeros gets ``{}`` first, costs no component work and is
-    never refused.  Otherwise component c is enumerated to slack + nu_c,
+    never refused.  Otherwise component c is counted to slack + nu_c,
     its root taking nu_c from the matching, and the zero-free lines to
     the slack.
 
     Short of that, raises BudgetExceededError before any table is made
     when the components' subset counts (for each, the sum of C(lines, s)
     over s <= limit, counting its lines in ``rows`` and ``cols``) exceed
-    SUBSET_BUDGET.  Trees are charged like any other component, though
-    their DP costs far less, so the budget refuses the same instances
-    whichever way their components are counted.  Those sums are taken only when they could: a component
-    with l >= 1 lines adds at most 2^l, 2^a + 2^b <= 2^(a+b) for a, b >= 1,
-    and a component with none adds 1, so with L lines touching a zero the
-    total is at most 2^L plus the number of rows holding a zero.
+    SUBSET_BUDGET.  A tree is charged like any other component although
+    its DP visits no subset, so the budget refuses some trees the DP
+    could count, such as the 13x13 cross.  Those sums are taken only when
+    they could exceed it: a component with l >= 1 lines adds at most 2^l,
+    2^a + 2^b <= 2^(a+b) for a, b >= 1, and a component with none adds 1,
+    so with L lines touching a zero the total is at most 2^L plus the
+    number of rows holding a zero.
     """
     slack = limit - len(match_col)
     if slack < 0:
         return {}
-    zero_rows, zero_cols = _span(adj)
-    lines = (zero_rows & rows).bit_count() + (zero_cols & cols).bit_count()
+    lines = rows.bit_count() + cols.bit_count()
     parts = _components(adj)
     if (1 << lines) + len(adj) > SUBSET_BUDGET:
         needed = 0
@@ -696,8 +607,6 @@ def _partial_cover_counts(
             raise BudgetExceededError(
                 f"cover profile needs up to {needed} line-subset tests, over the budget of {SUBSET_BUDGET}"
             )
-    m0 = (rows & ~zero_rows).bit_count()
-    n0 = (cols & ~zero_cols).bit_count()
     total = {  # the zero-free lines alone leave nothing to match
         (a, b, 0): comb(m0, a) * comb(n0, b)
         for a in range(min(m0, slack) + 1)
@@ -731,12 +640,18 @@ def cover_coefficients(p: RapInstance) -> dict[tuple[int, int], int]:
     small per-component tables with binomials (see _partial_cover_counts).
     A component without a cycle is counted in polynomial time, any other
     by enumerating its lines, and SUBSET_BUDGET bounds the number of line
-    subsets of every component.  The result is empty exactly when
-    the zeros hold k independent entries: then it is ``{}`` from the
-    pattern's kept matching alone (see _zero_graph), and never refused.
+    subsets of every component.  The lines touching no zero are counted,
+    not masked, so the cost follows the zeros and k, not m and n.  The
+    result is empty exactly when the zeros hold k independent entries:
+    then it is ``{}`` from the pattern's kept matching alone (see
+    _zero_graph), and never refused.
     """
     adj, match_col = _zero_graph(p.pattern)
-    return _partial_cover_counts(adj, match_col, (1 << p.m) - 1, (1 << p.n) - 1, p.k - 1)
+    if len(match_col) >= p.k:  # k independent zeros: answered before any span is taken
+        return {}
+    zero_rows, zero_cols = _span(adj)
+    m0, n0 = p.m - len(adj), p.n - zero_cols.bit_count()
+    return _partial_cover_counts(adj, match_col, zero_rows, zero_cols, m0, n0, p.k - 1)
 
 
 def cover_profile(p: RapInstance) -> CoverProfile:
@@ -760,21 +675,25 @@ def row_excluded_profile(p: RapInstance, r: int) -> tuple[int, ...]:
     choice is a partial cover iff nu + f <= k - 1 and the counts are
     binomial sums.  Otherwise they are counted like :func:`cover_profile`
     from row choices only, with row r never chosen (its zeros stay in the
-    residual), over the same matching.
+    residual), over the same matching; the rows holding no zero are
+    counted, not masked, as there.
     """
     r = checked_row(p, r)
     limit = p.k - 1
     adj, match_col = _zero_graph(p.pattern)
     nu = len(match_col)
+    n_held = len(adj) - (r in adj)  # the other rows holding a zero, and those holding none
+    n_free = p.m - 1 - n_held
     if nu == len(adj):
-        n_held = len(adj) - (r in adj)
-        n_free = p.m - 1 - n_held
         return tuple(
             comb(p.m - 1, i) if i <= limit - nu  # every f is allowed (Vandermonde)
             else sum(comb(n_held, i - f) * comb(n_free, f) for f in range(limit - nu + 1))
             for i in range(p.k)
         )
-    counts = _partial_cover_counts(adj, match_col, ((1 << p.m) - 1) & ~(1 << r), 0, limit)
+    rows = _span(adj)[0]
+    if r in adj:
+        rows &= ~(1 << r)
+    counts = _partial_cover_counts(adj, match_col, rows, 0, n_free, 0, limit)
     return tuple(counts.get((i, 0), 0) for i in range(p.k))
 
 

@@ -7,7 +7,9 @@ import math
 import pickle
 import random
 import time
+import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -587,6 +589,101 @@ class TestTreeDispatch:
             for rows in (0b111111, 0b101101):
                 got = covers._component_table(part, rows, 0, 6 + slack, 6)
                 assert got == _enumerated_component_table(part, rows, 0, 6 + slack, 6)
+
+
+def random_tree(rng: random.Random, m: int, n: int) -> list[tuple[int, int]]:
+    """The zeros of a random tree over random rows and columns of an m x n
+    grid: each line after the first row and column joins one line placed
+    before it, so the zeros number the lines less one."""
+    rows = rng.sample(range(m), rng.randint(1, m))
+    cols = rng.sample(range(n), rng.randint(1, n))
+    zeros = [(rows[0], cols[0])]
+    placed_rows, placed_cols = rows[:1], cols[:1]
+    later = [(r, None) for r in rows[1:]] + [(None, c) for c in cols[1:]]
+    rng.shuffle(later)
+    for r, c in later:
+        if c is None:
+            zeros.append((r, rng.choice(placed_cols)))
+            placed_rows.append(r)
+        else:
+            zeros.append((rng.choice(placed_rows), c))
+            placed_cols.append(c)
+    return zeros
+
+
+class TestTreeTable:
+    """The tree DP's tables equal the enumeration's on every tree shape,
+    with restricted lines and at every slack up to 4."""
+
+    @staticmethod
+    def _assert_equal_to_enumeration(zeros, rows: int, cols: int, slack: int) -> None:
+        part = covers._row_masks(zeros)
+        nu = len(covers._max_matching(part))
+        part_rows, part_cols = covers._span(part)
+        got = covers._tree_table(part, rows, cols, nu + slack, nu)
+        assert got == covers._enumerated_table(part, part_rows & rows, part_cols & cols, nu + slack, nu)
+
+    @pytest.mark.parametrize(
+        "zeros",
+        [
+            [(2, 3)],  # a single zero
+            [(1, 0), (1, 2), (1, 3), (1, 5)],  # a star on a row
+            [(0, 4), (2, 4), (3, 4), (5, 4)],  # a star on a column
+            [(1, 0), (1, 2), (1, 4), (0, 2), (3, 2), (4, 2)],  # two joined stars
+            [(0, 0), (0, 1), (1, 0), (2, 0), (3, 0)],  # joined stars, one leaf on the row
+        ],
+        ids=["single_zero", "row_star", "column_star", "joined_stars", "joined_stars_one_row_leaf"],
+    )
+    @pytest.mark.parametrize("slack", range(5))
+    def test_stars_and_joined_stars(self, zeros, slack):
+        part_rows, part_cols = covers._span(covers._row_masks(zeros))
+        for rows in (part_rows, part_rows & 0b101101, 0):
+            for cols in (part_cols, part_cols & 0b110110, 0):
+                self._assert_equal_to_enumeration(zeros, rows, cols, slack)
+
+    def test_random_trees_up_to_11x11(self):
+        rng = random.Random(4311)
+        for _ in range(400):
+            m, n = rng.randint(1, 11), rng.randint(1, 11)
+            zeros = random_tree(rng, m, n)
+            part_rows, part_cols = covers._span(covers._row_masks(zeros))
+            # the masks may hold lines outside the tree, which it ignores
+            rows = rng.choice([part_rows, rng.getrandbits(m)])
+            cols = rng.choice([part_cols, rng.getrandbits(n), 0])
+            self._assert_equal_to_enumeration(zeros, rows, cols, rng.randint(0, 4))
+
+
+M = 10**7  # rows and columns of the large instances
+
+
+class TestLargeInstances:
+    """The cover and row formulas take masks over the lines holding a zero
+    only, so their memory follows the zeros and k, not m and n."""
+
+    @pytest.mark.parametrize(
+        "compute, expected",
+        [
+            (cover_coefficients, {(0, 0): 1, (0, 1): 1}),
+            (cover_profile, covers.CoverProfile(2, ((0, 0, 1), (0, 1, 1), (1, 0, 0)))),
+            (cover_formula_value, Fraction(M, M - 1) / (M * M)),
+            (lambda p: row_inclusion_probability(p, p.m - 1), Fraction(1, M)),
+        ],
+        ids=["coefficients", "profile", "value", "rowprob"],
+    )
+    def test_two_zeros_in_one_column_stay_small(self, compute, expected):
+        # two rows share their zero column, so a maximum matching leaves a
+        # row holding a zero unmatched and the row counts take the general
+        # branch; the row asked about is zero-free and the last one
+        compute(instance(3, 3, 2, [(0, 0), (1, 0)]))  # warm up imports and caches
+        p = instance(M, M, 2, [(0, 0), (1, 0)])
+        tracemalloc.start()
+        try:
+            got = compute(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        assert peak < 64 * 2**10
 
 
 class TestSubsetBudget:
