@@ -25,21 +25,21 @@ coefficients are counted over the connected components of the zero graph:
 lines touching no zero contribute binomial factors, the residual matching
 number is a sum over components, so d_{i,j} is a convolution of small
 per-component tables.  The lines touching no zero enter as two counts,
-never as masks, so no mask grows with m or n.  A component without a
-cycle (its zeros number its lines less one) is a tree, counted in
-polynomial time by one dynamic programme: leaves first, each line's table
-is made from the product of its children's, and no residual matching is
-needed.  Any other component is counted by a pruned depth-first
-enumeration of its lines, which extends the binomials to the lines a
-partial choice has emptied: at each visit the candidate lines that no
-longer touch a residual zero are counted by C(free rows, x) * C(free
-columns, y), and only the lines still touching one are branched on, each
-branch with one residual matching.  Such a component is exponential in
-its size (counting partial covers is #P-hard in general), so every
-component, trees included, is charged against a subset budget
-(BudgetExceededError when exceeded); the per-component subset sums
-behind that verdict are taken only when 2^L plus the rows holding a
-zero, L the lines touching a zero, exceeds it.
+never as masks, so a mask reaches only the last line holding a zero,
+whatever m and n.  A component without a cycle (its zeros number its
+lines less one) is a tree, counted in polynomial time by one dynamic
+programme: leaves first, each line's table is made from the product of
+its children's, and no residual matching is needed.  Any other component
+is counted by a pruned depth-first enumeration of its lines, which
+extends the binomials to the lines a partial choice has emptied: at each
+visit the candidate lines that no longer touch a residual zero are
+counted by C(free rows, x) * C(free columns, y), and only the lines still
+touching one are branched on, each branch with one residual matching.
+Such a component is exponential in its size (counting partial covers is
+#P-hard in general), so every component, trees included, is charged
+against a subset budget (BudgetExceededError when exceeded); the
+per-component subset sums behind that verdict are taken only when 2^L
+plus the rows holding a zero, L the lines touching a zero, exceeds it.
 Deleting a line lowers a matching by at most one, so the lines a choice
 takes from a component plus the matching they leave there never fall
 below that component's own maximum matching.  One maximum matching of
@@ -560,7 +560,7 @@ def _partial_cover_counts(
     matching of ``adj``.  The rows that may be chosen are those of the mask
     ``rows`` and ``m0`` rows holding no zero, the columns those of ``cols``
     and ``n0`` columns holding no zero; both masks hold lines touching a
-    zero only, so no mask grows with the size of the instance.
+    zero only, so neither reaches past the last line holding a zero.
 
     The residual matching is a sum over the components of the zero graph,
     and a chosen line touching no zero only adds to i or j.  So the table
@@ -641,10 +641,10 @@ def cover_coefficients(p: RapInstance) -> dict[tuple[int, int], int]:
     A component without a cycle is counted in polynomial time, any other
     by enumerating its lines, and SUBSET_BUDGET bounds the number of line
     subsets of every component.  The lines touching no zero are counted,
-    not masked, so the cost follows the zeros and k, not m and n.  The
-    result is empty exactly when the zeros hold k independent entries:
-    then it is ``{}`` from the pattern's kept matching alone (see
-    _zero_graph), and never refused.
+    not masked, so m and n enter as two counts and a mask reaches only the
+    last line holding a zero.  The result is empty exactly when the zeros
+    hold k independent entries: then it is ``{}`` from the pattern's kept
+    matching alone (see _zero_graph), and never refused.
     """
     adj, match_col = _zero_graph(p.pattern)
     if len(match_col) >= p.k:  # k independent zeros: answered before any span is taken

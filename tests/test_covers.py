@@ -658,7 +658,8 @@ M = 10**7  # rows and columns of the large instances
 
 class TestLargeInstances:
     """The cover and row formulas take masks over the lines holding a zero
-    only, so their memory follows the zeros and k, not m and n."""
+    only: with the zeros in the first lines, their memory does not grow
+    with m and n."""
 
     @pytest.mark.parametrize(
         "compute, expected",
