@@ -1,7 +1,11 @@
 """Exact k-assignment solver and the structure of optimal-assignment families."""
 
+import inspect
 import random
+import sys
+import warnings
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from scipy.optimize import linear_sum_assignment
 
 from rapkit.model import Assignment, instance
 from rapkit.montecarlo import sample_matrix
-from rapkit.solver import brute_force_k_assignment, solve_k_assignment
+from rapkit.solver import _initial_matching, brute_force_k_assignment, solve_k_assignment
 
 from conftest import (
     enumerate_optimal_assignments,
@@ -201,6 +205,106 @@ class TestAgainstReference:
             m, n = rng.randint(8, 30), rng.randint(8, 30)
             k = min(m, n) if full else rng.randint(1, min(m, n))
             self.check([[rng.randrange(values) for _ in range(n)] for _ in range(m)], k)
+
+
+class TestNumpyInput:
+    """A numpy array is read as Python numbers, once, by both solvers."""
+
+    @pytest.mark.parametrize("solver", [solve_k_assignment, brute_force_k_assignment])
+    def test_int64_sums_do_not_wrap(self, solver):
+        matrix = np.array([[2**62, 2**62 + 5], [2**62 + 3, 2**62]], dtype=np.int64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = solver(matrix, 2)
+        assert type(result.cost) is int and result.cost == 2**63
+        assert result.positions == ((0, 0), (1, 1))
+
+    @pytest.mark.parametrize("solver", [solve_k_assignment, brute_force_k_assignment])
+    def test_float64_array_gives_the_list_result(self, solver):
+        rows = [[0.5, 1.25, 3.0], [2.0, 0.75, 0.125], [1.5, 4.0, 0.25]]
+        result = solver(np.array(rows), 3)
+        assert result == solver(rows, 3)
+        assert type(result.cost) is float
+
+
+def finished_columns(matrix, k: int) -> int:
+    """How many columns the augmentation scans of one solve finish."""
+    lines, first = inspect.getsourcelines(solve_k_assignment)
+    target = first + next(i for i, line in enumerate(lines) if "todo.remove(end)" in line)
+    code = solve_k_assignment.__code__
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line" and frame.f_lineno == target:
+            count += 1
+        return local
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        solve_k_assignment(matrix, k)
+    finally:
+        sys.settrace(old)
+    return count
+
+
+def free_after_initialization(matrix) -> list[int]:
+    """The rows the Jonker-Volgenant initialization leaves to augmentation."""
+    match_rc = _initial_matching(matrix, 1 << (len(matrix) ** 2))[0]
+    return [r for r, c in enumerate(match_rc) if c is None]
+
+
+class TestInitialization:
+    """At k = m = n the initialization runs first; results equal the reference solver."""
+
+    @staticmethod
+    def check(matrix):
+        n = len(matrix)
+        assert solve_k_assignment(matrix, n) == reference_solve_k_assignment(matrix, n)
+
+    def test_one_by_one(self):
+        for x in (0, 7, Fraction(2, 3), 0.5):
+            self.check([[x]])
+
+    def test_every_two_by_two_over_0_1_2(self):
+        for a, b, c, d in product(range(3), repeat=4):
+            self.check([[a, b], [c, d]])
+
+    def test_20x20_fractions_with_zeros(self):
+        rng = random.Random(44)
+        for density in (0.05, 0.2, 0.5):
+            zeros = {(r, c) for r in range(20) for c in range(20) if rng.random() < density}
+            self.check(random_fraction_matrix(rng, 20, 20, zeros))
+
+    @pytest.mark.parametrize("values", [2, 3])
+    def test_integer_matrices_8_to_30(self, values):
+        rng = random.Random(440 + values)
+        for n in range(8, 31):
+            self.check([[rng.randrange(values) for _ in range(n)] for _ in range(n)])
+
+    def test_rows_left_free_are_augmented_from_the_initial_matching(self):
+        rng = random.Random(1)
+        matrix = [[rng.randrange(2) for _ in range(12)] for _ in range(12)]
+        assert len(free_after_initialization(matrix)) == 4
+        self.check(matrix)
+
+    @pytest.mark.parametrize("unit,far", [(1, 10**12), (1e-9, 1.0)], ids=["ints", "floats"])
+    def test_bid_war_stops_at_the_budget(self, unit, far):
+        # rows 0-2 bid for columns 0 and 1 in steps of about `unit`, against
+        # columns 2 and 3 at `far`: without the budget of n^2 = 16 bids the
+        # passes would run for about far / unit bids
+        matrix = [[0, d * unit, far, far] for d in (1, 2, 4)] + [[far, far, 0, 0]]
+        assert free_after_initialization(matrix) == [0]
+        self.check(matrix)
+        assert brute_force_k_assignment(matrix, 4) == solve_k_assignment(matrix, 4)
+
+    def test_sampled_40x40_finishes_no_column(self):
+        # the successive shortest paths alone finished 427 columns here
+        assert finished_columns(sample_matrix(instance(40, 40, 40), 1), 40) == 0
+
+    def test_partial_k_still_augments_from_scratch(self):
+        assert finished_columns(sample_matrix(instance(40, 40, 20), 1), 20) > 20
 
 
 class TestBruteForce:
