@@ -132,6 +132,10 @@ def _initial_matching(a: Sequence[Sequence[Number]], top: int) -> tuple[list, ..
     n = len(a)
     last = n * n - 1
     inf = math.inf
+    pot_c0: list = []
+    pot_c1: list[int] = []
+    match_rc: list[int | None] = [None] * n
+    match_cr: list[int | None] = [None] * n
 
     def tie(r: int, c: int) -> int:
         return top - (1 << (last - r * n - c))
@@ -156,10 +160,6 @@ def _initial_matching(a: Sequence[Sequence[Number]], top: int) -> tuple[list, ..
     # Column reduction: each column's potential is its pair-minimum, the
     # first row holding its smallest entry; a row takes the first column
     # it is the minimum of.
-    pot_c0: list = []
-    pot_c1: list[int] = []
-    match_rc: list[int | None] = [None] * n
-    match_cr: list[int | None] = [None] * n
     taken = [0] * n  # columns each row is the minimum of
     for c, col in enumerate(zip(*a)):
         v = min(col)
