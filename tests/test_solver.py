@@ -284,9 +284,9 @@ class TestInitialization:
             self.check([[rng.randrange(values) for _ in range(n)] for _ in range(n)])
 
     def test_rows_left_free_are_augmented_from_the_initial_matching(self):
-        rng = random.Random(1)
-        matrix = [[rng.randrange(2) for _ in range(12)] for _ in range(12)]
-        assert len(free_after_initialization(matrix)) == 4
+        rng = random.Random(4)
+        matrix = [[rng.randrange(3) for _ in range(12)] for _ in range(12)]
+        assert free_after_initialization(matrix) == [3, 6]
         self.check(matrix)
 
     @pytest.mark.parametrize("unit,far", [(1, 10**12), (1e-9, 1.0)], ids=["ints", "floats"])
@@ -294,7 +294,8 @@ class TestInitialization:
         # rows 0-2 bid for columns 0 and 1 in steps of about `unit`, against
         # columns 2 and 3 at `far`: without the budget of n^2 = 16 bids the
         # passes would run for about far / unit bids
-        matrix = [[0, d * unit, far, far] for d in (1, 2, 4)] + [[far, far, 0, 0]]
+        matrix = [[x * unit, y * unit, far, far] for x, y in ((0, 1), (1, 3), (3, 7))]
+        matrix.append([far, far, 0, unit])
         assert free_after_initialization(matrix) == [0]
         self.check(matrix)
         assert brute_force_k_assignment(matrix, 4) == solve_k_assignment(matrix, 4)
