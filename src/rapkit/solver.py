@@ -64,8 +64,8 @@ next: a scan starts from those n entries instead of relaxing every free
 row.
 
 Entries may be ints, fractions.Fraction, or floats; arithmetic stays in
-the input type, so rational instances are solved exactly.  A numpy
-array is read as Python numbers, so int64 sums cannot wrap.
+the input type, so rational instances are solved exactly.  The rows of
+a numpy array are read as Python numbers, so int64 sums cannot wrap.
 """
 
 from __future__ import annotations
@@ -101,9 +101,8 @@ def _as_matrix(
 ) -> Sequence[Sequence[Number]]:
     if isinstance(matrix, SampledMatrix):
         return matrix.entries  # finite and nonnegative by construction
-    if hasattr(matrix, "tolist"):  # a numpy array: Python ints and floats, not int64 that wraps
-        matrix = matrix.tolist()
-    rows = [list(row) for row in matrix]
+    # numpy rows become Python ints and floats, whose sums cannot wrap
+    rows = [row.tolist() if hasattr(row, "tolist") else list(row) for row in matrix]
     if not rows or not rows[0]:
         raise ValueError("matrix must be nonempty")
     n = len(rows[0])

@@ -211,8 +211,11 @@ class TestNumpyInput:
     """A numpy array is read as Python numbers, once, by both solvers."""
 
     @pytest.mark.parametrize("solver", [solve_k_assignment, brute_force_k_assignment])
-    def test_int64_sums_do_not_wrap(self, solver):
+    @pytest.mark.parametrize("as_rows", [False, True], ids=["array", "list-of-rows"])
+    def test_int64_sums_do_not_wrap(self, solver, as_rows):
         matrix = np.array([[2**62, 2**62 + 5], [2**62 + 3, 2**62]], dtype=np.int64)
+        if as_rows:
+            matrix = list(matrix)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = solver(matrix, 2)
