@@ -304,11 +304,11 @@ class TestInitialization:
         assert brute_force_k_assignment(matrix, 4) == solve_k_assignment(matrix, 4)
 
     def test_sampled_40x40_finishes_no_column(self):
-        # the successive shortest paths alone finished 427 columns here
+        # the augmentations alone, from the empty matching, finish 427 columns here
         assert finished_columns(sample_matrix(instance(40, 40, 40), 1), 40) == 0
 
     def test_partial_k_keeps_successive_shortest_paths(self):
-        # the same 99 columns as before the initialization was added
+        # k < n: the augmentations alone, from the empty matching
         assert finished_columns(sample_matrix(instance(40, 40, 20), 1), 20) == 99
 
 
