@@ -14,7 +14,7 @@ and writing the envelope.  ``main`` adds the command name and the time
 and hands that one envelope dict to ``_emit``, the only code that writes
 it.  Exit codes:
 0 success, 1 usage or parse error, 2 verification mismatch, 3 oracle
-node budget or cover-profile subset budget exhausted.  Randomized
+node budget or cover-profile state budget exhausted.  Randomized
 subcommands require an explicit ``--seed``; ``--threads`` falls back to
 the RAP_THREADS environment variable, then to every usable CPU, and never
 changes any output, only wall-clock time.

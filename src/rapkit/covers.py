@@ -30,26 +30,24 @@ whatever m and n.  A component without a cycle (its zeros number its
 lines less one) is a tree, counted in polynomial time by one dynamic
 programme: leaves first, each line's table is made from the product of
 its children's, and no residual matching is needed.  Any other component
-is counted by a pruned depth-first enumeration of its lines, which
-extends the binomials to the lines a partial choice has emptied: at each
-visit the candidate lines that no longer touch a residual zero are
-counted by C(free rows, x) * C(free columns, y), and only the lines still
-touching one are branched on, each branch with one residual matching.
-Such a component is exponential in its size (counting partial covers is
-#P-hard in general), so every component, trees included, is charged
-against a subset budget (BudgetExceededError when exceeded); the
-per-component subset sums behind that verdict are taken only when 2^L
-plus the rows holding a zero, L the lines touching a zero, exceeds it.
-Deleting a line lowers a matching by at most one, so the lines a choice
-takes from a component plus the matching they leave there never fall
-below that component's own maximum matching.  One maximum matching of
-the whole pattern, maximum on each component, bounds everything: a
-pattern with k independent zeros has no partial (k-1)-cover, so it is
-answered before the subset budget is consulted and costs nothing more,
-and otherwise each component is counted only as far as the others
-leave room for.  cover_coefficients returns the nonzero d_{i,j} only;
-cover_profile is its dense table.
-Row-only counts need no enumeration at all when a maximum matching
+is counted by a dynamic programme over the lines of its long side whose
+state is the transversal matroid of its short side of w lines (Edmonds &
+Fulkerson): the family of short-side sets that the kept lines can match,
+one 2^w-bit int.  Its cost is exponential in w only (counting partial
+covers is #P-hard in general), so it is charged its live families times
+2^w bits against a state budget (BudgetExceededError when exceeded),
+before its first line and after each; a tree is never charged.  Every
+table is packed: a, b and a + b + nu' are fields of one int, so a product
+of tables sums keys.  Deleting a line lowers a matching by at most one,
+so the lines a choice takes from a component plus the matching they
+leave there never fall below that component's own maximum matching.  One
+maximum matching of the whole pattern, maximum on each component, bounds
+everything: a pattern with k independent zeros has no partial
+(k-1)-cover, so it is answered before any component is counted and
+costs nothing more, and otherwise each component, and each product, is
+counted only as far as the others leave room for.  cover_coefficients
+returns the nonzero d_{i,j} only; cover_profile is its dense table.
+Row-only counts need no component table at all when a maximum matching
 covers every row holding a zero.
 
 A pattern keeps its zero graph, the row masks and their first maximum
@@ -64,7 +62,8 @@ first, and one with k independent zeros costs that matching alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import zip_longest
 from math import comb
 from operator import or_
 from typing import Iterable
@@ -316,13 +315,10 @@ def _lattice(masks: dict[int, int], match_col: dict[int, int]) -> CoverLattice:
 # ---------------------------------------------------------------------------
 
 
-SUBSET_BUDGET = 1 << 23
-"""Cap on the component line subsets one profile call may enumerate.
-
-It exceeds the sum of C(24, s) over s < 12 (about 7.0M), the count for a
-single component spanning every line of a 12x12 instance, so no instance
-up to 12x12 is refused.
-"""
+STATE_BUDGET = 1 << 22
+"""Cap on the bits of the families the matroid DP of one component holds at
+once, 2^w bits each over its short side of w lines.  One family must fit, so
+a short side of more than 22 lines is refused at once."""
 
 
 def _span(part: dict[int, int]) -> tuple[int, int]:
@@ -354,35 +350,34 @@ def _components(adj: dict[int, int]) -> list[dict[int, int]]:
 
 
 def _component_table(
-    part: dict[int, int], rows: int, cols: int, limit: int, nu: int
-) -> dict[tuple[int, int, int], int]:
-    """Line-subset counts of one component of the zero graph.
+    part: dict[int, int], rows: int, cols: int, limit: int, nu: int, width: int
+) -> dict[int, int]:
+    """Line-subset counts of one component of the zero graph, as a packed table.
 
-    ``part`` holds the component's row masks.  T[(a, b, nu')] counts the
-    choices of a of its rows in the mask ``rows`` and b of its columns in
-    the mask ``cols`` that leave a maximum matching of nu' of its zeros;
-    only entries with a + b + nu' <= limit are kept, and no zero count.
-    ``nu`` is the size of the component's own maximum matching; the
-    caller passes a limit of at least ``nu``, so the table always holds
-    the entry of the empty choice.
+    ``part`` holds the component's row masks.  The table counts the choices
+    of a of its rows in the mask ``rows`` and b of its columns in the mask
+    ``cols`` that leave a maximum matching of nu' of its zeros; only entries
+    with a + b + nu' <= limit are kept, and no zero count.  ``nu`` is the
+    size of the component's own maximum matching; the caller passes a limit
+    of at least ``nu``, so the table always holds the entry of the empty
+    choice.  The key of (a, b, nu') packs a, b and a + b + nu' into fields
+    of ``width`` bits, from the top; ``width`` must hold 2 * limit, so that
+    a product's key is the sum of its factors' keys (see :func:`_times`).
 
     The masks may hold lines of other components, which are ignored.  A
     connected component is a tree exactly when its zeros number its rows
     plus its columns less one.  Every tree, whatever its shape, is counted
     by the one dynamic programme of :func:`_tree_table`, in time
-    polynomial in its size; any other component by
-    :func:`_enumerated_table`.
+    polynomial in its size; any other component by :func:`_matroid_table`,
+    in time exponential only in its short side.
     """
     masks = part.values()
     if sum(map(int.bit_count, masks)) < len(part) + reduce(or_, masks).bit_count():
-        return _tree_table(part, rows, cols, limit, nu)
-    part_rows, part_cols = _span(part)
-    return _enumerated_table(part, part_rows & rows, part_cols & cols, limit, nu)
+        return _tree_table(part, rows, cols, limit, nu, width)
+    return _matroid_table(part, rows, cols, limit, width)
 
 
-def _tree_table(
-    part: dict[int, int], rows: int, cols: int, limit: int, nu: int
-) -> dict[tuple[int, int, int], int]:
+def _tree_table(part: dict[int, int], rows: int, cols: int, limit: int, nu: int, width: int) -> dict[int, int]:
     """:func:`_component_table` of a component whose zero graph is a tree.
 
     Rooted anywhere, a tree has a maximum matching that pairs each line
@@ -406,13 +401,11 @@ def _tree_table(
     over the maximum matchings of its children's subtrees, which one pass
     up the tree sums before any table is made.
 
-    A table is a dict from a packed key to its count.  The key's fields
-    are, from the top, the number of children left unmatched (unbounded),
-    a, b and a + b + nu', the last three of ``width`` bits: a product's
-    key is the sum of its factors' keys, and no field passes 2 * limit
-    before it is checked.
+    A table is a dict from a packed key to its count, in the layout of
+    :func:`_component_table` with one more field on top: the number of
+    children left unmatched (unbounded).  The root has no parent to count
+    it for, so its table is returned as it is.
     """
-    width = limit.bit_length() + 1
     top = (1 << width) - 1
     row_unit, col_unit = 1 << 2 * width | 1, 1 << width | 1
     free = 1 << 3 * width  # one unmatched child
@@ -472,16 +465,12 @@ def _tree_table(
         if i:
             up = ups[i]
             products[up] = table if products[up] is None else _times(products[up], table, caps[up], top)
-    out = {}
-    for key, x in table.items():
-        a, b = key >> 2 * width, key >> width & top
-        out[a, b, (key & top) - a - b] = x
-    return out
+    return table
 
 
 def _times(left: dict[int, int], right: dict[int, int], cap: int, top: int) -> dict[int, int]:
-    """The product of two packed tables of :func:`_tree_table`, dropping
-    every entry whose a + b + nu' passes ``cap``."""
+    """The product of two packed tables (see :func:`_component_table`),
+    dropping every entry whose a + b + nu' passes ``cap``."""
     out: dict[int, int] = {}
     for k1, x1 in left.items():
         room = cap - (k1 & top)
@@ -492,63 +481,110 @@ def _times(left: dict[int, int], right: dict[int, int], cap: int, top: int) -> d
     return out
 
 
-def _enumerated_table(
-    part: dict[int, int], rows: int, cols: int, limit: int, nu: int
-) -> dict[tuple[int, int, int], int]:
-    """:func:`_component_table` of any component, by enumerating the
-    choices of its lines in the masks ``rows`` and ``cols``.  ``nu``, the
-    component's own maximum matching, is the residual of the empty choice,
-    so the root visit does not find it again.
+@lru_cache(maxsize=8)
+def _subset_tables(w: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The 2^w-bit masks of :func:`_matroid_table`.  steps[c] is (the sets
+    of w lines without line c, 2^c): shifting the first by the second adds
+    line c to each.  sizes[j] holds the sets of j lines; sizes[w + 1] is 0,
+    so a rank of w looks one size up and finds nothing."""
+    full = (1 << (1 << w)) - 1
+    steps = tuple((full // ((1 << (2 << c)) - 1) * ((1 << (1 << c)) - 1), 1 << c) for c in range(w))
+    sizes = [1]  # over no lines, the empty set only
+    for c in range(w):
+        sizes = [old | grown << (1 << c) for old, grown in zip(sizes + [0], [0] + sizes)]
+    return steps, (*sizes, 0)
 
-    Subsets are visited depth-first.  A visit's candidates are the lines
-    it may still add: those after its branch line in the order rows, then
-    columns, plus the candidates its ancestors found free.  A candidate
-    touching no residual zero is *free*: adding it changes a or b but not
-    nu', so every choice of free lines is counted at once by binomials.
-    Deleting a line empties no line on its own side, and rows come first,
-    so no candidate row is ever emptied: the free lines are the columns
-    that chosen rows have emptied, and y of them are chosen in C(free, y)
-    ways.  Only the candidates that still touch a zero are branched on,
-    each child with its own residual matching.  Adding a line lowers the
-    matching by at most one, so a + b + nu' never falls and a child over
-    the limit cuts off all of its supersets.
 
+def _closure(family: int, steps: tuple[tuple[int, int], ...]) -> int:
+    """The sets of the family ``family`` and all their supersets."""
+    for lack, shift in steps:
+        family |= (family & lack) << shift
+    return family
+
+
+def _matroid_table(part: dict[int, int], rows: int, cols: int, limit: int, width: int) -> dict[int, int]:
+    """:func:`_component_table` of any component, by a dynamic programme
+    over the lines of its long side whose state is the transversal matroid
+    of its short side (Edmonds & Fulkerson).
+
+    The component is transposed if need be, so that its short side is its
+    w columns, relabelled 0..w-1; a set X of them is the w-bit int with bit
+    t for column t.  A *family* is a 2^w-bit int whose bit X is set when X
+    can be matched into the rows kept so far; it starts as {empty set} and
+    is closed under taking subsets.  The rows are visited once each.
+    Taking one leaves the family as it is and adds one to a; keeping one
+    with columns M adds X + {t} for each X in the family and t in M not in
+    X.  A family's rank, its largest set, only grows, and each column taken
+    later lowers the matching by at most one, so b + nu' never falls below
+    it: a choice whose a plus rank passes the limit is dropped.  The rank
+    rises by at most one a row and is carried with the family, not searched
+    for.  Each family holds its counts by a, so it is grown once for all.
+
+    At the end the columns are chosen.  The kept set T leaves a matching of
+    at least v exactly when it contains a v-set of the family, that is when
+    T lies in the closure of those v-sets, and T must hold every column
+    that may not be chosen: so the kept sets of each size and matching are
+    counted by popcounts.  Choosing b columns lowers the rank by at most b,
+    so only matchings down to the rank less the columns that may be chosen
+    are looked at; with none, the matching left is the rank.
+
+    The cost is the rows times the live families times w operations on
+    2^w-bit ints.  Raises BudgetExceededError when the live families' bits
+    pass STATE_BUDGET: checked before the first row, so a short side too
+    wide for one family is refused at once, and after each row.
     """
-    table: dict[tuple[int, int, int], int] = {}
-
-    def visit(adj: dict[int, int], a: int, b: int, nu: int, cand_rows: int, cand_cols: int, free: int) -> None:
-        if free:
-            for y in range(min(free, limit - a - b - nu) + 1):
-                key = (a, b + y, nu)
-                table[key] = table.get(key, 0) + comb(free, y)
-        else:
-            key = (a, b, nu)
-            table[key] = table.get(key, 0) + 1
-        while cand_rows:
-            bit = cand_rows & -cand_rows
-            cand_rows ^= bit
-            rest = adj.copy()
-            del rest[bit.bit_length() - 1]
-            live = 0
-            for row_cols in rest.values():
-                live |= row_cols
-            nu2 = len(_max_matching(rest))
-            if a + b + 1 + nu2 <= limit:
-                emptied = (cand_cols & ~live).bit_count()
-                visit(rest, a + 1, b, nu2, cand_rows, cand_cols & live, free + emptied)
-        while cand_cols:  # the remaining columns keep their zeros
-            bit = cand_cols & -cand_cols
-            cand_cols ^= bit
-            rest = {}
-            for r, row_cols in adj.items():
-                if row_cols & ~bit:
-                    rest[r] = row_cols & ~bit
-            nu2 = len(_max_matching(rest))
-            if a + b + 1 + nu2 <= limit:
-                visit(rest, a, b + 1, nu2, 0, cand_cols, free)
-
-    visit(part, 0, 0, nu, rows, cols, 0)
+    row_unit, col_unit = 1 << 2 * width | 1, 1 << width | 1
+    if reduce(or_, part.values()).bit_count() > len(part):  # the rows are the short side: transpose
+        part = _row_masks((c, r) for r, mask in part.items() for c in _indices(mask))
+        rows, cols, row_unit, col_unit = cols, rows, col_unit, row_unit
+    columns = [1 << c for c in _indices(reduce(or_, part.values()))]
+    w = len(columns)
+    if 1 << w > STATE_BUDGET:
+        raise BudgetExceededError(f"state budget of {STATE_BUDGET} bits passed by a short side of {w} lines")
+    steps_of, sizes = _subset_tables(w)
+    families = {1: (0, 0, [1])}  # family -> (its rank, its least a, its counts by a from there)
+    for r, mask in part.items():
+        steps = [step for bit, step in zip(columns, steps_of) if mask & bit]
+        grown: dict[int, tuple[int, int, list[int]]] = {}
+        for family, (rank, low, counts) in families.items():
+            kept = family
+            for lack, shift in steps:
+                kept |= (family & lack) << shift
+            kept_rank = rank + 1 if kept & sizes[rank + 1] else rank
+            if low + kept_rank <= limit:
+                grown[kept] = kept_rank, *_plus(grown.get(kept), low, counts[: limit - kept_rank - low + 1])
+            if rows >> r & 1 and low + rank < limit:  # taken
+                grown[family] = rank, *_plus(grown.get(family), low + 1, counts[: limit - rank - low])
+        families = grown
+        if len(families) << w > STATE_BUDGET:
+            raise BudgetExceededError(f"state budget of {STATE_BUDGET} bits passed by {len(families)} families")
+    fixed = sum(1 << t for t, bit in enumerate(columns) if not cols & bit)  # in every kept set
+    above = _closure(1 << fixed, steps_of)
+    valid = [above & sizes[w - b] for b in range(w - fixed.bit_count() + 1)]  # the kept sets by b
+    table: dict[int, int] = {}
+    for family, (rank, low, counts) in families.items():
+        reached = 0  # the kept sets leaving a matching above v
+        for v in range(rank, max(rank - len(valid), -1), -1):
+            at_least = _closure(family & sizes[v], steps_of)
+            exactly, reached = at_least & ~reached, at_least
+            for b, sets in enumerate(valid[: limit - low - v + 1]):  # low + v <= low + rank <= limit
+                n = (exactly & sets).bit_count()
+                for a, x in enumerate(counts[: limit - low - b - v + 1] if n else (), low):
+                    if x:
+                        key = a * row_unit + b * col_unit + v
+                        table[key] = table.get(key, 0) + x * n
     return table
+
+
+def _plus(old: tuple[int, int, list[int]] | None, low: int, counts: list[int]) -> tuple[int, list[int]]:
+    """The counts by a of the family state ``old`` plus ``counts``, from a =
+    ``low`` on, as (the least a, the counts from there); ``old`` may be None."""
+    if old is None:
+        return low, counts
+    _, old_low, old_counts = old
+    start = min(low, old_low)
+    padded = [0] * (low - start) + counts, [0] * (old_low - start) + old_counts
+    return start, [x + y for x, y in zip_longest(*padded, fillvalue=0)]
 
 
 def _partial_cover_counts(
@@ -563,12 +599,12 @@ def _partial_cover_counts(
     zero only, so neither reaches past the last line holding a zero.
 
     The residual matching is a sum over the components of the zero graph,
-    and a chosen line touching no zero only adds to i or j.  So the table
-    T[(a, b, nu)] of the whole choice is the binomial table of the zero-free
-    rows and columns convolved with one table per component
+    and a chosen line touching no zero only adds to i or j.  So the counts
+    of (a, b, nu) for the whole choice are the binomial table of the
+    zero-free rows and columns times one table per component
     (:func:`_component_table`: the tree DP for a component without a cycle,
-    the enumeration for any other), pruned to a + b + nu <= limit; the
-    counts are T summed over nu.
+    the matroid DP for any other), all in the packed layout, so a product
+    is a sum of keys (:func:`_times`); the counts are summed over nu.
 
     Deleting a line lowers a matching by at most one, so every choice
     leaves component c with a_c + b_c + nu'_c >= nu_c, its own maximum
@@ -577,55 +613,31 @@ def _partial_cover_counts(
     covers, and only the slack, limit minus the whole matching, is left
     over.  None means no partial cover at all: a pattern with limit + 1
     independent zeros gets ``{}`` first, costs no component work and is
-    never refused.  Otherwise component c is counted to slack + nu_c,
-    its root taking nu_c from the matching, and the zero-free lines to
-    the slack.
-
-    Short of that, raises BudgetExceededError before any table is made
-    when the components' subset counts (for each, the sum of C(lines, s)
-    over s <= limit, counting its lines in ``rows`` and ``cols``) exceed
-    SUBSET_BUDGET.  A tree is charged like any other component although
-    its DP visits no subset, so the budget refuses some trees the DP
-    could count, such as the 13x13 cross.  Those sums are taken only when
-    they could exceed it: a component with l >= 1 lines adds at most 2^l,
-    2^a + 2^b <= 2^(a+b) for a, b >= 1, and a component with none adds 1,
-    so with L lines touching a zero the total is at most 2^L plus the
-    number of rows holding a zero.
+    never refused.  Otherwise component c is counted to slack + nu_c, and
+    each product is kept to the limit less the matching the components
+    not yet multiplied still owe; the zero-free lines alone get the slack.
+    A component with a cycle may raise BudgetExceededError (STATE_BUDGET);
+    a tree never does.
     """
-    slack = limit - len(match_col)
+    owed = len(match_col)
+    slack = limit - owed
     if slack < 0:
         return {}
-    lines = rows.bit_count() + cols.bit_count()
-    parts = _components(adj)
-    if (1 << lines) + len(adj) > SUBSET_BUDGET:
-        needed = 0
-        for part in parts:
-            part_rows, part_cols = _span(part)
-            part_lines = (part_rows & rows).bit_count() + (part_cols & cols).bit_count()
-            needed += sum(comb(part_lines, s) for s in range(limit + 1))
-        if needed > SUBSET_BUDGET:
-            raise BudgetExceededError(
-                f"cover profile needs up to {needed} line-subset tests, over the budget of {SUBSET_BUDGET}"
-            )
+    width = limit.bit_length() + 1
+    top = (1 << width) - 1
     total = {  # the zero-free lines alone leave nothing to match
-        (a, b, 0): comb(m0, a) * comb(n0, b)
+        (a << width | b) << width | a + b: comb(m0, a) * comb(n0, b)
         for a in range(min(m0, slack) + 1)
         for b in range(min(n0, slack - a) + 1)
     }
     matched = set(match_col.values())
-    for part in parts:
+    for part in _components(adj):
         nu = sum(r in matched for r in part)
-        table = _component_table(part, rows, cols, slack + nu, nu)
-        merged: dict[tuple[int, int, int], int] = {}
-        for (a1, b1, nu1), x1 in total.items():
-            room = limit - a1 - b1 - nu1
-            for (a2, b2, nu2), x2 in table.items():
-                if a2 + b2 + nu2 <= room:
-                    key = (a1 + a2, b1 + b2, nu1 + nu2)
-                    merged[key] = merged.get(key, 0) + x1 * x2
-        total = merged
+        owed -= nu
+        total = _times(total, _component_table(part, rows, cols, slack + nu, nu, width), limit - owed, top)
     counts: dict[tuple[int, int], int] = {}
-    for (i, j, _), x in total.items():
+    for key, x in total.items():
+        i, j = key >> 2 * width, key >> width & top
         counts[i, j] = counts.get((i, j), 0) + x
     return counts
 
@@ -638,13 +650,14 @@ def cover_coefficients(p: RapInstance) -> dict[tuple[int, int], int]:
     the sum of the components' residual matchings, and lines touching no
     zero change nothing but |R| + |C|, so the count is a convolution of
     small per-component tables with binomials (see _partial_cover_counts).
-    A component without a cycle is counted in polynomial time, any other
-    by enumerating its lines, and SUBSET_BUDGET bounds the number of line
-    subsets of every component.  The lines touching no zero are counted,
-    not masked, so m and n enter as two counts and a mask reaches only the
-    last line holding a zero.  The result is empty exactly when the zeros
-    hold k independent entries: then it is ``{}`` from the pattern's kept
-    matching alone (see _zero_graph), and never refused.
+    A component without a cycle is counted in polynomial time and never
+    refused; any other in time exponential in its short side only, with
+    STATE_BUDGET bounding the bits its count holds.  The lines touching no
+    zero are counted, not masked, so m and n enter as two counts and a mask
+    reaches only the last line holding a zero.  The result is empty
+    exactly when the zeros hold k independent entries: then it is ``{}``
+    from the pattern's kept matching alone (see _zero_graph), and never
+    refused.
     """
     adj, match_col = _zero_graph(p.pattern)
     if len(match_col) >= p.k:  # k independent zeros: answered before any span is taken

@@ -33,7 +33,7 @@ class InvalidInstanceError(RapError, ValueError):
 
 
 class BudgetExceededError(RapError):
-    """A resource budget (recursion nodes, enumeration size) was exhausted."""
+    """A resource budget (oracle recursion nodes, cover-profile state bits) was exhausted."""
 
     def __init__(self, message: str, nodes: int | None = None):
         super().__init__(message)

@@ -238,6 +238,82 @@ def reference_component_table(
     return table
 
 
+def enumerated_table(
+    part: dict[int, int], rows: int, cols: int, limit: int, nu: int
+) -> dict[tuple[int, int, int], int]:
+    """T[(a, b, nu')] of one component, like reference_component_table, by
+    a pruned enumeration of its lines in the masks ``rows`` and ``cols``:
+    the fast reference.  ``part`` holds the component's row masks and
+    ``nu``, its own maximum matching, is the residual of the empty choice.
+
+    Subsets are visited depth-first.  A visit's candidates are the lines
+    it may still add: those after its branch line in the order rows, then
+    columns, plus the candidates its ancestors found free.  A candidate
+    touching no residual zero is *free*: adding it changes a or b but not
+    nu', so every choice of free lines is counted at once by binomials.
+    Deleting a line empties no line on its own side, and rows come first,
+    so no candidate row is ever emptied: the free lines are the columns
+    that chosen rows have emptied, and y of them are chosen in C(free, y)
+    ways.  Only the candidates that still touch a zero are branched on,
+    each child with its own residual matching.  Adding a line lowers the
+    matching by at most one, so a + b + nu' never falls and a child over
+    the limit cuts off all of its supersets.
+    """
+    max_matching = rapkit.covers._max_matching
+    table: dict[tuple[int, int, int], int] = {}
+
+    def visit(adj: dict[int, int], a: int, b: int, nu: int, cand_rows: int, cand_cols: int, free: int) -> None:
+        for y in range(min(free, limit - a - b - nu) + 1):
+            table[a, b + y, nu] = table.get((a, b + y, nu), 0) + math.comb(free, y)
+        while cand_rows:
+            bit = cand_rows & -cand_rows
+            cand_rows ^= bit
+            rest = adj.copy()
+            del rest[bit.bit_length() - 1]
+            live = 0
+            for row_cols in rest.values():
+                live |= row_cols
+            nu2 = len(max_matching(rest))
+            if a + b + 1 + nu2 <= limit:
+                emptied = (cand_cols & ~live).bit_count()
+                visit(rest, a + 1, b, nu2, cand_rows, cand_cols & live, free + emptied)
+        while cand_cols:  # the remaining columns keep their zeros
+            bit = cand_cols & -cand_cols
+            cand_cols ^= bit
+            rest = {r: row_cols & ~bit for r, row_cols in adj.items() if row_cols & ~bit}
+            nu2 = len(max_matching(rest))
+            if a + b + 1 + nu2 <= limit:
+                visit(rest, a, b + 1, nu2, 0, cand_cols, free)
+
+    part_rows = sum(1 << r for r in part)
+    part_cols = 0
+    for row_cols in part.values():
+        part_cols |= row_cols
+    visit(part, 0, 0, nu, rows & part_rows, cols & part_cols, 0)
+    return table
+
+
+def table_width(limit: int) -> int:
+    """The field width of rapkit.covers' packed tables at ``limit``: it holds 2 * limit."""
+    return limit.bit_length() + 1
+
+
+def unpack_table(table: dict[int, int], width: int) -> dict[tuple[int, int, int], int]:
+    """A packed component table, keyed by a, b and a + b + nu' in fields of
+    ``width`` bits from the top, keyed by (a, b, nu') instead."""
+    top = (1 << width) - 1
+    out = {}
+    for key, x in table.items():
+        a, b = key >> 2 * width, key >> width & top
+        out[a, b, (key & top) - a - b] = x
+    return out
+
+
+def pack_table(table: dict[tuple[int, int, int], int], width: int) -> dict[int, int]:
+    """The inverse of unpack_table."""
+    return {(a << width | b) << width | (a + b + nu): x for (a, b, nu), x in table.items()}
+
+
 def brute_force_row_excluded_profile(p: RapInstance, r: int) -> tuple[int, ...]:
     """Per i, the i-row partial (k-1)-covers avoiding row r, by subset enumeration."""
     residual_matching = _residual_matcher(p.zeros)

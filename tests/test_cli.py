@@ -187,24 +187,31 @@ BAND16 = [[i, j] for i in range(16) for j in (i, i + 1) if j < 16]
 """Staircase zeros (i, i), (i, i+1) for i < 16: one component over 32
 lines, with 16 independent zeros."""
 
+RING24 = [[i, j % 24] for i in range(24) for j in (i, i + 1)]
+"""Zeros (i, i) and (i, i+1 mod 24) for i < 24: one cycle over 48 lines,
+with 24 independent zeros and a short side of 24 lines."""
+
 
 class TestCoverBudget:
-    """A cover profile over its subset budget exits 3 before any work."""
+    """A cover profile over its state budget exits 3 at once."""
 
     @pytest.mark.parametrize("argv", [
-        ["value", "band17"],
-        ["profile", "band17"],
-        ["verify", "band17"],
-        ["simulate", "band17", "--samples", "10", "--seed", "1"],
+        ["value", "ring25"],
+        ["profile", "ring25"],
+        ["verify", "ring25"],
+        ["simulate", "ring25", "--samples", "10", "--seed", "1"],
         ["rowprob", "wrap26", "--row", "25"],
     ])
     def test_exit_code(self, capsys, tmp_path, argv):
-        # band17: BAND16 in a 17x17 instance, k = 17, so its 16 independent
-        # zeros leave partial covers to count over all 32 lines.  wrap26:
-        # rows 0..24 hold (i, i mod 13), (i, i+1 mod 13), so at most 13 of
-        # them are matched and all 25 are enumerated; row 25 is zero-free.
+        # ring25: RING24 in a 25x25 instance, k = 25, so its 24 independent
+        # zeros leave partial covers to count, and its short side of 24
+        # lines is refused before its first line.  wrap26: rows 0..24 hold
+        # (i, i mod 13), (i, i+1 mod 13), so at most 13 of them are matched
+        # and the row counts take the general branch, whose families over
+        # the 13 columns pass the budget within a few rows; row 25 is
+        # zero-free.
         bands = {
-            "band17": (17, BAND16),
+            "ring25": (25, RING24),
             "wrap26": (26, [[i, j % 13] for i in range(25) for j in (i, i + 1)]),
         }
         for name, (m, zeros) in bands.items():
@@ -317,13 +324,13 @@ class TestSimulateCommand:
         (["{rect32}", "--what", "min", "--samples", "100"], EXIT_USAGE),
         (["{rect32}", "--what", "row", "--row", "0", "--samples", "100"], EXIT_USAGE),
         (["{two}", "--samples", "1"], EXIT_USAGE),
-        (["{band17}", "--samples", "100"], EXIT_BUDGET),
+        (["{ring25}", "--samples", "100"], EXIT_BUDGET),
     ], ids=["row-missing", "min-with-zeros", "row-holds-a-zero", "one-sample", "target-over-budget"])
     def test_failure_leaves_no_csv(self, capsys, inst_dir, tmp_path, args, code):
-        band17 = tmp_path / "band17.json"  # over the subset budget (see TestCoverBudget)
-        band17.write_text(json.dumps({"m": 17, "n": 17, "k": 17, "zeros": BAND16}))
+        ring25 = tmp_path / "ring25.json"  # over the state budget (see TestCoverBudget)
+        ring25.write_text(json.dumps({"m": 25, "n": 25, "k": 25, "zeros": RING24}))
         csv = tmp_path / "out.csv"
-        argv = ["simulate", *(a.format(**inst_dir, band17=band17) for a in args),
+        argv = ["simulate", *(a.format(**inst_dir, ring25=ring25) for a in args),
                 "--seed", "1", "--csv", str(csv)]
         try:
             got = cli.main(argv)

@@ -43,15 +43,19 @@ from conftest import (
     brute_force_min_cover_size,
     brute_force_row_excluded_profile,
     delete_column,
+    enumerated_table,
     instances,
     is_partial_cover,
+    pack_table,
     pattern_classes,
     random_instance,
     reference_column_maximal_cover,
     reference_component_table,
     reference_forced_cover_lines,
     reference_row_maximal_cover,
+    table_width,
     transpose_instance,
+    unpack_table,
     zeros_of,
 )
 
@@ -418,6 +422,14 @@ def _bits(mask: int) -> set[int]:
     return {i for i in range(mask.bit_length()) if mask >> i & 1}
 
 
+def _unpacked(table_fn, part, rows: int, cols: int, limit: int, *args) -> dict:
+    """The table ``table_fn`` makes for one component (``args`` go before
+    the width), packed at the width of ``limit`` and unpacked to (a, b,
+    nu') keys for comparison."""
+    width = table_width(limit)
+    return unpack_table(table_fn(part, rows, cols, limit, *args, width), width)
+
+
 def _assert_tables_match_reference(zeros, rows: int, cols: int, slacks) -> None:
     """Each component's table equals the from-scratch subset enumeration
     at every given slack over the component's own matching."""
@@ -425,12 +437,12 @@ def _assert_tables_match_reference(zeros, rows: int, cols: int, slacks) -> None:
         nu = len(covers._max_matching(part))
         for slack in slacks:
             limit = slack + nu
-            got = covers._component_table(part, rows, cols, limit, nu)
+            got = _unpacked(covers._component_table, part, rows, cols, limit, nu)
             assert got == reference_component_table(zeros_of(part), _bits(rows), _bits(cols), limit)
 
 
-def _reference_component_table(part, rows, cols, limit, nu):
-    return reference_component_table(zeros_of(part), _bits(rows), _bits(cols), limit)
+def _reference_component_table(part, rows, cols, limit, nu, width):
+    return pack_table(reference_component_table(zeros_of(part), _bits(rows), _bits(cols), limit), width)
 
 
 def band(length: int, offset: int) -> list[tuple[int, int]]:
@@ -439,9 +451,10 @@ def band(length: int, offset: int) -> list[tuple[int, int]]:
 
 
 class TestFreeLineBinomials:
-    """The enumeration counts the candidate lines a choice has emptied by
-    binomials; its tables equal the reference that visits every subset
-    with a fresh matching."""
+    """Each component's table, from the tree DP or the matroid DP, equals
+    the reference that visits every subset with a fresh matching; so does
+    the enumeration the tests keep as the fast reference, which counts the
+    candidate lines a choice has emptied by binomials."""
 
     def test_every_pattern_up_to_3x3_at_every_k(self):
         for m in range(1, 4):
@@ -467,6 +480,19 @@ class TestFreeLineBinomials:
         rows &= (1 << p.m) - 1
         cols &= (1 << p.n) - 1
         _assert_tables_match_reference(p.zeros, rows, cols, [slack])
+
+    @given(
+        instances(max_m=6, max_n=6),
+        st.integers(0, (1 << 6) - 1),
+        st.integers(0, (1 << 6) - 1),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_fast_reference_up_to_6x6_with_restricted_lines(self, p, rows, cols, slack):
+        for part in covers._components(covers._row_masks(p.zeros)):
+            nu = len(covers._max_matching(part))
+            expected = reference_component_table(zeros_of(part), _bits(rows), _bits(cols), nu + slack)
+            assert enumerated_table(part, rows, cols, nu + slack, nu) == expected
 
     def test_band_profile_makes_no_component_matching(self, matchings, monkeypatch):
         p = instance(10, 10, 10, band(6, 1))
@@ -506,7 +532,7 @@ def _acyclic(part: dict[int, int]) -> bool:
 @pytest.fixture()
 def table_paths(monkeypatch) -> dict[str, list[dict[int, int]]]:
     """The components each path of _component_table counted while the test runs."""
-    taken: dict[str, list[dict[int, int]]] = {"_tree_table": [], "_enumerated_table": []}
+    taken: dict[str, list[dict[int, int]]] = {"_tree_table": [], "_matroid_table": []}
     for name, parts in taken.items():
         real = getattr(covers, name)
 
@@ -518,10 +544,9 @@ def table_paths(monkeypatch) -> dict[str, list[dict[int, int]]]:
     return taken
 
 
-def _enumerated_component_table(part, rows, cols, limit, nu):
+def _enumerated_component_table(part, rows, cols, limit, nu, width):
     """_component_table by the enumeration alone, whatever the component."""
-    part_rows, part_cols = covers._span(part)
-    return covers._enumerated_table(part, part_rows & rows, part_cols & cols, limit, nu)
+    return pack_table(enumerated_table(part, rows, cols, limit, nu), width)
 
 
 def cross(n: int) -> list[tuple[int, int]]:
@@ -530,13 +555,13 @@ def cross(n: int) -> list[tuple[int, int]]:
 
 
 class TestTreeDispatch:
-    """Acyclic components go to the tree DP and the others to the enumeration;
-    on larger trees the DP's tables equal the enumeration's."""
+    """Acyclic components go to the tree DP and the others to the matroid
+    DP; on larger trees the tree DP's tables equal the enumeration's."""
 
     def _assert_each_path_has_its_kind(self, taken) -> None:
-        assert taken["_tree_table"] and taken["_enumerated_table"]
+        assert taken["_tree_table"] and taken["_matroid_table"]
         assert all(_acyclic(part) for part in taken["_tree_table"])
-        assert not any(_acyclic(part) for part in taken["_enumerated_table"])
+        assert not any(_acyclic(part) for part in taken["_matroid_table"])
 
     def test_every_pattern_up_to_3x3(self, table_paths):
         for m in range(1, 4):
@@ -563,8 +588,8 @@ class TestTreeDispatch:
         (part,) = covers._components(covers._row_masks(band(6, 1)))
         nu = len(covers._max_matching(part))
         full = (1 << 10) - 1
-        got = covers._component_table(part, full, full, nu + slack, nu)
-        assert got == _enumerated_component_table(part, full, full, nu + slack, nu)
+        got = _unpacked(covers._component_table, part, full, full, nu + slack, nu)
+        assert got == enumerated_table(part, full, full, nu + slack, nu)
         assert table_paths["_tree_table"] == [part]
 
     @pytest.mark.parametrize("n", range(6, 10))
@@ -573,9 +598,8 @@ class TestTreeDispatch:
         with monkeypatch.context() as patched:
             patched.setattr(covers, "_component_table", _enumerated_component_table)
             expected = cover_profile(p)
-        table_paths["_enumerated_table"].clear()
         assert cover_profile(instance(n, n, n, cross(n))) == expected
-        assert len(table_paths["_tree_table"]) == 1 and not table_paths["_enumerated_table"]
+        assert len(table_paths["_tree_table"]) == 1 and not table_paths["_matroid_table"]
 
     def test_rows_only(self, table_paths):
         # a matching of 2 leaves rows holding a zero unmatched, so the row
@@ -583,12 +607,12 @@ class TestTreeDispatch:
         p = instance(7, 7, 6, cross(7))
         for r in range(7):
             assert row_excluded_profile(p, r) == brute_force_row_excluded_profile(p, r)
-        assert len(table_paths["_tree_table"]) == 7 and not table_paths["_enumerated_table"]
+        assert len(table_paths["_tree_table"]) == 7 and not table_paths["_matroid_table"]
         (part,) = covers._components(covers._row_masks(band(6, 1)))
         for slack in range(4):
             for rows in (0b111111, 0b101101):
-                got = covers._component_table(part, rows, 0, 6 + slack, 6)
-                assert got == _enumerated_component_table(part, rows, 0, 6 + slack, 6)
+                got = _unpacked(covers._component_table, part, rows, 0, 6 + slack, 6)
+                assert got == enumerated_table(part, rows, 0, 6 + slack, 6)
 
 
 def random_tree(rng: random.Random, m: int, n: int) -> list[tuple[int, int]]:
@@ -619,9 +643,8 @@ class TestTreeTable:
     def _assert_equal_to_enumeration(zeros, rows: int, cols: int, slack: int) -> None:
         part = covers._row_masks(zeros)
         nu = len(covers._max_matching(part))
-        part_rows, part_cols = covers._span(part)
-        got = covers._tree_table(part, rows, cols, nu + slack, nu)
-        assert got == covers._enumerated_table(part, part_rows & rows, part_cols & cols, nu + slack, nu)
+        got = _unpacked(covers._tree_table, part, rows, cols, nu + slack, nu)
+        assert got == enumerated_table(part, rows, cols, nu + slack, nu)
 
     @pytest.mark.parametrize(
         "zeros",
@@ -651,6 +674,86 @@ class TestTreeTable:
             rows = rng.choice([part_rows, rng.getrandbits(m)])
             cols = rng.choice([part_cols, rng.getrandbits(n), 0])
             self._assert_equal_to_enumeration(zeros, rows, cols, rng.randint(0, 4))
+
+
+DENSE_14X14 = random.Random(4).sample([(r, c) for r in range(14) for c in range(8)], 40)
+"""40 zeros over rows 0..13 and columns 0..7: one component with cycles,
+8 independent zeros, and a short side of 8 columns."""
+
+
+def _random_cyclic_components(rng: random.Random, max_side: int):
+    """Each component with a cycle of a random pattern up to max_side a
+    side, with the pattern's m and n."""
+    m, n = rng.randint(2, max_side), rng.randint(2, max_side)
+    density = rng.uniform(0.25, 0.6)
+    zeros = [(r, c) for r in range(m) for c in range(n) if rng.random() < density]
+    for part in covers._components(covers._row_masks(zeros)):
+        if not _acyclic(part):
+            yield part, m, n
+
+
+class TestMatroidTable:
+    """The matroid DP's tables equal the enumeration's on components with a
+    cycle, whichever side is short, with restricted lines and with no
+    column choosable."""
+
+    def test_random_cyclic_components_up_to_8x8(self):
+        rng = random.Random(4601)
+        shapes = set()
+        checked = 0
+        while checked < 500:
+            for part, m, n in _random_cyclic_components(rng, 8):
+                nu = len(covers._max_matching(part))
+                rows = rng.choice([(1 << m) - 1, rng.getrandbits(m), 0])
+                cols = rng.choice([(1 << n) - 1, rng.getrandbits(n), 0])
+                limit = nu + rng.randint(0, 4)
+                got = _unpacked(covers._matroid_table, part, rows, cols, limit)
+                assert got == enumerated_table(part, rows, cols, limit, nu)
+                rows_span, cols_span = covers._span(part)
+                shapes.add((rows_span.bit_count() > cols_span.bit_count()) - (rows_span.bit_count() < cols_span.bit_count()))
+                checked += 1
+        assert shapes == {-1, 0, 1}  # short columns, short rows and square ones
+
+    def test_transposed_component_swaps_a_and_b(self):
+        rng = random.Random(4602)
+        for _ in range(400):
+            for part, m, n in _random_cyclic_components(rng, 7):
+                nu = len(covers._max_matching(part))
+                rows, cols = rng.getrandbits(m), rng.getrandbits(n)
+                limit = nu + rng.randint(0, 3)
+                flipped = covers._row_masks((c, r) for r, c in zeros_of(part))
+                mine = _unpacked(covers._matroid_table, part, rows, cols, limit)
+                theirs = _unpacked(covers._matroid_table, flipped, cols, rows, limit)
+                assert mine == {(b, a, nu2): x for (a, b, nu2), x in theirs.items()}
+
+    def test_rows_only_profiles_of_every_4x4_class_and_the_7x7_cross(self, table_paths):
+        # no column may be chosen, so only the kept sets of every column count
+        for zeros in pattern_classes(4, 4):
+            for k in range(1, 5):
+                p = instance(4, 4, k, zeros)
+                for r in range(4):
+                    assert row_excluded_profile(p, r) == brute_force_row_excluded_profile(p, r)
+        assert table_paths["_matroid_table"]
+        for k in range(1, 8):
+            p = instance(7, 7, k, cross(7))
+            for r in range(7):
+                assert row_excluded_profile(p, r) == brute_force_row_excluded_profile(p, r)
+
+    def test_dense_14x14_is_answered_at_once(self):
+        p = instance(14, 14, 14, DENSE_14X14)
+        assert max_independent_zeros(p.pattern) == 8
+        t0 = time.perf_counter()
+        mine = cover_profile(p)
+        assert time.perf_counter() - t0 < 1.0
+        theirs = cover_profile(transpose_instance(p))  # its short side is the rows
+        assert {(i, j): x for i, j, x in mine.coefficients} == {(j, i): x for i, j, x in theirs.coefficients}
+
+    @pytest.mark.slow
+    def test_dense_14x14_equals_the_enumeration(self, monkeypatch):
+        p = instance(14, 14, 14, DENSE_14X14)
+        mine = cover_profile(p)
+        monkeypatch.setattr(covers, "_component_table", _enumerated_component_table)
+        assert cover_profile(p) == mine
 
 
 M = 10**7  # rows and columns of the large instances
@@ -687,24 +790,42 @@ class TestLargeInstances:
         assert peak < 64 * 2**10
 
 
-class TestSubsetBudget:
-    def test_budget_admits_every_12x12_component(self):
-        assert covers.SUBSET_BUDGET >= sum(math.comb(24, s) for s in range(12))
+def ring(size: int) -> list[tuple[int, int]]:
+    """Zeros (i, i) and (i, i+1 mod size): one cycle over all 2*size lines,
+    with size independent zeros."""
+    return [(i, i) for i in range(size)] + [(i, (i + 1) % size) for i in range(size)]
 
-    def test_one_component_over_32_lines_raises_at_once(self):
-        # the 16-step band in a 17x17 instance: 16 independent zeros < k = 17,
-        # so the partial covers must be counted, over all 32 lines
-        p = instance(17, 17, 17, staircase_band(16))
+
+class TestStateBudget:
+    """The matroid DP is charged its live families times 2^w, w its short
+    side; a tree is never charged."""
+
+    def test_too_wide_short_side_raises_at_once(self, monkeypatch):
+        # a 24-cycle in a 25x25 instance: 24 independent zeros < k = 25, so
+        # the partial covers must be counted, and one family over the short
+        # side of 24 lines is over the budget before any table is made
+        p = instance(25, 25, 25, ring(24))
         assert max_independent_zeros(p.pattern) < p.k
+        monkeypatch.setattr(covers, "_subset_tables", _no_table)
         for compute in (cover_profile, cover_formula_value):
             t0 = time.perf_counter()
-            with pytest.raises(BudgetExceededError):
+            with pytest.raises(BudgetExceededError, match="short side of 24 lines"):
                 compute(p)
             assert time.perf_counter() - t0 < 1.0
 
+    def test_growing_families_raise(self):
+        # 25 rows over 13 columns, each row two cyclically adjacent columns:
+        # a short side of 13 lines, whose families pass the budget within a
+        # few rows when every row but the last may be chosen
+        p = instance(26, 26, 26, [(i, j % 13) for i in range(25) for j in (i, i + 1)])
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="families"):
+            row_excluded_profile(p, 25)
+        assert time.perf_counter() - t0 < 1.0
+
     def test_k_independent_zeros_are_never_refused(self, matchings):
-        # 16 independent zeros at k = 16: no partial 15-cover, whatever the budget
-        p = instance(16, 16, 16, staircase_band(16))
+        # 24 independent zeros at k = 24: no partial 23-cover, whatever the budget
+        p = instance(24, 24, 24, ring(24))
         t0 = time.perf_counter()
         assert cover_coefficients(p) == {}
         assert cover_formula_value(p) == 0
@@ -713,41 +834,57 @@ class TestSubsetBudget:
         assert len(matchings) == 1
 
     def test_budget_threshold(self, monkeypatch):
-        p = instance(5, 5, 5, staircase_band(4))  # 4 independent zeros < k = 5
-        # 8 lines touch a zero, sum of C(8, s) for s <= 4 is 163
-        monkeypatch.setattr(covers, "SUBSET_BUDGET", 163)
+        # an all-zero 2x2 block in a 3x3 instance, k = 3: a short side of 2
+        # lines, so 4 bits a family; after the second row the families are
+        # {{}}, {{}, {0}, {1}} and every set, 12 bits in all
+        p = instance(3, 3, 3, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        monkeypatch.setattr(covers, "STATE_BUDGET", 12)
         assert cover_profile(p) == brute_force_cover_profile(p)
-        monkeypatch.setattr(covers, "SUBSET_BUDGET", 162)
+        monkeypatch.setattr(covers, "STATE_BUDGET", 11)
         with pytest.raises(BudgetExceededError):
             cover_profile(p)
         with pytest.raises(BudgetExceededError):
             cover_formula_value(p)
-        # three rows share one zero column, so not every row holding a zero is
-        # matched and the rows are enumerated: sum of C(3, s) for s <= 2 is 7
-        p = instance(4, 4, 3, [(1, 0), (2, 0), (3, 0)])
-        monkeypatch.setattr(covers, "SUBSET_BUDGET", 7)
+        # an all-zero 3x2 block: two of its three rows are matched, so the row
+        # counts take the general branch; the same three families after its
+        # second row, and only the family of every set after its third
+        p = instance(4, 4, 3, [(r, c) for r in (1, 2, 3) for c in (0, 1)])
+        monkeypatch.setattr(covers, "STATE_BUDGET", 12)
         assert row_excluded_profile(p, 0) == brute_force_row_excluded_profile(p, 0)
-        monkeypatch.setattr(covers, "SUBSET_BUDGET", 6)
+        monkeypatch.setattr(covers, "STATE_BUDGET", 11)
         with pytest.raises(BudgetExceededError):
+            row_excluded_profile(p, 0)
+        # one family of 4 bits is checked before the first row
+        monkeypatch.setattr(covers, "STATE_BUDGET", 3)
+        monkeypatch.setattr(covers, "_subset_tables", _no_table)
+        with pytest.raises(BudgetExceededError, match="short side of 2 lines"):
             row_excluded_profile(p, 0)
 
-    def test_bound_counts_a_component_with_no_line(self, monkeypatch):
-        # row 0 is excluded and a component on its own, so it adds 1 to the
-        # 2^2 subsets of rows 1 and 2 (both k - 1 = 2 or fewer): 5 in all
-        p = instance(3, 3, 3, [(0, 1), (1, 0), (2, 0)])
-        monkeypatch.setattr(covers, "SUBSET_BUDGET", 5)
-        assert row_excluded_profile(p, 0) == brute_force_row_excluded_profile(p, 0)
-        monkeypatch.setattr(covers, "SUBSET_BUDGET", 4)
-        with pytest.raises(BudgetExceededError):
-            row_excluded_profile(p, 0)
+    @pytest.mark.parametrize("n", [13, 14, 15])
+    def test_trees_are_never_charged(self, n, monkeypatch):
+        # the crosses over 13 to 15 lines a side, refused by a subset
+        # budget, are answered at once with no budget at all; the tree DP's
+        # table equals the matroid DP's
+        part = covers._row_masks(cross(n))
+        full = (1 << n) - 1
+        got = _unpacked(covers._tree_table, part, full, full, n - 1, 2)
+        assert got == _unpacked(covers._matroid_table, part, full, full, n - 1)
+        p = instance(n, n, n, cross(n))
+        monkeypatch.setattr(covers, "STATE_BUDGET", 0)
+        t0 = time.perf_counter()
+        profile = cover_profile(p)
+        assert time.perf_counter() - t0 < 1.0
+        assert profile.coefficients[0] == (0, 0, 1)
+        theirs = cover_coefficients(transpose_instance(p))
+        assert cover_coefficients(p) == {(j, i): x for (i, j), x in theirs.items()}
 
     def test_zero_free_lines_cost_nothing(self, monkeypatch):
-        monkeypatch.setattr(covers, "SUBSET_BUDGET", 1)
+        monkeypatch.setattr(covers, "STATE_BUDGET", 0)
         assert cover_coefficients(instance(30, 30, 30))[(29, 0)] == 30
 
     def test_slack_is_tested_before_the_budget(self, monkeypatch):
-        monkeypatch.setattr(covers, "SUBSET_BUDGET", 1)
-        p = instance(4, 4, 3, staircase_band(4))  # 4 independent zeros, k = 3
+        monkeypatch.setattr(covers, "STATE_BUDGET", 0)
+        p = instance(4, 4, 3, ring(4))  # 4 independent zeros, k = 3
         assert cover_profile(p) == brute_force_cover_profile(p)
         assert cover_formula_value(p) == 0
 
