@@ -525,8 +525,9 @@ def _matroid_table(part: dict[int, int], rows: int, cols: int, limit: int, width
     T lies in the closure of those v-sets, and T must hold every column
     that may not be chosen: so the kept sets of each size and matching are
     counted by popcounts.  Choosing b columns lowers the rank by at most b,
-    so only matchings down to the rank less the columns that may be chosen
-    are looked at; with none, the matching left is the rank.
+    so a matching of v needs b >= rank - v, and only matchings down to the
+    rank less the columns that may be chosen are looked at; with none, the
+    matching left is the rank.
 
     The cost is the rows times the live families times w operations on
     2^w-bit ints.  Raises BudgetExceededError when the live families' bits
@@ -567,8 +568,8 @@ def _matroid_table(part: dict[int, int], rows: int, cols: int, limit: int, width
         for v in range(rank, max(rank - len(valid), -1), -1):
             at_least = _closure(family & sizes[v], steps_of)
             exactly, reached = at_least & ~reached, at_least
-            for b, sets in enumerate(valid[: limit - low - v + 1]):  # low + v <= low + rank <= limit
-                n = (exactly & sets).bit_count()
+            for b in range(rank - v, min(len(valid), limit - low - v + 1)):
+                n = (exactly & valid[b]).bit_count()
                 for a, x in enumerate(counts[: limit - low - b - v + 1] if n else (), low):
                     if x:
                         key = a * row_unit + b * col_unit + v
