@@ -34,9 +34,10 @@ is counted by a dynamic programme over the lines of its long side whose
 state is the transversal matroid of its short side of w lines (Edmonds &
 Fulkerson): the family of short-side sets that the kept lines can match,
 one 2^w-bit int.  Its cost is exponential in w only (counting partial
-covers is #P-hard in general), so it is charged its live families times
-2^w bits against a state budget (BudgetExceededError when exceeded),
-before its first line and after each; a tree is never charged.  Every
+covers is #P-hard in general), so its live families and its masks, 2^w
+bits each, are charged against a state budget (BudgetExceededError when
+exceeded), before its first line and after each; a tree is never
+charged.  Every
 table is packed: a, b and a + b + nu' are fields of one int, so a product
 of tables sums keys.  Deleting a line lowers a matching by at most one,
 so the lines a choice takes from a component plus the matching they
@@ -315,10 +316,10 @@ def _lattice(masks: dict[int, int], match_col: dict[int, int]) -> CoverLattice:
 # ---------------------------------------------------------------------------
 
 
-STATE_BUDGET = 1 << 22
-"""Cap on the bits of the families the matroid DP of one component holds at
-once, 2^w bits each over its short side of w lines.  One family must fit, so
-a short side of more than 22 lines is refused at once."""
+STATE_BUDGET = 1 << 25
+"""Cap on the bits the matroid DP of a component holds at once: its families and 2w + 1 masks,
+2^w bits each over its short side of w lines.  The masks and one family must fit, so a short
+side of more than 19 lines is refused at once."""
 
 
 def _span(part: dict[int, int]) -> tuple[int, int]:
@@ -530,9 +531,10 @@ def _matroid_table(part: dict[int, int], rows: int, cols: int, limit: int, width
     matching left is the rank.
 
     The cost is the rows times the live families times w operations on
-    2^w-bit ints.  Raises BudgetExceededError when the live families' bits
-    pass STATE_BUDGET: checked before the first row, so a short side too
-    wide for one family is refused at once, and after each row.
+    2^w-bit ints.  Raises BudgetExceededError when the bits of the live
+    families and the masks of :func:`_subset_tables` pass STATE_BUDGET:
+    checked before the first row, so a short side too wide for the masks
+    and one family is refused at once, and after each row.
     """
     row_unit, col_unit = 1 << 2 * width | 1, 1 << width | 1
     if reduce(or_, part.values()).bit_count() > len(part):  # the rows are the short side: transpose
@@ -540,7 +542,7 @@ def _matroid_table(part: dict[int, int], rows: int, cols: int, limit: int, width
         rows, cols, row_unit, col_unit = cols, rows, col_unit, row_unit
     columns = [1 << c for c in _indices(reduce(or_, part.values()))]
     w = len(columns)
-    if 1 << w > STATE_BUDGET:
+    if (2 * w + 2) << w > STATE_BUDGET:  # the masks of _subset_tables and one family
         raise BudgetExceededError(f"state budget of {STATE_BUDGET} bits passed by a short side of {w} lines")
     steps_of, sizes = _subset_tables(w)
     families = {1: (0, 0, [1])}  # family -> (its rank, its least a, its counts by a from there)
@@ -557,7 +559,7 @@ def _matroid_table(part: dict[int, int], rows: int, cols: int, limit: int, width
             if rows >> r & 1 and low + rank < limit:  # taken
                 grown[family] = rank, *_plus(grown.get(family), low + 1, counts[: limit - rank - low])
         families = grown
-        if len(families) << w > STATE_BUDGET:
+        if (len(families) + 2 * w + 1) << w > STATE_BUDGET:
             raise BudgetExceededError(f"state budget of {STATE_BUDGET} bits passed by {len(families)} families")
     fixed = sum(1 << t for t, bit in enumerate(columns) if not cols & bit)  # in every kept set
     above = _closure(1 << fixed, steps_of)

@@ -797,19 +797,20 @@ def ring(size: int) -> list[tuple[int, int]]:
 
 
 class TestStateBudget:
-    """The matroid DP is charged its live families times 2^w, w its short
-    side; a tree is never charged."""
+    """The matroid DP is charged its live families and its 2w + 1 masks,
+    2^w bits each, w its short side; a tree is never charged."""
 
     def test_too_wide_short_side_raises_at_once(self, monkeypatch):
-        # a 24-cycle in a 25x25 instance: 24 independent zeros < k = 25, so
-        # the partial covers must be counted, and one family over the short
-        # side of 24 lines is over the budget before any table is made
-        p = instance(25, 25, 25, ring(24))
+        # a 20-cycle in a 21x21 instance: 20 independent zeros < k = 21, so
+        # the partial covers must be counted, and the 41 masks and one family
+        # over its short side of 20 lines, 42 * 2^20 bits, pass the budget
+        # of 2^25 before any mask is made
+        p = instance(21, 21, 21, ring(20))
         assert max_independent_zeros(p.pattern) < p.k
         monkeypatch.setattr(covers, "_subset_tables", _no_table)
         for compute in (cover_profile, cover_formula_value):
             t0 = time.perf_counter()
-            with pytest.raises(BudgetExceededError, match="short side of 24 lines"):
+            with pytest.raises(BudgetExceededError, match="short side of 20 lines"):
                 compute(p)
             assert time.perf_counter() - t0 < 1.0
 
@@ -835,12 +836,12 @@ class TestStateBudget:
 
     def test_budget_threshold(self, monkeypatch):
         # an all-zero 2x2 block in a 3x3 instance, k = 3: a short side of 2
-        # lines, so 4 bits a family; after the second row the families are
-        # {{}}, {{}, {0}, {1}} and every set, 12 bits in all
+        # lines, so 4 bits a family and 5 masks; after the second row the
+        # families are {{}}, {{}, {0}, {1}} and every set, 32 bits in all
         p = instance(3, 3, 3, [(0, 0), (0, 1), (1, 0), (1, 1)])
-        monkeypatch.setattr(covers, "STATE_BUDGET", 12)
+        monkeypatch.setattr(covers, "STATE_BUDGET", 32)
         assert cover_profile(p) == brute_force_cover_profile(p)
-        monkeypatch.setattr(covers, "STATE_BUDGET", 11)
+        monkeypatch.setattr(covers, "STATE_BUDGET", 31)
         with pytest.raises(BudgetExceededError):
             cover_profile(p)
         with pytest.raises(BudgetExceededError):
@@ -849,13 +850,13 @@ class TestStateBudget:
         # counts take the general branch; the same three families after its
         # second row, and only the family of every set after its third
         p = instance(4, 4, 3, [(r, c) for r in (1, 2, 3) for c in (0, 1)])
-        monkeypatch.setattr(covers, "STATE_BUDGET", 12)
+        monkeypatch.setattr(covers, "STATE_BUDGET", 32)
         assert row_excluded_profile(p, 0) == brute_force_row_excluded_profile(p, 0)
-        monkeypatch.setattr(covers, "STATE_BUDGET", 11)
+        monkeypatch.setattr(covers, "STATE_BUDGET", 31)
         with pytest.raises(BudgetExceededError):
             row_excluded_profile(p, 0)
-        # one family of 4 bits is checked before the first row
-        monkeypatch.setattr(covers, "STATE_BUDGET", 3)
+        # the masks and one family, 24 bits, are checked before the first row
+        monkeypatch.setattr(covers, "STATE_BUDGET", 23)
         monkeypatch.setattr(covers, "_subset_tables", _no_table)
         with pytest.raises(BudgetExceededError, match="short side of 2 lines"):
             row_excluded_profile(p, 0)
