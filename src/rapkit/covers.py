@@ -458,11 +458,10 @@ def _tree_table(part: dict[int, int], rows: int, cols: int, limit: int, nu: int,
             room = key & top < cap
             if room and unit:
                 table[base + unit] = table.get(base + unit, 0) + x
-            if key > low:
-                if room:
-                    table[base + 1] = table.get(base + 1, 0) + x
-            else:
+            if key <= low:
                 table[base + unmatched_key] = table.get(base + unmatched_key, 0) + x
+            elif room:
+                table[base + 1] = table.get(base + 1, 0) + x
         if i:
             up = ups[i]
             products[up] = table if products[up] is None else _times(products[up], table, caps[up], top)
@@ -607,7 +606,8 @@ def _partial_cover_counts(
     zero-free rows and columns times one table per component
     (:func:`_component_table`: the tree DP for a component without a cycle,
     the matroid DP for any other), all in the packed layout, so a product
-    is a sum of keys (:func:`_times`); the counts are summed over nu.
+    is a sum of keys (:func:`_times`); the counts are summed over nu.  With
+    no zero at all, the binomial table is the answer as it is.
 
     Deleting a line lowers a matching by at most one, so every choice
     leaves component c with a_c + b_c + nu'_c >= nu_c, its own maximum
@@ -624,15 +624,16 @@ def _partial_cover_counts(
     """
     owed = len(match_col)
     slack = limit - owed
-    if slack < 0:
-        return {}
-    width = limit.bit_length() + 1
-    top = (1 << width) - 1
-    total = {  # the zero-free lines alone leave nothing to match
-        (a << width | b) << width | a + b: comb(m0, a) * comb(n0, b)
+    free = {  # the zero-free lines alone leave nothing to match; none at all when slack < 0
+        (a, b): comb(m0, a) * comb(n0, b)
         for a in range(min(m0, slack) + 1)
         for b in range(min(n0, slack - a) + 1)
     }
+    if slack < 0 or not adj:
+        return free
+    width = limit.bit_length() + 1
+    top = (1 << width) - 1
+    total = {(a << width | b) << width | a + b: x for (a, b), x in free.items()}
     matched = set(match_col.values())
     for part in _components(adj):
         nu = sum(r in matched for r in part)
