@@ -37,19 +37,19 @@ one 2^w-bit int.  Its cost is exponential in w only (counting partial
 covers is #P-hard in general), so its live families and its masks, 2^w
 bits each, are charged against a state budget (BudgetExceededError when
 exceeded), before its first line and after each; a tree is never
-charged.  Every
-table is packed: a, b and a + b + nu' are fields of one int, so a product
-of tables sums keys.  Deleting a line lowers a matching by at most one,
-so the lines a choice takes from a component plus the matching they
-leave there never fall below that component's own maximum matching.  One
-maximum matching of the whole pattern, maximum on each component, bounds
-everything: a pattern with k independent zeros has no partial
-(k-1)-cover, so it is answered before any component is counted and
-costs nothing more, and otherwise each component, and each product, is
-counted only as far as the others leave room for.  cover_coefficients
-returns the nonzero d_{i,j} only; cover_profile is its dense table.
-Row-only counts need no component table at all when a maximum matching
-covers every row holding a zero.
+charged.  Every table is packed: a, b and a + b + nu' are fields of one
+int, so a product of tables sums keys.  Deleting a line lowers a
+matching by at most one, so the lines a choice takes from a component
+plus the matching they leave there never fall below that component's own
+maximum matching.  One maximum matching of the whole pattern, maximum on
+each component, bounds everything: a pattern with k independent zeros
+has no partial (k-1)-cover, so it is answered before any component is
+counted and costs nothing more, and otherwise each component, and each
+product, is counted only as far as the others leave room for.  A pattern
+with no zero is its binomial table.  cover_coefficients returns the
+nonzero d_{i,j} only; cover_profile is its dense table.  Row-only counts
+need no component table at all when a maximum matching covers every row
+holding a zero.
 
 A pattern keeps its zero graph, the row masks and their first maximum
 matching, in its own ``__dict__`` (not a dataclass field, so equality,
