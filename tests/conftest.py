@@ -293,24 +293,9 @@ def enumerated_table(
     return table
 
 
-def table_width(limit: int) -> int:
-    """The field width of rapkit.covers' packed tables at ``limit``: it holds 2 * limit."""
-    return limit.bit_length() + 1
-
-
-def unpack_table(table: dict[int, int], width: int) -> dict[tuple[int, int, int], int]:
-    """A packed component table, keyed by a, b and a + b + nu' in fields of
-    ``width`` bits from the top, keyed by (a, b, nu') instead."""
-    top = (1 << width) - 1
-    out = {}
-    for key, x in table.items():
-        a, b = key >> 2 * width, key >> width & top
-        out[a, b, (key & top) - a - b] = x
-    return out
-
-
 def pack_table(table: dict[tuple[int, int, int], int], width: int) -> dict[int, int]:
-    """The inverse of unpack_table."""
+    """A component table keyed by (a, b, nu'), packed as rapkit.covers packs
+    it: a, b and a + b + nu' in fields of ``width`` bits, from the top."""
     return {(a << width | b) << width | (a + b + nu): x for (a, b, nu), x in table.items()}
 
 

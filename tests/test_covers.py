@@ -53,9 +53,7 @@ from conftest import (
     reference_component_table,
     reference_forced_cover_lines,
     reference_row_maximal_cover,
-    table_width,
     transpose_instance,
-    unpack_table,
     zeros_of,
 )
 
@@ -426,8 +424,9 @@ def _unpacked(table_fn, part, rows: int, cols: int, limit: int, *args) -> dict:
     """The table ``table_fn`` makes for one component (``args`` go before
     the width), packed at the width of ``limit`` and unpacked to (a, b,
     nu') keys for comparison."""
-    width = table_width(limit)
-    return unpack_table(table_fn(part, rows, cols, limit, *args, width), width)
+    width = covers._table_width(limit)
+    table = covers._unpacked(table_fn(part, rows, cols, limit, *args, width), width)
+    return {(a, b, size - a - b): x for (a, b, size), x in table.items()}
 
 
 def _assert_tables_match_reference(zeros, rows: int, cols: int, slacks) -> None:
@@ -756,6 +755,90 @@ class TestMatroidTable:
         assert cover_profile(p) == mine
 
 
+class TestHungTrees:
+    """A component with a cycle and a short side of more than PEEL_WIDTH
+    lines is counted by the matroid DP over its 2-core, the trees hanging
+    from that core by the tree DP; the tables equal the enumeration's, and
+    a wide short side made wide only by its trees is answered.  The small
+    components here are peeled with PEEL_WIDTH set to 0."""
+
+    def test_core_of_a_cycle_with_a_tail(self, monkeypatch):
+        monkeypatch.setattr(covers, "PEEL_WIDTH", 0)
+        # a 4-cycle on rows 0, 1 and columns 0, 1, with a path from row 1
+        # through column 2 and row 2 to column 3, and a leaf row 3 on column 0
+        part = covers._row_masks([(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 2), (2, 3), (3, 0)])
+        assert covers._core(part) == {0: 0b11, 1: 0b11}
+        ring4 = covers._row_masks(ring(4))
+        assert covers._core(ring4) is ring4
+        seen = []
+        real = covers._matroid_table
+
+        def spy(core, rows, cols, limit, width, hung=None):
+            seen.append((core, sorted(hung or {})))
+            return real(core, rows, cols, limit, width, hung)
+
+        monkeypatch.setattr(covers, "_matroid_table", spy)
+        assert len(covers._max_matching(part)) == 4
+        got = _unpacked(covers._component_table, part, 0b1111, 0b1111, 6, 4)
+        assert got == enumerated_table(part, 0b1111, 0b1111, 6, 4)
+        assert seen == [({0: 0b11, 1: 0b11}, [~0, 1])]  # column 0 hangs row 3, row 1 the path
+
+    def test_random_components_with_trees_up_to_9x9(self, monkeypatch):
+        monkeypatch.setattr(covers, "PEEL_WIDTH", 0)
+        rng = random.Random(4603)
+        hung = checked = 0
+        while checked < 600:
+            m, n = rng.randint(2, 9), rng.randint(2, 9)
+            density = rng.uniform(0.15, 0.4)
+            zeros = [(r, c) for r in range(m) for c in range(n) if rng.random() < density]
+            for part in covers._components(covers._row_masks(zeros)):
+                if _acyclic(part):
+                    continue
+                nu = len(covers._max_matching(part))
+                rows = rng.choice([(1 << m) - 1, rng.getrandbits(m), 0])
+                cols = rng.choice([(1 << n) - 1, rng.getrandbits(n), 0])
+                limit = nu + rng.randint(0, 4)
+                got = _unpacked(covers._component_table, part, rows, cols, limit, nu)
+                assert got == enumerated_table(part, rows, cols, limit, nu)
+                hung += covers._core(part) is not part
+                checked += 1
+        assert hung > checked // 2
+
+    @pytest.mark.parametrize("n", [covers.PEEL_WIDTH, covers.PEEL_WIDTH + 1])
+    def test_only_a_short_side_past_the_peel_width_is_peeled(self, n, table_paths):
+        # the n x n cross plus zero (1, 1): a short side of n lines, whose
+        # 2-core is the 4-cycle on rows 0, 1 and columns 0, 1
+        zeros = cross(n) + [(1, 1)]
+        p = instance(n, n, n, zeros)
+        assert cover_profile(p) == brute_force_cover_profile(p)
+        if n > covers.PEEL_WIDTH:
+            assert table_paths["_matroid_table"] == [{0: 0b11, 1: 0b11}]
+            assert len(table_paths["_tree_table"]) == 2
+        else:
+            assert table_paths["_matroid_table"] == [covers._row_masks(zeros)]
+            assert table_paths["_tree_table"] == []
+
+    @pytest.mark.parametrize("k", range(4, 9))
+    def test_wide_cross_with_a_cycle(self, k, table_paths):
+        # the 24x24 cross plus zero (1, 1): a 4-cycle on rows 0, 1 and
+        # columns 0, 1, with 22 leaves hanging from row 0 and 22 from
+        # column 0; a short side of 2 lines, not 24
+        zeros = cross(24) + [(1, 1)]
+        p = instance(24, 24, k, zeros)
+        t0 = time.perf_counter()
+        mine = cover_coefficients(p)
+        assert time.perf_counter() - t0 < 0.5
+        assert table_paths["_matroid_table"] == [{0: 0b11, 1: 0b11}]
+        assert len(table_paths["_tree_table"]) == 2
+        theirs = cover_coefficients(transpose_instance(p))
+        assert mine == {(j, i): x for (i, j), x in theirs.items()}
+        part = covers._row_masks(zeros)
+        full = (1 << 24) - 1
+        for limit in range(3, min(k, 5)):  # the table itself, at nu = 3 and one over
+            got = _unpacked(covers._component_table, part, full, full, limit, 3)
+            assert got == enumerated_table(part, full, full, limit, 3)
+
+
 M = 10**7  # rows and columns of the large instances
 
 
@@ -797,13 +880,38 @@ def ring(size: int) -> list[tuple[int, int]]:
 
 
 class TestStateBudget:
-    """The matroid DP is charged its live families and its 2w + 1 masks,
-    2^w bits each, w its short side; a tree is never charged."""
+    """The matroid DP is charged its live families and its 3w + 3 masks,
+    2^w bits each, w the short side it runs on (the component's 2-core once
+    its trees are peeled); a tree, and a tree hanging from that core, is
+    never charged."""
+
+    def test_budget_admits_every_12x12_component(self, monkeypatch):
+        # a short side of at most 12 lines and at most 2^12 families, one
+        # for each set of kept long-side lines and deleted short-side lines
+        # hanging a tree (each tree holds a long-side line of its own)
+        assert (2**12 + 3 * 12 + 3) << 12 <= covers.STATE_BUDGET
+        # one 12x12 component, all of it 2-core, counted to a slack of 2
+        # over its 12 independent zeros: its DP holds thousands of families
+        rng = random.Random(4)
+        zeros = [(r, c) for r in range(12) for c in range(12) if rng.random() < 0.3]
+        (part,) = covers._components(covers._row_masks(zeros))
+        assert covers._span(part) == ((1 << 12) - 1,) * 2 and covers._core(part) is part
+        p = instance(15, 15, 15, zeros)
+        assert max_independent_zeros(p.pattern) == 12
+        expected = cover_profile(p)
+        assert expected.coefficients[0] == (0, 0, 1)
+        # a budget of 2^12 families and the masks still answers it; one of
+        # 2^11 families does not, so the family count passes 2^11
+        monkeypatch.setattr(covers, "STATE_BUDGET", (2**12 + 3 * 12 + 3) << 12)
+        assert cover_profile(p) == expected
+        monkeypatch.setattr(covers, "STATE_BUDGET", (2**11 + 3 * 12 + 3) << 12)
+        with pytest.raises(BudgetExceededError, match="families"):
+            cover_profile(p)
 
     def test_too_wide_short_side_raises_at_once(self, monkeypatch):
         # a 20-cycle in a 21x21 instance: 20 independent zeros < k = 21, so
-        # the partial covers must be counted, and the 41 masks and one family
-        # over its short side of 20 lines, 42 * 2^20 bits, pass the budget
+        # the partial covers must be counted, and the 63 masks and one family
+        # over its short side of 20 lines, 64 * 2^20 bits, pass the budget
         # of 2^25 before any mask is made
         p = instance(21, 21, 21, ring(20))
         assert max_independent_zeros(p.pattern) < p.k
@@ -836,12 +944,12 @@ class TestStateBudget:
 
     def test_budget_threshold(self, monkeypatch):
         # an all-zero 2x2 block in a 3x3 instance, k = 3: a short side of 2
-        # lines, so 4 bits a family and 5 masks; after the second row the
-        # families are {{}}, {{}, {0}, {1}} and every set, 32 bits in all
+        # lines, so 4 bits a family and 9 masks; after the second row the
+        # families are {{}}, {{}, {0}, {1}} and every set, 48 bits in all
         p = instance(3, 3, 3, [(0, 0), (0, 1), (1, 0), (1, 1)])
-        monkeypatch.setattr(covers, "STATE_BUDGET", 32)
+        monkeypatch.setattr(covers, "STATE_BUDGET", 48)
         assert cover_profile(p) == brute_force_cover_profile(p)
-        monkeypatch.setattr(covers, "STATE_BUDGET", 31)
+        monkeypatch.setattr(covers, "STATE_BUDGET", 47)
         with pytest.raises(BudgetExceededError):
             cover_profile(p)
         with pytest.raises(BudgetExceededError):
@@ -850,13 +958,13 @@ class TestStateBudget:
         # counts take the general branch; the same three families after its
         # second row, and only the family of every set after its third
         p = instance(4, 4, 3, [(r, c) for r in (1, 2, 3) for c in (0, 1)])
-        monkeypatch.setattr(covers, "STATE_BUDGET", 32)
+        monkeypatch.setattr(covers, "STATE_BUDGET", 48)
         assert row_excluded_profile(p, 0) == brute_force_row_excluded_profile(p, 0)
-        monkeypatch.setattr(covers, "STATE_BUDGET", 31)
+        monkeypatch.setattr(covers, "STATE_BUDGET", 47)
         with pytest.raises(BudgetExceededError):
             row_excluded_profile(p, 0)
-        # the masks and one family, 24 bits, are checked before the first row
-        monkeypatch.setattr(covers, "STATE_BUDGET", 23)
+        # the masks and one family, 40 bits, are checked before the first row
+        monkeypatch.setattr(covers, "STATE_BUDGET", 39)
         monkeypatch.setattr(covers, "_subset_tables", _no_table)
         with pytest.raises(BudgetExceededError, match="short side of 2 lines"):
             row_excluded_profile(p, 0)
