@@ -734,7 +734,7 @@ def _partial_cover_counts(
     total = {(a << width | b) << width | a + b: x for (a, b), x in free.items()}
     matched = set(match_col.values())
     for part in _components(adj):
-        nu = sum(r in matched for r in part)
+        nu = len(matched.intersection(part))
         owed -= nu
         total = _times(total, _component_table(part, rows, cols, slack + nu, nu, width), limit - owed, top)
     counts: dict[tuple[int, int], int] = {}
