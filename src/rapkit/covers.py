@@ -332,8 +332,8 @@ PEEL_WIDTH = 4
 """The widest short side of a component with a cycle that the matroid DP counts whole.  Past it,
 the trees hanging from the component's 2-core are counted apart; up to it they cost more that way
 than the DP pays for them.  On 600 random components with trees, from 5x5 to 12x12 instances,
-counting them apart took 1.48x the time at a short side of 3 lines, 1.17x at 4, 0.85x at 5, 0.65x
-at 6 and 0.36x at 9."""
+counting them apart took 1.45x the time at a short side of 3 lines, 1.10x at 4, 0.81x at 5, 0.62x
+at 6 and 0.31x at 9."""
 
 
 def _span(part: dict[int, int]) -> tuple[int, int]:
